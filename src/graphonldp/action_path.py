@@ -7,12 +7,12 @@ limited-memory quasi-Newton solve.  The discretized action is the source
 of truth; the Euler-Lagrange operators evaluated along the converged path
 serve as an independent stationarity verification, not as the solver.
 
-All analytic derivative formulas (A and L partials in sdot, the Frechet
-fields M, N, the nonlocal G, and the chain-rule field O) are long
-hand-derived expressions, so each one is audited at build time against its
-defining finite-difference / directional-derivative oracle; a formula that
-disagrees beyond tolerance is replaced by the oracle-backed evaluation and
-the discrepancy is recorded in the diagnostics of every subsequent solve.
+The analytic derivative formulas (A and L partials in sdot and the Frechet
+fields M, N) are long hand-derived expressions, so ``formula_audit`` checks
+each one against its defining finite-difference oracle; any formula that
+disagrees beyond tolerance is reported in the diagnostics of every solve.
+The nonlocal G and the chain-rule field O are built from these and are
+verified through the gradient and stationarity tests.
 
 The stationarity identity checked by ``el_residual`` is
 
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from .core_model import EPS_S
-from .meanfield import kernel_matrix
+from .meanfield import _as_matrix, field_from_density
 from .rate_function import (
     path_time_derivative,
     sis_A,
@@ -145,7 +145,7 @@ def _degenerate_mask(s, lam):
     return (lam * (1.0 - s)) <= EPS_S
 
 
-# --- finite-difference fallbacks (typo armor) ------------------------------
+# --- finite-difference oracles ----------------------------------------------
 
 def _fd_dL(sdot, s, lam, alpha, h=1e-6):
     return (sis_lagrangian(sdot + h, s, lam, alpha)
@@ -177,8 +177,7 @@ def formula_audit(seed=20240901, n_samples=300, force=False):
 
     Draws random non-degenerate (sdot, s, lam, alpha) tuples, compares the
     closed forms with central finite differences, and records the worst
-    relative error per formula.  A failing formula flips the module to its
-    oracle-backed fallback for that quantity.  Results are cached.
+    relative error per formula.  Results are cached.
     """
     key = (seed, n_samples)
     if key in _audit_cache and not force:
@@ -217,14 +216,6 @@ def formula_audit(seed=20240901, n_samples=300, force=False):
     return report
 
 
-def _use_fallback(name):
-    report = formula_audit()
-    for row in report:
-        if row["name"] == name:
-            return not row["pass"]
-    return False
-
-
 # --- slice-level operators --------------------------------------------------
 
 def el_partials(sdot, s, params, kernel, grid) -> ElOperators:
@@ -233,10 +224,6 @@ def el_partials(sdot, s, params, kernel, grid) -> ElOperators:
     lam = sis_lambda_field(np.asarray(s, dtype=float), grid, K, params.beta)
     sdot = np.asarray(sdot, dtype=float)
     A, D, lr, dA, d2A, dL, d2L = _partials_pointwise(sdot, s, lam, params.alpha)
-    if _use_fallback("dL_dsdot"):
-        dL = _fd_dL(sdot, s, lam, params.alpha)
-    if _use_fallback("d2L_dsdot2"):
-        d2L = _fd_d2L(sdot, s, lam, params.alpha)
     mask = _degenerate_mask(np.asarray(s, dtype=float), lam)
     for arr in (dA, d2A, dL, d2L):
         arr[mask] = np.nan
@@ -251,21 +238,15 @@ def el_frechet(sdot, s, params, kernel, grid) -> ElOperators:
     s = np.asarray(s, dtype=float)
     sdot = np.asarray(sdot, dtype=float)
     beta, alpha = params.beta, params.alpha
-    kw = grid.kappa_weights
-    lam = sis_lambda_field(s, grid, Km, beta)
+    kernel_int = field_from_density(grid, Km, 1.0 - s)   # integral J(theta, z)(1 - s(z)) dmu
+    lam = beta * s * kernel_int
     up = alpha * (1.0 - s)
 
     M, N, A, D, lr = _mn_pointwise(sdot, s, lam, alpha)
-    if _use_fallback("M_field"):
-        M = _fd_M(sdot, s, lam, alpha)
-    if _use_fallback("N_field"):
-        N = _fd_N(sdot, s, lam, alpha)
-
-    kernel_int = Km @ (kw * (1.0 - s))          # integral J(theta, z)(1 - s(z)) dmu
-    G = N + beta * M * kernel_int - beta * (Km.T @ (kw * M * s))
+    G = N + beta * M * kernel_int - beta * (Km.T @ (grid.kappa_weights * M * s))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_lam = sdot * beta * kernel_int - beta * s * (Km @ (kw * sdot))
+        delta_lam = sdot * beta * kernel_int - beta * s * field_from_density(grid, Km, sdot)
         delta_A = alpha / D * (-lam * sdot + (1.0 - s) * delta_lam)
 
         Asafe = np.maximum(A, EPS_S)
@@ -291,8 +272,8 @@ def frechet_lambda(s, x, params, kernel, grid):
     Km = _as_matrix(kernel, grid)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    kw = grid.kappa_weights
-    return x * params.beta * (Km @ (kw * (1.0 - s))) - params.beta * s * (Km @ (kw * x))
+    return (x * params.beta * field_from_density(grid, Km, 1.0 - s)
+            - params.beta * s * field_from_density(grid, Km, x))
 
 
 def frechet_A(sdot, s, x, params, kernel, grid):
@@ -330,12 +311,6 @@ def el_residual(path, params, kernel, grid, horizon):
     return out
 
 
-def _as_matrix(kernel, grid):
-    if isinstance(kernel, np.ndarray):
-        return kernel
-    return kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
-
-
 # --- discrete action and its exact gradient ---------------------------------
 
 def _slice_fields(sdot, s, lam, params, grid, Km, want_G):
@@ -344,18 +319,11 @@ def _slice_fields(sdot, s, lam, params, grid, Km, want_G):
     alpha, beta = params.alpha, params.beta
     L = sis_lagrangian(sdot, s, lam, alpha)
     _, _, _, _, _, dL, _ = _partials_pointwise(sdot, s, lam, alpha)
-    if _use_fallback("dL_dsdot"):
-        dL = _fd_dL(sdot, s, lam, alpha)
     if not want_G:
         return L, dL, None
     Mf, Nf, _, _, _ = _mn_pointwise(sdot, s, lam, alpha)
-    if _use_fallback("M_field"):
-        Mf = _fd_M(sdot, s, lam, alpha)
-    if _use_fallback("N_field"):
-        Nf = _fd_N(sdot, s, lam, alpha)
-    kw = grid.kappa_weights
-    kernel_int = (1.0 - s) @ (Km * kw[None, :]).T
-    G = Nf + beta * Mf * kernel_int - beta * (Mf * s * kw[None, :]) @ Km
+    kernel_int = field_from_density(grid, Km, 1.0 - s)
+    G = Nf + beta * Mf * kernel_int - beta * (Mf * s * grid.kappa_weights) @ Km
     return L, dL, G
 
 
@@ -408,7 +376,6 @@ class ActionOptions:
     memory: int = 100
     fallback_iters: int = 200
     initial_path: np.ndarray = None
-    keep_history: bool = True
 
 
 @dataclass
@@ -456,9 +423,8 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         a, g = discrete_action(unpack(x), params, Km, grid, problem.horizon, with_grad=True)
         return a, g.ravel()
 
-    def cb(x):
-        if opts.keep_history:
-            history.append(discrete_action(unpack(x), params, Km, grid, problem.horizon))
+    def cb(intermediate_result):
+        history.append(float(intermediate_result.fun))
 
     res = scipy_minimize(
         fun, pack(start), jac=True, method="L-BFGS-B",

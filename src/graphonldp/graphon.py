@@ -296,17 +296,14 @@ def sample_network(spec: GraphonSpec, N, phi_N, p_split=None, seed=0) -> Network
                    phi_N=float(phi_N), seed=int(seed), family=spec.family)
 
 
-def eta_diagnostic(network: Network, spec: GraphonSpec, trials=1, seed=None) -> ConvergenceDiagnostic:
+def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic:
     """Exact per-node graphon defect via the sign trick.
 
     eta_j = sup over test vectors a in {-1,0,1}^N of
     |sum_k (J_jk / phi_N - J(x_j, x_k)) a_k|; the supremum is attained at
     a_k = sign(J_jk / phi_N - J(x_j, x_k)), so it equals the L1 row norm of
-    the defect and is computed exactly.  ``trials``/``seed`` are accepted
-    for API symmetry with the samplers; the exact value is always used.
+    the defect and is computed exactly.
     """
-    if trials < 1:
-        raise GraphonError("trials must be >= 1")
     x = network.positions
     eta = np.empty(network.N)
     inv_phi = 1.0 / network.phi_N
@@ -351,31 +348,49 @@ def write_network(path, network: Network, explicit_positions=False):
 
 
 def read_network(path) -> Network:
+    """Parse a file written by :func:`write_network`.
+
+    Raises GraphonError on malformed content: a bad header, a positions
+    block whose length is not N, an edge line that is not three fields, a
+    node index outside [0, N), a self-loop or a weight other than -1, +1.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
+    try:
+        return _parse_network(lines)
+    except (ValueError, IndexError) as e:
+        raise GraphonError(f"malformed network file: {e}") from None
+
+
+def _parse_network(lines) -> Network:
     head = lines[0].split()
     N, phi_N, seed, family = int(head[0]), float(head[1]), int(head[2]), head[3]
     i = 1
     if i < len(lines) and lines[i] == "positions":
-        x = np.array([float(v) for v in lines[i + 1:i + 1 + N]])
-        i += 1 + N
-        if lines[i] != "edges":
-            raise GraphonError("malformed network file: missing 'edges' marker")
-        i += 1
+        if "edges" not in lines[i + 1:]:
+            raise ValueError("missing 'edges' marker")
+        end = lines.index("edges", i + 1)
+        if end - i - 1 != N:
+            raise ValueError(f"{end - i - 1} positions for N={N}")
+        x = np.array([float(v) for v in lines[i + 1:end]])
+        i = end + 1
     else:
         if family == "power-law":
             x = (np.arange(N) + 1.0) / N
         else:
             x = TWO_PI * np.arange(N) / N
-    rows, cols, wts = [], [], []
-    for ln in lines[i:]:
-        if not ln:
-            continue
-        a, b, w = ln.split()
-        rows.append(int(a))
-        cols.append(int(b))
-        wts.append(float(w))
-    return Network(N=N, positions=x,
-                   rows=np.array(rows, dtype=np.int64),
-                   cols=np.array(cols, dtype=np.int64),
-                   weights=np.array(wts), phi_N=phi_N, seed=seed, family=family)
+    triples = [ln.split() for ln in lines[i:] if ln]
+    for t in triples:
+        if len(t) != 3:
+            raise ValueError(f"edge line {' '.join(t)!r} is not 'j k w'")
+    rows = np.array([int(t[0]) for t in triples], dtype=np.int64)
+    cols = np.array([int(t[1]) for t in triples], dtype=np.int64)
+    wts = np.array([float(t[2]) for t in triples])
+    if np.any((rows < 0) | (rows >= N) | (cols < 0) | (cols >= N)):
+        raise ValueError(f"node index outside [0, {N})")
+    if np.any(rows == cols):
+        raise ValueError("self-loop")
+    if np.any(np.abs(wts) != 1.0):
+        raise ValueError("weight outside {-1, +1}")
+    return Network(N=N, positions=x, rows=rows, cols=cols, weights=wts,
+                   phi_N=phi_N, seed=seed, family=family)

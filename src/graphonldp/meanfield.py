@@ -66,6 +66,14 @@ def kernel_matrix(kernel, grid: SpatialGrid):
     return np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
 
 
+def _as_matrix(kernel, grid: SpatialGrid):
+    """Dense K from a GraphonSpec, a bare kernel callable or a prebuilt
+    (M, M) array; the kernel is evaluated only when no matrix is given."""
+    if isinstance(kernel, np.ndarray):
+        return kernel
+    return kernel_matrix(getattr(kernel, "kernel", kernel), grid)
+
+
 @dataclass
 class DensityField:
     """Occupation densities on grid x time: values[t_n, state, node]."""
@@ -121,11 +129,12 @@ class LimitFlux:
 def field_from_density(grid: SpatialGrid, K, density):
     """Quadrature of w_a(theta_i) = integral J(theta_i, zeta) nu(a, zeta) dmu.
 
-    ``density`` is (k, M); returns (k, M) with the kappa-weighted kernel
-    contraction per state.
+    ``density`` is (M,) or (k, M) and the result has the same shape: the
+    kernel contraction of each row against the kappa-weighted density.
+    This is the one forward application of K; the vector is weighted,
+    never the matrix.
     """
-    density = np.atleast_2d(density)
-    return density @ (K * grid.kappa_weights[None, :]).T
+    return (density * grid.kappa_weights) @ K.T
 
 
 def _rate_tensor(rates, grid, w):
@@ -166,7 +175,7 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt=None, record_flux=True,
         dt = T / 2000.0
     steps = max(1, int(round(T / dt)))
     dt = T / steps
-    K = kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
+    K = _as_matrix(kernel, grid)
 
     labels = rates.states.labels
     values = np.empty((steps + 1, k, M))
@@ -211,7 +220,7 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt=None, record_flux=True,
 
 def sis_drift(s, grid: SpatialGrid, K, beta, alpha):
     """Scalar SIS form: ds/dt = -beta s * K[1-s] + alpha (1-s)."""
-    lam_int = (K * grid.kappa_weights[None, :]) @ (1.0 - s)
+    lam_int = field_from_density(grid, K, 1.0 - s)
     return -beta * s * lam_int + alpha * (1.0 - s)
 
 
@@ -223,7 +232,7 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
     otherwise the disease-free state s == 1.
     """
-    K = kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
+    K = _as_matrix(kernel, grid)
     s = np.full(grid.M, 0.5)
     dt = 0.2 / max(alpha, beta * np.max(np.abs(K)))
     for _ in range(max_iter):

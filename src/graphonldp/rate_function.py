@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .core_model import EPS_S
-from .meanfield import field_from_density, kernel_matrix
+from .meanfield import _as_matrix, _rate_tensor, field_from_density
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -177,19 +177,14 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None,
         n, a, i = np.unravel_index(int(np.argmax(np.abs(nu - 0.5))), nu.shape)
         return RateValue(np.inf, finite=False, where=("occupation", n, i))
 
-    K = kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
+    K = _as_matrix(kernel, grid)
     kw = grid.kappa_weights
     idx = {lab: i for i, lab in enumerate(labels)}
-    k = len(labels)
-    M = grid.M
 
     # per-time rate tensor f_b(theta, a, w_t)
     integrand = np.zeros(n_t)
     for n in range(n_t):
-        w = field_from_density(grid, K, nu[n])
-        rt = np.empty((k, k, M))
-        for a in range(k):
-            rt[a] = rates.rate_matrix(grid.nodes, np.full(M, a, dtype=np.int64), w.T).T
+        rt = _rate_tensor(rates, grid, field_from_density(grid, K, nu[n]))
         for (la, lb), p in flux_densities.items():
             a, b = idx[la], idx[lb]
             lam = rt[a, b] * np.maximum(nu[n, a], 0.0)
@@ -311,12 +306,9 @@ def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
         keep = fc < fd
         hi = np.where(keep, d, hi)
         lo = np.where(keep, lo, c)
-        c_new = hi - invphi * (hi - lo)
-        d_new = lo + invphi * (hi - lo)
-        fc = np.where(keep, objective(c_new), fd)
-        fd = np.where(keep, fd, objective(d_new))
-        # recompute exactly at the new probe points to avoid stale values
-        c, d = c_new, d_new
+        # probe both new points afresh rather than reusing a stale value
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
         fc, fd = objective(c), objective(d)
     mid = 0.5 * (lo + hi)
     out = objective(mid)
@@ -326,8 +318,7 @@ def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
 def sis_lambda_field(s, grid, K, beta):
     """Infection intensity lambda(theta) = beta s(theta) * K[(1-s)](theta)."""
     s = np.asarray(s, dtype=float)
-    integ = (K * grid.kappa_weights[None, :]) @ (1.0 - s.T)
-    return beta * s * integ.T if s.ndim > 1 else beta * s * integ
+    return beta * s * field_from_density(grid, K, 1.0 - s)
 
 
 def path_time_derivative(path, dt):
@@ -353,7 +344,7 @@ def sis_action(path, params, kernel, grid, T):
     if n_t < 3:
         raise ValueError("need at least 3 time slices")
     dt = T / (n_t - 1)
-    K = kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
+    K = _as_matrix(kernel, grid)
     sdot = path_time_derivative(path, dt)
     lam = sis_lambda_field(path, grid, K, params.beta)
     L = sis_lagrangian(sdot, path, lam, params.alpha)
@@ -513,13 +504,6 @@ def contracted_L(r_fields, intensities, grid):
 def channel_intensities(rates, grid, nu, w=None, kernel=None):
     """Assemble lambda_ab(theta) = f_b(theta, a, w) nu(a, theta) on the grid."""
     nu = np.asarray(nu, dtype=float)
-    k, M = nu.shape
     if w is None:
-        K = kernel_matrix(kernel.kernel if hasattr(kernel, "kernel") else kernel, grid)
-        w = field_from_density(grid, K, nu)
-    out = np.empty((k, k, M))
-    for a in range(k):
-        out[a] = rates.rate_matrix(grid.nodes, np.full(M, a, dtype=np.int64), np.asarray(w).T).T
-        out[a] *= nu[a][None, :]
-        out[a, a] = 0.0
-    return out
+        w = field_from_density(grid, _as_matrix(kernel, grid), nu)
+    return _rate_tensor(rates, grid, np.asarray(w)) * nu[:, None, :]

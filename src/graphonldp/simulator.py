@@ -243,14 +243,8 @@ def extract_flux(traj: TrajectoryRecord) -> EmpiricalFlux:
 
 def occupation_at(traj: TrajectoryRecord, t, bins) -> EmpiricalOccupation:
     """Replay the event log up to t and bin the configuration."""
-    if not (0.0 <= t <= traj.horizon):
-        raise ValueError(f"t={t} outside [0, {traj.horizon}]")
+    cfg = traj.config_at(t)
     k = len(traj.labels)
-    # replay in order; later events overwrite earlier flips of the same node
-    cfg = traj.initial.copy()
-    upto = int(np.searchsorted(traj.times, t, side="right"))
-    for i in range(upto):
-        cfg[traj.nodes[i]] = traj.to_codes[i]
     idx = bin_index(traj.positions, bins)
     counts = np.zeros((k, bins), dtype=np.int64)
     np.add.at(counts, (cfg, idx), 1)

@@ -222,7 +222,7 @@ def test_A6_minimum_action_stationarity():
     # coarse solve -> warm start, then the stated problem and its refinement
     coarse = PathProblem(s0=eq, sT=target, horizon=T, K=50)
     warm = minimize_action(coarse, PARAMS, kernel, grid,
-                           ActionOptions(tol_grad=1e-7, keep_history=False))
+                           ActionOptions(tol_grad=1e-7))
     tt50 = np.linspace(0, T, 51)
 
     def lift(path, K_new):
@@ -235,8 +235,7 @@ def test_A6_minimum_action_stationarity():
 
     prob = PathProblem(s0=eq, sT=target, horizon=T, K=K)
     res = minimize_action(prob, PARAMS, kernel, grid,
-                          ActionOptions(tol_grad=3e-9, keep_history=False,
-                                        initial_path=lift(warm.path, K)))
+                          ActionOptions(tol_grad=3e-9, initial_path=lift(warm.path, K)))
     tol_criterion = 1e-6 * max(1.0, abs(res.action))
     assert res.diagnostics["grad_norm"] <= tol_criterion
     assert res.diagnostics["formula_discrepancies"] == []
@@ -269,8 +268,7 @@ def test_A6_minimum_action_stationarity():
     R_200 = float(np.nanmax(np.abs(el_residual(res.path, PARAMS, kernel, grid, T))))
     fine = PathProblem(s0=eq, sT=target, horizon=T, K=2 * K)
     res_fine = minimize_action(fine, PARAMS, kernel, grid,
-                               ActionOptions(tol_grad=3e-9, keep_history=False,
-                                             initial_path=lift(res.path, 2 * K)))
+                               ActionOptions(tol_grad=3e-9, initial_path=lift(res.path, 2 * K)))
     R_400 = float(np.nanmax(np.abs(el_residual(res_fine.path, PARAMS, kernel, grid, T))))
     estimate = (4.0 / 3.0) * abs(R_200 - R_400)
     assert R_200 <= 10.0 * estimate

@@ -3,7 +3,7 @@ import pytest
 
 from graphonldp.core_model import SisParams
 from graphonldp.graphon import constant_kernel, cosine_kernel
-from graphonldp.meanfield import circle_grid, endemic_equilibrium, evolve, kernel_matrix
+from graphonldp.meanfield import SpatialGrid, circle_grid, endemic_equilibrium, evolve, kernel_matrix
 from graphonldp.rate_function import sis_lambda_field
 from graphonldp.core_model import sis_rates
 from graphonldp.action_path import (
@@ -213,23 +213,33 @@ class TestMinimizeAction:
         assert np.max(np.abs(res.path - eq[None, :])) < 1e-5
 
     def test_gradient_matches_fd_on_random_paths(self):
-        grid = circle_grid(16)
-        kernel = constant_kernel(1.0)
+        # a uniform grid with a symmetric kernel, then a non-uniform grid
+        # with an asymmetric one, where the forward and transposed kernel
+        # applications differ
         rng = np.random.default_rng(7)
-        prob = PathProblem(s0=np.full(16, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
-        path = prob.initial_path() + 0.03 * rng.standard_normal((31, 16))
-        path[0], path[-1] = prob.s0, prob.sT
-        a, g = discrete_action(path, PARAMS, kernel, grid, 1.5, with_grad=True)
-        for _ in range(4):
-            v = rng.standard_normal(g.shape)
-            h = 1e-6
-            p1, p2 = path.copy(), path.copy()
-            p1[1:-1] += h * v
-            p2[1:-1] -= h * v
-            fd = (discrete_action(p1, PARAMS, kernel, grid, 1.5)
-                  - discrete_action(p2, PARAMS, kernel, grid, 1.5)) / (2 * h)
-            an = float(np.sum(g * v))
-            assert abs(fd - an) <= 1e-5 * abs(an)
+        skewed = np.random.default_rng(11)
+        nodes = np.sort(skewed.uniform(0.0, 2 * np.pi, 16))
+        weights, rho = skewed.uniform(0.5, 1.5, (2, 16))
+        cases = [
+            (circle_grid(16), constant_kernel(1.0)),
+            (SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho),
+             lambda x, y: 1.0 + 0.5 * np.sin(x - y + 0.3)),
+        ]
+        for grid, kernel in cases:
+            prob = PathProblem(s0=np.full(16, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
+            path = prob.initial_path() + 0.03 * rng.standard_normal((31, 16))
+            path[0], path[-1] = prob.s0, prob.sT
+            a, g = discrete_action(path, PARAMS, kernel, grid, 1.5, with_grad=True)
+            for _ in range(4):
+                v = rng.standard_normal(g.shape)
+                h = 1e-6
+                p1, p2 = path.copy(), path.copy()
+                p1[1:-1] += h * v
+                p2[1:-1] -= h * v
+                fd = (discrete_action(p1, PARAMS, kernel, grid, 1.5)
+                      - discrete_action(p2, PARAMS, kernel, grid, 1.5)) / (2 * h)
+                an = float(np.sum(g * v))
+                assert abs(fd - an) <= 1e-5 * abs(an)
 
     def test_descent_and_convergence(self):
         grid = circle_grid(16)
@@ -274,8 +284,7 @@ class TestMinimizeAction:
         T, Kt = 2.0, 160
         prob = PathProblem(s0=eq, sT=target, horizon=T, K=Kt)
         res = minimize_action(prob, PARAMS, kernel, grid,
-                              ActionOptions(max_iters=30000, tol_grad=1e-9,
-                                            keep_history=False))
+                              ActionOptions(max_iters=30000, tol_grad=1e-9))
         dt = T / Kt
         path = res.path
         sdot = np.gradient(path, dt, axis=0)

@@ -199,12 +199,6 @@ class TestEtaDiagnostic:
             ceiling = 2.0 * spec.bound
             assert diag.mean_eta / N <= ceiling
 
-    def test_trials_validated(self):
-        spec = constant_kernel(1.0)
-        net = sample_network(spec, 10, 0.1, seed=0)
-        with pytest.raises(GraphonError):
-            eta_diagnostic(net, spec, trials=0)
-
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -254,3 +248,37 @@ class TestSerialization:
         back = read_network(p)
         assert np.allclose(back.positions, net.positions)
         assert back.positions.max() <= 1.0
+
+
+class TestMalformedNetworkFile:
+    HEADER = "3 0.5 0 constant\n"
+
+    def read(self, tmp_path, body):
+        p = tmp_path / "net.txt"
+        p.write_text(self.HEADER + body)
+        return read_network(p)
+
+    def test_edge_line_field_count(self, tmp_path):
+        for body in ("0 1\n", "0 1 1 7\n"):
+            with pytest.raises(GraphonError):
+                self.read(tmp_path, body)
+
+    def test_index_out_of_range(self, tmp_path):
+        for body in ("0 -1 1\n", "0 5 1\n", "3 0 1\n"):
+            with pytest.raises(GraphonError):
+                self.read(tmp_path, body)
+
+    def test_self_loop(self, tmp_path):
+        with pytest.raises(GraphonError):
+            self.read(tmp_path, "1 1 1\n")
+
+    def test_weight_not_unit(self, tmp_path):
+        for body in ("0 1 3\n", "0 1 0\n"):
+            with pytest.raises(GraphonError):
+                self.read(tmp_path, body)
+
+    def test_positions_block_length(self, tmp_path):
+        for body in ("positions\n0.0\n1.0\nedges\n0 1 1\n",
+                     "positions\n0.0\n1.0\n2.0\n3.0\nedges\n0 1 1\n"):
+            with pytest.raises(GraphonError):
+                self.read(tmp_path, body)

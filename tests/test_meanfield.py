@@ -5,6 +5,7 @@ from graphonldp.core_model import SIS_SPACE, ConstantRates, SisParams, sis_rates
 from graphonldp.graphon import constant_kernel, cosine_kernel
 from graphonldp.meanfield import (
     NormalizationError,
+    SpatialGrid,
     circle_grid,
     endemic_equilibrium,
     evolve,
@@ -39,6 +40,25 @@ class TestFieldFromDensity:
         dens = np.vstack([np.full(grid.M, 1 - c), np.full(grid.M, c)])
         w = field_from_density(grid, K, dens)
         assert np.allclose(w[1], 1.0 * c)
+
+        # a non-uniform grid and an asymmetric kernel, where a wrong
+        # weighting or a transposed kernel changes the result
+        rng = np.random.default_rng(3)
+        nodes = np.sort(rng.uniform(0.0, 2 * np.pi, 12))
+        weights, rho = rng.uniform(0.5, 1.5, (2, 12))
+        grid = SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho)
+
+        def kernel(x, y):
+            return 1.0 + 0.5 * np.sin(x - y + 0.3)
+
+        K = kernel_matrix(kernel, grid)
+        dens = rng.uniform(0.0, 1.0, (2, grid.M))
+        kw = grid.weights * grid.rho
+        explicit = np.array([[sum(kernel(grid.nodes[i], grid.nodes[j]) * dens[a, j] * kw[j]
+                                  for j in range(grid.M)) for i in range(grid.M)]
+                             for a in range(2)])
+        assert np.allclose(field_from_density(grid, K, dens), explicit, rtol=0, atol=1e-14)
+        assert np.allclose(field_from_density(grid, K, dens[1]), explicit[1], rtol=0, atol=1e-14)
 
     def test_mean_zero_kernel(self):
         grid = circle_grid(64)
