@@ -13,6 +13,7 @@ from .core_model import (  # noqa: F401
     FieldVector,
     ConstantRates,
     ModelError,
+    NumericalError,
     RateFamily,
     SIS_SPACE,
     SisParams,
@@ -81,8 +82,7 @@ from .action_path import (  # noqa: F401
     EndpointError,
     PathProblem,
     discrete_action,
-    el_frechet,
-    el_partials,
+    el_operators,
     el_residual,
     formula_audit,
     frechet_A,

@@ -3,9 +3,10 @@
 A pinned-endpoint discrete path s[n, i] over time nodes t_n = n T / K and
 circle nodes theta_i is scored by the space-time quadrature of the SIS
 Lagrangian; the exact gradient of that discrete action drives a projected
-limited-memory quasi-Newton solve.  The discretized action is the source
-of truth; the Euler-Lagrange operators evaluated along the converged path
-serve as an independent stationarity verification, not as the solver.
+limited-memory quasi-Newton solve (L-BFGS-B).  The discretized action is
+the source of truth; the Euler-Lagrange operators evaluated along the
+converged path serve as an independent stationarity verification, not as
+the solver.
 
 The analytic derivative formulas (A and L partials in sdot and the Frechet
 fields M, N) are long hand-derived expressions, so ``formula_audit`` checks
@@ -26,6 +27,8 @@ velocity field and therefore already carries the velocity factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -79,38 +82,52 @@ class PathProblem:
 
 @dataclass
 class ElOperators:
-    """Analytic derivative fields of the Lagrangian along a path slice."""
+    """Analytic derivative fields of the Lagrangian along a path slice, or
+    along an (n, M) stack of slices; NaN on degenerate cells."""
 
-    dA_dsdot: np.ndarray = None
-    d2A_dsdot2: np.ndarray = None
-    dL_dsdot: np.ndarray = None
-    d2L_dsdot2: np.ndarray = None
-    M_field: np.ndarray = None
-    N_field: np.ndarray = None
-    G_field: np.ndarray = None
-    delta_lam: np.ndarray = None
-    delta_A: np.ndarray = None
-    O_field: np.ndarray = None
-    degenerate: np.ndarray = None
+    dA_dsdot: np.ndarray
+    d2A_dsdot2: np.ndarray
+    dL_dsdot: np.ndarray
+    d2L_dsdot2: np.ndarray
+    M_field: np.ndarray
+    N_field: np.ndarray
+    G_field: np.ndarray
+    delta_lam: np.ndarray
+    delta_A: np.ndarray
+    O_field: np.ndarray
+    degenerate: np.ndarray
 
 
 # --- pointwise analytic formulas ------------------------------------------
 
-def _log_lam_over_A(lam, A):
-    return np.log(np.maximum(lam, EPS_S)) - np.log(np.maximum(A, EPS_S))
+class _Pointwise(NamedTuple):
+    D: np.ndarray
+    lr: np.ndarray        # log(lam / A), both floored at EPS_S
+    Asafe: np.ndarray
+    lamsafe: np.ndarray
+    bracket: np.ndarray
+    dA: np.ndarray
+    d2A: np.ndarray
+    dL: np.ndarray
+    d2L: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
 
 
-def _partials_pointwise(sdot, s, lam, alpha):
-    """A and L derivatives in sdot at fixed (s, lam); vectorized."""
+def _pointwise(sdot, s, lam, alpha):
+    """A, D, log(lam/A), the A and L derivatives in sdot at fixed (s, lam),
+    and the Frechet coefficient fields of dL = M dlam + x(theta) N;
+    vectorized."""
     up = alpha * (1.0 - s)
-    disc2 = sdot * sdot + 4.0 * lam * up
-    D = np.sqrt(disc2)
-    A = sis_A(sdot, s, lam, alpha)
-    lr = _log_lam_over_A(lam, A)
-    Asafe = np.maximum(A, EPS_S)
-    bracket = 1.0 + up * lam / (Asafe * Asafe)
-
     with np.errstate(divide="ignore", invalid="ignore"):
+        disc2 = sdot * sdot + 4.0 * lam * up
+        D = np.sqrt(disc2)
+        A = sis_A(sdot, s, lam, alpha)
+        Asafe = np.maximum(A, EPS_S)
+        lamsafe = np.maximum(lam, EPS_S)
+        lr = np.log(lamsafe) - np.log(Asafe)
+        bracket = 1.0 + up * lam / (Asafe * Asafe)
+
         dA = -0.5 + 0.5 * sdot / D
         d2A = 0.5 / D - 0.5 * sdot * sdot / (D * disc2)
         dL = -dA * lr * bracket
@@ -118,31 +135,30 @@ def _partials_pointwise(sdot, s, lam, alpha):
                + dA * dA * (1.0 / Asafe
                             + 2.0 * up * lam / Asafe ** 3 * lr
                             + up * lam / Asafe ** 3))
-    return A, D, lr, dA, d2A, dL, d2L
 
-
-def _mn_pointwise(sdot, s, lam, alpha):
-    """Frechet coefficient fields: dL = M dlam + x(theta) N."""
-    up = alpha * (1.0 - s)
-    A = sis_A(sdot, s, lam, alpha)
-    D = np.sqrt(sdot * sdot + 4.0 * lam * up)
-    Asafe = np.maximum(A, EPS_S)
-    lamsafe = np.maximum(lam, EPS_S)
-    lr = _log_lam_over_A(lam, A)
-    x2 = A / lamsafe
-    ell_A_over_lam = -x2 * lr - x2 + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+        x2 = A / lamsafe
+        ell_A_over_lam = -x2 * lr - x2 + 1.0
         M = (ell_A_over_lam
              + (up / Asafe + A / lamsafe) * lr
              + up / D * lr * (-up * lam / (Asafe * Asafe) - 1.0))
         x1 = lam / Asafe
         ell_lam_over_A = x1 * lr - x1 + 1.0
         N = -alpha * ell_lam_over_A + alpha * lam / D * lr * (up * lam / (Asafe * Asafe) + 1.0)
-    return M, N, A, D, lr
+    return _Pointwise(D, lr, Asafe, lamsafe, bracket, dA, d2A, dL, d2L, M, N)
 
 
-def _degenerate_mask(s, lam):
-    return (lam * (1.0 - s)) <= EPS_S
+def _G_field(pw, s, beta, grid, Km):
+    """Nonlocal G = N + beta M K[1 - s] - beta K^T[kappa M s], the first
+    variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
+    return (pw.N + beta * pw.M * field_from_density(grid, Km, 1.0 - s)
+            - beta * (pw.M * s * grid.kappa_weights) @ Km)
+
+
+def _delta_A(pw, s, lam, x, dlam, alpha):
+    """alpha D^-1 (-lam x(theta) + (1 - s) dlam), with dlam the Frechet
+    derivative of lam in direction x."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return alpha / pw.D * (-lam * x + (1.0 - s) * dlam)
 
 
 # --- finite-difference oracles ----------------------------------------------
@@ -169,27 +185,23 @@ def _fd_N(sdot, s, lam, alpha, h=1e-7):
 
 
 _FORMULA_TOL = 1e-3
-_audit_cache = {}
 
 
-def formula_audit(seed=20240901, n_samples=300, force=False):
+@cache
+def formula_audit():
     """Cross-check every analytic formula against its defining oracle.
 
-    Draws random non-degenerate (sdot, s, lam, alpha) tuples, compares the
-    closed forms with central finite differences, and records the worst
-    relative error per formula.  Results are cached.
+    Draws 300 random non-degenerate (sdot, s, lam, alpha) tuples from a
+    fixed seed, compares the closed forms with central finite differences,
+    and records the worst relative error per formula.  Computed once.
     """
-    key = (seed, n_samples)
-    if key in _audit_cache and not force:
-        return _audit_cache[key]
-    rng = np.random.default_rng(seed)
-    sdot = rng.uniform(-2.0, 2.0, n_samples)
-    s = rng.uniform(0.05, 0.95, n_samples)
-    lam = rng.uniform(0.05, 3.0, n_samples)
-    alpha = rng.uniform(0.2, 3.0, n_samples)
-
-    A, D, lr, dA, d2A, dL, d2L = _partials_pointwise(sdot, s, lam, alpha)
-    M, N, _, _, _ = _mn_pointwise(sdot, s, lam, alpha)
+    rng = np.random.default_rng(20240901)
+    n = 300
+    sdot = rng.uniform(-2.0, 2.0, n)
+    s = rng.uniform(0.05, 0.95, n)
+    lam = rng.uniform(0.05, 3.0, n)
+    alpha = rng.uniform(0.2, 3.0, n)
+    pw = _pointwise(sdot, s, lam, alpha)
 
     h = 1e-6
     fd_dA = (sis_A(sdot + h, s, lam, alpha) - sis_A(sdot - h, s, lam, alpha)) / (2 * h)
@@ -200,70 +212,50 @@ def formula_audit(seed=20240901, n_samples=300, force=False):
     def rel(a, b):
         return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
-    report = []
     checks = [
-        ("dA_dsdot", rel(dA, fd_dA)),
-        ("d2A_dsdot2", rel(d2A, fd_d2A)),
-        ("dL_dsdot", rel(dL, _fd_dL(sdot, s, lam, alpha))),
-        ("d2L_dsdot2", rel(d2L, _fd_d2L(sdot, s, lam, alpha))),
-        ("M_field", rel(M, _fd_M(sdot, s, lam, alpha))),
-        ("N_field", rel(N, _fd_N(sdot, s, lam, alpha))),
+        ("dA_dsdot", rel(pw.dA, fd_dA)),
+        ("d2A_dsdot2", rel(pw.d2A, fd_d2A)),
+        ("dL_dsdot", rel(pw.dL, _fd_dL(sdot, s, lam, alpha))),
+        ("d2L_dsdot2", rel(pw.d2L, _fd_d2L(sdot, s, lam, alpha))),
+        ("M_field", rel(pw.M, _fd_M(sdot, s, lam, alpha))),
+        ("N_field", rel(pw.N, _fd_N(sdot, s, lam, alpha))),
     ]
-    for name, err in checks:
-        report.append({"name": name, "max_rel_err": err,
-                       "tol": _FORMULA_TOL, "pass": err <= _FORMULA_TOL})
-    _audit_cache[key] = report
-    return report
+    return tuple({"name": name, "max_rel_err": err, "tol": _FORMULA_TOL, "pass": err <= _FORMULA_TOL}
+                 for name, err in checks)
 
 
 # --- slice-level operators --------------------------------------------------
 
-def el_partials(sdot, s, params, kernel, grid) -> ElOperators:
-    """sdot-derivative block of the Lagrangian on one path slice."""
-    K = _as_matrix(kernel, grid)
-    lam = sis_lambda_field(np.asarray(s, dtype=float), grid, K, params.beta)
-    sdot = np.asarray(sdot, dtype=float)
-    A, D, lr, dA, d2A, dL, d2L = _partials_pointwise(sdot, s, lam, params.alpha)
-    mask = _degenerate_mask(np.asarray(s, dtype=float), lam)
-    for arr in (dA, d2A, dL, d2L):
-        arr[mask] = np.nan
-    return ElOperators(dA_dsdot=dA, d2A_dsdot2=d2A, dL_dsdot=dL,
-                       d2L_dsdot2=d2L, degenerate=mask)
+def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
+    """Every Euler-Lagrange field on one slice or an (n, M) stack of slices.
 
-
-def el_frechet(sdot, s, params, kernel, grid) -> ElOperators:
-    """Spatial/nonlocal block: M, N, G, the velocity-direction Frechet
-    increments (delta_lam, delta_A), and the chain-rule field O."""
+    The sdot-derivatives of A and L, the Frechet fields M, N, the nonlocal
+    G, the velocity-direction Frechet increments (delta_lam, delta_A) and
+    the chain-rule field O; all are NaN where lam (1 - s) vanishes.
+    """
     Km = _as_matrix(kernel, grid)
     s = np.asarray(s, dtype=float)
     sdot = np.asarray(sdot, dtype=float)
-    beta, alpha = params.beta, params.alpha
-    kernel_int = field_from_density(grid, Km, 1.0 - s)   # integral J(theta, z)(1 - s(z)) dmu
-    lam = beta * s * kernel_int
-    up = alpha * (1.0 - s)
-
-    M, N, A, D, lr = _mn_pointwise(sdot, s, lam, alpha)
-    G = N + beta * M * kernel_int - beta * (Km.T @ (grid.kappa_weights * M * s))
-
+    alpha = params.alpha
+    lam = sis_lambda_field(s, grid, Km, params.beta)
+    pw = _pointwise(sdot, s, lam, alpha)
+    delta_lam = frechet_lambda(s, sdot, params, Km, grid)
+    delta_A = _delta_A(pw, s, lam, sdot, delta_lam, alpha)
+    dA, lr, bracket, Asafe, D = pw.dA, pw.lr, pw.bracket, pw.Asafe, pw.D
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_lam = sdot * beta * kernel_int - beta * s * field_from_density(grid, Km, sdot)
-        delta_A = alpha / D * (-lam * sdot + (1.0 - s) * delta_lam)
-
-        Asafe = np.maximum(A, EPS_S)
-        lamsafe = np.maximum(lam, EPS_S)
-        dA = -0.5 + 0.5 * sdot / D
-        bracket = 1.0 + up * lam / (Asafe * Asafe)
-        O = (dA * bracket * (delta_A / Asafe - delta_lam / lamsafe)
+        O = (dA * bracket * (delta_A / Asafe - delta_lam / pw.lamsafe)
              + alpha * sdot * lr * bracket * D ** -3 * ((1.0 - s) * delta_lam - lam * sdot)
              + alpha * dA * lr * (sdot * lam / Asafe ** 2
                                   + 2.0 * (1.0 - s) * lam * delta_A / Asafe ** 3
                                   - (1.0 - s) * delta_lam / Asafe ** 2))
 
-    mask = _degenerate_mask(s, lam)
-    for arr in (M, N, G, delta_lam, delta_A, O):
+    mask = (lam * (1.0 - s)) <= EPS_S
+    fields = dict(dA_dsdot=dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
+                  M_field=pw.M, N_field=pw.N, G_field=_G_field(pw, s, params.beta, grid, Km),
+                  delta_lam=delta_lam, delta_A=delta_A, O_field=O)
+    for arr in fields.values():
         arr[mask] = np.nan
-    return ElOperators(M_field=M, N_field=N, G_field=G, delta_lam=delta_lam,
-                       delta_A=delta_A, O_field=O, degenerate=mask)
+    return ElOperators(**fields, degenerate=mask)
 
 
 def frechet_lambda(s, x, params, kernel, grid):
@@ -281,13 +273,10 @@ def frechet_A(sdot, s, x, params, kernel, grid):
     alpha D^-1 (-lam x(theta) + (1 - s) Dlam . x)."""
     Km = _as_matrix(kernel, grid)
     s = np.asarray(s, dtype=float)
-    sdot = np.asarray(sdot, dtype=float)
+    x = np.asarray(x, dtype=float)
     lam = sis_lambda_field(s, grid, Km, params.beta)
-    D = np.sqrt(sdot * sdot + 4.0 * params.alpha * lam * (1.0 - s))
-    dlam = frechet_lambda(s, x, params, Km, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = params.alpha / D * (-lam * np.asarray(x, dtype=float) + (1.0 - s) * dlam)
-    return out
+    pw = _pointwise(np.asarray(sdot, dtype=float), s, lam, params.alpha)
+    return _delta_A(pw, s, lam, x, frechet_lambda(s, x, params, Km, grid), params.alpha)
 
 
 def el_residual(path, params, kernel, grid, horizon):
@@ -297,34 +286,22 @@ def el_residual(path, params, kernel, grid, horizon):
     time difference is not defined.
     """
     path = np.asarray(path, dtype=float)
-    n_t = path.shape[0]
-    dt = horizon / (n_t - 1)
+    dt = horizon / (path.shape[0] - 1)
     sdot = path_time_derivative(path, dt)
-    sdd = np.full_like(path, np.nan)
-    sdd[1:-1] = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / (dt * dt)
-
+    sdd = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / (dt * dt)
+    ops = el_operators(sdot[1:-1], path[1:-1], params, kernel, grid)
     out = np.full_like(path, np.nan)
-    for n in range(1, n_t - 1):
-        pp = el_partials(sdot[n], path[n], params, kernel, grid)
-        ff = el_frechet(sdot[n], path[n], params, kernel, grid)
-        out[n] = sdd[n] * pp.d2L_dsdot2 + ff.O_field - ff.G_field
+    out[1:-1] = sdd * ops.d2L_dsdot2 + ops.O_field - ops.G_field
     return out
 
 
 # --- discrete action and its exact gradient ---------------------------------
 
-def _slice_fields(sdot, s, lam, params, grid, Km, want_G):
-    """L, dL/dsdot and (optionally) the nonlocal G field for one batch of
-    (velocity, slice) pairs; arrays are (n, M)."""
-    alpha, beta = params.alpha, params.beta
-    L = sis_lagrangian(sdot, s, lam, alpha)
-    _, _, _, _, _, dL, _ = _partials_pointwise(sdot, s, lam, alpha)
-    if not want_G:
-        return L, dL, None
-    Mf, Nf, _, _, _ = _mn_pointwise(sdot, s, lam, alpha)
-    kernel_int = field_from_density(grid, Km, 1.0 - s)
-    G = Nf + beta * Mf * kernel_int - beta * (Mf * s * grid.kappa_weights) @ Km
-    return L, dL, G
+def _slice_fields(sdot, s, lam, params, grid, Km):
+    """dL/dsdot and the nonlocal G for one batch of (velocity, slice)
+    pairs; arrays are (n, M)."""
+    pw = _pointwise(sdot, s, lam, params.alpha)
+    return pw.dL, _G_field(pw, s, params.beta, grid, Km)
 
 
 def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
@@ -346,11 +323,12 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     dt = horizon / (n_t - 1)
     Km = _as_matrix(kernel, grid)
     kw = grid.kappa_weights
+    alpha = params.alpha
 
     v = (path[1:] - path[:-1]) / dt                     # (K, M)
     lam = sis_lambda_field(path, grid, Km, params.beta)  # (n_t, M)
-    L_lo, dL_lo, G_lo = _slice_fields(v, path[:-1], lam[:-1], params, grid, Km, with_grad)
-    L_hi, dL_hi, G_hi = _slice_fields(v, path[1:], lam[1:], params, grid, Km, with_grad)
+    L_lo = sis_lagrangian(v, path[:-1], lam[:-1], alpha)
+    L_hi = sis_lagrangian(v, path[1:], lam[1:], alpha)
     if not (np.all(np.isfinite(L_lo)) and np.all(np.isfinite(L_hi))):
         if not with_grad:
             return np.inf
@@ -359,6 +337,8 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     if not with_grad:
         return action
 
+    dL_lo, G_lo = _slice_fields(v, path[:-1], lam[:-1], params, grid, Km)
+    dL_hi, G_hi = _slice_fields(v, path[1:], lam[1:], params, grid, Km)
     grad = np.zeros((n_t, M))
     # slice route: s_m enters interval m-1 on the high side, interval m low
     grad[1:-1] += 0.5 * dt * kw[None, :] * (G_hi[:-1] + G_lo[1:])
@@ -369,12 +349,14 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     return action, grad[1:-1]
 
 
+#: L-BFGS-B correction pairs kept by the solver
+_LBFGS_MEMORY = 100
+
+
 @dataclass
 class ActionOptions:
     max_iters: int = 20000
     tol_grad: float = 1e-6
-    memory: int = 100
-    fallback_iters: int = 200
     initial_path: np.ndarray = None
 
 
@@ -389,11 +371,10 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
                     opts: ActionOptions = None) -> ActionResult:
     """Locally minimize the discrete action between pinned endpoints.
 
-    Projected limited-memory quasi-Newton (L-BFGS-B on the clamped box)
-    with a plain backtracking projected-gradient fallback; the initial
-    guess is the linear interpolation unless one is supplied.  Returns the
-    best iterate with a warning flag when the gradient tolerance is not
-    met.
+    Projected limited-memory quasi-Newton (L-BFGS-B on the clamped box);
+    the initial guess is the linear interpolation unless one is supplied.
+    When the gradient tolerance is not met, returns the solver's last
+    iterate with a warning in the diagnostics.
     """
     opts = opts or ActionOptions()
     Km = _as_matrix(kernel, grid)
@@ -407,9 +388,6 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         raise ValueError("initial path has infinite action; move endpoints off the boundary")
     scale = max(1.0, abs(a0))
     tol = opts.tol_grad * scale
-
-    def pack(path):
-        return path[1:-1].ravel()
 
     def unpack(x):
         p = np.empty((n_t, M))
@@ -427,38 +405,14 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         history.append(float(intermediate_result.fun))
 
     res = scipy_minimize(
-        fun, pack(start), jac=True, method="L-BFGS-B",
+        fun, start[1:-1].ravel(), jac=True, method="L-BFGS-B",
         bounds=[(lo, hi)] * ((n_t - 2) * M),
         callback=cb,
         options={"maxiter": opts.max_iters, "maxfun": 4 * opts.max_iters,
-                 "maxcor": opts.memory, "ftol": 1e-17, "gtol": tol},
+                 "maxcor": _LBFGS_MEMORY, "ftol": 1e-17, "gtol": tol},
     )
     path = unpack(res.x)
     action, grad = discrete_action(path, params, Km, grid, problem.horizon, with_grad=True)
-    iters = int(res.nit)
-
-    # fallback: projected gradient descent with Armijo backtracking
-    step = 1.0
-    fb = 0
-    while np.max(np.abs(grad)) > tol and fb < opts.fallback_iters:
-        fb += 1
-        accepted = False
-        for _ in range(60):
-            trial = np.clip(path[1:-1] - step * grad, lo, hi)
-            cand = path.copy()
-            cand[1:-1] = trial
-            a_new = discrete_action(cand, params, Km, grid, problem.horizon)
-            decrease = float(np.sum(grad * (path[1:-1] - trial)))
-            if np.isfinite(a_new) and a_new <= action - 1e-4 * decrease:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or a_new > action:
-            break
-        path, action = cand, a_new
-        _, grad = discrete_action(path, params, Km, grid, problem.horizon, with_grad=True)
-        step *= 1.6
-
     grad_norm = float(np.max(np.abs(grad)))
     converged = grad_norm <= tol
     residual = el_residual(path, params, Km, grid, problem.horizon)
@@ -467,11 +421,11 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         "grad_norm": grad_norm,
         "grad_tol": tol,
         "el_residual_max": float(np.nanmax(np.abs(residual))),
-        "iters": iters + fb,
+        "iters": int(res.nit),
         "converged": bool(converged),
         "formula_discrepancies": [r for r in formula_audit() if not r["pass"]],
         "action_history": history,
     }
     if not converged:
-        diag["warning"] = "gradient tolerance not reached; returning best iterate"
+        diag["warning"] = "gradient tolerance not reached; returning the last iterate"
     return ActionResult(path=path, action=float(action), diagnostics=diag)

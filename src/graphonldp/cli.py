@@ -7,7 +7,11 @@ with repeated ``--set section.key=value`` flags.  All artifacts land under
 --out with a manifest listing file hashes, and every run is deterministic
 given (config, seed).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success; 2 configuration error (a bad option, profile or
+network file, or snapshots off the mean-field time grid); 3 numerical
+failure (an exhausted event budget, a non-finite rate, density
+normalization drift, an equilibrium relaxation or an action solve that
+did not converge).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import ModelError, SisParams, sis_rates
+from .core_model import ModelError, NumericalError, SisParams, sis_rates
 from .graphon import (
     FAMILIES,
     GraphonError,
@@ -30,10 +34,10 @@ from .graphon import (
     sample_network,
     write_network,
 )
-from .meanfield import NormalizationError, circle_grid, endemic_equilibrium, evolve
+from .meanfield import circle_grid, endemic_equilibrium, evolve
 from .rate_function import ell, poisson_tail_log_prob, rate_G, sis_action
 from .action_path import ActionOptions, EndpointError, PathProblem, el_residual, minimize_action
-from .simulator import RateOverflowError, extract_flux, occupation_at, simulate
+from .simulator import extract_flux, occupation_at, simulate
 
 
 class ConfigError(ValueError):
@@ -305,6 +309,11 @@ def cmd_meanfield(cp, out):
 def compare_deviations(cp, N, seed):
     """Median over replicas of the sup-over-(state, bin, snapshot) gap
     between binned empirical occupation masses and the limiting solution."""
+    steps, n_snaps = _i(cp, "grid", "steps"), _i(cp, "compare", "snapshots")
+    if n_snaps < 2 or steps % (n_snaps - 1):
+        raise ConfigError(
+            f"compare.snapshots = {n_snaps} needs compare.snapshots - 1 to divide "
+            f"grid.steps = {steps}, so that every snapshot is a mean-field grid time")
     params = model_params(cp)
     M = _i(cp, "grid", "M")
     grid = circle_grid(M)
@@ -312,7 +321,7 @@ def compare_deviations(cp, N, seed):
                                   params=params, kernel=graphon_spec(cp))
     dens, _ = _meanfield_solution(cp, params, grid, 1.0 - init_infected)
     T = _f(cp, "grid", "T")
-    snaps = np.linspace(0.0, T, _i(cp, "compare", "snapshots"))
+    snaps = np.linspace(0.0, T, n_snaps)
 
     # predicted bin masses: trapezoid of the density over each bin
     pred = {}
@@ -466,7 +475,7 @@ def main(argv=None):
     except (ConfigError, GraphonError, ModelError, EndpointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (NormalizationError, RateOverflowError, FloatingPointError) as e:
+    except (NumericalError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

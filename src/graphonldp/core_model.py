@@ -36,6 +36,11 @@ class ModelError(ValueError):
     """Invalid model parameters or state-space usage."""
 
 
+class NumericalError(RuntimeError):
+    """A numerical loop stopped without meeting its own stopping rule, or
+    produced a value it cannot continue from."""
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Ordered finite alphabet of agent states."""

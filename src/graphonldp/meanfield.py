@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import TWO_PI
+from .core_model import TWO_PI, NumericalError
 
 
-class NormalizationError(RuntimeError):
+class NormalizationError(NumericalError):
     """Per-site state-mass drifted beyond tolerance during integration."""
 
 
@@ -94,7 +94,11 @@ class DensityField:
         return self.values[:, self.labels.index(label), :]
 
     def at_time(self, t):
+        """Densities at the grid time t; raises ValueError for any other t."""
         n = int(round(t / self.dt)) if self.dt else 0
+        if not (0 <= n < len(self.times) and abs(self.times[n] - t) <= 1e-9 * self.dt):
+            raise ValueError(f"t={t!r} is not a grid time: multiples of dt={self.dt:.6g} "
+                             f"in [0, {self.horizon:.6g}]")
         return self.values[n]
 
     def write_csv(self, path, nodes):
@@ -230,14 +234,18 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
-    otherwise the disease-free state s == 1.
+    otherwise the disease-free state s == 1.  Raises NumericalError if the
+    drift is still at or above ``tol`` after ``max_iter`` steps.
     """
     K = _as_matrix(kernel, grid)
     s = np.full(grid.M, 0.5)
     dt = 0.2 / max(alpha, beta * np.max(np.abs(K)))
+    drift = np.inf
     for _ in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)
         s = np.clip(s + dt * ds, 0.0, 1.0)
-        if np.max(np.abs(ds)) < tol:
-            break
-    return s
+        drift = np.max(np.abs(ds))
+        if drift < tol:
+            return s
+    raise NumericalError(
+        f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol {tol:.3g}")

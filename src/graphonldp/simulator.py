@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import TWO_PI, ModelError
+from .core_model import TWO_PI, ModelError, NumericalError
 
 
-class RateOverflowError(RuntimeError):
+class RateOverflowError(NumericalError):
     """A non-finite rate was produced during simulation."""
 
     def __init__(self, node, t):
@@ -138,7 +138,8 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
 
     ``init`` is a length-N sequence of state labels or integer codes.
     Deterministic given ``seed``.  Raises RateOverflowError if the rate
-    family produces a non-finite value.
+    family produces a non-finite value, and NumericalError if the horizon
+    is not reached within ``max_events`` events.
     """
     states = rates.states
     k = states.size
@@ -216,7 +217,7 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
             raise RateOverflowError(j, t)
         totals[recompute] = R[recompute].sum(axis=1)
     else:
-        raise RuntimeError(f"event budget {max_events} exhausted at t={t:.6g}")
+        raise NumericalError(f"event budget {max_events} exhausted at t={t:.6g} < horizon {horizon:.6g}")
 
     return TrajectoryRecord(
         N=N, horizon=float(horizon), labels=states.labels,

@@ -36,8 +36,7 @@ from graphonldp.action_path import (
     ActionOptions,
     PathProblem,
     discrete_action,
-    el_frechet,
-    el_partials,
+    el_operators,
     el_residual,
     minimize_action,
 )
@@ -142,7 +141,7 @@ def test_A5_derivative_oracles():
     """Every analytic derivative matches its finite-difference oracle."""
     t0 = time.time()
     from graphonldp.action_path import (
-        _fd_dL, _fd_d2L, _fd_M, _fd_N, _mn_pointwise, _partials_pointwise)
+        _fd_dL, _fd_d2L, _fd_M, _fd_N, _pointwise)
 
     rng = np.random.default_rng(77)
     n = 1000
@@ -154,8 +153,8 @@ def test_A5_derivative_oracles():
     def relmax(x, y):
         return float(np.max(np.abs(x - y) / (1.0 + np.abs(y))))
 
-    A, D, lr, dA, d2A, dL, d2L = _partials_pointwise(sdot, s, lam, alpha)
-    Mf, Nf, _, _, _ = _mn_pointwise(sdot, s, lam, alpha)
+    pw = _pointwise(sdot, s, lam, alpha)
+    dA, d2A, dL, d2L, Mf, Nf = pw.dA, pw.d2A, pw.dL, pw.d2L, pw.M, pw.N
     h = 1e-6
     checks = {
         "dA/dsdot": relmax(dA, (sis_A(sdot + h, s, lam, alpha)
@@ -179,7 +178,7 @@ def test_A5_derivative_oracles():
         sg = np.clip(0.5 + 0.25 * np.cos(grid.nodes + rng.uniform(0, 7))
                      + 0.05 * rng.standard_normal(grid.M), 0.08, 0.92)
         vg = 0.5 * np.sin(grid.nodes + rng.uniform(0, 7)) + rng.uniform(-0.3, 0.3)
-        ff = el_frechet(vg, sg, PARAMS, kernel, grid)
+        ff = el_operators(vg, sg, PARAMS, kernel, grid)
         x = rng.uniform(0.2, 1.0) * np.cos(grid.nodes + rng.uniform(0, 7)) + rng.uniform(-0.5, 0.5)
 
         def total(field):
@@ -191,7 +190,7 @@ def test_A5_derivative_oracles():
         worst_G = max(worst_G, abs(fd - an) / (1.0 + abs(an)))
 
         def dl(field):
-            return el_partials(vg, field, PARAMS, kernel, grid).dL_dsdot
+            return el_operators(vg, field, PARAMS, kernel, grid).dL_dsdot
 
         fdO = (dl(sg + eps * vg) - dl(sg - eps * vg)) / (2 * eps)
         worst_O = max(worst_O, float(np.max(np.abs(fdO - ff.O_field)
@@ -244,7 +243,7 @@ def test_A6_minimum_action_stationarity():
     dt = T / K
     sdotp = np.gradient(res.path, dt, axis=0)
     for n in range(1, K):
-        ops = el_partials(sdotp[n], res.path[n], PARAMS, kernel, grid)
+        ops = el_operators(sdotp[n], res.path[n], PARAMS, kernel, grid)
         assert np.all(ops.d2L_dsdot2 > 0)
 
     # analytic gradient against central differences, away from the optimum

@@ -11,8 +11,7 @@ from graphonldp.action_path import (
     EndpointError,
     PathProblem,
     discrete_action,
-    el_frechet,
-    el_partials,
+    el_operators,
     el_residual,
     formula_audit,
     minimize_action,
@@ -25,6 +24,17 @@ def bump_profile(grid, center=np.pi, width=0.8, depth=0.2, base=0.5):
     d = np.abs(grid.nodes - center)
     d = np.minimum(d, 2 * np.pi - d)
     return base - depth * np.exp(-0.5 * (d / width) ** 2)
+
+
+def skewed_case(M, seed=11):
+    """A non-uniform grid with non-constant rho and the asymmetric kernel
+    1 + 0.5 sin(x - y + 0.3), where the forward and transposed kernel
+    applications differ."""
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rng.uniform(0.0, 2 * np.pi, M))
+    weights, rho = rng.uniform(0.5, 1.5, (2, M))
+    grid = SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho)
+    return grid, lambda x, y: 1.0 + 0.5 * np.sin(x - y + 0.3)
 
 
 class TestPathProblem:
@@ -60,21 +70,21 @@ class TestElPartials:
 
     def test_dA_dsdot_collapses_at_zero(self):
         s = np.full(self.grid.M, 0.5)
-        ops = el_partials(np.zeros(self.grid.M), s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(np.zeros(self.grid.M), s, PARAMS, self.kernel, self.grid)
         assert np.allclose(ops.dA_dsdot, -0.5)
 
     def test_dL_vanishes_on_drift(self):
         s = 0.5 + 0.2 * np.cos(self.grid.nodes)
         lam = sis_lambda_field(s, self.grid, self.K, PARAMS.beta)
         drift = -lam + PARAMS.alpha * (1 - s)
-        ops = el_partials(drift, s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(drift, s, PARAMS, self.kernel, self.grid)
         assert np.allclose(ops.dL_dsdot, 0.0, atol=1e-12)
 
     def test_strict_convexity_field(self):
         rng = np.random.default_rng(0)
         s = rng.uniform(0.1, 0.9, self.grid.M)
         sdot = rng.uniform(-1, 1, self.grid.M)
-        ops = el_partials(sdot, s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
         assert np.all(ops.d2L_dsdot2 > 0)
 
     def test_matches_finite_differences(self):
@@ -83,7 +93,7 @@ class TestElPartials:
         s = rng.uniform(0.15, 0.85, self.grid.M)
         sdot = rng.uniform(-1.5, 1.5, self.grid.M)
         lam = sis_lambda_field(s, self.grid, self.K, PARAMS.beta)
-        ops = el_partials(sdot, s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
         h = 1e-5
         fd = (sis_lagrangian(sdot + h, s, lam, PARAMS.alpha)
               - sis_lagrangian(sdot - h, s, lam, PARAMS.alpha)) / (2 * h)
@@ -92,7 +102,7 @@ class TestElPartials:
     def test_degenerate_sentinel(self):
         zero_kernel = constant_kernel(0.0)
         s = np.full(self.grid.M, 0.5)
-        ops = el_partials(np.zeros(self.grid.M), s, PARAMS, zero_kernel, self.grid)
+        ops = el_operators(np.zeros(self.grid.M), s, PARAMS, zero_kernel, self.grid)
         assert np.all(ops.degenerate)
         assert np.all(np.isnan(ops.dL_dsdot))
 
@@ -106,30 +116,50 @@ class TestElFrechet:
     def test_directional_derivative_oracle(self):
         from graphonldp.rate_function import sis_lagrangian
         rng = np.random.default_rng(2)
-        s = 0.5 + 0.2 * np.cos(self.grid.nodes) + 0.02 * rng.standard_normal(self.grid.M)
-        sdot = 0.4 * np.sin(self.grid.nodes)
-        ops = el_frechet(sdot, s, PARAMS, self.kernel, self.grid)
-        x = 0.4 + 0.6 * np.cos(self.grid.nodes + 1.1)
-        eps = 1e-6
+        for grid, kernel in ((self.grid, self.kernel), skewed_case(24)):
+            K = kernel_matrix(getattr(kernel, "kernel", kernel), grid)
+            s = 0.5 + 0.2 * np.cos(grid.nodes) + 0.02 * rng.standard_normal(grid.M)
+            sdot = 0.4 * np.sin(grid.nodes)
+            ops = el_operators(sdot, s, PARAMS, kernel, grid)
+            x = 0.4 + 0.6 * np.cos(grid.nodes + 1.1)
+            eps = 1e-6
 
-        def total(sfield):
-            lam = sis_lambda_field(sfield, self.grid, self.K, PARAMS.beta)
-            return float(sis_lagrangian(sdot, sfield, lam, PARAMS.alpha)
-                         @ self.grid.kappa_weights)
+            def total(sfield):
+                lam = sis_lambda_field(sfield, grid, K, PARAMS.beta)
+                return float(sis_lagrangian(sdot, sfield, lam, PARAMS.alpha)
+                             @ grid.kappa_weights)
 
-        fd = (total(s + eps * x) - total(s - eps * x)) / (2 * eps)
-        an = float((x * ops.G_field) @ self.grid.kappa_weights)
-        assert abs(fd - an) <= 1e-4 * (1 + abs(an))
+            fd = (total(s + eps * x) - total(s - eps * x)) / (2 * eps)
+            an = float((x * ops.G_field) @ grid.kappa_weights)
+            assert abs(fd - an) <= 1e-4 * (1 + abs(an))
+
+    def test_stack_matches_per_slice(self):
+        rng = np.random.default_rng(4)
+        for grid, kernel in ((self.grid, self.kernel), skewed_case(24)):
+            s = np.clip(0.5 + 0.2 * np.cos(grid.nodes) + 0.05 * rng.standard_normal((7, grid.M)),
+                        0.05, 0.95)
+            sdot = 0.4 * np.sin(grid.nodes) + 0.2 * rng.standard_normal((7, grid.M))
+            s[3, :5] = 1.0  # degenerate cells: NaN in both
+            stacked = vars(el_operators(sdot, s, PARAMS, kernel, grid))
+            for n in range(7):
+                one = vars(el_operators(sdot[n], s[n], PARAMS, kernel, grid))
+                assert stacked.keys() == one.keys()
+                for name, val in one.items():
+                    if name == "degenerate":
+                        assert np.array_equal(stacked[name][n], val)
+                    else:
+                        np.testing.assert_allclose(stacked[name][n], val, rtol=0,
+                                                   atol=1e-12, equal_nan=True, err_msg=name)
 
     def test_O_equals_eps_difference_of_dL(self):
         rng = np.random.default_rng(3)
         s = 0.5 + 0.15 * np.cos(self.grid.nodes) + 0.02 * rng.standard_normal(self.grid.M)
         sdot = 0.3 * np.sin(2 * self.grid.nodes) + 0.1
-        ops = el_frechet(sdot, s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
         eps = 1e-6
 
         def dl(sfield):
-            return el_partials(sdot, sfield, PARAMS, self.kernel, self.grid).dL_dsdot
+            return el_operators(sdot, sfield, PARAMS, self.kernel, self.grid).dL_dsdot
 
         fd = (dl(s + eps * sdot) - dl(s - eps * sdot)) / (2 * eps)
         assert np.max(np.abs(fd - ops.O_field) / (1 + np.abs(ops.O_field))) < 1e-4
@@ -137,13 +167,13 @@ class TestElFrechet:
     def test_constant_state_translation_invariance(self):
         s = np.full(self.grid.M, 0.4)
         sdot = np.full(self.grid.M, 0.05)
-        ops = el_frechet(sdot, s, PARAMS, constant_kernel(1.0), self.grid)
+        ops = el_operators(sdot, s, PARAMS, constant_kernel(1.0), self.grid)
         assert np.allclose(ops.G_field, ops.G_field[0])
         assert np.allclose(ops.O_field, ops.O_field[0])
 
     def test_zero_kernel_degenerate(self):
         s = np.full(self.grid.M, 0.5)
-        ops = el_frechet(np.zeros(self.grid.M), s, PARAMS, constant_kernel(0.0), self.grid)
+        ops = el_operators(np.zeros(self.grid.M), s, PARAMS, constant_kernel(0.0), self.grid)
         assert np.all(ops.degenerate)
 
     def test_zero_kernel_frechet_lambda_vanishes(self):
@@ -174,7 +204,7 @@ class TestElFrechet:
         from graphonldp.action_path import frechet_A, frechet_lambda
         s = 0.5 + 0.15 * np.cos(self.grid.nodes)
         sdot = 0.2 * np.sin(self.grid.nodes) - 0.05
-        ops = el_frechet(sdot, s, PARAMS, self.kernel, self.grid)
+        ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
         assert np.allclose(ops.delta_lam,
                            frechet_lambda(s, sdot, PARAMS, self.kernel, self.grid))
         assert np.allclose(ops.delta_A,
@@ -217,14 +247,7 @@ class TestMinimizeAction:
         # with an asymmetric one, where the forward and transposed kernel
         # applications differ
         rng = np.random.default_rng(7)
-        skewed = np.random.default_rng(11)
-        nodes = np.sort(skewed.uniform(0.0, 2 * np.pi, 16))
-        weights, rho = skewed.uniform(0.5, 1.5, (2, 16))
-        cases = [
-            (circle_grid(16), constant_kernel(1.0)),
-            (SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho),
-             lambda x, y: 1.0 + 0.5 * np.sin(x - y + 0.3)),
-        ]
+        cases = [(circle_grid(16), constant_kernel(1.0)), skewed_case(16)]
         for grid, kernel in cases:
             prob = PathProblem(s0=np.full(16, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
             path = prob.initial_path() + 0.03 * rng.standard_normal((31, 16))
@@ -274,7 +297,7 @@ class TestMinimizeAction:
         # any stationary path; this invariant is independent of the
         # optimizer and of the stationarity-residual code
         from graphonldp.rate_function import sis_lagrangian, sis_lambda_field
-        from graphonldp.action_path import _partials_pointwise
+        from graphonldp.action_path import _pointwise
 
         grid = circle_grid(16)
         kernel = constant_kernel(1.0)
@@ -290,7 +313,7 @@ class TestMinimizeAction:
         sdot = np.gradient(path, dt, axis=0)
         lam = sis_lambda_field(path, grid, K, PARAMS.beta)
         L = sis_lagrangian(sdot, path, lam, PARAMS.alpha)
-        _, _, _, _, _, dL, _ = _partials_pointwise(sdot, path, lam, PARAMS.alpha)
+        dL = _pointwise(sdot, path, lam, PARAMS.alpha).dL
         energy = ((sdot * dL - L) @ grid.kappa_weights)
         interior = energy[2:-2]
         spread = float(np.max(interior) - np.min(interior))
@@ -309,8 +332,7 @@ class TestMinimizeAction:
         kernel = constant_kernel(1.0)
         prob = PathProblem(s0=np.full(12, 0.5), sT=bump_profile(grid), horizon=2.0, K=40)
         res = minimize_action(prob, PARAMS, kernel, grid,
-                              ActionOptions(max_iters=3, tol_grad=1e-12,
-                                            fallback_iters=2))
+                              ActionOptions(max_iters=3, tol_grad=1e-12))
         assert not res.diagnostics["converged"]
         assert "warning" in res.diagnostics
         assert np.isfinite(res.action)

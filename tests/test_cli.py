@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
+import pytest
 
+from graphonldp import cli
 from graphonldp.cli import main
 
 
@@ -119,7 +122,7 @@ class TestCompare:
     def test_thread_count_does_not_change_results(self, tmp_path):
         # per-replica RNG streams: --threads is a throughput knob only
         base = ["compare.N_sweep=120", "run.replicas=4", "grid.T=0.5",
-                "grid.M=8", "grid.steps=100", "compare.snapshots=4"]
+                "grid.M=8", "grid.steps=100", "compare.snapshots=5"]
         _, out1 = run(tmp_path, "compare", *base, "run.threads=1",
                       out=tmp_path / "t1")
         _, out2 = run(tmp_path, "compare", *base, "run.threads=2",
@@ -127,6 +130,14 @@ class TestCompare:
         m1 = json.loads((out1 / "compare.json").read_text())
         m2 = json.loads((out2 / "compare.json").read_text())
         assert m1 == m2
+
+    def test_snapshots_off_the_time_grid_rejected(self, tmp_path, capsys):
+        # 7 snapshots on [0, 0.5] fall every 1/12, off the 100-step grid
+        code, _ = run(tmp_path, "compare", "grid.T=0.5", "grid.steps=100",
+                      "compare.snapshots=7", "compare.N_sweep=40")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid.steps" in err and "compare.snapshots" in err
 
 
 class TestRate:
@@ -170,6 +181,41 @@ class TestAction:
     def test_infeasible_endpoint_rejected(self, tmp_path):
         code, _ = run(tmp_path, "action", "action.s0=uniform:0.0")
         assert code == 2
+
+    def test_nonconverged_solve_reports_last_iterate(self, tmp_path):
+        from graphonldp.action_path import discrete_action
+
+        code, out = run(tmp_path, "action", "action.max_iters=3")
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["converged"] is False and diag["warning"]
+        assert diag["iters"] == 3
+        assert diag["grad_norm"] > diag["grad_tol"]
+        # the written path is the one whose action is reported
+        cp = cli.load_config(None)
+        grid = cli.circle_grid(cli._i(cp, "grid", "M"))
+        rows = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)
+        path = rows[:, 2].reshape(-1, grid.M)
+        action = discrete_action(path, cli.model_params(cp), cli.graphon_spec(cp), grid,
+                                 cli._f(cp, "grid", "T"))
+        assert action == diag["action"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command, target, patch", [
+        ("simulate", "simulate", {"max_events": 5}),
+        ("action", "endemic_equilibrium", {"max_iter": 10}),
+    ])
+    def test_numerical_failure_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch,
+                                                         command, target, patch):
+        # an event budget too small for the horizon; an equilibrium
+        # relaxation cut short (at beta=3 the 0.5 start is far from it)
+        monkeypatch.setattr(cli, target, functools.partial(getattr(cli, target), **patch))
+        code, _ = run(tmp_path, command, "model.beta=3.0", "graphon.N=60", "grid.T=0.5",
+                      "grid.M=8", "run.replicas=1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
 class TestLdpCheck:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphonldp.core_model import SIS_SPACE, ConstantRates, SisParams, sis_rates
+from graphonldp.core_model import SIS_SPACE, ConstantRates, NumericalError, SisParams, sis_rates
 from graphonldp.graphon import constant_kernel, cosine_kernel
 from graphonldp.meanfield import (
     NormalizationError,
@@ -215,6 +215,24 @@ class TestEquilibrium:
         grid = circle_grid(32)
         s = endemic_equilibrium(grid, constant_kernel(1.0), beta=0.5, alpha=1.0)
         assert np.allclose(s, 1.0, atol=1e-6)
+
+    def test_unconverged_relaxation_raises(self):
+        # ten steps leave the profile near 0.41 against the exact 1/3
+        grid = circle_grid(32)
+        with pytest.raises(NumericalError, match="not reached in 10 steps"):
+            endemic_equilibrium(grid, cosine_kernel(1.0, 0.5), beta=3.0, alpha=1.0, max_iter=10)
+
+
+class TestDensityField:
+    def test_at_time_requires_grid_time(self):
+        grid, spec, rates = sis_setup(M=4)
+        s0 = np.full(4, 0.5)
+        dens, _ = evolve(grid, spec, rates, np.vstack([s0, 1 - s0]), T=0.5, dt=0.1)
+        for n, t in enumerate(np.linspace(0.0, 0.5, 6)):
+            assert np.array_equal(dens.at_time(t), dens.values[n])
+        for t in (0.14, -0.1, 0.6):
+            with pytest.raises(ValueError, match="not a grid time"):
+                dens.at_time(t)
 
 
 class TestExports:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from graphonldp.core_model import SIS_SPACE, ConstantRates, SisParams, sis_rates
+from graphonldp.core_model import SIS_SPACE, ConstantRates, NumericalError, SisParams, sis_rates
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
 from graphonldp.simulator import bin_index, extract_flux, occupation_at, simulate
 
@@ -88,6 +88,13 @@ class TestSimulate:
         occ = occupation_at(traj, 40.0, bins=4)
         assert occ.counts[0].sum() == 60  # everyone susceptible
         assert occ.counts[1].sum() == 0
+
+    def test_exhausted_event_budget_raises(self):
+        # isolated infected nodes recover at rate 1: five events cannot
+        # reach the horizon of 50 with twenty of them
+        net = empty_network(20)
+        with pytest.raises(NumericalError, match="event budget 5 exhausted"):
+            simulate(net, sis(), ["I"] * 20, horizon=50.0, seed=0, max_events=5)
 
     def test_invalid_init_length(self):
         net = empty_network(5)
