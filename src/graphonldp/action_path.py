@@ -36,6 +36,7 @@ from scipy.optimize import minimize as scipy_minimize
 from .core_model import EPS_S
 from .meanfield import _as_matrix, field_from_density
 from .rate_function import (
+    _sis_disc2,
     path_time_derivative,
     sis_A,
     sis_lagrangian,
@@ -120,7 +121,7 @@ def _pointwise(sdot, s, lam, alpha):
     vectorized."""
     up = alpha * (1.0 - s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc2 = sdot * sdot + 4.0 * lam * up
+        disc2 = _sis_disc2(sdot, s, lam, alpha)[1]
         D = np.sqrt(disc2)
         A = sis_A(sdot, s, lam, alpha)
         Asafe = np.maximum(A, EPS_S)

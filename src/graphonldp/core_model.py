@@ -202,7 +202,8 @@ def local_field(node, network, config, states: StateSpace = SIS_SPACE) -> FieldV
     """Local field w at one node: coupling-weighted neighbour state census.
 
     w_state = (N * phi_N)^-1 * sum_k J[node, k] * 1{config[k] == state},
-    where phi_N is the network's sparsity (edge-density) scale.  ``config``
+    where phi_N is the network's sparsity (edge-density) scale: an exact
+    integer count scaled once, the same bits the simulator uses.  ``config``
     may be integer codes or labels from ``states``.
     """
     if not (0 <= node < network.N):
@@ -215,9 +216,6 @@ def local_field(node, network, config, states: StateSpace = SIS_SPACE) -> FieldV
     if len(codes) != network.N:
         raise ModelError("config length must equal N")
     lo, hi = network.csr_row(node)
-    neigh = network.csr_indices[lo:hi]
-    wts = network.csr_data[lo:hi]
-    scale = 1.0 / (network.N * network.phi_N)
-    vals = np.zeros(states.size)
-    np.add.at(vals, codes[neigh], wts * scale)
-    return FieldVector(states.labels, vals)
+    counts = np.zeros(states.size, dtype=np.int64)
+    np.add.at(counts, codes[network.cols[lo:hi]], network.weights[lo:hi])
+    return FieldVector(states.labels, counts * (1.0 / (network.N * network.phi_N)))

@@ -42,6 +42,13 @@ class ProbabilityOverflowError(GraphonError):
         )
 
 
+def _grid_positions(N, domain):
+    """Uniform node positions on [0, 2 pi), or on (0, 1] (no power-law pole)."""
+    if domain == "circle":
+        return TWO_PI * np.arange(N) / N
+    return (np.arange(N) + 1.0) / N
+
+
 def density_from_degree_exponent(N, exponent):
     """Edge-density scale giving mean degree ~ N^exponent."""
     return float(N) ** (float(exponent) - 1.0)
@@ -71,9 +78,7 @@ class GraphonSpec:
 
     def positions(self, N):
         """Canonical node positions for this family's domain."""
-        if self.domain == "circle":
-            return TWO_PI * np.arange(N) / N
-        return (np.arange(N) + 1.0) / N  # (0, 1], avoids the power-law pole at 0
+        return _grid_positions(N, self.domain)
 
     def split(self):
         """Default positive/negative part split of the kernel."""
@@ -83,10 +88,7 @@ class GraphonSpec:
 
     def validate(self, grid_n=64, tol=1e-9):
         """Spot-check |J| <= bound and the Lipschitz property on a grid."""
-        if self.domain == "circle":
-            xs = TWO_PI * np.arange(grid_n) / grid_n
-        else:
-            xs = (np.arange(grid_n) + 1.0) / grid_n
+        xs = self.positions(grid_n)
         K = np.asarray(self.kernel(xs[:, None], xs[None, :]), dtype=float)
         if not np.all(np.isfinite(K)):
             raise GraphonError(f"kernel not finite on spot grid ({self.family})")
@@ -176,11 +178,13 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class Network:
-    """A sampled signed sparse network, immutable, CSR-backed.
+    """A sampled signed sparse network, immutable.
 
-    Triples (rows, cols, weights) are sorted lexicographically and exclude
-    self-loops; ``phi_N`` is the edge-density scale used both at sampling
-    time and by the local-field normalization.
+    The triples J[rows, cols] = weights, sorted lexicographically, are the one
+    adjacency; row j is the slice indptr[j]:indptr[j + 1].  Construction
+    rejects an index outside [0, N), a weight outside {-1, 0, +1} and a
+    repeated (j, k) pair; self-loops are allowed.  ``phi_N`` is the
+    edge-density scale of sampling and of the local-field normalization.
     """
 
     N: int
@@ -191,38 +195,39 @@ class Network:
     phi_N: float
     seed: int
     family: str
-    csr_indptr: np.ndarray = None
-    csr_indices: np.ndarray = None
-    csr_data: np.ndarray = None
+    indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.rows) and np.any(np.diff(self.rows) < 0):
-            order = np.lexsort((self.cols, self.rows))
-            object.__setattr__(self, "rows", self.rows[order])
-            object.__setattr__(self, "cols", self.cols[order])
-            object.__setattr__(self, "weights", self.weights[order])
-        if self.csr_indptr is None:
-            indptr = np.zeros(self.N + 1, dtype=np.int64)
-            np.add.at(indptr, self.rows + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            object.__setattr__(self, "csr_indptr", indptr)
-            object.__setattr__(self, "csr_indices", self.cols.copy())
-            object.__setattr__(self, "csr_data", self.weights.astype(np.float64))
-        for arr in (self.positions, self.rows, self.cols, self.weights,
-                    self.csr_indptr, self.csr_indices, self.csr_data):
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        weights = np.asarray(self.weights)
+        if len(rows) and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= self.N):
+            raise GraphonError(f"node index outside [0, {self.N})")
+        if not np.all(np.isin(weights, (-1, 0, 1))):
+            raise GraphonError("couplings must be signed integers in {-1, 0, +1}")
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+            raise GraphonError("repeated (j, k) coupling")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "weights", weights[order].astype(np.int64))
+        object.__setattr__(self, "indptr", np.searchsorted(rows, np.arange(self.N + 1)))
+        for arr in (self.positions, self.rows, self.cols, self.weights, self.indptr):
             arr.setflags(write=False)
 
     def csr_row(self, j):
-        return int(self.csr_indptr[j]), int(self.csr_indptr[j + 1])
+        return int(self.indptr[j]), int(self.indptr[j + 1])
 
     def degrees(self):
-        return np.diff(self.csr_indptr)
+        return np.diff(self.indptr)
 
     def row_dense(self, j):
         """Dense coupling row J[j, :]."""
         out = np.zeros(self.N)
         lo, hi = self.csr_row(j)
-        out[self.csr_indices[lo:hi]] = self.csr_data[lo:hi]
+        out[self.cols[lo:hi]] = self.weights[lo:hi]
         return out
 
 
@@ -251,7 +256,8 @@ def sample_network(spec: GraphonSpec, N, phi_N, p_split=None, seed=0) -> Network
     x = spec.positions(N)
     rng = np.random.default_rng(seed)
 
-    rows, cols, wts = [], [], []
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, wts = [empty], [empty], [empty]
     for j in range(N):
         ks = np.arange(j + 1, N) if spec.symmetric else np.concatenate(
             (np.arange(0, j), np.arange(j + 1, N)))
@@ -282,18 +288,9 @@ def sample_network(spec: GraphonSpec, N, phi_N, p_split=None, seed=0) -> Network
             cols.append(np.full(len(kh), j, dtype=np.int64))
             wts.append(w.copy())
 
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        wts = np.concatenate(wts)
-        order = np.lexsort((cols, rows))
-        rows, cols, wts = rows[order], cols[order], wts[order]
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        wts = np.zeros(0)
-    return Network(N=N, positions=x, rows=rows, cols=cols, weights=wts,
-                   phi_N=float(phi_N), seed=int(seed), family=spec.family)
+    return Network(N=N, positions=x, rows=np.concatenate(rows), cols=np.concatenate(cols),
+                   weights=np.concatenate(wts), phi_N=float(phi_N), seed=int(seed),
+                   family=spec.family)
 
 
 def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic:
@@ -330,8 +327,6 @@ def max_degree_margin(network: Network, spec: GraphonSpec):
 # then one "j k w" triple per line (0-based, ASCII)
 
 def write_network(path, network: Network, explicit_positions=False):
-    if len(network.weights) and not np.all(network.weights == np.round(network.weights)):
-        raise GraphonError("couplings must be signed integers in {-1, 0, +1}")
     buf = io.StringIO()
     buf.write(f"{network.N} {network.phi_N!r} {network.seed} {network.family}\n")
     if explicit_positions:
@@ -352,7 +347,8 @@ def read_network(path) -> Network:
 
     Raises GraphonError on malformed content: a bad header, a positions
     block whose length is not N, an edge line that is not three fields, a
-    node index outside [0, N), a self-loop or a weight other than -1, +1.
+    node index outside [0, N), a repeated (j, k) pair, a self-loop or a
+    weight other than -1, +1.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -375,10 +371,7 @@ def _parse_network(lines) -> Network:
         x = np.array([float(v) for v in lines[i + 1:end]])
         i = end + 1
     else:
-        if family == "power-law":
-            x = (np.arange(N) + 1.0) / N
-        else:
-            x = TWO_PI * np.arange(N) / N
+        x = _grid_positions(N, "unit-interval" if family == "power-law" else "circle")
     triples = [ln.split() for ln in lines[i:] if ln]
     for t in triples:
         if len(t) != 3:
@@ -386,8 +379,6 @@ def _parse_network(lines) -> Network:
     rows = np.array([int(t[0]) for t in triples], dtype=np.int64)
     cols = np.array([int(t[1]) for t in triples], dtype=np.int64)
     wts = np.array([float(t[2]) for t in triples])
-    if np.any((rows < 0) | (rows >= N) | (cols < 0) | (cols >= N)):
-        raise ValueError(f"node index outside [0, {N})")
     if np.any(rows == cols):
         raise ValueError("self-loop")
     if np.any(np.abs(wts) != 1.0):

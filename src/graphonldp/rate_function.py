@@ -200,6 +200,13 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None,
 # ---------------------------------------------------------------------------
 # SIS two-state machinery
 
+def _sis_disc2(sdot, s_local, lam, alpha):
+    """c = max(4 alpha lam (1-s), 0) and the discriminant sdot^2 + c of sis_A."""
+    c = 4.0 * alpha * np.asarray(lam, dtype=float) * (1.0 - np.asarray(s_local, dtype=float))
+    c = np.maximum(c, 0.0)
+    return c, sdot * sdot + c
+
+
 def sis_A(sdot, s_local, lam, alpha):
     """Closed-form optimal downward-flux intensity.
 
@@ -209,9 +216,8 @@ def sis_A(sdot, s_local, lam, alpha):
     max(0, -sdot).
     """
     sdot = np.asarray(sdot, dtype=float)
-    c = 4.0 * alpha * np.asarray(lam, dtype=float) * (1.0 - np.asarray(s_local, dtype=float))
-    c = np.maximum(c, 0.0)
-    disc = np.sqrt(sdot * sdot + c)
+    c, disc2 = _sis_disc2(sdot, s_local, lam, alpha)
+    disc = np.sqrt(disc2)
     with np.errstate(divide="ignore", invalid="ignore"):
         alt = 0.5 * c / (disc + sdot)  # == 0.5 (disc - sdot), stable for sdot > 0
     out = np.where(sdot > 0, np.where(disc + sdot > 0, alt, 0.0), 0.5 * (disc - sdot))

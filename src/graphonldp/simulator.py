@@ -3,9 +3,10 @@
 The configuration-dependent rates are piecewise constant between events, so
 the classical exponential-clock scheme (draw the next event time from the
 total rate, then the node/channel categorically) samples the law exactly.
-Each flip touches only the flipped node and its in-neighbours: local fields
-are updated incrementally through the coupling column, and only the
-affected rate rows are recomputed, giving O(degree) work per event.
+Each flip touches only the flipped node and its in-neighbours: the local
+fields, exact integer counts, are updated through the coupling column and
+only the affected rate rows are recomputed, in O(degree) work; the node draw
+is still a cumulative sum over all N nodes, so an event costs O(N).
 
 Trajectories store the full event log; empirical occupation measures and
 reaction fluxes are derived from it with integer counting, so the
@@ -136,10 +137,11 @@ def bin_index(positions, bins, edges=None):
 def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> TrajectoryRecord:
     """Run the exact jump-process sampler on one network realization.
 
-    ``init`` is a length-N sequence of state labels or integer codes.
-    Deterministic given ``seed``.  Raises RateOverflowError if the rate
-    family produces a non-finite value, and NumericalError if the horizon
-    is not reached within ``max_events`` events.
+    ``init`` is a length-N sequence of state labels or integer codes; a
+    code outside [0, k) raises ModelError.  Deterministic given ``seed``.
+    Raises RateOverflowError if the rate family produces a non-finite value,
+    and NumericalError if the horizon is not reached within ``max_events``
+    events.
     """
     states = rates.states
     k = states.size
@@ -148,9 +150,11 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     if init.dtype.kind in "US":
         config = states.codes(list(init))
     else:
-        config = init.astype(np.int64).copy()
+        config = init.astype(np.int64)
     if len(config) != N:
         raise ModelError("init length must equal N")
+    if np.any((config < 0) | (config >= k)):
+        raise ModelError(f"init codes must lie in [0, {k})")
     if horizon <= 0:
         raise ModelError("horizon must be positive")
     initial_codes = config.copy()
@@ -158,23 +162,17 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     rng = np.random.default_rng(seed)
     scale = 1.0 / (N * network.phi_N)
 
-    # local fields w[j, state]; incremental updates via the coupling column
-    w = np.zeros((N, k))
-    # in-neighbour structure: rows j that carry k in their coupling row,
-    # i.e. the CSC transpose of the CSR adjacency
-    order = np.lexsort((network.rows, network.cols))
-    csc_rows = network.rows[order]
-    csc_cols = network.cols[order]
-    csc_data = network.weights[order]
-    col_ptr = np.zeros(N + 1, dtype=np.int64)
-    np.add.at(col_ptr, csc_cols + 1, 1)
-    np.cumsum(col_ptr, out=col_ptr)
+    # in-neighbour lists: the rows j holding an entry (j, k), grouped by k
+    order = np.argsort(network.cols, kind="stable")
+    in_rows = network.rows[order]
+    in_wts = network.weights[order]
+    in_ptr = np.searchsorted(network.cols[order], np.arange(N + 1))
 
-    for kk in range(N):
-        lo, hi = col_ptr[kk], col_ptr[kk + 1]
-        w[csc_rows[lo:hi], config[kk]] += csc_data[lo:hi] * scale
+    # exact field counts c[j, a] = sum_k J_jk 1{config_k = a}; rates see c * scale
+    counts = np.zeros((N, k), dtype=np.int64)
+    np.add.at(counts, (network.rows, config[network.cols]), network.weights)
 
-    R = rates.rate_matrix(network.positions, config, w)
+    R = rates.rate_matrix(network.positions, config, counts * scale)
     if not np.all(np.isfinite(R)):
         raise RateOverflowError(int(np.argmax(~np.isfinite(R).all(axis=1))), 0.0)
     totals = R.sum(axis=1)
@@ -206,13 +204,13 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
         tos.append(b)
         config[j] = b
 
-        lo, hi = col_ptr[j], col_ptr[j + 1]
-        touched = csc_rows[lo:hi]
-        w[touched, a] -= csc_data[lo:hi] * scale
-        w[touched, b] += csc_data[lo:hi] * scale
+        lo, hi = in_ptr[j], in_ptr[j + 1]
+        touched = in_rows[lo:hi]
+        counts[touched, a] -= in_wts[lo:hi]
+        counts[touched, b] += in_wts[lo:hi]
         recompute = np.append(touched, j)
         R[recompute] = rates.rate_matrix(network.positions[recompute],
-                                         config[recompute], w[recompute])
+                                         config[recompute], counts[recompute] * scale)
         if not np.all(np.isfinite(R[recompute])):
             raise RateOverflowError(j, t)
         totals[recompute] = R[recompute].sum(axis=1)

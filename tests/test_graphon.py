@@ -148,6 +148,18 @@ class TestSampling:
         assert net.row_dense(2)[0] == 1.0
         assert net.row_dense(1)[0] == -1.0
 
+    def test_coupling_rules_enforced_at_construction(self):
+        def build(rows, cols, w):
+            return Network(N=3, positions=np.zeros(3), rows=np.array(rows), cols=np.array(cols),
+                           weights=np.array(w, dtype=float), phi_N=1.0, seed=0, family="constant")
+
+        for rows, cols, w in (([0], [3], [1]), ([-1], [0], [1]), ([0], [1], [2]),
+                              ([0], [1], [0.5]), ([0, 0], [1, 1], [1, -1])):
+            with pytest.raises(GraphonError):
+                build(rows, cols, w)
+        net = build([1, 0], [1, 2], [0, -1])  # self-loops and zero weights are allowed
+        assert list(net.rows) == [0, 1] and list(net.degrees()) == [1, 1, 0]
+
 
 class TestEtaDiagnostic:
     def test_dense_exact_case_zero(self):
@@ -274,6 +286,11 @@ class TestMalformedNetworkFile:
 
     def test_weight_not_unit(self, tmp_path):
         for body in ("0 1 3\n", "0 1 0\n"):
+            with pytest.raises(GraphonError):
+                self.read(tmp_path, body)
+
+    def test_duplicate_edge(self, tmp_path):
+        for body in ("0 1 1\n0 1 1\n", "0 1 1\n1 0 1\n0 1 -1\n"):
             with pytest.raises(GraphonError):
                 self.read(tmp_path, body)
 

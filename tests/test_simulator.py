@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from graphonldp.core_model import SIS_SPACE, ConstantRates, NumericalError, SisParams, sis_rates
+from graphonldp.core_model import (
+    SIS_SPACE,
+    ConstantRates,
+    ModelError,
+    NumericalError,
+    SisParams,
+    SisRates,
+    local_field,
+    sis_rates,
+)
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
 from graphonldp.simulator import bin_index, extract_flux, occupation_at, simulate
 
@@ -100,6 +109,51 @@ class TestSimulate:
         net = empty_network(5)
         with pytest.raises(Exception):
             simulate(net, sis(), ["S"] * 4, 1.0, seed=0)
+
+    def test_init_codes_out_of_range(self):
+        net = Network(N=3, positions=np.zeros(3), rows=np.array([0, 1]), cols=np.array([1, 0]),
+                      weights=np.ones(2), phi_N=1.0, seed=0, family="constant")
+        for bad in (-1, 2):
+            with pytest.raises(ModelError, match="init codes"):
+                simulate(net, sis(), np.array([0, bad, 1]), 1.0, seed=0)
+
+    def test_fields_are_exact_on_directed_signed_network(self):
+        # J != J^T with both signs: every field row handed to the rates must
+        # equal the recount (J[r] @ onehot(config)) * 1/(N phi_N) bit for bit.
+        # A symmetric network cannot tell in-neighbour lists from out-neighbour
+        # lists; this one can.
+        class Recording(SisRates):
+            def __init__(self):
+                super().__init__(SisParams(beta=2.0, alpha=1.0))
+                self.calls = []
+
+            def rate_matrix(self, theta, from_codes, w):
+                self.calls.append((theta.astype(np.int64), w.copy()))
+                return super().rate_matrix(theta, from_codes, w)
+
+        N, phi = 60, 0.1
+        rng = np.random.default_rng(4)
+        mask = rng.random((N, N)) < 0.15
+        np.fill_diagonal(mask, False)
+        rows, cols = np.nonzero(mask)
+        weights = rng.choice([-1.0, 1.0], len(rows))
+        J = np.zeros((N, N), dtype=np.int64)
+        J[rows, cols] = weights
+        assert not np.array_equal(J, J.T)
+        # positions = node indices, so each call's theta names its rows
+        net = Network(N=N, positions=np.arange(N, dtype=float), rows=rows, cols=cols,
+                      weights=weights, phi_N=phi, seed=0, family="constant")
+        rates = Recording()
+        traj = simulate(net, rates, (rng.random(N) < 0.5).astype(np.int64), 2.0, seed=6)
+        assert traj.n_events > 20 and len(rates.calls) == traj.n_events + 1
+        scale = 1.0 / (N * phi)
+        config = traj.initial.copy()
+        for i, (r, w) in enumerate(rates.calls):
+            if i:
+                config[traj.nodes[i - 1]] = traj.to_codes[i - 1]
+            assert np.array_equal(w, (J[r] @ np.eye(2, dtype=np.int64)[config]) * scale)
+        for node, row in zip(r, w):
+            assert np.array_equal(local_field(node, net, config).values, row)
 
     def test_exact_distribution_three_node_chain(self):
         # the sampler's law at time t must match the matrix exponential of
