@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core_model import (  # noqa: F401
     EPS_S,
-    FieldVector,
     ConstantRates,
     ModelError,
     NumericalError,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -122,9 +123,13 @@ def model_params(cp):
     return SisParams(beta=beta, alpha=alpha)
 
 
-def parse_profile(text, grid, params=None, kernel=None):
+def parse_profile(text, grid, equilibrium):
     """Profiles over the circle: equilibrium | uniform:c | cosine:b,a |
-    bump:center,width,depth (a susceptible dip carved into equilibrium)."""
+    bump:center,width,depth (a susceptible dip carved into equilibrium).
+
+    ``equilibrium()`` returns the susceptible endemic profile; only the
+    ``equilibrium`` and ``bump`` profiles call it, and both are susceptible
+    profiles."""
     name, _, rest = text.partition(":")
     th = grid.nodes
     if name == "uniform":
@@ -140,9 +145,7 @@ def parse_profile(text, grid, params=None, kernel=None):
             raise ConfigError(f"bad cosine profile {text!r}") from None
         return base + amp * np.cos(th)
     if name == "equilibrium":
-        if params is None or kernel is None:
-            raise ConfigError("equilibrium profile needs model and graphon sections")
-        return endemic_equilibrium(grid, kernel, params.beta, params.alpha)
+        return equilibrium()
     if name == "bump":
         try:
             center, width, depth = (float(v) for v in rest.split(","))
@@ -151,10 +154,9 @@ def parse_profile(text, grid, params=None, kernel=None):
                               "(expected bump:center,width,depth)") from None
         if width <= 0:
             raise ConfigError("bump width must be positive")
-        base = endemic_equilibrium(grid, kernel, params.beta, params.alpha)
         d = np.abs(th - center)
         d = np.minimum(d, 2 * np.pi - d)
-        return base - depth * np.exp(-0.5 * (d / width) ** 2)
+        return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
     raise ConfigError(f"unknown profile {text!r}")
 
 
@@ -163,6 +165,30 @@ def bernoulli_init(p_infected, positions, rng):
     probs = np.interp(positions, np.linspace(0, 2 * np.pi, len(p_infected) + 1)[:-1],
                       p_infected, period=2 * np.pi)
     return np.where(rng.random(len(positions)) < probs, 1, 0).astype(np.int64)
+
+
+def _table(header, columns, line=None):
+    """Lines of a table with one row per index of the equal-length ``columns``.
+
+    Each row is ``line`` (default: the values joined by commas) filled with
+    the column values, so floats appear as their repr; ``header``, when
+    given, is the first line.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns differ in length")
+    line = (line or ",".join(["{}"] * len(columns))) + "\n"
+    if header is not None:
+        yield header + "\n"
+    for lo in range(0, len(columns[0]), 65536):  # Python numbers one chunk at a time
+        for row in zip(*(c[lo:lo + 65536].tolist() for c in columns)):
+            yield line.format(*row)
+
+
+def _long_columns(values, *axes):
+    """Long format of an array: for each axis, its coordinate at every
+    cell in C order, then the cell values."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + [np.ravel(values)]
 
 
 class Manifest:
@@ -175,10 +201,16 @@ class Manifest:
         self.data = {"command": command, "version": __version__,
                      "config": resolved_dict(cp), "artifacts": []}
 
-    def add(self, path):
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.data["artifacts"].append({"path": str(Path(path).name), "sha256": digest})
-        return path
+    def add(self, name, text=None):
+        """Record the artifact ``name`` in the output directory, first
+        writing ``text`` to it when given, a string or an iterable of lines:
+        the one writer of every artifact but the network file."""
+        path = self.dir / name
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.data["artifacts"].append({"path": name, "sha256": digest})
 
     def write(self, extra=None):
         if extra:
@@ -188,59 +220,73 @@ class Manifest:
         return out
 
 
-def _network_from_config(cp, N=None, seed=None, require_circle=False):
+def _model(cp, require_circle=False):
+    """The inputs every model run shares, each built once: the graphon spec
+    (validated once), SisParams, circle grid, SIS rate family, and the
+    susceptible endemic equilibrium, relaxed on its first use only."""
     spec = graphon_spec(cp)
     if require_circle and spec.domain != "circle":
         raise ConfigError(
             f"family {spec.family!r} lives on {spec.domain!r}; the epidemic "
             "experiments need a circle-domain kernel")
-    N = N if N is not None else _i(cp, "graphon", "N")
+    params = model_params(cp)
+    grid = circle_grid(_i(cp, "grid", "M"))
+    equilibrium = functools.cache(
+        lambda: endemic_equilibrium(grid, spec, params.beta, params.alpha))
+    return spec, params, grid, sis_rates(params), equilibrium
+
+
+def _init_infected(cp, grid, equilibrium):
+    """model.init as a per-node infected probability: uniform and cosine
+    give it directly, equilibrium and bump are susceptible profiles and
+    enter as 1 - s."""
+    text = cp.get("model", "init")
+    profile = parse_profile(text, grid, equilibrium)
+    return 1.0 - profile if text.partition(":")[0] in ("equilibrium", "bump") else profile
+
+
+def _network(cp, spec, N, seed):
     if N < 2:
         raise ConfigError("need N >= 2")
     exponent = _f(cp, "graphon", "phi_exponent")
     if not (0.0 < exponent <= 1.0):
         raise ConfigError("phi_exponent must lie in (0, 1]: degree scale N^g")
-    phi = density_from_degree_exponent(N, exponent)
-    seed = seed if seed is not None else _i(cp, "run", "seed")
-    return spec, sample_network(spec, N, phi, seed=seed)
+    return sample_network(spec, N, density_from_degree_exponent(N, exponent), seed=seed)
 
 
 def cmd_sample(cp, out):
     man = Manifest(out, "sample", cp)
-    spec, net = _network_from_config(cp)
-    path = man.dir / "network.txt"
-    write_network(path, net)
-    man.add(path)
+    net = _network(cp, graphon_spec(cp), _i(cp, "graphon", "N"), _i(cp, "run", "seed"))
+    write_network(man.dir / "network.txt", net)
+    man.add("network.txt")
     man.write({"N": net.N, "phi_N": net.phi_N, "edges": int(len(net.rows))})
     return 0
 
 
-def _one_replica(args):
-    net, beta, alpha, init, T, rep_seed = args
-    return simulate(net, sis_rates(SisParams(beta=beta, alpha=alpha)),
-                    init, T, seed=rep_seed)
-
-
-def _replica_trajectories(cp, net, params, grid, seed):
-    """Simulate the configured number of replicas.
-
-    Each replica gets its own RNG stream derived from (seed, replica id),
-    so results are identical regardless of the --threads setting; threads
-    only parallelize across replicas.
-    """
+def _replicas(cp):
     reps = _i(cp, "run", "replicas")
     if reps < 1:
         raise ConfigError("replicas must be >= 1")
-    threads = _i(cp, "run", "threads")
-    profile = parse_profile(cp.get("model", "init"), grid,
-                            params=params, kernel=graphon_spec(cp))
-    T = _f(cp, "grid", "T")
+    return reps, _i(cp, "run", "threads")
+
+
+def _one_replica(args):
+    net, rates, init, T, rep_seed = args
+    return simulate(net, rates, init, T, seed=rep_seed)
+
+
+def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
+    """Simulate ``reps`` replicas from Bernoulli draws of ``init_infected``.
+
+    Each replica gets its own RNG stream derived from (seed, replica id),
+    so results are identical regardless of ``threads``; threads only
+    parallelize across replicas.
+    """
     streams = np.random.SeedSequence(seed).spawn(reps)
     jobs = []
-    for r in range(reps):
-        rng = np.random.default_rng(streams[r])
-        init = bernoulli_init(profile, net.positions, rng)
-        jobs.append((net, params.beta, params.alpha, init, T, streams[r].spawn(1)[0]))
+    for stream in streams:
+        init = bernoulli_init(init_infected, net.positions, np.random.default_rng(stream))
+        jobs.append((net, rates, init, T, stream.spawn(1)[0]))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -251,122 +297,109 @@ def _replica_trajectories(cp, net, params, grid, seed):
 
 def cmd_simulate(cp, out):
     man = Manifest(out, "simulate", cp)
-    params = model_params(cp)
-    grid = circle_grid(_i(cp, "grid", "M"))
-    spec, net = _network_from_config(cp, require_circle=True)
-    trajs = _replica_trajectories(cp, net, params, grid, _i(cp, "run", "seed"))
+    spec, _, grid, rates, equilibrium = _model(cp, require_circle=True)
+    seed = _i(cp, "run", "seed")
+    net = _network(cp, spec, _i(cp, "graphon", "N"), seed)
+    reps, threads = _replicas(cp)
     T = _f(cp, "grid", "T")
+    trajs = _replica_trajectories(net, rates, _init_infected(cp, grid, equilibrium), T,
+                                  reps, threads, seed)
     edges = np.linspace(0.0, T, 11)
+    bins = np.arange(grid.M)
     for r, traj in enumerate(trajs):
-        p = man.dir / f"trajectory_{r:03d}.jsonl"
-        traj.write_jsonl(p)
-        man.add(p)
+        labels = np.array([json.dumps(lab) for lab in traj.labels])
+        man.add(f"trajectory_{r:03d}.jsonl", _table(
+            None, [traj.times, traj.nodes, labels[traj.from_codes], labels[traj.to_codes]],
+            line='{{"t": {}, "j": {}, "from": {}, "to": {}}}'))
+        # window counts from cumulative counts at the edges; event times are
+        # > 0, so the closed first window [0, t_1] needs no special case
         fx = extract_flux(traj)
-        p2 = man.dir / f"flux_{r:03d}.csv"
-        fx.write_csv(p2, bins=grid.M, time_edges=edges)
-        man.add(p2)
-        p3 = man.dir / f"occupation_{r:03d}.csv"
-        with open(p3, "w") as fh:
-            fh.write("channel,bin,t_lo,t_hi,mass\n")
-            for t in edges:
-                occ = occupation_at(traj, t, bins=grid.M)
-                for a, lab in enumerate(occ.labels):
-                    for b in range(grid.M):
-                        fh.write(f"{lab},{b},{float(t)!r},{float(t)!r},"
-                                 f"{occ.counts[a, b] / occ.N!r}\n")
-        man.add(p3)
+        chans = sorted(fx.atoms)
+        cum = np.array([[fx.channel_counts(a, b, grid.M, t_hi=t) for t in edges]
+                        for a, b in chans]).reshape(len(chans), len(edges), grid.M)
+        ch, win, col_bin, mass = _long_columns(np.diff(cum, axis=1) / traj.N,
+                                               [f"{a}->{b}" for a, b in chans],
+                                               np.arange(len(edges) - 1), bins)
+        man.add(f"flux_{r:03d}.csv", _table("channel,bin,t_lo,t_hi,mass",
+                                            [ch, col_bin, edges[:-1][win], edges[1:][win], mass]))
+        occ = np.array([occupation_at(traj, t, bins=grid.M).masses for t in edges])
+        col_t, lab, col_bin, mass = _long_columns(occ, edges, list(traj.labels), bins)
+        man.add(f"occupation_{r:03d}.csv",
+                _table("channel,bin,t_lo,t_hi,mass", [lab, col_bin, col_t, col_t, mass]))
     man.write({"replicas": len(trajs),
                "events": [int(t.n_events) for t in trajs]})
     return 0
 
 
-def _meanfield_solution(cp, params, grid, profile):
-    T = _f(cp, "grid", "T")
-    steps = _i(cp, "grid", "steps")
-    nu0 = np.stack([profile, 1.0 - profile])  # susceptible, infected
-    spec = graphon_spec(cp)
-    rates = sis_rates(params)
+def _meanfield_solution(grid, spec, rates, init_infected, T, steps):
+    s0 = 1.0 - init_infected
+    nu0 = np.stack([s0, 1.0 - s0])  # susceptible, infected
     return evolve(grid, spec, rates, nu0, T, dt=T / steps)
 
 
 def cmd_meanfield(cp, out):
     man = Manifest(out, "meanfield", cp)
-    params = model_params(cp)
-    grid = circle_grid(_i(cp, "grid", "M"))
-    init_infected = parse_profile(cp.get("model", "init"), grid,
-                                  params=params, kernel=graphon_spec(cp))
-    dens, flux = _meanfield_solution(cp, params, grid, 1.0 - init_infected)
-    p = man.dir / "density.csv"
-    dens.write_csv(p, grid.nodes)
-    man.add(p)
-    p2 = man.dir / "flux.csv"
-    flux.write_csv(p2, grid.nodes)
-    man.add(p2)
+    spec, _, grid, rates, equilibrium = _model(cp)
+    dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
+                                     _f(cp, "grid", "T"), _i(cp, "grid", "steps"))
+    man.add("density.csv", _table("t,alpha,theta,value", _long_columns(
+        dens.values, dens.times, list(dens.labels), grid.nodes)))
+    chans = sorted(flux.densities)
+    ch, t, th, value = _long_columns([flux.densities[c] for c in chans],
+                                     [f"{a}->{b}" for a, b in chans], flux.times, grid.nodes)
+    man.add("flux.csv", _table("t,channel,theta,value", [t, ch, th, value]))
     man.write()
     return 0
 
 
-def compare_deviations(cp, N, seed):
-    """Median over replicas of the sup-over-(state, bin, snapshot) gap
-    between binned empirical occupation masses and the limiting solution."""
+def compare_deviations(cp, N_sweep, seed):
+    """For each N in ``N_sweep``: the median over replicas, and the
+    replicas' values, of the sup-over-(state, bin, snapshot) gap between
+    binned empirical occupation masses and the limiting solution.  The
+    limiting solution and its predicted bin masses are computed once."""
     steps, n_snaps = _i(cp, "grid", "steps"), _i(cp, "compare", "snapshots")
     if n_snaps < 2 or steps % (n_snaps - 1):
         raise ConfigError(
             f"compare.snapshots = {n_snaps} needs compare.snapshots - 1 to divide "
             f"grid.steps = {steps}, so that every snapshot is a mean-field grid time")
-    params = model_params(cp)
-    M = _i(cp, "grid", "M")
-    grid = circle_grid(M)
-    init_infected = parse_profile(cp.get("model", "init"), grid,
-                                  params=params, kernel=graphon_spec(cp))
-    dens, _ = _meanfield_solution(cp, params, grid, 1.0 - init_infected)
+    spec, _, grid, rates, equilibrium = _model(cp, require_circle=True)
+    reps, threads = _replicas(cp)
     T = _f(cp, "grid", "T")
+    init_infected = _init_infected(cp, grid, equilibrium)
+    dens, _ = _meanfield_solution(grid, spec, rates, init_infected, T, steps)
     snaps = np.linspace(0.0, T, n_snaps)
 
     # predicted bin masses: trapezoid of the density over each bin
-    pred = {}
-    for t in snaps:
-        nu = dens.at_time(t)
-        nxt = np.roll(nu, -1, axis=1)
-        pred[t] = 0.5 * (nu + nxt) / M  # (k, M) masses
+    nu = np.array([dens.at_time(t) for t in snaps])  # (snapshots, k, M)
+    pred = 0.5 * (nu + np.roll(nu, -1, axis=2)) / grid.M
 
-    spec, net = _network_from_config(cp, N=N, seed=seed, require_circle=True)
-    trajs = _replica_trajectories(cp, net, params, grid, seed)
-    devs = []
-    for traj in trajs:
-        worst = 0.0
-        for t in snaps:
-            occ = occupation_at(traj, t, bins=M)
-            worst = max(worst, float(np.max(np.abs(occ.masses - pred[t]))))
-        devs.append(worst)
-    return float(np.median(devs)), devs
+    results = []
+    for N in N_sweep:
+        net = _network(cp, spec, N, seed)
+        trajs = _replica_trajectories(net, rates, init_infected, T, reps, threads, seed)
+        devs = [max(float(np.max(np.abs(occupation_at(traj, t, bins=grid.M).masses - p)))
+                    for t, p in zip(snaps, pred))
+                for traj in trajs]
+        results.append((float(np.median(devs)), devs))
+    return results
 
 
 def cmd_compare(cp, out):
     man = Manifest(out, "compare", cp)
     sweep = [int(v) for v in cp.get("compare", "N_sweep").split(",")]
-    seed = _i(cp, "run", "seed")
-    rows = []
-    for N in sweep:
-        med, devs = compare_deviations(cp, N, seed)
-        rows.append({"N": N, "median_sup_deviation": med, "replicas": devs})
-    p = man.dir / "compare.json"
-    p.write_text(json.dumps(rows, indent=2))
-    man.add(p)
+    rows = [{"N": N, "median_sup_deviation": med, "replicas": devs}
+            for N, (med, devs) in zip(sweep, compare_deviations(cp, sweep, _i(cp, "run", "seed")))]
+    man.add("compare.json", json.dumps(rows, indent=2))
     man.write({"medians": {str(r["N"]): r["median_sup_deviation"] for r in rows}})
     return 0
 
 
 def cmd_rate(cp, out):
     man = Manifest(out, "rate", cp)
-    params = model_params(cp)
-    grid = circle_grid(_i(cp, "grid", "M"))
-    spec = graphon_spec(cp)
-    init_infected = parse_profile(cp.get("model", "init"), grid,
-                                  params=params, kernel=spec)
-    dens, flux = _meanfield_solution(cp, params, grid, 1.0 - init_infected)
+    spec, params, grid, rates, equilibrium = _model(cp)
     T = _f(cp, "grid", "T")
-    rates = sis_rates(params)
+    dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
+                                     T, _i(cp, "grid", "steps"))
     g = rate_G(flux.densities, dens.values[0], grid, spec, rates, T, times=flux.times)
     act = sis_action(dens.state("S"), params, spec, grid, T)
     report = [
@@ -375,52 +408,29 @@ def cmd_rate(cp, out):
         {"name": "sis_action_meanfield_path", "value": float(act),
          "grid": {"M": grid.M, "dt": dens.dt}, "tolerance": 1e-4},
     ]
-    p = man.dir / "rate.json"
-    p.write_text(json.dumps(report, indent=2))
-    man.add(p)
+    man.add("rate.json", json.dumps(report, indent=2))
     man.write()
     return 0
 
 
 def cmd_action(cp, out):
     man = Manifest(out, "action", cp)
-    params = model_params(cp)
-    grid = circle_grid(_i(cp, "grid", "M"))
-    spec = graphon_spec(cp)
-    try:
-        s0 = parse_profile(cp.get("action", "s0"), grid, params, spec)
-        sT = parse_profile(cp.get("action", "sT"), grid, params, spec)
-        problem = PathProblem(s0=s0, sT=sT, horizon=_f(cp, "grid", "T"),
-                              K=_i(cp, "grid", "K"))
-    except EndpointError as e:
-        raise ConfigError(str(e)) from None
+    spec, params, grid, _, equilibrium = _model(cp)
+    problem = PathProblem(s0=parse_profile(cp.get("action", "s0"), grid, equilibrium),
+                          sT=parse_profile(cp.get("action", "sT"), grid, equilibrium),
+                          horizon=_f(cp, "grid", "T"), K=_i(cp, "grid", "K"))
     opts = ActionOptions(max_iters=_i(cp, "action", "max_iters"),
                          tol_grad=_f(cp, "action", "tol_grad"))
     result = minimize_action(problem, params, spec, grid, opts)
 
-    p = man.dir / "path.csv"
-    with open(p, "w") as fh:
-        fh.write("t,theta,s\n")
-        times = np.linspace(0.0, problem.horizon, problem.K + 1)
-        for n, t in enumerate(times):
-            for i, th in enumerate(grid.nodes):
-                fh.write(f"{float(t)!r},{float(th)!r},{float(result.path[n, i])!r}\n")
-    man.add(p)
-
+    times = np.linspace(0.0, problem.horizon, problem.K + 1)
+    man.add("path.csv", _table("t,theta,s", _long_columns(result.path, times, grid.nodes)))
     res = el_residual(result.path, params, spec, grid, problem.horizon)
-    p2 = man.dir / "el_residual.csv"
-    with open(p2, "w") as fh:
-        fh.write("t,theta,residual\n")
-        times = np.linspace(0.0, problem.horizon, problem.K + 1)
-        for n, t in enumerate(times[1:-1], start=1):
-            for i, th in enumerate(grid.nodes):
-                fh.write(f"{float(t)!r},{float(th)!r},{float(res[n, i])!r}\n")
-    man.add(p2)
+    man.add("el_residual.csv", _table("t,theta,residual",
+                                      _long_columns(res[1:-1], times[1:-1], grid.nodes)))
 
     diag = {k: v for k, v in result.diagnostics.items() if k != "action_history"}
-    p3 = man.dir / "diagnostics.json"
-    p3.write_text(json.dumps(diag, indent=2))
-    man.add(p3)
+    man.add("diagnostics.json", json.dumps(diag, indent=2))
     man.write({"action": result.action, "converged": result.diagnostics["converged"]})
     return 0 if result.diagnostics["converged"] else 3
 
@@ -442,9 +452,7 @@ def cmd_ldp_check(cp, out):
     report = {"a": a, "rows": rows,
               "monotone": all(rows[i]["gap"] >= rows[i + 1]["gap"] for i in range(len(rows) - 1)),
               "final_gap": rows[-1]["gap"]}
-    p = man.dir / "ldp_check.json"
-    p.write_text(json.dumps(report, indent=2))
-    man.add(p)
+    man.add("ldp_check.json", json.dumps(report, indent=2))
     man.write({"final_gap": rows[-1]["gap"]})
     return 0
 

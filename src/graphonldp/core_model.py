@@ -64,9 +64,35 @@ class StateSpace:
             raise ModelError(f"unknown state label {label!r}") from None
 
     def codes(self, labels):
-        """Translate a sequence of labels into integer codes."""
+        """Translate a sequence of labels into integer codes; an unknown
+        label raises ModelError."""
         lut = {lab: i for i, lab in enumerate(self.labels)}
-        return np.array([lut[l] for l in labels], dtype=np.int64)
+        try:
+            return np.array([lut[l] for l in labels], dtype=np.int64)
+        except KeyError as e:
+            raise ModelError(f"unknown state label {e.args[0]!r}; "
+                             f"states are {self.labels}") from None
+
+
+def _config_codes(states, config, n, name):
+    """Integer codes of a length-n configuration given as labels or codes.
+
+    Raises ModelError, naming the argument ``name``, for another length, an
+    unknown label, a non-integer code or a code outside [0, k).  Always
+    returns a new array.
+    """
+    config = np.asarray(config)
+    if config.dtype.kind in "US":
+        codes = states.codes(config.tolist())
+    elif config.dtype.kind in "biu" or np.all(np.isfinite(config) & (np.floor(config) == config)):
+        codes = config.astype(np.int64)
+    else:
+        raise ModelError(f"{name} codes must be integers")
+    if len(codes) != n:
+        raise ModelError(f"{name} length must equal N")
+    if np.any((codes < 0) | (codes >= states.size)):
+        raise ModelError(f"{name} codes must lie in [0, {states.size})")
+    return codes
 
 
 SIS_SPACE = StateSpace(("S", "I"))
@@ -87,24 +113,13 @@ class SisParams:
             raise ModelError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """Per-state local field values w = (w_state)_state at one node."""
-
-    labels: tuple
-    values: np.ndarray
-
-    def __getitem__(self, label):
-        return float(self.values[self.labels.index(label)])
-
-
 class RateFamily:
     """Interface for the per-channel jump rates.
 
-    ``eval(to, theta, frm, w)`` is the instantaneous rate at which an agent
-    at position ``theta`` currently in state ``frm`` jumps to state ``to``,
-    given local field ``w`` (per-state components).  Rates into the current
-    state are identically zero.
+    ``rate_matrix`` gives the instantaneous rates at which agents at given
+    positions and states jump to each state, given their local fields
+    (per-state components).  Rates into the current state are identically
+    zero.
 
     ``bounded_below`` records whether the family genuinely satisfies the
     two-sided bound 0 < c_f <= rate <= C_f.  The SIS family does not (its
@@ -117,9 +132,6 @@ class RateFamily:
     upper_bound: float
     lipschitz: float
     bounded_below: bool
-
-    def eval(self, to_label, theta, from_label, w: FieldVector) -> float:
-        raise NotImplementedError
 
     def rate_matrix(self, theta, from_codes, w):
         """Vectorized rates out of given states.
@@ -146,16 +158,6 @@ class SisRates(RateFamily):
         self.lipschitz = params.beta
         self.bounded_below = False
 
-    def eval(self, to_label, theta, from_label, w):
-        to, frm = self.states.index(to_label), self.states.index(from_label)
-        if to == frm:
-            return 0.0
-        if frm == S and to == I:
-            return self.params.beta * max(0.0, w["I"] if isinstance(w, FieldVector) else w[I])
-        if frm == I and to == S:
-            return self.params.alpha
-        return 0.0
-
     def rate_matrix(self, theta, from_codes, w):
         n = len(from_codes)
         out = np.zeros((n, 2))
@@ -181,11 +183,6 @@ class ConstantRates(RateFamily):
         self.lipschitz = 0.0
         self.bounded_below = True
 
-    def eval(self, to_label, theta, from_label, w):
-        if self.states.index(to_label) == self.states.index(from_label):
-            return 0.0
-        return self.rate
-
     def rate_matrix(self, theta, from_codes, w):
         n, k = len(from_codes), self.states.size
         out = np.full((n, k), self.rate)
@@ -198,24 +195,19 @@ def sis_rates(params: SisParams) -> SisRates:
     return SisRates(params)
 
 
-def local_field(node, network, config, states: StateSpace = SIS_SPACE) -> FieldVector:
+def local_field(node, network, config, states: StateSpace = SIS_SPACE):
     """Local field w at one node: coupling-weighted neighbour state census.
 
-    w_state = (N * phi_N)^-1 * sum_k J[node, k] * 1{config[k] == state},
-    where phi_N is the network's sparsity (edge-density) scale: an exact
-    integer count scaled once, the same bits the simulator uses.  ``config``
-    may be integer codes or labels from ``states``.
+    Returns the (k,) array w_state = (N * phi_N)^-1 * sum_k J[node, k] *
+    1{config[k] == state}, in the order of ``states``, where phi_N is the
+    network's sparsity (edge-density) scale: an exact integer count scaled
+    once, the same bits the simulator uses.  ``config`` may be integer
+    codes or labels from ``states``.
     """
     if not (0 <= node < network.N):
         raise IndexError(f"node {node} out of range for N={network.N}")
-    codes = np.asarray(config)
-    if codes.dtype.kind in "US":
-        codes = states.codes(list(config))
-    else:
-        codes = codes.astype(np.int64)
-    if len(codes) != network.N:
-        raise ModelError("config length must equal N")
+    codes = _config_codes(states, config, network.N, "config")
     lo, hi = network.csr_row(node)
     counts = np.zeros(states.size, dtype=np.int64)
     np.add.at(counts, codes[network.cols[lo:hi]], network.weights[lo:hi])
-    return FieldVector(states.labels, counts * (1.0 / (network.N * network.phi_N)))
+    return counts * (1.0 / (network.N * network.phi_N))

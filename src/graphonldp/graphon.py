@@ -182,9 +182,10 @@ class Network:
 
     The triples J[rows, cols] = weights, sorted lexicographically, are the one
     adjacency; row j is the slice indptr[j]:indptr[j + 1].  Construction
-    rejects an index outside [0, N), a weight outside {-1, 0, +1} and a
-    repeated (j, k) pair; self-loops are allowed.  ``phi_N`` is the
-    edge-density scale of sampling and of the local-field normalization.
+    rejects a non-integer index, an index outside [0, N), a weight outside
+    {-1, 0, +1} and a repeated (j, k) pair; self-loops are allowed.
+    ``phi_N`` is the edge-density scale of sampling and of the local-field
+    normalization.
     """
 
     N: int
@@ -198,8 +199,7 @@ class Network:
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows, cols = _node_indices(self.rows), _node_indices(self.cols)
         weights = np.asarray(self.weights)
         if len(rows) and (min(rows.min(), cols.min()) < 0
                           or max(rows.max(), cols.max()) >= self.N):
@@ -229,6 +229,15 @@ class Network:
         lo, hi = self.csr_row(j)
         out[self.cols[lo:hi]] = self.weights[lo:hi]
         return out
+
+
+def _node_indices(a):
+    """int64 node indices; a non-integer value raises GraphonError.  An
+    integer array is only cast, with no per-entry check."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" and not np.all(np.isfinite(a) & (np.floor(a) == a)):
+        raise GraphonError("node indices must be integers")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

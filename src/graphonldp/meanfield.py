@@ -28,6 +28,10 @@ import numpy as np
 from .core_model import TWO_PI, NumericalError
 
 
+#: Largest per-site drift of the state sum that ``evolve`` accepts.
+_NORM_TOL = 1e-8
+
+
 class NormalizationError(NumericalError):
     """Per-site state-mass drifted beyond tolerance during integration."""
 
@@ -101,14 +105,6 @@ class DensityField:
                              f"in [0, {self.horizon:.6g}]")
         return self.values[n]
 
-    def write_csv(self, path, nodes):
-        with open(path, "w") as fh:
-            fh.write("t,alpha,theta,value\n")
-            for n, t in enumerate(self.times):
-                for a, lab in enumerate(self.labels):
-                    for i, th in enumerate(nodes):
-                        fh.write(f"{float(t)!r},{lab},{float(th)!r},{float(self.values[n, a, i])!r}\n")
-
 
 @dataclass
 class LimitFlux:
@@ -117,17 +113,6 @@ class LimitFlux:
     times: np.ndarray
     labels: tuple
     densities: dict  # (from_label, to_label) -> (n_t, M) array
-
-    def channels(self):
-        return sorted(self.densities.keys())
-
-    def write_csv(self, path, nodes):
-        with open(path, "w") as fh:
-            fh.write("t,channel,theta,value\n")
-            for (a, b), p in sorted(self.densities.items()):
-                for n, t in enumerate(self.times):
-                    for i, th in enumerate(nodes):
-                        fh.write(f"{float(t)!r},{a}->{b},{float(th)!r},{float(p[n, i])!r}\n")
 
 
 def field_from_density(grid: SpatialGrid, K, density):
@@ -159,24 +144,22 @@ def _drift(rates, grid, K, nu):
     return inflow - outflow, rt
 
 
-def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt=None, record_flux=True,
-           norm_tol=1e-8):
+def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt, record_flux=True):
     """Integrate the limiting dynamics with classical RK4 at fixed step.
 
-    ``nu0`` is (k, M), per-site normalized.  Returns (DensityField,
-    LimitFlux); flux densities p_{a->b} = f_b(., a, w) nu_a are recorded at
-    every accepted grid time.  Aborts with NormalizationError if the
-    per-site state-sum drifts by more than ``norm_tol``.
+    ``nu0`` is (k, M), per-site normalized; the step is T / round(T / dt).
+    Returns (DensityField, LimitFlux); flux densities p_{a->b} =
+    f_b(., a, w) nu_a are recorded at every accepted grid time.  Aborts with
+    NormalizationError if the per-site state-sum drifts by more than
+    ``_NORM_TOL``.
     """
     nu0 = np.asarray(nu0, dtype=float)
     k, M = nu0.shape
     if M != grid.M:
         raise ValueError("nu0 incompatible with grid")
     drift0 = np.max(np.abs(nu0.sum(axis=0) - 1.0))
-    if drift0 > norm_tol:
+    if drift0 > _NORM_TOL:
         raise NormalizationError(f"initial density not per-site normalized: {drift0:.3g}")
-    if dt is None:
-        dt = T / 2000.0
     steps = max(1, int(round(T / dt)))
     dt = T / steps
     K = _as_matrix(kernel, grid)
@@ -198,7 +181,7 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt=None, record_flux=True,
         k4, _ = _drift(rates, grid, K, nu + dt * k3)
         nu = nu + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = np.max(np.abs(nu.sum(axis=0) - 1.0))
-        if drift > norm_tol:
+        if drift > _NORM_TOL:
             raise NormalizationError(
                 f"per-site normalization drifted to {drift:.3g} at t={dt * (n + 1):.6g}")
         # positivity is monitored, never clipped: a clear excursion below

@@ -154,8 +154,11 @@ def reconstruct_occupation(flux_densities, nu0, labels, times):
     return nu
 
 
-def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None,
-           density_tol=1e-6):
+#: How far the occupation reconstructed by ``rate_G`` may leave [0, 1].
+_DENSITY_TOL = 1e-6
+
+
+def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
     """Coupled rate functional on flux densities.
 
     The occupation path and interaction fields are reconstructed internally
@@ -165,7 +168,7 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None,
         lambda_{a,b}(x, t) = f_b(x, a, w(x, t)) nu_t(a, x).
 
     Returns a RateValue; the infinity marker fires if the reconstructed
-    occupation exits [0, 1] beyond ``density_tol`` or if some channel has
+    occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some channel has
     positive flux against zero intensity.
     """
     labels = rates.states.labels
@@ -173,7 +176,7 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None,
     n_t = np.asarray(some).shape[0]
     tt = np.linspace(0.0, T, n_t) if times is None else np.asarray(times)
     nu = reconstruct_occupation(flux_densities, nu0, labels, tt)
-    if np.min(nu) < -density_tol or np.max(nu) > 1.0 + density_tol:
+    if np.min(nu) < -_DENSITY_TOL or np.max(nu) > 1.0 + _DENSITY_TOL:
         n, a, i = np.unravel_index(int(np.argmax(np.abs(nu - 0.5))), nu.shape)
         return RateValue(np.inf, finite=False, where=("occupation", n, i))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import TWO_PI, ModelError, NumericalError
+from .core_model import TWO_PI, ModelError, NumericalError, _config_codes
 
 
 class RateOverflowError(NumericalError):
@@ -59,15 +59,6 @@ class TrajectoryRecord:
             cfg[self.nodes[i]] = self.to_codes[i]
         return cfg
 
-    def write_jsonl(self, path):
-        import json
-
-        with open(path, "w") as fh:
-            for t, j, a, b in zip(self.times, self.nodes, self.from_codes, self.to_codes):
-                fh.write(json.dumps({"t": float(t), "j": int(j),
-                                     "from": self.labels[a], "to": self.labels[b]}) + "\n")
-        return path
-
 
 @dataclass(frozen=True)
 class EmpiricalFlux:
@@ -82,7 +73,7 @@ class EmpiricalFlux:
         ch = self.atoms.get((from_label, to_label))
         return 0.0 if ch is None else len(ch[0]) / self.N
 
-    def channel_counts(self, from_label, to_label, bins, t_hi=None, edges=None):
+    def channel_counts(self, from_label, to_label, bins, t_hi=None):
         """Integer transition counts per spatial bin up to time t_hi."""
         ch = self.atoms.get((from_label, to_label))
         counts = np.zeros(bins, dtype=np.int64)
@@ -90,23 +81,8 @@ class EmpiricalFlux:
             return counts
         times, _, pos = ch
         sel = slice(None) if t_hi is None else times <= t_hi
-        idx = bin_index(pos[sel], bins, edges)
-        np.add.at(counts, idx, 1)
+        np.add.at(counts, bin_index(pos[sel], bins), 1)
         return counts
-
-    def write_csv(self, path, bins, time_edges):
-        with open(path, "w") as fh:
-            fh.write("channel,bin,t_lo,t_hi,mass\n")
-            for (a, b), (times, _, pos) in sorted(self.atoms.items()):
-                for ti in range(len(time_edges) - 1):
-                    t0, t1 = time_edges[ti], time_edges[ti + 1]
-                    sel = (times > t0) & (times <= t1) if ti else (times >= t0) & (times <= t1)
-                    idx = bin_index(pos[sel], bins)
-                    cnt = np.zeros(bins, dtype=np.int64)
-                    np.add.at(cnt, idx, 1)
-                    for bi in range(bins):
-                        fh.write(f"{a}->{b},{bi},{float(t0)!r},{float(t1)!r},{float(cnt[bi]) / self.N!r}\n")
-        return path
 
 
 @dataclass(frozen=True)
@@ -126,10 +102,8 @@ class EmpiricalOccupation:
         return float(self.counts.sum()) / self.N
 
 
-def bin_index(positions, bins, edges=None):
+def bin_index(positions, bins):
     """Uniform circular bins [2 pi b / M, 2 pi (b+1) / M)."""
-    if edges is not None:
-        return np.clip(np.searchsorted(edges, positions, side="right") - 1, 0, bins - 1)
     idx = np.floor(np.asarray(positions) / (TWO_PI / bins)).astype(np.int64)
     return np.clip(idx, 0, bins - 1)
 
@@ -137,8 +111,9 @@ def bin_index(positions, bins, edges=None):
 def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> TrajectoryRecord:
     """Run the exact jump-process sampler on one network realization.
 
-    ``init`` is a length-N sequence of state labels or integer codes; a
-    code outside [0, k) raises ModelError.  Deterministic given ``seed``.
+    ``init`` is a length-N sequence of state labels or integer codes; an
+    unknown label or a code outside [0, k) raises ModelError.  Deterministic
+    given ``seed``.
     Raises RateOverflowError if the rate family produces a non-finite value,
     and NumericalError if the horizon is not reached within ``max_events``
     events.
@@ -146,15 +121,7 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     states = rates.states
     k = states.size
     N = network.N
-    init = np.asarray(init)
-    if init.dtype.kind in "US":
-        config = states.codes(list(init))
-    else:
-        config = init.astype(np.int64)
-    if len(config) != N:
-        raise ModelError("init length must equal N")
-    if np.any((config < 0) | (config >= k)):
-        raise ModelError(f"init codes must lie in [0, {k})")
+    config = _config_codes(states, init, N, "init")
     if horizon <= 0:
         raise ModelError("horizon must be positive")
     initial_codes = config.copy()

@@ -59,9 +59,8 @@ def test_A1_meanfield_convergence():
         "grid.M=64", "grid.T=5.0", "grid.steps=2000",
         "run.replicas=20", "run.seed=7", "compare.snapshots=26",
     ])
-    medians = {}
-    for N in (500, 1000, 2000):
-        medians[N], _ = compare_deviations(cfg, N, seed=7)
+    sweep = (500, 1000, 2000)
+    medians = {N: med for N, (med, _) in zip(sweep, compare_deviations(cfg, sweep, seed=7))}
     elapsed = time.time() - t0
     assert medians[500] > medians[1000] > medians[2000], medians
     assert medians[2000] <= 0.06

@@ -89,6 +89,81 @@ class TestSimulateAndMeanfield:
         lines = (out / "density.csv").read_text().splitlines()
         assert lines[0] == "t,alpha,theta,value"
 
+    def test_equilibrium_init_is_stationary(self, tmp_path):
+        # model.init=equilibrium is the endemic state (S = 1/3 at beta=3),
+        # not its mirror 1 - s*, so the mean field does not move
+        code, out = run(tmp_path, "meanfield", "model.beta=3", "model.init=equilibrium",
+                        "grid.M=16", "grid.T=2", "grid.steps=400")
+        assert code == 0
+        table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1, dtype=str)
+        s = table[table[:, 1] == "S", 3].astype(float).reshape(-1, 16)
+        assert np.max(np.abs(s[-1] - s[0])) <= 1e-6
+        assert np.allclose(s[0], 1.0 / 3.0, atol=1e-9)
+
+
+class TestArtifacts:
+    """The table artifacts: headers, row counts and values read back."""
+
+    def test_density_csv_header(self, tmp_path):
+        code, out = run(tmp_path, "meanfield", "grid.M=4", "grid.T=0.1", "grid.steps=2")
+        assert code == 0
+        lines = (out / "density.csv").read_text().splitlines()
+        assert lines[0] == "t,alpha,theta,value"
+        assert len(lines) == 1 + 3 * 2 * 4
+        assert (out / "flux.csv").read_text().splitlines()[0] == "t,channel,theta,value"
+
+    def test_tables_read_back_exactly(self, tmp_path):
+        # row order (time, state, node) and repr floats: the file gives back
+        # the solver's numbers bit for bit
+        code, out = run(tmp_path, "meanfield", "grid.M=4", "grid.T=0.1", "grid.steps=2",
+                        "model.init=cosine:0.3,0.15")
+        assert code == 0
+        cp = cli.load_config(None, ["model.init=cosine:0.3,0.15"])
+        grid = cli.circle_grid(4)
+        p = cli.parse_profile("cosine:0.3,0.15", grid, None)
+        dens, flux = cli._meanfield_solution(grid, cli.graphon_spec(cp),
+                                             cli.sis_rates(cli.model_params(cp)), p, 0.1, 2)
+        for name, want in (("density.csv", dens.values),
+                           ("flux.csv", np.stack([flux.densities[("I", "S")],
+                                                  flux.densities[("S", "I")]]))):
+            got = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=3)
+            assert np.array_equal(got, want.ravel()), name
+        t, theta = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1,
+                              usecols=(0, 2), unpack=True)
+        assert np.array_equal(t, np.repeat(dens.times, 8))
+        assert np.array_equal(theta, np.tile(grid.nodes, 6))
+
+    def test_jsonl_export(self, tmp_path):
+        code, out = run(tmp_path, "simulate", "graphon.family=constant", "graphon.N=50",
+                        "grid.T=1", "grid.M=4", "run.replicas=1")
+        assert code == 0
+        events = json.loads((out / "manifest.json").read_text())["events"][0]
+        lines = [json.loads(l) for l in (out / "trajectory_000.jsonl").read_text().splitlines()]
+        assert len(lines) == events > 0
+        assert set(lines[0]) == {"t", "j", "from", "to"}
+        assert {l["from"] for l in lines} <= {"S", "I"}
+
+    def test_flux_csv_format(self, tmp_path):
+        code, out = run(tmp_path, "simulate", "graphon.family=constant", "graphon.N=50",
+                        "grid.T=1", "grid.M=4", "run.replicas=1")
+        assert code == 0
+        events = json.loads((out / "manifest.json").read_text())["events"][0]
+        lines = (out / "flux_000.csv").read_text().splitlines()
+        assert lines[0] == "channel,bin,t_lo,t_hi,mass"
+        total = sum(float(l.split(",")[-1]) for l in lines[1:])
+        assert total == pytest.approx(events / 50)
+
+    def test_occupation_csv_is_numeric(self, tmp_path):
+        # masses are plain floats: the states' masses at each time sum to one
+        code, out = run(tmp_path, "simulate", "graphon.N=60", "grid.T=0.5", "grid.M=8",
+                        "run.replicas=1")
+        assert code == 0
+        t_lo, mass = np.loadtxt(out / "occupation_000.csv", delimiter=",", skiprows=1,
+                                usecols=(2, 4), unpack=True)
+        assert len(mass) == 11 * 2 * 8
+        assert np.allclose(mass.reshape(11, 16).sum(axis=1), 1.0)
+        assert np.array_equal(t_lo.reshape(11, 16)[:, 0], np.linspace(0.0, 0.5, 11))
+
 
 class TestCompare:
     def test_zero_replicas_rejected(self, tmp_path):
@@ -118,6 +193,15 @@ class TestCompare:
         assert code == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["medians"]["400"] < man["medians"]["100"]
+
+    def test_mean_field_solved_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        evolve = cli.evolve
+        monkeypatch.setattr(cli, "evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        code, _ = run(tmp_path, "compare", "compare.N_sweep=40,60", "run.replicas=2",
+                      "grid.T=0.5", "grid.M=8", "grid.steps=100", "compare.snapshots=5")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         # per-replica RNG streams: --threads is a throughput knob only
@@ -173,6 +257,17 @@ class TestAction:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["action"] > 1e-4
         assert diag["formula_discrepancies"] == []
+
+    def test_equilibrium_relaxed_once_for_both_endpoints(self, tmp_path, monkeypatch):
+        calls = []
+        relax = cli.endemic_equilibrium
+        monkeypatch.setattr(cli, "endemic_equilibrium",
+                            lambda *a, **k: calls.append(1) or relax(*a, **k))
+        code, _ = run(tmp_path, "action", "graphon.family=constant", "graphon.level=1.0",
+                      "grid.M=12", "grid.K=30", "grid.T=1.0", "action.s0=equilibrium",
+                      "action.sT=bump:3.14,0.7,0.15")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_malformed_preset_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "action", "action.sT=bump:oops")

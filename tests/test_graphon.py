@@ -160,6 +160,17 @@ class TestSampling:
         net = build([1, 0], [1, 2], [0, -1])  # self-loops and zero weights are allowed
         assert list(net.rows) == [0, 1] and list(net.degrees()) == [1, 1, 0]
 
+    def test_non_integer_indices_rejected(self):
+        def build(rows, cols):
+            return Network(N=3, positions=np.zeros(3), rows=rows, cols=cols, weights=[1],
+                           phi_N=1.0, seed=0, family="constant")
+
+        for rows, cols in (([0.7], [1]), ([0], [1.2]), ([np.nan], [1])):
+            with pytest.raises(GraphonError, match="integers"):
+                build(rows, cols)
+        net = build([2.0], np.array([1], dtype=np.uint8))  # integral values are indices
+        assert net.rows.dtype == np.int64 and (net.rows[0], net.cols[0]) == (2, 1)
+
 
 class TestEtaDiagnostic:
     def test_dense_exact_case_zero(self):

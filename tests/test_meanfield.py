@@ -233,18 +233,3 @@ class TestDensityField:
         for t in (0.14, -0.1, 0.6):
             with pytest.raises(ValueError, match="not a grid time"):
                 dens.at_time(t)
-
-
-class TestExports:
-    def test_density_csv_header(self, tmp_path):
-        grid, spec, rates = sis_setup(M=4)
-        s0 = np.full(4, 0.5)
-        dens, flux = evolve(grid, spec, rates, np.vstack([s0, 1 - s0]), T=0.1, dt=0.05)
-        p = tmp_path / "dens.csv"
-        dens.write_csv(p, grid.nodes)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "t,alpha,theta,value"
-        assert len(lines) == 1 + 3 * 2 * 4
-        p2 = tmp_path / "flux.csv"
-        flux.write_csv(p2, grid.nodes)
-        assert p2.read_text().splitlines()[0] == "t,channel,theta,value"

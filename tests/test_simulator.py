@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +12,7 @@ from graphonldp.core_model import (
     local_field,
     sis_rates,
 )
-from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
+from graphonldp.graphon import Network, cosine_kernel, sample_network
 from graphonldp.simulator import bin_index, extract_flux, occupation_at, simulate
 
 
@@ -113,9 +111,22 @@ class TestSimulate:
     def test_init_codes_out_of_range(self):
         net = Network(N=3, positions=np.zeros(3), rows=np.array([0, 1]), cols=np.array([1, 0]),
                       weights=np.ones(2), phi_N=1.0, seed=0, family="constant")
-        for bad in (-1, 2):
+        for bad in (-1, 2, 0.5):
             with pytest.raises(ModelError, match="init codes"):
                 simulate(net, sis(), np.array([0, bad, 1]), 1.0, seed=0)
+
+    def test_unknown_init_label(self):
+        # simulate and local_field share one label-to-code check
+        net = Network(N=2, positions=np.zeros(2), rows=np.array([0, 1]), cols=np.array([1, 0]),
+                      weights=np.ones(2), phi_N=1.0, seed=0, family="constant")
+        with pytest.raises(ModelError, match="unknown state label 'X'"):
+            simulate(net, sis(), ["S", "X"], 1.0, seed=0)
+        with pytest.raises(ModelError, match="unknown state label 'X'"):
+            local_field(0, net, ["S", "X"])
+        with pytest.raises(ModelError, match="config length"):
+            local_field(0, net, ["S"])
+        with pytest.raises(ModelError, match="config codes"):
+            local_field(0, net, [0, 2])
 
     def test_fields_are_exact_on_directed_signed_network(self):
         # J != J^T with both signs: every field row handed to the rates must
@@ -153,7 +164,7 @@ class TestSimulate:
                 config[traj.nodes[i - 1]] = traj.to_codes[i - 1]
             assert np.array_equal(w, (J[r] @ np.eye(2, dtype=np.int64)[config]) * scale)
         for node, row in zip(r, w):
-            assert np.array_equal(local_field(node, net, config).values, row)
+            assert np.array_equal(local_field(node, net, config), row)
 
     def test_exact_distribution_three_node_chain(self):
         # the sampler's law at time t must match the matrix exponential of
@@ -275,29 +286,3 @@ class TestFlux:
                 into_s = flux.channel_counts("I", "S", bins, t_hi=t)
                 assert np.array_equal(occ_t.counts[1] - occ_0.counts[1], into_i - into_s)
                 assert np.array_equal(occ_t.counts[0] - occ_0.counts[0], into_s - into_i)
-
-    def test_jsonl_export(self, tmp_path):
-        spec = constant_kernel(1.0)
-        net = sample_network(spec, 50, 0.3, seed=1)
-        init = np.zeros(50, dtype=int)
-        init[:10] = 1
-        traj = simulate(net, sis(), init, 1.0, seed=3)
-        p = tmp_path / "traj.jsonl"
-        traj.write_jsonl(p)
-        lines = [json.loads(l) for l in p.read_text().splitlines()]
-        assert len(lines) == traj.n_events
-        assert set(lines[0]) == {"t", "j", "from", "to"}
-
-    def test_flux_csv_format(self, tmp_path):
-        spec = constant_kernel(1.0)
-        net = sample_network(spec, 50, 0.3, seed=1)
-        init = np.zeros(50, dtype=int)
-        init[:10] = 1
-        traj = simulate(net, sis(), init, 1.0, seed=3)
-        flux = extract_flux(traj)
-        p = tmp_path / "flux.csv"
-        flux.write_csv(p, bins=4, time_edges=np.linspace(0, 1, 3))
-        lines = p.read_text().splitlines()
-        assert lines[0] == "channel,bin,t_lo,t_hi,mass"
-        total = sum(float(l.split(",")[-1]) for l in lines[1:])
-        assert total == pytest.approx(traj.n_events / 50)
