@@ -2,11 +2,11 @@
 
 A pinned-endpoint discrete path s[n, i] over time nodes t_n = n T / K and
 circle nodes theta_i is scored by the space-time quadrature of the SIS
-Lagrangian; the exact gradient of that discrete action drives a projected
-limited-memory quasi-Newton solve (L-BFGS-B).  The discretized action is
-the source of truth; the Euler-Lagrange operators evaluated along the
-converged path serve as an independent stationarity verification, not as
-the solver.
+Lagrangian; the exact gradient of that discrete action drives a truncated
+Newton solve, conjugate gradients preconditioned in time.  The discretized
+action is the source of truth; the Euler-Lagrange operators evaluated along
+the converged path serve as an independent stationarity verification, not
+as the solver.
 
 The analytic derivative formulas (A and L partials in sdot and the Frechet
 fields M, N) are long hand-derived expressions, so ``formula_audit`` checks
@@ -31,7 +31,7 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
 from .core_model import EPS_S
 from .meanfield import _as_matrix, field_from_density
@@ -350,8 +350,9 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     return action, grad[1:-1]
 
 
-#: L-BFGS-B correction pairs kept by the solver
-_LBFGS_MEMORY = 100
+_CG_MAX = 40       # CG steps per Newton step
+_FD_STEP = 1e-7    # max-norm size of the difference step in H v
+_TO_BOX = 0.99     # share of the distance to the box one step may cover
 
 
 @dataclass
@@ -368,18 +369,71 @@ class ActionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _room(x, d, lo, hi):
+    """The largest t >= 0 with lo <= x + t d <= hi."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(np.where(d > 0, hi - x, lo - x) / d, initial=np.inf, where=d != 0))
+
+
+def _newton_cg(fun, x0, jac, bounds, callback, maxiter, gtol, precondition, **_):
+    """Truncated Newton on the box ``bounds = (lo, hi)``, a scipy custom
+    minimizer.  CG on H d = -g, preconditioned by ``precondition(x)``, with
+    H v a forward difference of ``jac``, stops at the forcing tolerance
+    min(0.5, sqrt|g|) |g| or on non-positive curvature (then the first step
+    is the preconditioned gradient); Armijo backtracking follows."""
+    lo, hi = bounds
+    x, f, g = x0, fun(x0), jac(x0)
+    nit, cg_iters, evals, message = 0, 0, 1, "iteration limit reached"
+    while np.max(np.abs(g)) > gtol and nit < maxiter:
+        solve, gnorm = precondition(x), np.linalg.norm(g)
+        d, r = np.zeros_like(x), -g
+        p = z = solve(r)
+        rz = r @ z
+        for j in range(_CG_MAX):
+            h = min(_FD_STEP / np.max(np.abs(p)), 0.5 * _room(x, p, lo, hi))
+            Hp = (jac(x + h * p) - g) / h
+            curv = p @ Hp
+            if not curv > 0.0:
+                if j == 0:
+                    d = z
+                break
+            d, r = d + (rz / curv) * p, r - (rz / curv) * Hp
+            if np.linalg.norm(r) <= min(0.5, np.sqrt(gnorm)) * gnorm:
+                break
+            z = solve(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        cg_iters, evals = cg_iters + j + 1, evals + j + 1
+        step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi)), g @ d
+        while step > 1e-12:
+            f_trial, evals = fun(x + step * d), evals + 1
+            if f_trial < f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            message = "line search failed"
+            break
+        x = x + step * d
+        f, g, nit = f_trial, jac(x), nit + 1
+        callback(intermediate_result=OptimizeResult(x=x, fun=f))
+    success = bool(np.max(np.abs(g)) <= gtol)
+    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=evals, cg_iters=cg_iters, success=success,
+                          message="gradient tolerance reached" if success else message)
+
+
 def minimize_action(problem: PathProblem, params, kernel, grid,
                     opts: ActionOptions = None) -> ActionResult:
     """Locally minimize the discrete action between pinned endpoints.
 
-    Projected limited-memory quasi-Newton (L-BFGS-B on the clamped box);
-    the initial guess is the linear interpolation unless one is supplied.
-    When the gradient tolerance is not met, returns the solver's last
-    iterate with a warning in the diagnostics.
+    Truncated Newton (``_newton_cg``, at most ``opts.max_iters`` steps) on
+    the clamped box, from the linear interpolation unless a guess is given.
+    When the gradient tolerance is not met, returns the last iterate with a
+    warning in the diagnostics.
     """
     opts = opts or ActionOptions()
     Km = _as_matrix(kernel, grid)
     n_t, M = problem.K + 1, problem.M
+    dt = problem.horizon / problem.K
     lo, hi = problem.floor, 1.0 - problem.floor
 
     start = problem.initial_path() if opts.initial_path is None else np.asarray(opts.initial_path, dtype=float)
@@ -402,31 +456,46 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         a, g = discrete_action(unpack(x), params, Km, grid, problem.horizon, with_grad=True)
         return a, g.ravel()
 
+    def precondition(x):
+        """Solver of D^T diag(c) D y = r per circle node, with D the pinned-end
+        time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt) per interval:
+        the flux q = c D y has D^T q = r, so q is minus the running sum of r
+        plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0."""
+        path = unpack(x)
+        v, lam = (path[1:] - path[:-1]) / dt, sis_lambda_field(path, grid, Km, params.beta)
+        inv = 2.0 * dt / (grid.kappa_weights * (_pointwise(v, path[:-1], lam[:-1], params.alpha).d2L
+                                                + _pointwise(v, path[1:], lam[1:], params.alpha).d2L))
+        total = inv.sum(axis=0)
+
+        def solve(r):
+            q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
+            q -= (q * inv).sum(axis=0) / total
+            return np.cumsum(q * inv, axis=0)[:-1].ravel()
+        return solve
+
     def cb(intermediate_result):
         history.append(float(intermediate_result.fun))
 
-    res = scipy_minimize(
-        fun, start[1:-1].ravel(), jac=True, method="L-BFGS-B",
-        bounds=[(lo, hi)] * ((n_t - 2) * M),
-        callback=cb,
-        options={"maxiter": opts.max_iters, "maxfun": 4 * opts.max_iters,
-                 "maxcor": _LBFGS_MEMORY, "ftol": 1e-17, "gtol": tol},
-    )
+    res = scipy_minimize(fun, start[1:-1].ravel(), jac=True, method=_newton_cg,
+                         bounds=(lo, hi), callback=cb,
+                         options={"maxiter": opts.max_iters, "gtol": tol,
+                                  "precondition": precondition})
     path = unpack(res.x)
-    action, grad = discrete_action(path, params, Km, grid, problem.horizon, with_grad=True)
-    grad_norm = float(np.max(np.abs(grad)))
+    grad_norm = float(np.max(np.abs(res.jac)))
     converged = grad_norm <= tol
     residual = el_residual(path, params, Km, grid, problem.horizon)
     diag = {
-        "action": float(action),
+        "action": float(res.fun),
         "grad_norm": grad_norm,
         "grad_tol": tol,
         "el_residual_max": float(np.nanmax(np.abs(residual))),
         "iters": int(res.nit),
+        "cg_iters": int(res.cg_iters),
+        "grad_evals": int(res.nfev),
         "converged": bool(converged),
         "formula_discrepancies": [r for r in formula_audit() if not r["pass"]],
         "action_history": history,
     }
     if not converged:
-        diag["warning"] = "gradient tolerance not reached; returning the last iterate"
-    return ActionResult(path=path, action=float(action), diagnostics=diag)
+        diag["warning"] = f"gradient tolerance not reached ({res.message}); returning the last iterate"
+    return ActionResult(path=path, action=float(res.fun), diagnostics=diag)

@@ -415,12 +415,16 @@ def cmd_rate(cp, out):
 
 def cmd_action(cp, out):
     man = Manifest(out, "action", cp)
+    opts = ActionOptions(max_iters=_i(cp, "action", "max_iters"),
+                         tol_grad=_f(cp, "action", "tol_grad"))
+    if opts.max_iters < 1:
+        raise ConfigError(f"[action] max_iters must be at least 1, got {opts.max_iters}")
+    if not (np.isfinite(opts.tol_grad) and opts.tol_grad > 0):
+        raise ConfigError(f"[action] tol_grad must be finite and positive, got {opts.tol_grad}")
     spec, params, grid, _, equilibrium = _model(cp)
     problem = PathProblem(s0=parse_profile(cp.get("action", "s0"), grid, equilibrium),
                           sT=parse_profile(cp.get("action", "sT"), grid, equilibrium),
                           horizon=_f(cp, "grid", "T"), K=_i(cp, "grid", "K"))
-    opts = ActionOptions(max_iters=_i(cp, "action", "max_iters"),
-                         tol_grad=_f(cp, "action", "tol_grad"))
     result = minimize_action(problem, params, spec, grid, opts)
 
     times = np.linspace(0.0, problem.horizon, problem.K + 1)

@@ -264,6 +264,29 @@ class TestMinimizeAction:
                 an = float(np.sum(g * v))
                 assert abs(fd - an) <= 1e-5 * abs(an)
 
+    def test_newton_converges_on_skewed_case(self):
+        # a non-uniform grid with an asymmetric kernel: 4 Newton and 15 CG
+        # steps; a preconditioner with uniform kappa weights needs 29 CG steps
+        grid, kernel = skewed_case(16)
+        prob = PathProblem(s0=np.full(16, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
+        res = minimize_action(prob, PARAMS, kernel, grid,
+                              ActionOptions(max_iters=6, tol_grad=1e-9))
+        assert res.diagnostics["converged"]
+        assert res.diagnostics["cg_iters"] <= 20
+        assert res.diagnostics["grad_evals"] > res.diagnostics["cg_iters"]
+        assert discrete_action(res.path, PARAMS, kernel, grid, 1.5) == res.action
+
+    def test_start_next_to_the_box_converges(self):
+        # the first Newton step from the linear path overshoots s = 1; a step
+        # allowed to reach the box puts nodes on it, where the action's
+        # curvature degenerates and the line search stalls
+        grid = circle_grid(16)
+        prob = PathProblem(s0=np.full(16, 0.999), sT=np.full(16, 0.5), horizon=5.0, K=40)
+        res = minimize_action(prob, PARAMS, cosine_kernel(1.0, 0.5), grid,
+                              ActionOptions(max_iters=30))
+        assert res.diagnostics["converged"]
+        assert res.path.max() <= 0.999
+
     def test_descent_and_convergence(self):
         grid = circle_grid(16)
         kernel = constant_kernel(1.0)

@@ -247,6 +247,8 @@ class TestAction:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["action"] < 1e-10
         assert diag["converged"]
+        assert "cg_iters" in diag and "grad_evals" in diag
+        assert diag["grad_evals"] > diag["cg_iters"]
         assert (out / "path.csv").exists() and (out / "el_residual.csv").exists()
 
     def test_bump_positive_action(self, tmp_path):
@@ -277,14 +279,22 @@ class TestAction:
         code, _ = run(tmp_path, "action", "action.s0=uniform:0.0")
         assert code == 2
 
+    @pytest.mark.parametrize("setting", ["action.max_iters=0", "action.max_iters=-5",
+                                         "action.tol_grad=0", "action.tol_grad=nan",
+                                         "action.tol_grad=-1e-6", "action.tol_grad=inf"])
+    def test_invalid_solver_settings_rejected(self, tmp_path, capsys, setting):
+        code, _ = run(tmp_path, "action", "grid.K=20", "grid.M=8", setting)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_nonconverged_solve_reports_last_iterate(self, tmp_path):
         from graphonldp.action_path import discrete_action
 
-        code, out = run(tmp_path, "action", "action.max_iters=3")
+        code, out = run(tmp_path, "action", "action.max_iters=1")
         assert code == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["converged"] is False and diag["warning"]
-        assert diag["iters"] == 3
+        assert diag["iters"] == 1
         assert diag["grad_norm"] > diag["grad_tol"]
         # the written path is the one whose action is reported
         cp = cli.load_config(None)
