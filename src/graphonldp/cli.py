@@ -8,10 +8,10 @@ with repeated ``--set section.key=value`` flags.  All artifacts land under
 given (config, seed).
 
 Exit codes: 0 success; 2 configuration error (a bad option, profile or
-network file, or snapshots off the mean-field time grid); 3 numerical
-failure (an exhausted event budget, a non-finite rate, density
-normalization drift, an equilibrium relaxation or an action solve that
-did not converge).
+network file, a kernel off the circle outside ``sample``, or snapshots off
+the mean-field time grid); 3 numerical failure (an exhausted event budget,
+a non-finite rate, density normalization drift, an equilibrium relaxation
+or an action solve that did not converge).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ DEFAULTS = {
     "graphon": {"family": "inhomogeneous-circle", "N": "500",
                 "phi_exponent": "0.7", "base": "1.0", "amplitude": "0.5",
                 "level": "1.0", "high": "1.5", "low": "0.1", "cutoff": "0.5",
-                "beta_pl": "0.3", "gamma": "0.6"},
+                "beta_pl": "0.3"},
     "grid": {"M": "64", "K": "200", "T": "5.0", "steps": "2000"},
     "run": {"replicas": "20", "seed": "7", "threads": "1"},
     "compare": {"N_sweep": "500,1000,2000", "snapshots": "26"},
@@ -96,6 +96,18 @@ def _i(cp, sec, key):
         raise ConfigError(f"[{sec}] {key}: {e}") from None
 
 
+def _sizes(cp, sec, key):
+    """A comma-separated list of positive integers, such as N values."""
+    text = cp.get(sec, key)
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"[{sec}] {key}: expected integers, got {text!r}") from None
+    if min(values) < 1:
+        raise ConfigError(f"[{sec}] {key}: entries must be positive, got {text!r}")
+    return values
+
+
 def graphon_spec(cp):
     fam = cp.get("graphon", "family")
     if fam not in FAMILIES:
@@ -109,7 +121,7 @@ def graphon_spec(cp):
         elif fam == "small-world":
             spec = FAMILIES[fam](g("high"), g("low"), g("cutoff"))
         else:
-            spec = FAMILIES[fam](g("beta_pl"), g("gamma"))
+            spec = FAMILIES[fam](g("beta_pl"))
         spec.validate()
         return spec
     except GraphonError as e:
@@ -220,15 +232,16 @@ class Manifest:
         return out
 
 
-def _model(cp, require_circle=False):
+def _model(cp):
     """The inputs every model run shares, each built once: the graphon spec
-    (validated once), SisParams, circle grid, SIS rate family, and the
+    (validated once, and on the circle, where the grid and the epidemic
+    profiles live), SisParams, circle grid, SIS rate family, and the
     susceptible endemic equilibrium, relaxed on its first use only."""
     spec = graphon_spec(cp)
-    if require_circle and spec.domain != "circle":
+    if spec.domain != "circle":
         raise ConfigError(
             f"family {spec.family!r} lives on {spec.domain!r}; the epidemic "
-            "experiments need a circle-domain kernel")
+            "and continuum runs need a circle-domain kernel")
     params = model_params(cp)
     grid = circle_grid(_i(cp, "grid", "M"))
     equilibrium = functools.cache(
@@ -239,10 +252,13 @@ def _model(cp, require_circle=False):
 def _init_infected(cp, grid, equilibrium):
     """model.init as a per-node infected probability: uniform and cosine
     give it directly, equilibrium and bump are susceptible profiles and
-    enter as 1 - s."""
+    enter as 1 - s.  A probability outside [0, 1] raises ConfigError."""
     text = cp.get("model", "init")
     profile = parse_profile(text, grid, equilibrium)
-    return 1.0 - profile if text.partition(":")[0] in ("equilibrium", "bump") else profile
+    p = 1.0 - profile if text.partition(":")[0] in ("equilibrium", "bump") else profile
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ConfigError(f"model.init {text!r} gives an infected probability outside [0, 1]")
+    return p
 
 
 def _network(cp, spec, N, seed):
@@ -290,14 +306,14 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
             return list(pool.map(_one_replica, jobs))
     return [_one_replica(job) for job in jobs]
 
 
 def cmd_simulate(cp, out):
     man = Manifest(out, "simulate", cp)
-    spec, _, grid, rates, equilibrium = _model(cp, require_circle=True)
+    spec, _, grid, rates, equilibrium = _model(cp)
     seed = _i(cp, "run", "seed")
     net = _network(cp, spec, _i(cp, "graphon", "N"), seed)
     reps, threads = _replicas(cp)
@@ -362,7 +378,7 @@ def compare_deviations(cp, N_sweep, seed):
         raise ConfigError(
             f"compare.snapshots = {n_snaps} needs compare.snapshots - 1 to divide "
             f"grid.steps = {steps}, so that every snapshot is a mean-field grid time")
-    spec, _, grid, rates, equilibrium = _model(cp, require_circle=True)
+    spec, _, grid, rates, equilibrium = _model(cp)
     reps, threads = _replicas(cp)
     T = _f(cp, "grid", "T")
     init_infected = _init_infected(cp, grid, equilibrium)
@@ -386,7 +402,7 @@ def compare_deviations(cp, N_sweep, seed):
 
 def cmd_compare(cp, out):
     man = Manifest(out, "compare", cp)
-    sweep = [int(v) for v in cp.get("compare", "N_sweep").split(",")]
+    sweep = _sizes(cp, "compare", "N_sweep")
     rows = [{"N": N, "median_sup_deviation": med, "replicas": devs}
             for N, (med, devs) in zip(sweep, compare_deviations(cp, sweep, _i(cp, "run", "seed")))]
     man.add("compare.json", json.dumps(rows, indent=2))
@@ -445,7 +461,7 @@ def cmd_ldp_check(cp, out):
     a = _f(cp, "ldp_check", "a")
     if a <= 1.0:
         raise ConfigError("tail level a must exceed 1")
-    Ns = [int(v) for v in cp.get("ldp_check", "N_values").split(",")]
+    Ns = _sizes(cp, "ldp_check", "N_values")
     limit = -float(ell(a))
     rows = []
     for N in Ns:

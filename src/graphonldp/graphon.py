@@ -3,11 +3,11 @@
 A kernel J(theta, theta') describes the limiting coupling density between
 locations.  Finite networks are sampled with independent signed edges,
 
-    P(J_jk = +1) = phi_N * p_plus(x_j, x_k),
-    P(J_jk = -1) = phi_N * p_minus(x_j, x_k),
+    P(J_jk = +1) = phi_N * max(J(x_j, x_k), 0),
+    P(J_jk = -1) = phi_N * max(-J(x_j, x_k), 0),
 
-so that E[J_jk / phi_N] = p_plus - p_minus = J(x_j, x_k) when the split
-functions are the positive/negative parts of the kernel.
+so that E[J_jk / phi_N] = J(x_j, x_k).  An unbounded kernel (power-law)
+has its pair probabilities clipped at 1.
 
 Normalization convention (important, the literature conflates two scales):
 ``phi_N`` here is the *edge-density* scale, so the mean degree is
@@ -31,14 +31,14 @@ class GraphonError(ValueError):
 
 
 class ProbabilityOverflowError(GraphonError):
-    """phi_N * (p_plus + p_minus) exceeded 1 at some pair."""
+    """phi_N * |J| exceeded 1 at some pair of a bounded kernel."""
 
     def __init__(self, j, k, value):
         self.pair = (j, k)
         self.value = value
         super().__init__(
             f"edge probability {value:.6g} > 1 at pair ({j}, {k}); "
-            "reduce phi_N or rescale the split functions"
+            "reduce phi_N or rescale the kernel"
         )
 
 
@@ -56,15 +56,16 @@ def density_from_degree_exponent(N, exponent):
 
 @dataclass(frozen=True)
 class GraphonSpec:
-    """A bounded connectivity kernel with its sampling metadata.
+    """A signed connectivity kernel, the one description sampling needs.
 
-    ``kernel`` must accept numpy arrays (broadcasting in both arguments).
-    ``lipschitz_exempt`` marks families whose kernel is not uniformly
-    Lipschitz (power-law blows up near 0; the small-world surrogate has a
-    jump at the cutoff); the spot check skips them but keeps the flag
-    visible.  ``clip_probabilities`` lets the power-law family saturate
-    pair probabilities at 1 instead of rejecting, matching its standard
-    construction.
+    ``kernel`` must accept numpy arrays (broadcasting in both arguments);
+    its positive and negative parts give the +1 and -1 edge probabilities.
+    ``bound`` is sup |J|; an infinite bound (power-law) makes sampling clip
+    pair probabilities at 1 instead of rejecting them, matching that
+    family's standard construction.  ``lipschitz_exempt`` marks families
+    whose kernel is not uniformly Lipschitz (power-law blows up near 0; the
+    small-world surrogate has a jump at the cutoff); the spot check skips
+    them but keeps the flag visible.
     """
 
     kernel: object
@@ -73,18 +74,10 @@ class GraphonSpec:
     family: str
     domain: str = "circle"  # or "unit-interval"
     lipschitz_exempt: bool = False
-    clip_probabilities: bool = False
-    params: dict = field(default_factory=dict)
 
     def positions(self, N):
         """Canonical node positions for this family's domain."""
         return _grid_positions(N, self.domain)
-
-    def split(self):
-        """Default positive/negative part split of the kernel."""
-        ker = self.kernel
-        return (lambda x, y: np.maximum(ker(x, y), 0.0),
-                lambda x, y: np.maximum(-ker(x, y), 0.0))
 
     def validate(self, grid_n=64, tol=1e-9):
         """Spot-check |J| <= bound and the Lipschitz property on a grid."""
@@ -111,7 +104,7 @@ def constant_kernel(level):
     lv = float(level)
     return GraphonSpec(
         kernel=lambda x, y: np.broadcast_to(np.float64(lv), np.broadcast_shapes(np.shape(x), np.shape(y))),
-        bound=abs(lv), symmetric=True, family="constant", params={"level": lv},
+        bound=abs(lv), symmetric=True, family="constant",
     )
 
 
@@ -123,7 +116,6 @@ def cosine_kernel(base=1.0, amplitude=0.5):
     return GraphonSpec(
         kernel=lambda x, y: b + a * np.cos(np.asarray(x) - np.asarray(y)),
         bound=b + abs(a), symmetric=True, family="inhomogeneous-circle",
-        params={"base": b, "amplitude": a},
     )
 
 
@@ -143,28 +135,24 @@ def small_world_kernel(high, low, cutoff):
     return GraphonSpec(
         kernel=lambda x, y: np.where(circle_distance(x, y) <= d0, hi, lo),
         bound=max(abs(hi), abs(lo)), symmetric=True, family="small-world",
-        lipschitz_exempt=True, params={"high": hi, "low": lo, "cutoff": d0},
+        lipschitz_exempt=True,
     )
 
 
-def power_law_kernel(beta_pl, gamma=None):
+def power_law_kernel(beta_pl):
     """Sparse power-law kernel (1-b)^2 (x y)^(-b) on (0, 1].
 
-    ``gamma`` is carried for the stated parameter ordering 0 < b < gamma < 1
-    but has no further role.  The kernel is unbounded near 0; pair
+    The kernel is unbounded near 0 (infinite ``bound``), so pair
     probabilities are clipped at 1 during sampling.
     """
     b = float(beta_pl)
     if not (0 < b < 1):
         raise GraphonError(f"power-law exponent must lie in (0, 1), got {b}")
-    if gamma is not None and not (b < gamma < 1):
-        raise GraphonError(f"power-law parameters need beta_pl < gamma < 1, got {b}, {gamma}")
     c = (1.0 - b) ** 2
     return GraphonSpec(
         kernel=lambda x, y: c * np.power(np.asarray(x, dtype=float) * np.asarray(y, dtype=float), -b),
         bound=np.inf, symmetric=True, family="power-law", domain="unit-interval",
-        lipschitz_exempt=True, clip_probabilities=True,
-        params={"beta_pl": b, "gamma": gamma},
+        lipschitz_exempt=True,
     )
 
 
@@ -248,20 +236,21 @@ class ConvergenceDiagnostic:
     mean_eta: float
 
 
-def sample_network(spec: GraphonSpec, N, phi_N, p_split=None, seed=0) -> Network:
+def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
     """Sample a W-random signed network with the stated edge marginals.
 
     Edges are independent (or mirrored when ``spec.symmetric``), with
-    P(J=+1) = phi_N p_plus and P(J=-1) = phi_N p_minus at the canonical
-    node positions.  Deterministic given ``seed``.  Raises
-    ProbabilityOverflowError when phi_N (p_plus + p_minus) > 1 at some
-    pair, unless the family opts into clipping.
+    P(J=+1) = phi_N max(J, 0) and P(J=-1) = phi_N max(-J, 0) at the
+    canonical node positions; the kernel is evaluated once per pair.
+    Deterministic given ``seed``.  Raises ProbabilityOverflowError when
+    phi_N |J| > 1 at some pair, unless the kernel is unbounded
+    (``spec.bound`` infinite), in which case probabilities are clipped at 1.
     """
     if N < 2:
         raise GraphonError(f"need N >= 2, got {N}")
     if not (phi_N > 0):
         raise GraphonError(f"phi_N must be positive, got {phi_N}")
-    p_plus, p_minus = p_split if p_split is not None else spec.split()
+    clip = np.isinf(spec.bound)
     x = spec.positions(N)
     rng = np.random.default_rng(seed)
 
@@ -272,17 +261,15 @@ def sample_network(spec: GraphonSpec, N, phi_N, p_split=None, seed=0) -> Network
             (np.arange(0, j), np.arange(j + 1, N)))
         if len(ks) == 0:
             continue
-        qp = phi_N * np.asarray(p_plus(x[j], x[ks]), dtype=float)
-        qm = phi_N * np.asarray(p_minus(x[j], x[ks]), dtype=float)
+        J = np.asarray(spec.kernel(x[j], x[ks]), dtype=float)
+        qp = phi_N * np.maximum(J, 0.0)
+        qm = phi_N * np.maximum(-J, 0.0)
         tot = qp + qm
         if np.any(tot > 1.0 + 1e-12):
-            if spec.clip_probabilities:
-                over = tot > 1.0
-                scale = np.where(over, 1.0 / tot, 1.0)
-                qp, qm, tot = qp * scale, qm * scale, np.minimum(tot, 1.0)
-            else:
-                k_bad = int(ks[np.argmax(tot)])
-                raise ProbabilityOverflowError(j, k_bad, float(np.max(tot)))
+            if not clip:
+                raise ProbabilityOverflowError(j, int(ks[np.argmax(tot)]), float(np.max(tot)))
+            scale = 1.0 / np.maximum(tot, 1.0)
+            qp, qm, tot = qp * scale, qm * scale, np.minimum(tot, 1.0)
         u = rng.random(len(ks))
         plus = u < qp
         minus = (~plus) & (u < tot)

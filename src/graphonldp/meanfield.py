@@ -144,21 +144,22 @@ def _drift(rates, grid, K, nu):
     return inflow - outflow, rt
 
 
-def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt, record_flux=True):
+def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
     """Integrate the limiting dynamics with classical RK4 at fixed step.
 
     ``nu0`` is (k, M), per-site normalized; the step is T / round(T / dt).
     Returns (DensityField, LimitFlux); flux densities p_{a->b} =
-    f_b(., a, w) nu_a are recorded at every accepted grid time.  Aborts with
+    f_b(., a, w) nu_a are recorded at every grid time.  Aborts with
     NormalizationError if the per-site state-sum drifts by more than
-    ``_NORM_TOL``.
+    ``_NORM_TOL``, if a density goes clearly negative, or if either turns
+    non-finite.
     """
     nu0 = np.asarray(nu0, dtype=float)
     k, M = nu0.shape
     if M != grid.M:
         raise ValueError("nu0 incompatible with grid")
     drift0 = np.max(np.abs(nu0.sum(axis=0) - 1.0))
-    if drift0 > _NORM_TOL:
+    if not drift0 <= _NORM_TOL:
         raise NormalizationError(f"initial density not per-site normalized: {drift0:.3g}")
     steps = max(1, int(round(T / dt)))
     dt = T / steps
@@ -168,41 +169,37 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt, record_flux=True):
     values = np.empty((steps + 1, k, M))
     values[0] = nu0
     chans = [(a, b) for a in range(k) for b in range(k) if a != b]
-    flux = {c: np.empty((steps + 1, M)) for c in chans} if record_flux else None
+    flux = {c: np.empty((steps + 1, M)) for c in chans}
 
     nu = nu0.copy()
     for n in range(steps):
         k1, rt = _drift(rates, grid, K, nu)
-        if record_flux:
-            for (a, b) in chans:
-                flux[(a, b)][n] = rt[a, b] * nu[a]
+        for (a, b) in chans:
+            flux[(a, b)][n] = rt[a, b] * nu[a]
         k2, _ = _drift(rates, grid, K, nu + 0.5 * dt * k1)
         k3, _ = _drift(rates, grid, K, nu + 0.5 * dt * k2)
         k4, _ = _drift(rates, grid, K, nu + dt * k3)
         nu = nu + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # written so that NaN fails both checks
         drift = np.max(np.abs(nu.sum(axis=0) - 1.0))
-        if drift > _NORM_TOL:
+        if not drift <= _NORM_TOL:
             raise NormalizationError(
                 f"per-site normalization drifted to {drift:.3g} at t={dt * (n + 1):.6g}")
         # positivity is monitored, never clipped: a clear excursion below
         # zero means the step size violated the stability bound
-        if np.min(nu) < -1e-6:
+        if not np.min(nu) >= -1e-6:
             raise NormalizationError(
                 f"density went negative ({np.min(nu):.3g}) at t={dt * (n + 1):.6g}; "
                 "reduce dt")
         values[n + 1] = nu
-    if record_flux:
-        _, rt = _drift(rates, grid, K, nu)
-        for (a, b) in chans:
-            flux[(a, b)][steps] = rt[a, b] * nu[a]
+    _, rt = _drift(rates, grid, K, nu)
+    for (a, b) in chans:
+        flux[(a, b)][steps] = rt[a, b] * nu[a]
 
     times = dt * np.arange(steps + 1)
-    dens = DensityField(times=times, labels=labels, values=values)
-    lf = LimitFlux(
-        times=times, labels=labels,
-        densities={(labels[a], labels[b]): flux[(a, b)] for (a, b) in chans},
-    ) if record_flux else None
-    return dens, lf
+    return (DensityField(times=times, labels=labels, values=values),
+            LimitFlux(times=times, labels=labels,
+                      densities={(labels[a], labels[b]): flux[(a, b)] for (a, b) in chans}))
 
 
 def sis_drift(s, grid: SpatialGrid, K, beta, alpha):
@@ -217,18 +214,21 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
-    otherwise the disease-free state s == 1.  Raises NumericalError if the
-    drift is still at or above ``tol`` after ``max_iter`` steps.
+    otherwise the disease-free state s == 1.  Raises NumericalError at the
+    first non-finite drift, or if the drift is still at or above ``tol``
+    after ``max_iter`` steps.
     """
     K = _as_matrix(kernel, grid)
     s = np.full(grid.M, 0.5)
     dt = 0.2 / max(alpha, beta * np.max(np.abs(K)))
     drift = np.inf
-    for _ in range(max_iter):
+    for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)
         s = np.clip(s + dt * ds, 0.0, 1.0)
         drift = np.max(np.abs(ds))
         if drift < tol:
             return s
+        if not np.isfinite(drift):
+            raise NumericalError(f"endemic equilibrium drift is {drift} at step {n}")
     raise NumericalError(
         f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol {tol:.3g}")

@@ -54,9 +54,6 @@ class RateValue:
         return self.value if self.finite else np.inf
 
 
-INFINITE = RateValue(value=np.inf, finite=False)
-
-
 def ell(a):
     """Poisson entropy cell a log a - a + 1 with ell(0) = 1."""
     a = np.asarray(a, dtype=float)

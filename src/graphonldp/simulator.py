@@ -147,23 +147,19 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     times, nodes, frs, tos = [], [], [], []
     t = 0.0
     for _ in range(max_events):
-        grand = float(totals.sum())
+        cum = np.cumsum(totals)
+        grand = float(cum[-1])
         if grand <= 0.0:
             break
         t = t + rng.exponential(1.0 / grand)
         if t > horizon:
             break
-        # categorical node draw, then channel within the node's rate row
-        u = rng.random() * grand
-        j = int(np.searchsorted(np.cumsum(totals), u))
-        j = min(j, N - 1)
-        row = R[j]
-        v = rng.random() * float(row.sum())
-        b = int(np.searchsorted(np.cumsum(row), v))
-        b = min(b, k - 1)
+        # categorical node draw, then channel within the node's rate row;
+        # u < cum[-1] and side="right" land on an entry of positive rate
+        j = int(np.searchsorted(cum, rng.random() * grand, side="right"))
+        cum_row = np.cumsum(R[j])
+        b = int(np.searchsorted(cum_row, rng.random() * cum_row[-1], side="right"))
         a = int(config[j])
-        if a == b:  # zero-rate channel hit by roundoff; skip without recording
-            continue
 
         times.append(t)
         nodes.append(j)

@@ -64,13 +64,14 @@ class TestSample:
 
     def test_power_law_rejected_for_epidemic_runs(self, tmp_path):
         # the unit-interval family can be sampled but not fed to the
-        # circle-domain epidemic pipeline
+        # circle-domain epidemic and continuum pipeline
         code, _ = run(tmp_path, "sample", "graphon.family=power-law",
                       "graphon.N=50", "graphon.phi_exponent=0.5")
         assert code == 0
-        code, _ = run(tmp_path, "simulate", "graphon.family=power-law",
-                      "graphon.N=50", "grid.T=0.1")
-        assert code == 2
+        for command in ("simulate", "meanfield", "compare", "rate", "action"):
+            code, _ = run(tmp_path, command, "graphon.family=power-law", "graphon.N=50",
+                          "grid.M=16", "grid.T=0.1", "grid.steps=100", "compare.N_sweep=50")
+            assert code == 2, command
 
 
 class TestSimulateAndMeanfield:
@@ -222,6 +223,52 @@ class TestCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert "grid.steps" in err and "compare.snapshots" in err
+
+    def test_pool_size_capped_by_replicas(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cp = cli.load_config(None, ["graphon.N=30"])
+        spec, _, grid, rates, _ = cli._model(cp)
+        net = cli._network(cp, spec, 30, 1)
+        trajs = cli._replica_trajectories(net, rates, np.full(grid.M, 0.3), 0.1,
+                                          reps=2, threads=16, seed=1)
+        assert len(trajs) == 2 and sizes == [2]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command, init", [("simulate", "uniform:1.7"),
+                                               ("meanfield", "uniform:1.5"),
+                                               ("meanfield", "cosine:0.5,0.6")])
+    def test_init_profile_outside_unit_interval(self, tmp_path, capsys, command, init):
+        code, _ = run(tmp_path, command, f"model.init={init}", "graphon.N=40",
+                      "run.replicas=1", "grid.M=8", "grid.T=0.1", "grid.steps=10")
+        assert code == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, setting", [("compare", "compare.N_sweep=abc"),
+                                                  ("ldp-check", "ldp_check.N_values=10,x"),
+                                                  ("ldp-check", "ldp_check.N_values=0,10")])
+    def test_malformed_size_list(self, tmp_path, capsys, command, setting):
+        code, _ = run(tmp_path, command, setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestRate:

@@ -4,6 +4,7 @@ import pytest
 from graphonldp.core_model import TWO_PI
 from graphonldp.graphon import (
     GraphonError,
+    GraphonSpec,
     Network,
     ProbabilityOverflowError,
     constant_kernel,
@@ -43,29 +44,21 @@ class TestSpecs:
         assert spec.validate()
 
     def test_power_law_parameter_domain(self):
-        with pytest.raises(GraphonError):
-            power_law_kernel(1.2)
-        with pytest.raises(GraphonError):
-            power_law_kernel(0.7, gamma=0.5)
-        spec = power_law_kernel(0.3, gamma=0.6)
-        assert spec.params["gamma"] == 0.6  # stored, unused downstream
+        for b in (1.2, 0.0, 1.0):
+            with pytest.raises(GraphonError):
+                power_law_kernel(b)
 
 
 class TestSampling:
     def test_empty_when_probabilities_vanish(self):
-        spec = constant_kernel(1.0)
-        zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        net = sample_network(spec, 50, 0.5, p_split=(zero, zero), seed=1)
+        net = sample_network(constant_kernel(0.0), 50, 0.5, seed=1)
         assert len(net.rows) == 0
 
     def test_constant_kernel_edge_density(self):
-        # phi_N = N with p_+ = J0/N: every edge present w.p. J0; binomial CI
+        # phi_N = N with J = J0/N: every edge present w.p. J0; binomial CI
         J0 = 0.35
         N = 400
-        spec = constant_kernel(J0)
-        p_plus = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), J0 / N)
-        p_minus = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        net = sample_network(spec, N, float(N), p_split=(p_plus, p_minus), seed=5)
+        net = sample_network(constant_kernel(J0 / N), N, float(N), seed=5)
         pairs = N * (N - 1) / 2
         density = (len(net.rows) / 2) / pairs
         sigma = np.sqrt(J0 * (1 - J0) / pairs)
@@ -83,7 +76,7 @@ class TestSampling:
         # sparse regime (phi < 1) where the min(1, .) clipping is inactive,
         # the degree profile follows x^-b
         b = 0.3
-        spec = power_law_kernel(b, gamma=0.6)
+        spec = power_law_kernel(b)
         N = 4000
         net = sample_network(spec, N, 0.05, seed=9)
         deg = net.degrees().astype(float)
@@ -91,6 +84,51 @@ class TestSampling:
         sel = (x > 0.02) & (deg > 0)
         slope = np.polyfit(np.log(x[sel]), np.log(deg[sel]), 1)[0]
         assert slope == pytest.approx(-b, abs=0.05)
+
+    def test_kernel_evaluated_once_per_pair(self):
+        N = 50
+        base = constant_kernel(0.5)
+        entries = []
+
+        def counting(x, y):
+            out = base.kernel(x, y)
+            entries.append(np.size(out))
+            return out
+
+        spec = GraphonSpec(kernel=counting, bound=0.5, symmetric=True, family="constant")
+        sample_network(spec, N, 0.5, seed=1)
+        assert sum(entries) == N * (N - 1) // 2
+
+    def test_signed_kernel_edges_follow_its_sign(self):
+        # -1 edges only where J < 0, +1 only where J > 0, and the -1
+        # count within a binomial interval of sum phi |J| over J < 0 pairs
+        N, phi = 300, 1.0
+        spec = GraphonSpec(kernel=lambda x, y: 0.5 * np.cos(np.asarray(x) - np.asarray(y)),
+                           bound=0.5, symmetric=True, family="signed-cosine")
+        assert spec.validate()
+        net = sample_network(spec, N, phi, seed=4)
+        x = net.positions
+        J = spec.kernel(x[net.rows], x[net.cols])
+        assert np.all(np.sign(J) == net.weights)
+        ju, ku = np.triu_indices(N, 1)
+        p = phi * np.maximum(-spec.kernel(x[ju], x[ku]), 0.0)
+        minus = np.sum((net.weights == -1) & (net.rows < net.cols))
+        assert minus > 0
+        assert abs(minus - p.sum()) <= 3 * np.sqrt(np.sum(p * (1 - p)))
+
+    def test_unbounded_kernel_clips_at_one(self):
+        # phi J > 1 near the origin: no overflow error, every such pair is
+        # an edge
+        N, phi = 200, 2.0
+        spec = power_law_kernel(0.6)
+        net = sample_network(spec, N, phi, seed=6)
+        x = net.positions
+        ju, ku = np.triu_indices(N, 1)
+        sure = phi * spec.kernel(x[ju], x[ku]) > 1.0
+        assert sure.sum() > 100
+        present = np.zeros((N, N), dtype=bool)
+        present[net.rows, net.cols] = True
+        assert np.all(present[ju[sure], ku[sure]])
 
     def test_symmetric_pairs_exact(self):
         spec = cosine_kernel(1.0, 0.5)
@@ -260,11 +298,11 @@ class TestSerialization:
     def test_canonical_positions(self):
         spec = cosine_kernel(1.0, 0.5)
         assert np.allclose(spec.positions(8), TWO_PI * np.arange(8) / 8)
-        pl = power_law_kernel(0.3, 0.6)
+        pl = power_law_kernel(0.3)
         assert pl.positions(4)[0] > 0  # (0, 1] grid avoids the pole
 
     def test_power_law_roundtrip_reconstructs_unit_grid(self, tmp_path):
-        spec = power_law_kernel(0.3, 0.6)
+        spec = power_law_kernel(0.3)
         net = sample_network(spec, 40, 0.05, seed=2)
         p = tmp_path / "pl.txt"
         write_network(p, net)

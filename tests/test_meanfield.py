@@ -163,10 +163,10 @@ class TestEvolve:
         kernel = cosine_kernel(1.0, 0.5)
         s0 = 0.6 + 0.2 * np.cos(grid.nodes)
         nu0 = np.vstack([s0, 1 - s0])
-        ref, _ = evolve(grid, kernel, rates, nu0, T=1.0, dt=1.0 / 512, record_flux=False)
+        ref, _ = evolve(grid, kernel, rates, nu0, T=1.0, dt=1.0 / 512)
         errs = []
         for dt in (1.0 / 16, 1.0 / 32):
-            dens, _ = evolve(grid, kernel, rates, nu0, T=1.0, dt=dt, record_flux=False)
+            dens, _ = evolve(grid, kernel, rates, nu0, T=1.0, dt=dt)
             errs.append(np.max(np.abs(dens.values[-1] - ref.values[-1])))
         order = np.log2(errs[0] / errs[1])
         assert order > 3.5
@@ -188,7 +188,7 @@ class TestEvolve:
             return f.ravel()
 
         ref = solve_ivp(rhs, (0.0, 2.0), nu0.ravel(), rtol=1e-11, atol=1e-12)
-        dens, _ = evolve(grid, kernel, rates, nu0, T=2.0, dt=1e-3, record_flux=False)
+        dens, _ = evolve(grid, kernel, rates, nu0, T=2.0, dt=1e-3)
         assert np.max(np.abs(dens.values[-1].ravel() - ref.y[:, -1])) < 1e-8
 
     def test_spatial_consistency(self):
@@ -199,8 +199,7 @@ class TestEvolve:
         for M in (32, 64):
             grid = circle_grid(M)
             s0 = 0.6 + 0.2 * np.cos(grid.nodes)
-            dens, _ = evolve(grid, kernel, rates, np.vstack([s0, 1 - s0]), T=1.0,
-                             dt=0.001, record_flux=False)
+            dens, _ = evolve(grid, kernel, rates, np.vstack([s0, 1 - s0]), T=1.0, dt=0.001)
             sol[M] = dens.state("S")[-1]
         assert np.max(np.abs(sol[64][::2] - sol[32])) < 1e-8
 
@@ -221,6 +220,34 @@ class TestEquilibrium:
         grid = circle_grid(32)
         with pytest.raises(NumericalError, match="not reached in 10 steps"):
             endemic_equilibrium(grid, cosine_kernel(1.0, 0.5), beta=3.0, alpha=1.0, max_iter=10)
+
+
+class TestNonFinite:
+    """A NaN in the kernel matrix stops the continuum loops at once; NaN
+    arithmetic raises no RuntimeWarning, so only the loop checks see it."""
+
+    @staticmethod
+    def nan_kernel(grid):
+        K = kernel_matrix(cosine_kernel(1.0, 0.5).kernel, grid)
+        K[3, 5] = np.nan
+        return K
+
+    def test_evolve_raises_on_nan(self):
+        grid, _, rates = sis_setup(M=16)
+        s0 = np.full(grid.M, 0.6)
+        with pytest.raises(NormalizationError, match="at t=0.01"):
+            evolve(grid, self.nan_kernel(grid), rates, np.vstack([s0, 1 - s0]), T=1.0, dt=0.01)
+
+    def test_equilibrium_raises_at_first_nan_drift(self, monkeypatch):
+        import graphonldp.meanfield as mf
+
+        grid = circle_grid(16)
+        calls = []
+        drift = mf.sis_drift
+        monkeypatch.setattr(mf, "sis_drift", lambda *a: calls.append(1) or drift(*a))
+        with pytest.raises(NumericalError, match="drift is nan"):
+            endemic_equilibrium(grid, self.nan_kernel(grid), beta=2.0, alpha=1.0)
+        assert len(calls) == 1
 
 
 class TestDensityField:
