@@ -83,7 +83,6 @@ from .action_path import (  # noqa: F401
     discrete_action,
     el_operators,
     el_residual,
-    formula_audit,
     frechet_A,
     frechet_lambda,
     minimize_action,

@@ -9,11 +9,10 @@ the converged path serve as an independent stationarity verification, not
 as the solver.
 
 The analytic derivative formulas (A and L partials in sdot and the Frechet
-fields M, N) are long hand-derived expressions, so ``formula_audit`` checks
-each one against its defining finite-difference oracle; any formula that
-disagrees beyond tolerance is reported in the diagnostics of every solve.
-The nonlocal G and the chain-rule field O are built from these and are
-verified through the gradient and stationarity tests.
+fields M, N) are long hand-derived expressions; the test suite checks each
+one against its defining finite-difference oracle.  The nonlocal G and the
+chain-rule field O are built from these and are verified through the
+gradient and stationarity tests.
 
 The stationarity identity checked by ``el_residual`` is
 
@@ -27,7 +26,6 @@ velocity field and therefore already carries the velocity factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -160,69 +158,6 @@ def _delta_A(pw, s, lam, x, dlam, alpha):
     derivative of lam in direction x."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return alpha / pw.D * (-lam * x + (1.0 - s) * dlam)
-
-
-# --- finite-difference oracles ----------------------------------------------
-
-def _fd_dL(sdot, s, lam, alpha, h=1e-6):
-    return (sis_lagrangian(sdot + h, s, lam, alpha)
-            - sis_lagrangian(sdot - h, s, lam, alpha)) / (2.0 * h)
-
-
-def _fd_d2L(sdot, s, lam, alpha, h=1e-4):
-    return (sis_lagrangian(sdot + h, s, lam, alpha)
-            - 2.0 * sis_lagrangian(sdot, s, lam, alpha)
-            + sis_lagrangian(sdot - h, s, lam, alpha)) / (h * h)
-
-
-def _fd_M(sdot, s, lam, alpha, h=1e-6):
-    return (sis_lagrangian(sdot, s, lam + h, alpha)
-            - sis_lagrangian(sdot, s, np.maximum(lam - h, 1e-12), alpha)) / (lam + h - np.maximum(lam - h, 1e-12))
-
-
-def _fd_N(sdot, s, lam, alpha, h=1e-7):
-    return (sis_lagrangian(sdot, s + h, lam, alpha)
-            - sis_lagrangian(sdot, s - h, lam, alpha)) / (2.0 * h)
-
-
-_FORMULA_TOL = 1e-3
-
-
-@cache
-def formula_audit():
-    """Cross-check every analytic formula against its defining oracle.
-
-    Draws 300 random non-degenerate (sdot, s, lam, alpha) tuples from a
-    fixed seed, compares the closed forms with central finite differences,
-    and records the worst relative error per formula.  Computed once.
-    """
-    rng = np.random.default_rng(20240901)
-    n = 300
-    sdot = rng.uniform(-2.0, 2.0, n)
-    s = rng.uniform(0.05, 0.95, n)
-    lam = rng.uniform(0.05, 3.0, n)
-    alpha = rng.uniform(0.2, 3.0, n)
-    pw = _pointwise(sdot, s, lam, alpha)
-
-    h = 1e-6
-    fd_dA = (sis_A(sdot + h, s, lam, alpha) - sis_A(sdot - h, s, lam, alpha)) / (2 * h)
-    h2 = 1e-4
-    fd_d2A = (sis_A(sdot + h2, s, lam, alpha) - 2 * sis_A(sdot, s, lam, alpha)
-              + sis_A(sdot - h2, s, lam, alpha)) / (h2 * h2)
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
-
-    checks = [
-        ("dA_dsdot", rel(pw.dA, fd_dA)),
-        ("d2A_dsdot2", rel(pw.d2A, fd_d2A)),
-        ("dL_dsdot", rel(pw.dL, _fd_dL(sdot, s, lam, alpha))),
-        ("d2L_dsdot2", rel(pw.d2L, _fd_d2L(sdot, s, lam, alpha))),
-        ("M_field", rel(pw.M, _fd_M(sdot, s, lam, alpha))),
-        ("N_field", rel(pw.N, _fd_N(sdot, s, lam, alpha))),
-    ]
-    return tuple({"name": name, "max_rel_err": err, "tol": _FORMULA_TOL, "pass": err <= _FORMULA_TOL}
-                 for name, err in checks)
 
 
 # --- slice-level operators --------------------------------------------------
@@ -493,7 +428,6 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         "cg_iters": int(res.cg_iters),
         "grad_evals": int(res.nfev),
         "converged": bool(converged),
-        "formula_discrepancies": [r for r in formula_audit() if not r["pass"]],
         "action_history": history,
     }
     if not converged:

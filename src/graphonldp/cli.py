@@ -82,18 +82,27 @@ def resolved_dict(cp):
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
-def _f(cp, sec, key):
+def _f(cp, sec, key, positive=False):
+    """A finite float entry, above zero when ``positive``."""
     try:
-        return cp.getfloat(sec, key)
+        value = cp.getfloat(sec, key)
     except ValueError as e:
         raise ConfigError(f"[{sec}] {key}: {e}") from None
+    if not np.isfinite(value) or (positive and value <= 0):
+        need = "finite and positive" if positive else "finite"
+        raise ConfigError(f"[{sec}] {key} must be {need}, got {value}")
+    return value
 
 
-def _i(cp, sec, key):
+def _i(cp, sec, key, least=None):
+    """An integer entry, at least ``least`` when given."""
     try:
-        return cp.getint(sec, key)
+        value = cp.getint(sec, key)
     except ValueError as e:
         raise ConfigError(f"[{sec}] {key}: {e}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"[{sec}] {key} must be at least {least}, got {value}")
+    return value
 
 
 def _sizes(cp, sec, key):
@@ -129,10 +138,8 @@ def graphon_spec(cp):
 
 
 def model_params(cp):
-    beta, alpha = _f(cp, "model", "beta"), _f(cp, "model", "alpha")
-    if beta <= 0 or alpha <= 0:
-        raise ConfigError("model rates must be positive")
-    return SisParams(beta=beta, alpha=alpha)
+    return SisParams(beta=_f(cp, "model", "beta", positive=True),
+                     alpha=_f(cp, "model", "alpha", positive=True))
 
 
 def parse_profile(text, grid, equilibrium):
@@ -243,7 +250,7 @@ def _model(cp):
             f"family {spec.family!r} lives on {spec.domain!r}; the epidemic "
             "and continuum runs need a circle-domain kernel")
     params = model_params(cp)
-    grid = circle_grid(_i(cp, "grid", "M"))
+    grid = circle_grid(_i(cp, "grid", "M", least=1))
     equilibrium = functools.cache(
         lambda: endemic_equilibrium(grid, spec, params.beta, params.alpha))
     return spec, params, grid, sis_rates(params), equilibrium
@@ -272,7 +279,8 @@ def _network(cp, spec, N, seed):
 
 def cmd_sample(cp, out):
     man = Manifest(out, "sample", cp)
-    net = _network(cp, graphon_spec(cp), _i(cp, "graphon", "N"), _i(cp, "run", "seed"))
+    net = _network(cp, graphon_spec(cp), _i(cp, "graphon", "N"),
+                   _i(cp, "run", "seed", least=0))
     write_network(man.dir / "network.txt", net)
     man.add("network.txt")
     man.write({"N": net.N, "phi_N": net.phi_N, "edges": int(len(net.rows))})
@@ -280,10 +288,7 @@ def cmd_sample(cp, out):
 
 
 def _replicas(cp):
-    reps = _i(cp, "run", "replicas")
-    if reps < 1:
-        raise ConfigError("replicas must be >= 1")
-    return reps, _i(cp, "run", "threads")
+    return _i(cp, "run", "replicas", least=1), _i(cp, "run", "threads")
 
 
 def _one_replica(args):
@@ -314,10 +319,10 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
 def cmd_simulate(cp, out):
     man = Manifest(out, "simulate", cp)
     spec, _, grid, rates, equilibrium = _model(cp)
-    seed = _i(cp, "run", "seed")
+    seed = _i(cp, "run", "seed", least=0)
     net = _network(cp, spec, _i(cp, "graphon", "N"), seed)
     reps, threads = _replicas(cp)
-    T = _f(cp, "grid", "T")
+    T = _f(cp, "grid", "T", positive=True)
     trajs = _replica_trajectories(net, rates, _init_infected(cp, grid, equilibrium), T,
                                   reps, threads, seed)
     edges = np.linspace(0.0, T, 11)
@@ -357,7 +362,8 @@ def cmd_meanfield(cp, out):
     man = Manifest(out, "meanfield", cp)
     spec, _, grid, rates, equilibrium = _model(cp)
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
-                                     _f(cp, "grid", "T"), _i(cp, "grid", "steps"))
+                                     _f(cp, "grid", "T", positive=True),
+                                     _i(cp, "grid", "steps", least=1))
     man.add("density.csv", _table("t,alpha,theta,value", _long_columns(
         dens.values, dens.times, list(dens.labels), grid.nodes)))
     chans = sorted(flux.densities)
@@ -373,14 +379,14 @@ def compare_deviations(cp, N_sweep, seed):
     replicas' values, of the sup-over-(state, bin, snapshot) gap between
     binned empirical occupation masses and the limiting solution.  The
     limiting solution and its predicted bin masses are computed once."""
-    steps, n_snaps = _i(cp, "grid", "steps"), _i(cp, "compare", "snapshots")
+    steps, n_snaps = _i(cp, "grid", "steps", least=1), _i(cp, "compare", "snapshots")
     if n_snaps < 2 or steps % (n_snaps - 1):
         raise ConfigError(
             f"compare.snapshots = {n_snaps} needs compare.snapshots - 1 to divide "
             f"grid.steps = {steps}, so that every snapshot is a mean-field grid time")
     spec, _, grid, rates, equilibrium = _model(cp)
     reps, threads = _replicas(cp)
-    T = _f(cp, "grid", "T")
+    T = _f(cp, "grid", "T", positive=True)
     init_infected = _init_infected(cp, grid, equilibrium)
     dens, _ = _meanfield_solution(grid, spec, rates, init_infected, T, steps)
     snaps = np.linspace(0.0, T, n_snaps)
@@ -403,8 +409,9 @@ def compare_deviations(cp, N_sweep, seed):
 def cmd_compare(cp, out):
     man = Manifest(out, "compare", cp)
     sweep = _sizes(cp, "compare", "N_sweep")
+    seed = _i(cp, "run", "seed", least=0)
     rows = [{"N": N, "median_sup_deviation": med, "replicas": devs}
-            for N, (med, devs) in zip(sweep, compare_deviations(cp, sweep, _i(cp, "run", "seed")))]
+            for N, (med, devs) in zip(sweep, compare_deviations(cp, sweep, seed))]
     man.add("compare.json", json.dumps(rows, indent=2))
     man.write({"medians": {str(r["N"]): r["median_sup_deviation"] for r in rows}})
     return 0
@@ -413,9 +420,9 @@ def cmd_compare(cp, out):
 def cmd_rate(cp, out):
     man = Manifest(out, "rate", cp)
     spec, params, grid, rates, equilibrium = _model(cp)
-    T = _f(cp, "grid", "T")
+    T = _f(cp, "grid", "T", positive=True)
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
-                                     T, _i(cp, "grid", "steps"))
+                                     T, _i(cp, "grid", "steps", least=1))
     g = rate_G(flux.densities, dens.values[0], grid, spec, rates, T, times=flux.times)
     act = sis_action(dens.state("S"), params, spec, grid, T)
     report = [
@@ -431,16 +438,13 @@ def cmd_rate(cp, out):
 
 def cmd_action(cp, out):
     man = Manifest(out, "action", cp)
-    opts = ActionOptions(max_iters=_i(cp, "action", "max_iters"),
-                         tol_grad=_f(cp, "action", "tol_grad"))
-    if opts.max_iters < 1:
-        raise ConfigError(f"[action] max_iters must be at least 1, got {opts.max_iters}")
-    if not (np.isfinite(opts.tol_grad) and opts.tol_grad > 0):
-        raise ConfigError(f"[action] tol_grad must be finite and positive, got {opts.tol_grad}")
+    opts = ActionOptions(max_iters=_i(cp, "action", "max_iters", least=1),
+                         tol_grad=_f(cp, "action", "tol_grad", positive=True))
     spec, params, grid, _, equilibrium = _model(cp)
     problem = PathProblem(s0=parse_profile(cp.get("action", "s0"), grid, equilibrium),
                           sT=parse_profile(cp.get("action", "sT"), grid, equilibrium),
-                          horizon=_f(cp, "grid", "T"), K=_i(cp, "grid", "K"))
+                          horizon=_f(cp, "grid", "T", positive=True),
+                          K=_i(cp, "grid", "K", least=3))
     result = minimize_action(problem, params, spec, grid, opts)
 
     times = np.linspace(0.0, problem.horizon, problem.K + 1)

@@ -19,9 +19,9 @@ Three levels of rate function are evaluated:
   its closed-form inner minimizer A(sdot, s), plus the general small-state
   contraction solved as a convex program per grid node.
 
-Degenerate boundaries (vanishing intensity with forced flow) yield an
-explicit infinity marker; intensities are floored at EPS_S inside
-logarithms only.
+Every closed form sums the cell lam ell(p / lam) of :func:`ell_scaled` over
+reaction channels.  The cell is +inf exactly where a zero intensity meets
+positive flux, the one source of the infinity marker; nothing is floored.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .core_model import EPS_S
 from .meanfield import _as_matrix, _rate_tensor, field_from_density
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -41,9 +40,9 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 class RateValue:
     """A rate-functional evaluation; ``finite`` is False for the +inf marker.
 
-    The marker is produced by branch logic, never by floating-point
-    arithmetic; ``where`` locates the first degenerate point (channel,
-    time index, node index) when known.
+    The marker comes from comparisons, never from overflow (NaN or negative
+    inputs raise ValueError); ``where`` locates the first degenerate point
+    (channel, time index, node index) when known.
     """
 
     value: float
@@ -59,29 +58,26 @@ def ell(a):
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise ValueError("ell requires nonnegative input")
-    out = xlogy(a, a) - a + 1.0
-    return out if out.ndim else float(out)
+    return ell_scaled(a, 1.0)
 
 
 def ell_scaled(p, lam):
-    """lam * ell(p / lam), stable near p = lam.
+    """The Poisson cost cell lam * ell(p / lam) of flux p at intensity lam.
 
-    The naive p log(p/lam) - p + lam loses all precision when p/lam is
-    within roundoff of 1 (the value is quadratic in the ratio defect);
-    writing the cell as lam * [(1+x) log1p(x) - x] with x = (p - lam)/lam
-    keeps full relative accuracy.  The floored-log branch handles ratios
-    far from 1 and the degenerate lam -> 0 boundary.
+    It is lam where p = 0, +inf exactly where lam <= 0 < p (by that
+    comparison), and lam * [(1+x) log1p(x) - x] with x = (p - lam)/lam near
+    p = lam, where the naive p log(p/lam) - p + lam loses all precision.
     """
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    lam_safe = np.maximum(lam, EPS_S)
-    x = (p - lam) / lam_safe
-    near = (np.abs(x) < 0.5) & (lam > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
+        x = (p - lam) / lam
+        near = np.abs(x) < 0.5
         xn = np.where(near, x, 0.0)
         small = lam * ((1.0 + xn) * np.log1p(xn) - xn)
-        big = xlogy(p, p / lam_safe) - p + lam
-    out = np.where(near, small, big)
+        big = xlogy(p, p / lam) - p + lam
+    out = np.where(near, small, np.where(p == 0, lam, big))
+    out = np.where((lam <= 0) & (p > 0), np.inf, out)
     return out if out.ndim else float(out)
 
 
@@ -110,6 +106,17 @@ def poisson_tail_log_prob(k, mean):
     return float(logsumexp(logs))
 
 
+def _checked_fluxes(flux_densities):
+    """The flux densities as float arrays; ValueError on a negative or NaN entry."""
+    out = {}
+    for chan, p in flux_densities.items():
+        p = np.asarray(p, dtype=float)
+        if not np.all(p >= 0):
+            raise ValueError(f"negative or NaN flux density on channel {chan}")
+        out[chan] = p
+    return out
+
+
 def rate_I(flux_densities, grid, T, times=None):
     """Uncoupled rate functional: sum over channels of iint ell(p) dkappa dt.
 
@@ -119,10 +126,7 @@ def rate_I(flux_densities, grid, T, times=None):
     """
     total = 0.0
     kw = grid.kappa_weights
-    for chan, p in flux_densities.items():
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0):
-            raise ValueError(f"negative flux density on channel {chan}")
+    for p in _checked_fluxes(flux_densities).values():
         tt = np.linspace(0.0, T, p.shape[0]) if times is None else times
         space = ell(p) @ kw
         total += float(_trapezoid(space, tt))
@@ -166,11 +170,12 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
 
     Returns a RateValue; the infinity marker fires if the reconstructed
     occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some channel has
-    positive flux against zero intensity.
+    positive flux against zero intensity.  A negative or NaN flux entry
+    raises ValueError.
     """
     labels = rates.states.labels
-    some = next(iter(flux_densities.values()))
-    n_t = np.asarray(some).shape[0]
+    flux_densities = _checked_fluxes(flux_densities)
+    n_t = next(iter(flux_densities.values())).shape[0]
     tt = np.linspace(0.0, T, n_t) if times is None else np.asarray(times)
     nu = reconstruct_occupation(flux_densities, nu0, labels, tt)
     if np.min(nu) < -_DENSITY_TOL or np.max(nu) > 1.0 + _DENSITY_TOL:
@@ -187,13 +192,10 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
         rt = _rate_tensor(rates, grid, field_from_density(grid, K, nu[n]))
         for (la, lb), p in flux_densities.items():
             a, b = idx[la], idx[lb]
-            lam = rt[a, b] * np.maximum(nu[n, a], 0.0)
-            pn = np.asarray(p)[n]
-            bad = (lam <= 0.0) & (pn > 0.0)
-            if np.any(bad):
-                return RateValue(np.inf, finite=False,
-                                 where=((la, lb), n, int(np.argmax(bad))))
-            integrand[n] += float(ell_scaled(pn, lam) @ kw)
+            cell = ell_scaled(p[n], rt[a, b] * np.maximum(nu[n, a], 0.0))
+            if np.isinf(cell).any():
+                return RateValue(np.inf, finite=False, where=((la, lb), n, int(np.argmax(cell))))
+            integrand[n] += float(cell @ kw)
     return RateValue(float(_trapezoid(integrand, tt)))
 
 
@@ -227,58 +229,16 @@ def sis_A(sdot, s_local, lam, alpha):
 def sis_lagrangian(sdot, s_local, lam, alpha):
     """Per-point SIS cost L(sdot, s): the exact infimum over flux splits.
 
-    Closed form alpha (1-s) ell(lam / A) + lam ell(A / lam) with
-    A = sis_A(...).  Whenever an intensity is exactly zero but the sign of
-    sdot forces flow through it, the value is the +inf marker (returned as
-    float inf entries, produced by branching).
+    The two channel cells at the optimal split, lam ell(A / lam) for the
+    infection flux A = sis_A(...) and alpha (1-s) ell(B / (alpha (1-s)))
+    for the recovery flux B = sdot + A (clamped at 0 against round-off).
+    Where the sign of sdot forces flow through a zero intensity, the cell
+    gives the +inf marker.
     """
-    sdot = np.asarray(sdot, dtype=float)
     s_local = np.asarray(s_local, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    up = alpha * (1.0 - s_local)  # recovery intensity
-    shape = np.broadcast_shapes(sdot.shape, s_local.shape, lam.shape)
-    sdot, s_local, lam, up = (np.broadcast_to(a, shape).copy()
-                              for a in (sdot, s_local, lam, np.asarray(up)))
-
-    lam0 = lam <= 0.0
-    up0 = up <= 0.0
-    generic = ~(lam0 | up0)
-
-    A = np.asarray(sis_A(sdot, s_local, lam, alpha))
-    # alpha(1-s) ell(lam/A) + lam ell(A/lam), each cell in the stable
-    # scaled form (exact on the drift manifold where A = lam)
-    Asafe = np.maximum(A, EPS_S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (up / Asafe) * ell_scaled(lam, A)
-        t2 = ell_scaled(A, lam)
-    out = np.where(generic, t1 + t2, 0.0)
-
-    # lam == 0: only the recovery channel can move; a = 0 forced.
-    #   sdot < 0 needs downward flux -> infinity marker.
-    if np.any(lam0):
-        neg = lam0 & (sdot < 0)
-        ok = lam0 & (sdot >= 0)
-        out = np.where(neg, np.inf, out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ok & (up > 0), sdot / np.maximum(up, EPS_S), 1.0)
-        cell = up * (xlogy(ratio, ratio) - ratio + 1.0)
-        # up == 0 too: both channels dead; any nonzero sdot is impossible.
-        dead = lam0 & up0
-        cell = np.where(dead, np.where(sdot == 0, 0.0, np.inf), cell)
-        out = np.where(ok, cell, out)
-
-    # s == 1 (recovery intensity zero, lam > 0): b = 0 forced, a = -sdot.
-    if np.any(up0 & ~lam0):
-        br = up0 & ~lam0
-        pos = br & (sdot > 0)
-        out = np.where(pos, np.inf, out)
-        a_forced = np.maximum(-sdot, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ra = np.where(br, a_forced / np.maximum(lam, EPS_S), 1.0)
-        cell = lam * (xlogy(ra, ra) - ra + 1.0)
-        out = np.where(br & (sdot <= 0), cell, out)
-
-    return out if out.ndim else float(out)
+    A = sis_A(sdot, s_local, lam, alpha)
+    B = np.maximum(sdot + A, 0.0)
+    return ell_scaled(A, lam) + ell_scaled(B, alpha * (1.0 - s_local))
 
 
 def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
@@ -343,19 +303,21 @@ def sis_action(path, params, kernel, grid, T):
     ``path`` is (n_t, M) susceptible values in [0, 1]; the time derivative
     uses centered differences (one-sided at the endpoints) and the time
     integral is trapezoidal.  Degenerate points propagate the infinity
-    marker.
+    marker; a non-finite path entry raises ValueError.
     """
     path = np.asarray(path, dtype=float)
     n_t = path.shape[0]
     if n_t < 3:
         raise ValueError("need at least 3 time slices")
+    if not np.all(np.isfinite(path)):
+        raise ValueError("path has a non-finite entry")
     dt = T / (n_t - 1)
     K = _as_matrix(kernel, grid)
     sdot = path_time_derivative(path, dt)
     lam = sis_lambda_field(path, grid, K, params.beta)
     L = sis_lagrangian(sdot, path, lam, params.alpha)
-    if not np.all(np.isfinite(L)):
-        n, i = np.unravel_index(int(np.argmax(~np.isfinite(L))), L.shape)
+    if np.isinf(L).any():
+        n, i = np.unravel_index(int(np.argmax(L)), L.shape)
         return RateValue(np.inf, finite=False, where=("L", n, i))
     space = L @ grid.kappa_weights
     return RateValue(float(_trapezoid(space, dx=dt)))
@@ -425,10 +387,7 @@ def contracted_node_value(r, lam, tol=1e-12, max_iter=100):
         u = u + t * full
     else:
         raise InfeasibleRateError("dual Newton failed to converge")
-    q = flows(u)
-    mask = lam > 0
-    val = np.sum(xlogy(q[mask], q[mask] / lam[mask]) - q[mask] + lam[mask])
-    return float(val)
+    return float(np.sum(ell_scaled(flows(u), lam)))
 
 
 def contracted_node_bruteforce(r, lam, levels=14, points=9):

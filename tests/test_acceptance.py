@@ -136,11 +136,31 @@ def test_A4_exact_poisson_tail_slope():
                  f"({elapsed:.2f}s)")
 
 
+def _fd_dL(sdot, s, lam, alpha, h=1e-6):
+    return (sis_lagrangian(sdot + h, s, lam, alpha)
+            - sis_lagrangian(sdot - h, s, lam, alpha)) / (2.0 * h)
+
+
+def _fd_d2L(sdot, s, lam, alpha, h=1e-4):
+    return (sis_lagrangian(sdot + h, s, lam, alpha)
+            - 2.0 * sis_lagrangian(sdot, s, lam, alpha)
+            + sis_lagrangian(sdot - h, s, lam, alpha)) / (h * h)
+
+
+def _fd_M(sdot, s, lam, alpha, h=1e-6):
+    return (sis_lagrangian(sdot, s, lam + h, alpha)
+            - sis_lagrangian(sdot, s, np.maximum(lam - h, 1e-12), alpha)) / (lam + h - np.maximum(lam - h, 1e-12))
+
+
+def _fd_N(sdot, s, lam, alpha, h=1e-7):
+    return (sis_lagrangian(sdot, s + h, lam, alpha)
+            - sis_lagrangian(sdot, s - h, lam, alpha)) / (2.0 * h)
+
+
 def test_A5_derivative_oracles():
     """Every analytic derivative matches its finite-difference oracle."""
     t0 = time.time()
-    from graphonldp.action_path import (
-        _fd_dL, _fd_d2L, _fd_M, _fd_N, _pointwise)
+    from graphonldp.action_path import _pointwise
 
     rng = np.random.default_rng(77)
     n = 1000
@@ -236,7 +256,6 @@ def test_A6_minimum_action_stationarity():
                           ActionOptions(tol_grad=3e-9, initial_path=lift(warm.path, K)))
     tol_criterion = 1e-6 * max(1.0, abs(res.action))
     assert res.diagnostics["grad_norm"] <= tol_criterion
-    assert res.diagnostics["formula_discrepancies"] == []
 
     # strict convexity along the converged path
     dt = T / K

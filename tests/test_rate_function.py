@@ -13,6 +13,7 @@ from graphonldp.rate_function import (
     contracted_node_bruteforce,
     contracted_node_value,
     ell,
+    ell_scaled,
     poisson_tail_log_prob,
     rate_G,
     rate_I,
@@ -47,6 +48,23 @@ class TestEll:
     def test_convexity(self, a, b, lam):
         mid = ell(lam * a + (1 - lam) * b)
         assert mid <= lam * ell(a) + (1 - lam) * ell(b) + 1e-12
+
+
+class TestEllScaled:
+    def test_marker_on_zero_intensity(self):
+        assert ell_scaled(1.0, 0.0) == np.inf
+        assert ell_scaled(1.0, -0.5) == np.inf
+
+    def test_zero_flux_and_balance(self):
+        for lam in (0.0, 1e-12, 0.3, 7.0):
+            assert ell_scaled(0.0, lam) == lam
+            assert ell_scaled(lam, lam) == 0.0
+
+    def test_series_near_balance(self):
+        lam = 2.5
+        p = lam * (1.0 + 1e-6)
+        x = (p - lam) / lam  # the defect p carries after rounding
+        assert ell_scaled(p, lam) == pytest.approx(lam * (x * x / 2 - x ** 3 / 6), rel=1e-12)
 
 
 class TestPoissonTail:
@@ -152,6 +170,10 @@ class TestSisLagrangian:
         assert sis_lagrangian(0.5, 1.0, 0.7, 1.0) == np.inf   # s = 1 cannot rise
         assert np.isfinite(sis_lagrangian(0.5, 0.5, 0.0, 1.0))
         assert np.isfinite(sis_lagrangian(-0.5, 1.0, 0.7, 1.0))
+        # both channels dead: only standing still is possible
+        assert sis_lagrangian(0.0, 1.0, 0.0, 1.0) == 0.0
+        assert sis_lagrangian(0.3, 1.0, 0.0, 1.0) == np.inf
+        assert sis_lagrangian(-0.3, 1.0, 0.0, 1.0) == np.inf
 
     def test_strict_convexity_midpoint(self):
         rng = np.random.default_rng(4)
@@ -215,6 +237,12 @@ class TestSisAction:
         val = sis_action(path, self.params, self.kernel, self.grid, 1.0)
         assert not val.finite
 
+    def test_nan_path_rejected(self):
+        path = np.full((11, self.grid.M), 0.5)
+        path[0, 3] = np.nan
+        with pytest.raises(ValueError):
+            sis_action(path, self.params, self.kernel, self.grid, 1.0)
+
 
 class TestRateG:
     def setup_method(self):
@@ -274,6 +302,15 @@ class TestRateG:
                      self.kernel, self.rates, 1.0)
         assert not val.finite
         assert val.where is not None
+
+    @pytest.mark.parametrize("value", [-0.05, np.nan])
+    def test_invalid_flux_rejected(self, value):
+        p = np.full((5, self.grid.M), 0.1)
+        p[2, 7] = value
+        nu0 = np.full((2, self.grid.M), 0.5)
+        with pytest.raises(ValueError):
+            rate_G({("S", "I"): p, ("I", "S"): np.full_like(p, 0.1)}, nu0, self.grid,
+                   self.kernel, self.rates, 1.0)
 
     def test_occupation_reconstruction(self):
         tt = np.linspace(0, 1, 11)
