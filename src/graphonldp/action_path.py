@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
 from .core_model import EPS_S
-from .meanfield import _as_matrix, field_from_density
+from .meanfield import _operator, field_from_density
 from .rate_function import (
     _sis_disc2,
     path_time_derivative,
@@ -150,7 +150,7 @@ def _G_field(pw, s, beta, grid, Km):
     """Nonlocal G = N + beta M K[1 - s] - beta K^T[kappa M s], the first
     variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
     return (pw.N + beta * pw.M * field_from_density(grid, Km, 1.0 - s)
-            - beta * (pw.M * s * grid.kappa_weights) @ Km)
+            - beta * Km.apply_T(pw.M * s))
 
 
 def _delta_A(pw, s, lam, x, dlam, alpha):
@@ -169,7 +169,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     G, the velocity-direction Frechet increments (delta_lam, delta_A) and
     the chain-rule field O; all are NaN where lam (1 - s) vanishes.
     """
-    Km = _as_matrix(kernel, grid)
+    Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     sdot = np.asarray(sdot, dtype=float)
     alpha = params.alpha
@@ -197,7 +197,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
 def frechet_lambda(s, x, params, kernel, grid):
     """Frechet derivative of the infection intensity in direction x:
     x(theta) beta int J(theta, z)(1 - s(z)) dmu - beta s(theta) int J(theta, z) x(z) dmu."""
-    Km = _as_matrix(kernel, grid)
+    Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     return (x * params.beta * field_from_density(grid, Km, 1.0 - s)
@@ -207,7 +207,7 @@ def frechet_lambda(s, x, params, kernel, grid):
 def frechet_A(sdot, s, x, params, kernel, grid):
     """Frechet derivative of the inner minimizer A in direction x:
     alpha D^-1 (-lam x(theta) + (1 - s) Dlam . x)."""
-    Km = _as_matrix(kernel, grid)
+    Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     lam = sis_lambda_field(s, grid, Km, params.beta)
@@ -257,7 +257,7 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
     dt = horizon / (n_t - 1)
-    Km = _as_matrix(kernel, grid)
+    Km = _operator(kernel, grid)
     kw = grid.kappa_weights
     alpha = params.alpha
 
@@ -366,7 +366,7 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
     warning in the diagnostics.
     """
     opts = opts or ActionOptions()
-    Km = _as_matrix(kernel, grid)
+    Km = _operator(kernel, grid)
     n_t, M = problem.K + 1, problem.M
     dt = problem.horizon / problem.K
     lo, hi = problem.floor, 1.0 - problem.floor

@@ -70,12 +70,50 @@ def kernel_matrix(kernel, grid: SpatialGrid):
     return np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
 
 
-def _as_matrix(kernel, grid: SpatialGrid):
-    """Dense K from a GraphonSpec, a bare kernel callable or a prebuilt
-    (M, M) array; the kernel is evaluated only when no matrix is given."""
-    if isinstance(kernel, np.ndarray):
+#: Smallest M at which a circulant K is applied by FFT (the measured crossover).
+_FFT_MIN_M = 256
+#: Largest deviation from circulance, relative to max|K|, taken as round-off.
+_CIRCULANT_TOL = 1e-13
+
+
+class KernelOperator:
+    """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
+    d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
+    weights, M >= ``_FFT_MIN_M`` and K circulant to round-off (every kernel of
+    x - y on the uniform circle grid) both are circular convolutions by real
+    FFT, O(M log M); otherwise dense products, which stay the oracle."""
+
+    def __init__(self, K, grid: SpatialGrid):
+        self.K, self.kw = K, grid.kappa_weights
+        self.max_abs = float(np.max(np.abs(K)))
+        col = K[:, 0]
+        # row i of a circulant K read right to left is [col, col][i + 1 : i + 1 + M]
+        rolls = np.lib.stride_tricks.sliding_window_view(np.concatenate([col, col])[1:], grid.M)
+        self.fft = bool(grid.M >= _FFT_MIN_M and np.all(self.kw == self.kw[0])
+                        and np.max(np.abs(K[:, ::-1] - rolls)) <= _CIRCULANT_TOL * self.max_abs)
+        if self.fft:
+            self._col, self._row = np.fft.rfft(col), np.fft.rfft(K[0])
+
+    def _convolve(self, x, spectrum):
+        return np.fft.irfft(np.fft.rfft(x) * spectrum, n=self.kw.size)
+
+    def apply(self, density):
+        x = density * self.kw
+        return self._convolve(x, self._col) if self.fft else x @ self.K.T
+
+    def apply_T(self, v):
+        x = v * self.kw
+        return self._convolve(x, self._row) if self.fft else x @ self.K
+
+
+def _operator(kernel, grid: SpatialGrid):
+    """The KernelOperator of a GraphonSpec, a bare kernel callable or a
+    prebuilt (M, M) array; an operator is passed through unchanged."""
+    if isinstance(kernel, KernelOperator):
         return kernel
-    return kernel_matrix(getattr(kernel, "kernel", kernel), grid)
+    if not isinstance(kernel, np.ndarray):
+        kernel = kernel_matrix(getattr(kernel, "kernel", kernel), grid)
+    return KernelOperator(kernel, grid)
 
 
 @dataclass
@@ -118,12 +156,12 @@ class LimitFlux:
 def field_from_density(grid: SpatialGrid, K, density):
     """Quadrature of w_a(theta_i) = integral J(theta_i, zeta) nu(a, zeta) dmu.
 
-    ``density`` is (M,) or (k, M) and the result has the same shape: the
-    kernel contraction of each row against the kappa-weighted density.
-    This is the one forward application of K; the vector is weighted,
-    never the matrix.
+    ``K`` is a KernelOperator or a dense (M, M) array; ``density`` is (M,)
+    or (k, M) and the result has the same shape: the kernel contraction of
+    each row against the kappa-weighted density.  This is the one forward
+    application of K.
     """
-    return (density * grid.kappa_weights) @ K.T
+    return _operator(K, grid).apply(density)
 
 
 def _rate_tensor(rates, grid, w):
@@ -163,7 +201,7 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
         raise NormalizationError(f"initial density not per-site normalized: {drift0:.3g}")
     steps = max(1, int(round(T / dt)))
     dt = T / steps
-    K = _as_matrix(kernel, grid)
+    K = _operator(kernel, grid)
 
     labels = rates.states.labels
     values = np.empty((steps + 1, k, M))
@@ -218,9 +256,9 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
     first non-finite drift, or if the drift is still at or above ``tol``
     after ``max_iter`` steps.
     """
-    K = _as_matrix(kernel, grid)
+    K = _operator(kernel, grid)
     s = np.full(grid.M, 0.5)
-    dt = 0.2 / max(alpha, beta * np.max(np.abs(K)))
+    dt = 0.2 / max(alpha, beta * K.max_abs)
     drift = np.inf
     for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)

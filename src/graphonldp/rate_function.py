@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .meanfield import _as_matrix, _rate_tensor, field_from_density
+from .meanfield import _operator, _rate_tensor, field_from_density
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -155,7 +155,8 @@ def reconstruct_occupation(flux_densities, nu0, labels, times):
     return nu
 
 
-#: How far the occupation reconstructed by ``rate_G`` may leave [0, 1].
+#: How far a density may leave [0, 1]: the occupation reconstructed by
+#: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
 _DENSITY_TOL = 1e-6
 
 
@@ -170,11 +171,13 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
 
     Returns a RateValue; the infinity marker fires if the reconstructed
     occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some channel has
-    positive flux against zero intensity.  A negative or NaN flux entry
-    raises ValueError.
+    positive flux against zero intensity.  A negative or NaN flux entry, or
+    a non-finite entry of ``nu0``, raises ValueError.
     """
     labels = rates.states.labels
     flux_densities = _checked_fluxes(flux_densities)
+    if not np.all(np.isfinite(nu0)):
+        raise ValueError("initial occupation nu0 has a non-finite entry")
     n_t = next(iter(flux_densities.values())).shape[0]
     tt = np.linspace(0.0, T, n_t) if times is None else np.asarray(times)
     nu = reconstruct_occupation(flux_densities, nu0, labels, tt)
@@ -182,7 +185,7 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
         n, a, i = np.unravel_index(int(np.argmax(np.abs(nu - 0.5))), nu.shape)
         return RateValue(np.inf, finite=False, where=("occupation", n, i))
 
-    K = _as_matrix(kernel, grid)
+    K = _operator(kernel, grid)
     kw = grid.kappa_weights
     idx = {lab: i for i, lab in enumerate(labels)}
 
@@ -233,9 +236,12 @@ def sis_lagrangian(sdot, s_local, lam, alpha):
     infection flux A = sis_A(...) and alpha (1-s) ell(B / (alpha (1-s)))
     for the recovery flux B = sdot + A (clamped at 0 against round-off).
     Where the sign of sdot forces flow through a zero intensity, the cell
-    gives the +inf marker.
+    gives the +inf marker.  A susceptible value outside [0, 1] by more than
+    ``_DENSITY_TOL`` raises ValueError.
     """
     s_local = np.asarray(s_local, dtype=float)
+    if not np.all((s_local >= -_DENSITY_TOL) & (s_local <= 1.0 + _DENSITY_TOL)):
+        raise ValueError("susceptible density outside [0, 1]")
     A = sis_A(sdot, s_local, lam, alpha)
     B = np.maximum(sdot + A, 0.0)
     return ell_scaled(A, lam) + ell_scaled(B, alpha * (1.0 - s_local))
@@ -312,7 +318,7 @@ def sis_action(path, params, kernel, grid, T):
     if not np.all(np.isfinite(path)):
         raise ValueError("path has a non-finite entry")
     dt = T / (n_t - 1)
-    K = _as_matrix(kernel, grid)
+    K = _operator(kernel, grid)
     sdot = path_time_derivative(path, dt)
     lam = sis_lambda_field(path, grid, K, params.beta)
     L = sis_lagrangian(sdot, path, lam, params.alpha)
@@ -470,5 +476,5 @@ def channel_intensities(rates, grid, nu, w=None, kernel=None):
     """Assemble lambda_ab(theta) = f_b(theta, a, w) nu(a, theta) on the grid."""
     nu = np.asarray(nu, dtype=float)
     if w is None:
-        w = field_from_density(grid, _as_matrix(kernel, grid), nu)
+        w = field_from_density(grid, _operator(kernel, grid), nu)
     return _rate_tensor(rates, grid, np.asarray(w)) * nu[:, None, :]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from graphonldp.core_model import SIS_SPACE, ConstantRates, NumericalError, SisParams, sis_rates
-from graphonldp.graphon import constant_kernel, cosine_kernel
+from graphonldp.graphon import constant_kernel, cosine_kernel, small_world_kernel
 from graphonldp.meanfield import (
+    KernelOperator,
     NormalizationError,
     SpatialGrid,
     circle_grid,
@@ -82,6 +83,69 @@ class TestFieldFromDensity:
             w = field_from_density(grid, K, dens_fn(grid.nodes)[None, :])
             vals[M] = w[0, 0]
         assert vals[16] == pytest.approx(vals[256], abs=1e-6)
+
+
+def skewed_kernel(x, y):
+    """Circulant on the uniform grid but not symmetric: a swapped apply_T shows."""
+    return 1.0 + 0.5 * np.sin(x - y + 0.3)
+
+
+class TestKernelOperator:
+    """The FFT applications of a circulant kernel against the dense product."""
+
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.3).kernel, cosine_kernel(1.0, 0.5).kernel,
+                                        small_world_kernel(0.9, 0.1, 0.5).kernel, skewed_kernel])
+    def test_fft_matches_dense(self, kernel):
+        grid = circle_grid(1024)
+        K = kernel_matrix(kernel, grid)
+        op = KernelOperator(K, grid)
+        assert op.fft
+        kw = grid.kappa_weights
+        dens = np.random.default_rng(5).uniform(0.0, 1.0, (3, grid.M))
+        assert np.max(np.abs(op.apply(dens) - (dens * kw) @ K.T)) <= 1e-12
+        assert np.max(np.abs(op.apply_T(dens) - (dens * kw) @ K)) <= 1e-12
+        assert np.max(np.abs(op.apply(dens[0]) - (dens[0] * kw) @ K.T)) <= 1e-12
+        assert np.max(np.abs(field_from_density(grid, K, dens) - (dens * kw) @ K.T)) <= 1e-12
+
+    def test_dense_path_off_the_circulant_case(self):
+        from graphonldp.meanfield import _FFT_MIN_M
+
+        def dense_taken(grid, K):
+            op = KernelOperator(K, grid)
+            dens = np.random.default_rng(6).uniform(0.0, 1.0, (2, grid.M))
+            kw = grid.kappa_weights
+            return (not op.fft and np.array_equal(op.apply(dens), (dens * kw) @ K.T)
+                    and np.array_equal(op.apply_T(dens), (dens * kw) @ K))
+
+        uniform = circle_grid(1024)
+        weights = 1.0 + 0.5 * np.cos(uniform.nodes)
+        skewed_weights = SpatialGrid(nodes=uniform.nodes, weights=weights / weights.sum(),
+                                     rho=np.ones(uniform.M))
+        assert dense_taken(skewed_weights, kernel_matrix(skewed_kernel, skewed_weights))
+
+        moved = kernel_matrix(skewed_kernel, uniform)
+        assert KernelOperator(moved, uniform).fft
+        moved[7, 400] += 1e-6
+        assert dense_taken(uniform, moved)
+
+        coarse = circle_grid(_FFT_MIN_M - 1)
+        assert dense_taken(coarse, kernel_matrix(skewed_kernel, coarse))
+
+    def test_evolve_fft_matches_dense(self, monkeypatch):
+        import graphonldp.meanfield as mf
+
+        grid = circle_grid(1024)
+        rates = sis_rates(SisParams(beta=2.0, alpha=1.0))
+        kernel = small_world_kernel(0.9, 0.1, 0.5)
+        assert KernelOperator(kernel_matrix(kernel.kernel, grid), grid).fft
+        s0 = 0.6 + 0.2 * np.cos(grid.nodes)
+        nu0 = np.vstack([s0, 1 - s0])
+        fft, fft_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
+        monkeypatch.setattr(mf, "_FFT_MIN_M", grid.M + 1)
+        dense, dense_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
+        assert np.max(np.abs(fft.values - dense.values)) <= 1e-12
+        for chan, p in dense_flux.densities.items():
+            assert np.max(np.abs(fft_flux.densities[chan] - p)) <= 1e-12
 
 
 class TestEvolve:

@@ -175,6 +175,11 @@ class TestSisLagrangian:
         assert sis_lagrangian(0.3, 1.0, 0.0, 1.0) == np.inf
         assert sis_lagrangian(-0.3, 1.0, 0.0, 1.0) == np.inf
 
+    @pytest.mark.parametrize("args", [(-0.1, 1.2, 0.5, 1.0), (0.1, -0.2, -0.5, 1.0)])
+    def test_susceptible_outside_unit_interval_rejected(self, args):
+        with pytest.raises(ValueError, match="outside"):
+            sis_lagrangian(*args)
+
     def test_strict_convexity_midpoint(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -311,6 +316,15 @@ class TestRateG:
         with pytest.raises(ValueError):
             rate_G({("S", "I"): p, ("I", "S"): np.full_like(p, 0.1)}, nu0, self.grid,
                    self.kernel, self.rates, 1.0)
+
+    def test_nan_initial_occupation_rejected(self):
+        grid = circle_grid(8)
+        p = np.full((5, grid.M), 0.1)
+        nu0 = np.full((2, grid.M), 0.5)
+        nu0[0, 3] = np.nan
+        with pytest.raises(ValueError, match="nu0"):
+            rate_G({("S", "I"): p, ("I", "S"): p.copy()}, nu0, grid,
+                   cosine_kernel(1.0, 0.5), self.rates, 1.0)
 
     def test_occupation_reconstruction(self):
         tt = np.linspace(0, 1, 11)
