@@ -314,8 +314,9 @@ def _newton_cg(fun, x0, jac, bounds, callback, maxiter, gtol, precondition, **_)
     """Truncated Newton on the box ``bounds = (lo, hi)``, a scipy custom
     minimizer.  CG on H d = -g, preconditioned by ``precondition(x)``, with
     H v a forward difference of ``jac``, stops at the forcing tolerance
-    min(0.5, sqrt|g|) |g| or on non-positive curvature (then the first step
-    is the preconditioned gradient); Armijo backtracking follows."""
+    min(0.5, sqrt|g|) |g| or on non-positive curvature, which includes a
+    direction that leaves the box at once (then the first step is the
+    preconditioned gradient); Armijo backtracking follows."""
     lo, hi = bounds
     x, f, g = x0, fun(x0), jac(x0)
     nit, cg_iters, evals, message = 0, 0, 1, "iteration limit reached"
@@ -326,8 +327,11 @@ def _newton_cg(fun, x0, jac, bounds, callback, maxiter, gtol, precondition, **_)
         rz = r @ z
         for j in range(_CG_MAX):
             h = min(_FD_STEP / np.max(np.abs(p)), 0.5 * _room(x, p, lo, hi))
-            Hp = (jac(x + h * p) - g) / h
-            curv = p @ Hp
+            if h > 0.0:
+                Hp, evals = (jac(x + h * p) - g) / h, evals + 1
+                curv = p @ Hp
+            else:  # p leaves the box at once: no curvature to measure along it
+                curv = 0.0
             if not curv > 0.0:
                 if j == 0:
                     d = z
@@ -338,7 +342,7 @@ def _newton_cg(fun, x0, jac, bounds, callback, maxiter, gtol, precondition, **_)
             z = solve(r)
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        cg_iters, evals = cg_iters + j + 1, evals + j + 1
+        cg_iters += j + 1
         step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi)), g @ d
         while step > 1e-12:
             f_trial, evals = fun(x + step * d), evals + 1

@@ -288,7 +288,7 @@ def cmd_sample(cp, out):
 
 
 def _replicas(cp):
-    return _i(cp, "run", "replicas", least=1), _i(cp, "run", "threads")
+    return _i(cp, "run", "replicas", least=1), _i(cp, "run", "threads", least=1)
 
 
 def _one_replica(args):

@@ -1,12 +1,24 @@
 """Exact event-driven simulation of the N-node jump process.
 
 The configuration-dependent rates are piecewise constant between events, so
-the classical exponential-clock scheme (draw the next event time from the
-total rate, then the node/channel categorically) samples the law exactly.
-Each flip touches only the flipped node and its in-neighbours: the local
-fields, exact integer counts, are updated through the coupling column and
-only the affected rate rows are recomputed, in O(degree) work; the node draw
-is still a cumulative sum over all N nodes, so an event costs O(N).
+exponential-clock schemes sample the law exactly.  ``simulate`` runs one of
+two loops:
+
+* the SIS loop, when the rate family is exactly :class:`SisRates` (not a
+  subclass): the optimized Gillespie scheme of Cota & Ferreira (2017).  The
+  total proposal rate alpha n_I + beta (N phi_N)^-1 D, with D the positive
+  out-stubs of the infected nodes, changes by one node's stub count per
+  event.  A recovery takes a uniform infected node; an infection proposal
+  draws the infector by rejection on its stub count, then a uniform stub.
+  A proposal onto an infected node, or one that fails the signed acceptance
+  max(0, c_j) / c_j^+ (exact integer field over its positive part), is null:
+  time advances but nothing is logged.  Each proposal costs O(1) Python
+  work on an unsigned network and O(degree) on a signed one;
+* the generic loop, for every other rate family: draw the next event time
+  from the total rate, then the node and channel categorically.  A flip
+  updates the exact integer fields of the in-neighbours and recomputes only
+  their rate rows, but the node draw is a cumulative sum over all N nodes,
+  so an event costs O(N).
 
 Trajectories store the full event log; empirical occupation measures and
 reaction fluxes are derived from it with integer counting, so the
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import TWO_PI, ModelError, NumericalError, _config_codes
+from .core_model import I, S, TWO_PI, ModelError, NumericalError, SisRates, _config_codes
 
 
 class RateOverflowError(NumericalError):
@@ -53,10 +65,11 @@ class TrajectoryRecord:
         """Configuration at time t (cadlag: events at t have happened)."""
         if not (0.0 <= t <= self.horizon):
             raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        cfg = self.initial.copy()
         upto = int(np.searchsorted(self.times, t, side="right"))
-        for i in range(upto):
-            cfg[self.nodes[i]] = self.to_codes[i]
+        # the first hit of each node in the reversed prefix is its last event
+        changed, first = np.unique(self.nodes[:upto][::-1], return_index=True)
+        cfg = self.initial.copy()
+        cfg[changed] = self.to_codes[upto - 1 - first]
         return cfg
 
 
@@ -113,20 +126,129 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
 
     ``init`` is a length-N sequence of state labels or integer codes; an
     unknown label or a code outside [0, k) raises ModelError.  Deterministic
-    given ``seed``.
+    given ``seed``.  A rate family of type exactly :class:`SisRates` runs the
+    SIS loop (O(1) Python work per event; its null proposals advance time
+    but are not logged), any other family, ``SisRates`` subclasses included,
+    the generic O(N)-per-event loop; the two agree in law, not in their
+    random streams.
     Raises RateOverflowError if the rate family produces a non-finite value,
     and NumericalError if the horizon is not reached within ``max_events``
-    events.
+    logged events.
     """
     states = rates.states
-    k = states.size
     N = network.N
     config = _config_codes(states, init, N, "init")
     if horizon <= 0:
         raise ModelError("horizon must be positive")
     initial_codes = config.copy()
-
     rng = np.random.default_rng(seed)
+    if type(rates) is SisRates:
+        times, nodes, tos = _sis_events(network, rates.params, config, horizon, rng, max_events)
+        frs = 1 - np.array(tos, dtype=np.int64)  # an SIS event flips S <-> I
+    else:
+        times, nodes, frs, tos = _generic_events(network, rates, config, horizon, rng, max_events)
+    return TrajectoryRecord(
+        N=N, horizon=float(horizon), labels=states.labels,
+        positions=network.positions, initial=initial_codes,
+        times=np.array(times), nodes=np.array(nodes, dtype=np.int64),
+        from_codes=np.array(frs, dtype=np.int64), to_codes=np.array(tos, dtype=np.int64),
+    )
+
+
+def _budget_error(max_events, t, horizon):
+    return NumericalError(f"event budget {max_events} exhausted at t={t:.6g} < horizon {horizon:.6g}")
+
+
+def _blocks(draw, size=16, largest=4096):
+    """Endless stream of the floats ``draw(size)`` returns, in blocks that
+    double up to ``largest``, so that a short run draws little."""
+    while True:
+        yield from draw(size).tolist()
+        size = min(2 * size, largest)
+
+
+def _sis_events(network, params, config, horizon, rng, max_events):
+    """SIS event log by the rejection scheme of Cota & Ferreira (2017).
+
+    ``config`` (int codes) is updated in place.  Returns the lists of event
+    times, nodes and target codes.
+    """
+    N = network.N
+    rows, cols, wts = network.rows, network.cols, network.weights
+    # positive out-stubs of node k: the rows j with J_jk = +1, grouped by k
+    plus = wts == 1
+    heads = cols[plus]
+    order = np.argsort(heads, kind="stable")
+    stubs = rows[plus][order]
+    start = np.searchsorted(heads[order], np.arange(N + 1))
+    n_stubs = np.diff(start)
+    k_max = int(n_stubs.max(initial=0))
+    D = int(n_stubs[config == I].sum())
+    start, n_stubs = start.tolist(), n_stubs.tolist()
+    signed = bool(np.any(wts < 0))
+    indptr = network.indptr
+
+    # infected nodes in an add/remove list; where[j] is j's slot, -1 if susceptible
+    infected = np.flatnonzero(config == I).tolist()
+    where = [-1] * N
+    for slot, j in enumerate(infected):
+        where[j] = slot
+
+    alpha, b = params.alpha, params.beta / (N * network.phi_N)
+    unif = _blocks(rng.random).__next__
+    expo = _blocks(rng.standard_exponential).__next__
+    times, nodes, tos = [], [], []
+    t = 0.0
+    while True:
+        if len(times) >= max_events:
+            raise _budget_error(max_events, t, horizon)
+        n = len(infected)
+        recovery = alpha * n
+        total = recovery + b * D
+        if total <= 0.0:
+            break
+        t += expo() / total
+        if t > horizon:
+            break
+        if unif() * total < recovery:
+            j = infected[int(unif() * n)]
+            last = infected.pop()
+            if last != j:
+                infected[where[j]] = last
+                where[last] = where[j]
+            where[j] = -1
+            D -= n_stubs[j]
+            to = S
+        else:
+            while True:  # infector k with probability n_stubs[k] / D
+                k = infected[int(unif() * n)]
+                if unif() * k_max < n_stubs[k]:
+                    break
+            j = int(stubs[start[k] + int(unif() * n_stubs[k])])
+            if where[j] >= 0:
+                continue
+            if signed:
+                # accept with max(0, c_j) / c_j^+, counted on j's row
+                lo, hi = indptr[j], indptr[j + 1]
+                w = wts[lo:hi][config[cols[lo:hi]] == I]
+                if not unif() * np.count_nonzero(w == 1) < w.sum():
+                    continue
+            where[j] = n
+            infected.append(j)
+            D += n_stubs[j]
+            to = I
+        config[j] = to
+        times.append(t)
+        nodes.append(j)
+        tos.append(to)
+    return times, nodes, tos
+
+
+def _generic_events(network, rates, config, horizon, rng, max_events):
+    """Event log of any rate family by the categorical exponential-clock
+    scheme.  ``config`` (int codes) is updated in place."""
+    k = rates.states.size
+    N = network.N
     scale = 1.0 / (N * network.phi_N)
 
     # in-neighbour lists: the rows j holding an entry (j, k), grouped by k
@@ -178,14 +300,8 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
             raise RateOverflowError(j, t)
         totals[recompute] = R[recompute].sum(axis=1)
     else:
-        raise NumericalError(f"event budget {max_events} exhausted at t={t:.6g} < horizon {horizon:.6g}")
-
-    return TrajectoryRecord(
-        N=N, horizon=float(horizon), labels=states.labels,
-        positions=network.positions, initial=initial_codes,
-        times=np.array(times), nodes=np.array(nodes, dtype=np.int64),
-        from_codes=np.array(frs, dtype=np.int64), to_codes=np.array(tos, dtype=np.int64),
-    )
+        raise _budget_error(max_events, t, horizon)
+    return times, nodes, frs, tos
 
 
 def extract_flux(traj: TrajectoryRecord) -> EmpiricalFlux:

@@ -10,6 +10,7 @@ from graphonldp.action_path import (
     ActionOptions,
     EndpointError,
     PathProblem,
+    _newton_cg,
     discrete_action,
     el_operators,
     el_residual,
@@ -276,6 +277,20 @@ class TestMinimizeAction:
                               ActionOptions(max_iters=30))
         assert res.diagnostics["converged"]
         assert res.path.max() <= 0.999
+
+    def test_newton_step_off_the_box_measures_no_curvature(self):
+        # f = |x - c|^2 / 2 on [0, 1]^2 with c outside the box, started on the
+        # face x_0 = 1 where the descent direction points out of the box: the
+        # first CG direction has no room, so the finite-difference step h is 0
+        # and must not be divided by (0/0 is a RuntimeWarning, an error here)
+        c = np.array([2.0, 0.5])
+        x0 = np.array([1.0, 0.5])
+        res = _newton_cg(lambda x: 0.5 * np.sum((x - c) ** 2), x0, lambda x: x - c,
+                         (np.zeros(2), np.ones(2)), callback=None, maxiter=5, gtol=1e-9,
+                         precondition=lambda x: lambda r: r)
+        assert np.array_equal(res.x, x0)
+        assert res.nit == 0 and res.cg_iters == 1
+        assert res.message == "line search failed" and not res.success
 
     def test_descent_and_convergence(self):
         grid = circle_grid(16)

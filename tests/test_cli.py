@@ -278,6 +278,7 @@ class TestInputErrors:
         *[(c, f"grid.T={v}") for c in ("simulate", "meanfield", "compare", "rate", "action")
           for v in ("nan", "inf")],
         ("sample", "run.seed=-1"), ("simulate", "run.seed=-1"), ("compare", "run.seed=-1"),
+        ("simulate", "run.threads=0"),
         ("ldp-check", "ldp_check.a=nan"), ("ldp-check", "ldp_check.a=inf")])
     def test_out_of_range_number(self, tmp_path, capsys, command, setting):
         code, _ = run(tmp_path, command, setting, "graphon.N=40", "run.replicas=1",

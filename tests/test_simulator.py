@@ -12,7 +12,7 @@ from graphonldp.core_model import (
     local_field,
     sis_rates,
 )
-from graphonldp.graphon import Network, cosine_kernel, sample_network
+from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
 from graphonldp.simulator import bin_index, extract_flux, occupation_at, simulate
 
 
@@ -24,6 +24,30 @@ def empty_network(N):
 
 def sis(beta=2.0, alpha=1.0):
     return sis_rates(SisParams(beta=beta, alpha=alpha))
+
+
+class GenericSis(SisRates):
+    """The SIS rates under another type: ``simulate`` takes its SIS loop only
+    for the exact type SisRates, so this family runs the generic loop."""
+
+
+def generic_sis(beta=2.0, alpha=1.0):
+    return GenericSis(SisParams(beta=beta, alpha=alpha))
+
+
+def signed_directed_network(N=60, phi=0.1, seed=4):
+    """J != J^T with both signs; positions are node indices.  Returns the
+    network, its dense J and the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((N, N)) < 0.15
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    weights = rng.choice([-1.0, 1.0], len(rows))
+    J = np.zeros((N, N), dtype=np.int64)
+    J[rows, cols] = weights
+    net = Network(N=N, positions=np.arange(N, dtype=float), rows=rows, cols=cols,
+                  weights=weights, phi_N=phi, seed=0, family="constant")
+    return net, J, rng
 
 
 class TestSimulate:
@@ -49,12 +73,12 @@ class TestSimulate:
         cols = np.array([1, 0])
         net = Network(N=2, positions=np.array([0.0, np.pi]), rows=rows, cols=cols,
                       weights=np.ones(2), phi_N=1.0, seed=0, family="constant")
-        rates = sis(beta=2.0, alpha=1.0)
         # node 0 susceptible with w_I = 1/2 -> rate 1; node 1 infected -> rate 1
-        first = [simulate(net, rates, ["S", "I"], 100.0, seed=1000 + r).times[0]
-                 for r in range(2000)]
-        res = stats.kstest(np.array(first) * 2.0, "expon")
-        assert res.pvalue > 0.01
+        for rates in (sis(beta=2.0, alpha=1.0), generic_sis(beta=2.0, alpha=1.0)):
+            first = [simulate(net, rates, ["S", "I"], 100.0, seed=1000 + r).times[0]
+                     for r in range(2000)]
+            res = stats.kstest(np.array(first) * 2.0, "expon")
+            assert res.pvalue > 0.01, type(rates).__name__
 
     def test_deterministic_given_seed(self):
         spec = cosine_kernel(1.0, 0.5)
@@ -100,8 +124,22 @@ class TestSimulate:
         # isolated infected nodes recover at rate 1: five events cannot
         # reach the horizon of 50 with twenty of them
         net = empty_network(20)
-        with pytest.raises(NumericalError, match="event budget 5 exhausted"):
-            simulate(net, sis(), ["I"] * 20, horizon=50.0, seed=0, max_events=5)
+        for rates in (sis(), generic_sis()):
+            with pytest.raises(NumericalError, match="event budget 5 exhausted"):
+                simulate(net, rates, ["I"] * 20, horizon=50.0, seed=0, max_events=5)
+
+    @pytest.mark.parametrize("make", [sis, generic_sis])
+    def test_event_budget_counts_logged_events(self, make):
+        # on the all-infected complete graph every infection proposal of the
+        # SIS loop is null; the budget counts only the logged events, and a
+        # budget of one more than the run needs leaves the run unchanged
+        net = sample_network(constant_kernel(1.0), 30, 1.0, seed=0)
+        full = simulate(net, make(), ["I"] * 30, 1.0, seed=5)
+        assert full.n_events > 5
+        again = simulate(net, make(), ["I"] * 30, 1.0, seed=5, max_events=full.n_events + 1)
+        assert np.array_equal(again.times, full.times)
+        with pytest.raises(NumericalError, match=f"event budget {full.n_events} exhausted"):
+            simulate(net, make(), ["I"] * 30, 1.0, seed=5, max_events=full.n_events)
 
     def test_invalid_init_length(self):
         net = empty_network(5)
@@ -143,17 +181,10 @@ class TestSimulate:
                 return super().rate_matrix(theta, from_codes, w)
 
         N, phi = 60, 0.1
-        rng = np.random.default_rng(4)
-        mask = rng.random((N, N)) < 0.15
-        np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        weights = rng.choice([-1.0, 1.0], len(rows))
-        J = np.zeros((N, N), dtype=np.int64)
-        J[rows, cols] = weights
+        net, J, rng = signed_directed_network(N, phi)
         assert not np.array_equal(J, J.T)
-        # positions = node indices, so each call's theta names its rows
-        net = Network(N=N, positions=np.arange(N, dtype=float), rows=rows, cols=cols,
-                      weights=weights, phi_N=phi, seed=0, family="constant")
+        # positions = node indices, so each call's theta names its rows;
+        # Recording is a SisRates subclass, so this runs the generic loop
         rates = Recording()
         traj = simulate(net, rates, (rng.random(N) < 0.5).astype(np.int64), 2.0, seed=6)
         assert traj.n_events > 20 and len(rates.calls) == traj.n_events + 1
@@ -178,7 +209,6 @@ class TestSimulate:
         net = Network(N=3, positions=2 * np.pi * np.arange(3) / 3, rows=rows,
                       cols=cols, weights=w, phi_N=1.0, seed=0, family="constant")
         beta, alpha = 2.0, 1.0
-        rates = sis(beta=beta, alpha=alpha)
         states = list(product((0, 1), repeat=3))
         index = {s: i for i, s in enumerate(states)}
         J = np.zeros((3, 3))
@@ -199,13 +229,66 @@ class TestSimulate:
         exact = expm(Q.T * t_probe) @ np.eye(8)[index[init]]
 
         reps = 20_000
-        counts = np.zeros(8)
-        for r in range(reps):
-            traj = simulate(net, rates, np.array(init), t_probe, seed=r)
-            counts[index[tuple(traj.config_at(t_probe))]] += 1
-        emp = counts / reps
         sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / reps)
-        assert np.all(np.abs(emp - exact) <= 4.5 * sigma + 1e-12)
+        for rates in (sis(beta=beta, alpha=alpha), generic_sis(beta=beta, alpha=alpha)):
+            counts = np.zeros(8)
+            for r in range(reps):
+                traj = simulate(net, rates, np.array(init), t_probe, seed=r)
+                counts[index[tuple(traj.config_at(t_probe))]] += 1
+            emp = counts / reps
+            assert np.all(np.abs(emp - exact) <= 4.5 * sigma + 1e-12), type(rates).__name__
+
+    def test_complete_graph_infected_count_law(self):
+        # constant kernel 1 at phi_N = 1 samples the complete graph, on which
+        # the infected count is the birth-death chain with rates
+        # (N - n) beta n / N up and alpha n down; the histogram of I_T over
+        # many seeds must pass a chi-square test against the chain's forward
+        # equation at level 0.001, with bins merged to expected counts >= 5
+        from scipy.linalg import expm
+
+        N, beta, alpha, T, n0, reps = 40, 2.0, 1.0, 1.0, 10, 1500
+        net = sample_network(constant_kernel(1.0), N, 1.0, seed=0)
+        assert len(net.rows) == N * (N - 1)
+        n = np.arange(N + 1)
+        Q = np.diag((N - n[:-1]) * beta * n[:-1] / N, 1) + np.diag(alpha * n[1:], -1)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        expected = reps * (expm(Q.T * T) @ np.eye(N + 1)[n0])
+        init = (np.arange(N) < n0).astype(np.int64)
+        for rates in (sis(beta, alpha), generic_sis(beta, alpha)):
+            final = [int(simulate(net, rates, init, T, seed=r).config_at(T).sum())
+                     for r in range(reps)]
+            observed = np.bincount(final, minlength=N + 1).astype(float)
+            # merge neighbouring counts, left to right, until each bin expects >= 5
+            edges, acc = [0], 0.0
+            for i, e in enumerate(expected):
+                acc += e
+                if acc >= 5.0 and expected[i + 1:].sum() >= 5.0:
+                    edges.append(i + 1)
+                    acc = 0.0
+            obs, exp = np.add.reduceat(observed, edges), np.add.reduceat(expected, edges)
+            assert exp.min() >= 5.0 and len(obs) > 5
+            res = stats.chisquare(obs, exp)
+            assert res.pvalue > 0.001, (type(rates).__name__, res)
+
+    def test_loops_agree_in_law_on_signed_directed_network(self):
+        # the one test of the SIS loop's signed acceptance max(0, c)/c^+: on
+        # J != J^T with both signs, the event count's mean and variance over
+        # many seeds agree between the two loops within 4 combined standard
+        # errors (the variance's from the sample fourth central moment)
+        net, J, rng = signed_directed_network()
+        assert np.any(J < 0) and not np.array_equal(J, J.T)
+        init = (rng.random(net.N) < 0.5).astype(np.int64)
+        reps = 600
+        moments = []
+        for rates in (sis(), generic_sis()):
+            x = np.array([simulate(net, rates, init, 2.0, seed=r).n_events
+                          for r in range(reps)], dtype=float)
+            c = x - x.mean()
+            var, m4 = np.mean(c ** 2), np.mean(c ** 4)
+            moments.append((x.mean(), var, var / reps, (m4 - var ** 2) / reps))
+        (m1, v1, sm1, sv1), (m2, v2, sm2, sv2) = moments
+        assert abs(m1 - m2) <= 4.0 * np.sqrt(sm1 + sm2), moments
+        assert abs(v1 - v2) <= 4.0 * np.sqrt(sv1 + sv2), moments
 
 
 class TestOccupation:
