@@ -9,7 +9,6 @@ most-likely transition paths by discretized action minimization.
 __version__ = "0.1.0"
 
 from .core_model import (  # noqa: F401
-    EPS_S,
     ConstantRates,
     ModelError,
     NumericalError,

@@ -31,15 +31,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
-from .core_model import EPS_S
-from .meanfield import _operator, field_from_density
-from .rate_function import (
-    _sis_disc2,
-    path_time_derivative,
-    sis_A,
-    sis_lagrangian,
-    sis_lambda_field,
-)
+from .meanfield import _operator, field_from_density, sis_lambda_field
+from .rate_function import _sis_disc2, path_time_derivative, sis_A, sis_lagrangian
+
+#: Floor of the action layer: the path solve stays in [_EPS_S, 1 - _EPS_S],
+#: the derivative fields floor A and lam at it inside their logarithms, and
+#: a cell with lam (1 - s) at or below it is degenerate.
+_EPS_S = 1e-8
 
 
 class EndpointError(ValueError):
@@ -54,7 +52,6 @@ class PathProblem:
     sT: np.ndarray
     horizon: float
     K: int = 200
-    floor: float = EPS_S
 
     def __post_init__(self):
         self.s0 = np.asarray(self.s0, dtype=float)
@@ -101,7 +98,7 @@ class ElOperators:
 
 class _Pointwise(NamedTuple):
     D: np.ndarray
-    lr: np.ndarray        # log(lam / A), both floored at EPS_S
+    lr: np.ndarray        # log(lam / A), both floored at _EPS_S
     Asafe: np.ndarray
     lamsafe: np.ndarray
     bracket: np.ndarray
@@ -122,8 +119,8 @@ def _pointwise(sdot, s, lam, alpha):
         disc2 = _sis_disc2(sdot, s, lam, alpha)[1]
         D = np.sqrt(disc2)
         A = sis_A(sdot, s, lam, alpha)
-        Asafe = np.maximum(A, EPS_S)
-        lamsafe = np.maximum(lam, EPS_S)
+        Asafe = np.maximum(A, _EPS_S)
+        lamsafe = np.maximum(lam, _EPS_S)
         lr = np.log(lamsafe) - np.log(Asafe)
         bracket = 1.0 + up * lam / (Asafe * Asafe)
 
@@ -185,7 +182,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
                                   + 2.0 * (1.0 - s) * lam * delta_A / Asafe ** 3
                                   - (1.0 - s) * delta_lam / Asafe ** 2))
 
-    mask = (lam * (1.0 - s)) <= EPS_S
+    mask = (lam * (1.0 - s)) <= _EPS_S
     fields = dict(dA_dsdot=dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
                   M_field=pw.M, N_field=pw.N, G_field=_G_field(pw, s, params.beta, grid, Km),
                   delta_lam=delta_lam, delta_A=delta_A, O_field=O)
@@ -373,7 +370,7 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
     Km = _operator(kernel, grid)
     n_t, M = problem.K + 1, problem.M
     dt = problem.horizon / problem.K
-    lo, hi = problem.floor, 1.0 - problem.floor
+    lo, hi = _EPS_S, 1.0 - _EPS_S
 
     start = problem.initial_path() if opts.initial_path is None else np.asarray(opts.initial_path, dtype=float)
     start = np.clip(start, lo, hi)

@@ -19,12 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Density floor used inside logarithms by the rate functionals.  The SIS
-#: infection intensity vanishes on the absorbing boundary s in {0, 1}; rate
-#: evaluations clamp only the arguments of logs, never the densities
-#: themselves.
-EPS_S = 1e-8
-
 
 def circle_distance(a, b):
     """Wrap-around distance on the circle, elementwise."""

@@ -79,20 +79,21 @@ class GraphonSpec:
         """Canonical node positions for this family's domain."""
         return _grid_positions(N, self.domain)
 
-    def validate(self, grid_n=64, tol=1e-9):
-        """Spot-check |J| <= bound and the Lipschitz property on a grid."""
-        xs = self.positions(grid_n)
+    def validate(self):
+        """Spot-check |J| <= bound and the Lipschitz property on a 64-point
+        grid, with slack 1e-9."""
+        xs = self.positions(64)
         K = np.asarray(self.kernel(xs[:, None], xs[None, :]), dtype=float)
         if not np.all(np.isfinite(K)):
             raise GraphonError(f"kernel not finite on spot grid ({self.family})")
-        if np.max(np.abs(K)) > self.bound + tol:
+        if np.max(np.abs(K)) > self.bound + 1e-9:
             raise GraphonError(
                 f"kernel exceeds stated bound {self.bound}: max |J| = {np.max(np.abs(K)):.6g}"
             )
         if not self.lipschitz_exempt:
             h = xs[1] - xs[0]
             slope = max(np.max(np.abs(np.diff(K, axis=0))), np.max(np.abs(np.diff(K, axis=1)))) / h
-            if slope > self.bound + tol:
+            if slope > self.bound + 1e-9:
                 raise GraphonError(
                     f"kernel Lipschitz spot check failed: slope {slope:.6g} > bound {self.bound}"
                 )

@@ -7,10 +7,12 @@ nonlocal master equation
                                           - f_b(theta, a, w_t(theta)) nu_t(a, theta) ],
 
 with fields w_{t,a}(theta) = integral J(theta, zeta) nu_t(a, zeta) dmu(zeta).
-The reaction-flux densities p_{a->b}(theta, t) = f_b(theta, a, w_t) nu_t(a)
-are recorded alongside; their signed sums reproduce the density increments
-exactly (the continuum flux/occupation conservation identity), which the
-tests check to integrator order.
+The right side is the divergence of the channel intensities lambda_{a,b} =
+f_b(theta, a, w) nu(a), formed by :func:`channel_intensities` here and in
+the coupled rate functional.  On the limit they are the reaction-flux
+densities, recorded alongside; their signed sums reproduce the density
+increments exactly (the continuum flux/occupation conservation identity),
+which the tests check to integrator order.
 
 Conventions: the reference measure on the circle is normalized to total
 mass 1 and carried by quadrature weights summing to 1 (periodic trapezoid,
@@ -164,22 +166,29 @@ def field_from_density(grid: SpatialGrid, K, density):
     return _operator(K, grid).apply(density)
 
 
-def _rate_tensor(rates, grid, w):
-    """rates[a, b, i] = f_b(theta_i, a, w(theta_i)) for all channels a -> b."""
-    k = rates.states.size
-    M = grid.M
-    out = np.empty((k, k, M))
-    for a in range(k):
-        out[a] = rates.rate_matrix(grid.nodes, np.full(M, a, dtype=np.int64), w.T).T
-    return out
+def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
+    """Channel intensities lambda[a, b, i] = f_b(theta_i, a, w(theta_i)) nu(a, theta_i)
+    of the (k, M) densities ``nu``, with fields w = K[nu] for a GraphonSpec,
+    kernel callable, (M, M) array or KernelOperator ``kernel``.  The one
+    product of rates and densities: the mean-field drift is its divergence,
+    and the coupled rate functional compares fluxes against it."""
+    nu = np.asarray(nu, dtype=float)
+    w = field_from_density(grid, kernel, nu).T
+    lam = np.empty((nu.shape[0],) + nu.shape)
+    for a in range(nu.shape[0]):
+        lam[a] = rates.rate_matrix(grid.nodes, np.full(grid.M, a, dtype=np.int64), w).T * nu[a]
+    return lam
+
+
+def sis_lambda_field(s, grid: SpatialGrid, K, beta):
+    """SIS infection intensity lambda(theta) = beta s(theta) * K[(1-s)](theta)."""
+    s = np.asarray(s, dtype=float)
+    return beta * s * field_from_density(grid, K, 1.0 - s)
 
 
 def _drift(rates, grid, K, nu):
-    w = field_from_density(grid, K, nu)
-    rt = _rate_tensor(rates, grid, w)  # (k, k, M)
-    inflow = np.einsum("abm,am->bm", rt, nu)
-    outflow = nu * rt.sum(axis=1)
-    return inflow - outflow, rt
+    lam = channel_intensities(rates, grid, nu, K)
+    return lam.sum(axis=0) - lam.sum(axis=1), lam
 
 
 def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
@@ -190,8 +199,10 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
     f_b(., a, w) nu_a are recorded at every grid time.  Aborts with
     NormalizationError if the per-site state-sum drifts by more than
     ``_NORM_TOL``, if a density goes clearly negative, or if either turns
-    non-finite.
+    non-finite.  Raises ValueError unless T and dt are finite and positive.
     """
+    if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"T and dt must be finite and positive, got T={T!r}, dt={dt!r}")
     nu0 = np.asarray(nu0, dtype=float)
     k, M = nu0.shape
     if M != grid.M:
@@ -211,9 +222,9 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
 
     nu = nu0.copy()
     for n in range(steps):
-        k1, rt = _drift(rates, grid, K, nu)
+        k1, lam = _drift(rates, grid, K, nu)
         for (a, b) in chans:
-            flux[(a, b)][n] = rt[a, b] * nu[a]
+            flux[(a, b)][n] = lam[a, b]
         k2, _ = _drift(rates, grid, K, nu + 0.5 * dt * k1)
         k3, _ = _drift(rates, grid, K, nu + 0.5 * dt * k2)
         k4, _ = _drift(rates, grid, K, nu + dt * k3)
@@ -230,9 +241,9 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
                 f"density went negative ({np.min(nu):.3g}) at t={dt * (n + 1):.6g}; "
                 "reduce dt")
         values[n + 1] = nu
-    _, rt = _drift(rates, grid, K, nu)
+    _, lam = _drift(rates, grid, K, nu)
     for (a, b) in chans:
-        flux[(a, b)][steps] = rt[a, b] * nu[a]
+        flux[(a, b)][steps] = lam[a, b]
 
     times = dt * np.arange(steps + 1)
     return (DensityField(times=times, labels=labels, values=values),
@@ -242,18 +253,16 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
 
 def sis_drift(s, grid: SpatialGrid, K, beta, alpha):
     """Scalar SIS form: ds/dt = -beta s * K[1-s] + alpha (1-s)."""
-    lam_int = field_from_density(grid, K, 1.0 - s)
-    return -beta * s * lam_int + alpha * (1.0 - s)
+    return alpha * (1.0 - s) - sis_lambda_field(s, grid, K, beta)
 
 
-def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
-                        tol=1e-13, max_iter=200000):
+def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000):
     """Relax the scalar SIS dynamics to its stable fixed point.
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
     otherwise the disease-free state s == 1.  Raises NumericalError at the
-    first non-finite drift, or if the drift is still at or above ``tol``
+    first non-finite drift, or if the drift is still at or above 1e-13
     after ``max_iter`` steps.
     """
     K = _operator(kernel, grid)
@@ -264,9 +273,9 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha,
         ds = sis_drift(s, grid, K, beta, alpha)
         s = np.clip(s + dt * ds, 0.0, 1.0)
         drift = np.max(np.abs(ds))
-        if drift < tol:
+        if drift < 1e-13:
             return s
         if not np.isfinite(drift):
             raise NumericalError(f"endemic equilibrium drift is {drift} at step {n}")
     raise NumericalError(
-        f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol {tol:.3g}")
+        f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol 1e-13")

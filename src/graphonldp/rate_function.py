@@ -13,8 +13,10 @@ Three levels of rate function are evaluated:
   the Poisson tail computed by :func:`poisson_tail_log_prob`.
 * ``rate_G`` - the coupled functional: ell of flux over its own
   state-consistent intensity, with occupation and fields reconstructed from
-  the fluxes themselves so inconsistent inputs cannot sneak in.  Zero
-  exactly on the limiting dynamics.
+  the fluxes themselves so inconsistent inputs cannot sneak in.  The
+  intensities come from :func:`graphonldp.meanfield.channel_intensities`,
+  the builder the limiting dynamics use, so the functional is zero exactly
+  on them.
 * the two-state (SIS) contraction: the per-point Lagrangian L(sdot, s) with
   its closed-form inner minimizer A(sdot, s), plus the general small-state
   contraction solved as a convex program per grid node.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .meanfield import _operator, _rate_tensor, field_from_density
+from .meanfield import _operator, channel_intensities, sis_lambda_field
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -189,13 +191,14 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
     kw = grid.kappa_weights
     idx = {lab: i for i, lab in enumerate(labels)}
 
-    # per-time rate tensor f_b(theta, a, w_t)
+    # one slice at a time: a whole-path intensity tensor would hold n_t (k, k, M) copies
     integrand = np.zeros(n_t)
     for n in range(n_t):
-        rt = _rate_tensor(rates, grid, field_from_density(grid, K, nu[n]))
+        # fields from the reconstructed occupation as it is; only the intensity is clamped
+        lam = np.maximum(channel_intensities(rates, grid, nu[n], K), 0.0)
         for (la, lb), p in flux_densities.items():
             a, b = idx[la], idx[lb]
-            cell = ell_scaled(p[n], rt[a, b] * np.maximum(nu[n, a], 0.0))
+            cell = ell_scaled(p[n], lam[a, b])
             if np.isinf(cell).any():
                 return RateValue(np.inf, finite=False, where=((la, lb), n, int(np.argmax(cell))))
             integrand[n] += float(cell @ kw)
@@ -247,10 +250,10 @@ def sis_lagrangian(sdot, s_local, lam, alpha):
     return ell_scaled(A, lam) + ell_scaled(B, alpha * (1.0 - s_local))
 
 
-def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
+def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha):
     """Independent convex-minimization oracle for the SIS Lagrangian.
 
-    Golden-section search on the downward flux a over
+    Golden-section search (90 steps) on the downward flux a over
     [max(0, -sdot), A + 10 (1 + |sdot| + alpha lam (1 - s))]; the objective
     is convex in a, so the search brackets the infimum.  Vectorized over
     array inputs.
@@ -274,7 +277,7 @@ def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = objective(c), objective(d)
-    for _ in range(iters):
+    for _ in range(90):
         keep = fc < fd
         hi = np.where(keep, d, hi)
         lo = np.where(keep, lo, c)
@@ -285,12 +288,6 @@ def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha, iters=90):
     mid = 0.5 * (lo + hi)
     out = objective(mid)
     return out if out.ndim else float(out)
-
-
-def sis_lambda_field(s, grid, K, beta):
-    """Infection intensity lambda(theta) = beta s(theta) * K[(1-s)](theta)."""
-    s = np.asarray(s, dtype=float)
-    return beta * s * field_from_density(grid, K, 1.0 - s)
 
 
 def path_time_derivative(path, dt):
@@ -336,12 +333,13 @@ class InfeasibleRateError(ValueError):
     """Requested occupation rate of change violates mass conservation."""
 
 
-def contracted_node_value(r, lam, tol=1e-12, max_iter=100):
+def contracted_node_value(r, lam):
     """Minimal Poisson cost of fluxes realizing occupation change r.
 
     Solves   min sum_{a != b} lam_ab ell(q_ab / lam_ab)
              s.t. q >= 0,  r_z = sum_{a != z} (q_az - q_za)
-    by Newton iteration on the concave dual: the optimal flux is
+    by Newton iteration on the concave dual (at most 100 steps, to a flow
+    residual of 1e-12 times the problem's scale): the optimal flux is
     q_ab = lam_ab exp(u_b - u_a) for node potentials u, and the potentials
     solve the flow-matching equations.  Requires sum(r) = 0 and positive
     intensities on enough channels to make r reachable.
@@ -365,10 +363,10 @@ def contracted_node_value(r, lam, tol=1e-12, max_iter=100):
         E = np.exp(u[None, :] - u[:, None])
         return lam * E  # q_ab
 
-    for _ in range(max_iter):
+    for _ in range(100):
         q = flows(u)
         F = q.sum(axis=0) - q.sum(axis=1) - r  # net inflow minus target
-        if np.max(np.abs(F)) <= tol * scale:
+        if np.max(np.abs(F)) <= 1e-12 * scale:
             break
         # Jacobian dF_z/du_y: diagonal q_in+q_out, off-diagonal -(q_zy+q_yz)
         Jd = q.sum(axis=0) + q.sum(axis=1)
@@ -396,13 +394,13 @@ def contracted_node_value(r, lam, tol=1e-12, max_iter=100):
     return float(np.sum(ell_scaled(flows(u), lam)))
 
 
-def contracted_node_bruteforce(r, lam, levels=14, points=9):
+def contracted_node_bruteforce(r, lam):
     """Zooming grid search over the flux polytope; oracle for small k.
 
     The first nfree = k(k-1) - (k-1) channels are free grid variables; the
     remaining k-1 are derived from the conservation rows (state 0's row is
-    dependent since sum(r) = 0).  A dense grid over the free block is
-    refined around the best feasible point.  Honest derivative-free search,
+    dependent since sum(r) = 0).  A dense grid over the free block, 9 points
+    per channel, is refined 14 times around the best feasible point.  Honest derivative-free search,
     independent of the dual solver.
     """
     r = np.asarray(r, dtype=float)
@@ -442,8 +440,8 @@ def contracted_node_bruteforce(r, lam, levels=14, points=9):
     lo = np.zeros(nfree)
     hi = np.full(nfree, qmax)
     best_q, best_v = None, np.inf
-    for _ in range(levels):
-        axes = [np.linspace(lo[i], hi[i], points) for i in range(nfree)]
+    for _ in range(14):
+        axes = [np.linspace(lo[i], hi[i], 9) for i in range(nfree)]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vals = values(pts)
@@ -470,11 +468,3 @@ def contracted_L(r_fields, intensities, grid):
     for i in range(M):
         vals[i] = contracted_node_value(r_fields[:, i], intensities[:, :, i])
     return float(vals @ grid.kappa_weights)
-
-
-def channel_intensities(rates, grid, nu, w=None, kernel=None):
-    """Assemble lambda_ab(theta) = f_b(theta, a, w) nu(a, theta) on the grid."""
-    nu = np.asarray(nu, dtype=float)
-    if w is None:
-        w = field_from_density(grid, _operator(kernel, grid), nu)
-    return _rate_tensor(rates, grid, np.asarray(w)) * nu[:, None, :]

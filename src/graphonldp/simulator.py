@@ -66,11 +66,12 @@ class TrajectoryRecord:
         if not (0.0 <= t <= self.horizon):
             raise ValueError(f"t={t} outside [0, {self.horizon}]")
         upto = int(np.searchsorted(self.times, t, side="right"))
-        # the first hit of each node in the reversed prefix is its last event
-        changed, first = np.unique(self.nodes[:upto][::-1], return_index=True)
-        cfg = self.initial.copy()
-        cfg[changed] = self.to_codes[upto - 1 - first]
-        return cfg
+        if upto == 0:
+            return self.initial.copy()
+        # each node's last event index, by a max that ignores write order
+        last = np.full(self.N, -1)
+        np.maximum.at(last, self.nodes[:upto], np.arange(upto))
+        return np.where(last >= 0, self.to_codes[last], self.initial)
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,8 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     but are not logged), any other family, ``SisRates`` subclasses included,
     the generic O(N)-per-event loop; the two agree in law, not in their
     random streams.
+    A horizon that is not positive, NaN included, raises ModelError; an
+    infinite one runs until absorption or the event budget.
     Raises RateOverflowError if the rate family produces a non-finite value,
     and NumericalError if the horizon is not reached within ``max_events``
     logged events.
@@ -138,8 +141,8 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     states = rates.states
     N = network.N
     config = _config_codes(states, init, N, "init")
-    if horizon <= 0:
-        raise ModelError("horizon must be positive")
+    if not horizon > 0:
+        raise ModelError(f"horizon must be positive, got {horizon!r}")
     initial_codes = config.copy()
     rng = np.random.default_rng(seed)
     if type(rates) is SisRates:

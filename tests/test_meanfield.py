@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphonldp import channel_intensities
 from graphonldp.core_model import SIS_SPACE, ConstantRates, NumericalError, SisParams, sis_rates
 from graphonldp.graphon import constant_kernel, cosine_kernel, small_world_kernel
 from graphonldp.meanfield import (
@@ -206,6 +207,28 @@ class TestEvolve:
         nu0 = np.vstack([np.full(grid.M, 0.6), np.full(grid.M, 0.6)])
         with pytest.raises(NormalizationError):
             evolve(grid, spec, rates, nu0, T=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("T, dt", [(-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+                                       (1.0, -0.1), (1.0, 0.0), (1.0, np.nan)])
+    def test_invalid_horizon_or_step_rejected(self, T, dt):
+        grid, spec, rates = sis_setup(M=8)
+        nu0 = np.vstack([np.full(grid.M, 0.6), np.full(grid.M, 0.4)])
+        with pytest.raises(ValueError, match="finite and positive"):
+            evolve(grid, spec, rates, nu0, T=T, dt=dt)
+
+    @pytest.mark.parametrize("rates", [sis_rates(SisParams(beta=2.0, alpha=1.0)),
+                                       ConstantRates(SIS_SPACE, 0.7)], ids=["sis", "constant"])
+    def test_recorded_flux_is_the_channel_intensity(self, rates):
+        # the flux record and the rate layer's intensities come from one builder
+        grid = circle_grid(16)
+        spec = cosine_kernel(1.0, 0.5)
+        s0 = 0.6 + 0.2 * np.cos(grid.nodes)
+        dens, flux = evolve(grid, spec, rates, np.vstack([s0, 1 - s0]), T=0.5, dt=0.05)
+        labels = rates.states.labels
+        for n in range(len(dens.times)):
+            lam = channel_intensities(rates, grid, dens.values[n], kernel=spec)
+            for (la, lb), p in flux.densities.items():
+                assert np.array_equal(p[n], lam[labels.index(la), labels.index(lb)])
 
     def test_flux_identity_to_integrator_order(self):
         # density increments equal signed flux sums (continuum conservation)

@@ -308,6 +308,17 @@ class TestRateG:
         assert not val.finite
         assert val.where is not None
 
+    def test_infinity_marker_locates_first_dead_cell(self):
+        # J == 0: the S -> I intensity is zero everywhere, so the first cell
+        # with S -> I flux is the first infinite one
+        nu0 = np.vstack([np.ones(self.grid.M), np.zeros(self.grid.M)])
+        p = np.zeros((5, self.grid.M))
+        p[2:, 7] = 0.1
+        val = rate_G({("S", "I"): p, ("I", "S"): np.zeros_like(p)}, nu0, self.grid,
+                     constant_kernel(0.0), self.rates, 1.0)
+        assert not val.finite
+        assert val.where == (("S", "I"), 2, 7)
+
     @pytest.mark.parametrize("value", [-0.05, np.nan])
     def test_invalid_flux_rejected(self, value):
         p = np.full((5, self.grid.M), 0.1)

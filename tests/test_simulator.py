@@ -129,6 +129,15 @@ class TestSimulate:
                 simulate(net, rates, ["I"] * 20, horizon=50.0, seed=0, max_events=5)
 
     @pytest.mark.parametrize("make", [sis, generic_sis])
+    def test_nan_horizon_rejected_infinite_runs_to_absorption(self, make):
+        # with a budget of ten the NaN horizon would surface as an exhausted
+        # budget, after the run, instead of as a model error
+        net = empty_network(20)
+        with pytest.raises(ModelError, match="horizon must be positive"):
+            simulate(net, make(), ["I"] * 20, horizon=np.nan, seed=0, max_events=10)
+        assert simulate(net, make(), ["I"] * 20, horizon=np.inf, seed=0).n_events == 20
+
+    @pytest.mark.parametrize("make", [sis, generic_sis])
     def test_event_budget_counts_logged_events(self, make):
         # on the all-infected complete graph every infection proposal of the
         # SIS loop is null; the budget counts only the logged events, and a
