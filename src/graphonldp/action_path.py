@@ -63,8 +63,10 @@ class PathProblem:
                     f"[{prof.min():.3g}, {prof.max():.3g}]")
         if len(self.s0) != len(self.sT):
             raise EndpointError("endpoint grids differ in size")
-        if self.horizon <= 0 or self.K < 3:
-            raise ValueError("need positive horizon and K >= 3")
+        if not (0 < self.horizon < np.inf):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if self.K < 3:
+            raise ValueError(f"need K >= 3, got {self.K}")
 
     @property
     def M(self):

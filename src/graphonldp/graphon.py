@@ -9,6 +9,14 @@ locations.  Finite networks are sampled with independent signed edges,
 so that E[J_jk / phi_N] = J(x_j, x_k).  An unbounded kernel (power-law)
 has its pair probabilities clipped at 1.
 
+Sampling costs O(N + edges), not O(N^2): pairs are proposed by geometric
+skipping over the pair index at rate min(1, phi_N * bound) (Batagelj &
+Brandes 2005), or along each row under a decreasing envelope for the
+unbounded rank-1 family (Miller & Hagberg 2011), and thinned to the exact
+marginals with one kernel evaluation per proposed pair.  The networks a
+seed gives are those of this sampler; an all-pairs loop with one uniform
+per pair gave other networks, with the same law, for the same seed.
+
 Normalization convention (important, the literature conflates two scales):
 ``phi_N`` here is the *edge-density* scale, so the mean degree is
 N * phi_N * <J> and the local field divides by N * phi_N.  Experiment
@@ -40,6 +48,10 @@ class ProbabilityOverflowError(GraphonError):
             f"edge probability {value:.6g} > 1 at pair ({j}, {k}); "
             "reduce phi_N or rescale the kernel"
         )
+
+
+#: Slack on ``GraphonSpec.bound`` in the spot check and in sampling.
+_BOUND_SLACK = 1e-9
 
 
 def _grid_positions(N, domain):
@@ -86,14 +98,14 @@ class GraphonSpec:
         K = np.asarray(self.kernel(xs[:, None], xs[None, :]), dtype=float)
         if not np.all(np.isfinite(K)):
             raise GraphonError(f"kernel not finite on spot grid ({self.family})")
-        if np.max(np.abs(K)) > self.bound + 1e-9:
+        if np.max(np.abs(K)) > self.bound + _BOUND_SLACK:
             raise GraphonError(
                 f"kernel exceeds stated bound {self.bound}: max |J| = {np.max(np.abs(K)):.6g}"
             )
         if not self.lipschitz_exempt:
             h = xs[1] - xs[0]
             slope = max(np.max(np.abs(np.diff(K, axis=0))), np.max(np.abs(np.diff(K, axis=1)))) / h
-            if slope > self.bound + 1e-9:
+            if slope > self.bound + _BOUND_SLACK:
                 raise GraphonError(
                     f"kernel Lipschitz spot check failed: slope {slope:.6g} > bound {self.bound}"
                 )
@@ -242,7 +254,9 @@ def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
 
     Edges are independent (or mirrored when ``spec.symmetric``), with
     P(J=+1) = phi_N max(J, 0) and P(J=-1) = phi_N max(-J, 0) at the
-    canonical node positions; the kernel is evaluated once per pair.
+    canonical node positions.  Pairs are proposed by geometric skipping and
+    thinned, so the kernel is evaluated once per proposed pair and the cost
+    is O(N + edges) (:func:`_sample_bounded`, :func:`_sample_decreasing`).
     Deterministic given ``seed``.  Raises ProbabilityOverflowError when
     phi_N |J| > 1 at some pair, unless the kernel is unbounded
     (``spec.bound`` infinite), in which case probabilities are clipped at 1.
@@ -251,43 +265,123 @@ def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
         raise GraphonError(f"need N >= 2, got {N}")
     if not (phi_N > 0):
         raise GraphonError(f"phi_N must be positive, got {phi_N}")
-    clip = np.isinf(spec.bound)
     x = spec.positions(N)
     rng = np.random.default_rng(seed)
-
+    sample = _sample_decreasing if np.isinf(spec.bound) else _sample_bounded
     empty = np.zeros(0, dtype=np.int64)
-    rows, cols, wts = [empty], [empty], [empty]
-    for j in range(N):
-        ks = np.arange(j + 1, N) if spec.symmetric else np.concatenate(
-            (np.arange(0, j), np.arange(j + 1, N)))
-        if len(ks) == 0:
-            continue
-        J = np.asarray(spec.kernel(x[j], x[ks]), dtype=float)
-        qp = phi_N * np.maximum(J, 0.0)
-        qm = phi_N * np.maximum(-J, 0.0)
-        tot = qp + qm
-        if np.any(tot > 1.0 + 1e-12):
-            if not clip:
-                raise ProbabilityOverflowError(j, int(ks[np.argmax(tot)]), float(np.max(tot)))
-            scale = 1.0 / np.maximum(tot, 1.0)
-            qp, qm, tot = qp * scale, qm * scale, np.minimum(tot, 1.0)
-        u = rng.random(len(ks))
-        plus = u < qp
-        minus = (~plus) & (u < tot)
-        hit = plus | minus
-        kh = ks[hit]
-        w = np.where(plus[hit], 1.0, -1.0)
-        rows.append(np.full(len(kh), j, dtype=np.int64))
-        cols.append(kh.astype(np.int64))
-        wts.append(w)
-        if spec.symmetric:
-            rows.append(kh.astype(np.int64))
-            cols.append(np.full(len(kh), j, dtype=np.int64))
-            wts.append(w.copy())
+    triples = [(empty, empty, empty), *sample(spec, N, phi_N, x, rng)]
+    j, k, w = (np.concatenate(a) for a in zip(*triples))
+    if spec.symmetric:
+        j, k, w = np.concatenate((j, k)), np.concatenate((k, j)), np.concatenate((w, w))
+    return Network(N=N, positions=x, rows=j, cols=k, weights=w, phi_N=float(phi_N),
+                   seed=int(seed), family=spec.family)
 
-    return Network(N=N, positions=x, rows=np.concatenate(rows), cols=np.concatenate(cols),
-                   weights=np.concatenate(wts), phi_N=float(phi_N), seed=int(seed),
-                   family=spec.family)
+
+#: Proposals drawn per step of the bounded sampler; bounds its transient memory.
+_CHUNK = 1 << 15
+
+
+def _sample_bounded(spec, N, phi_N, x, rng):
+    """Geometric skipping over the pair index (Batagelj & Brandes 2005).
+
+    Pairs, the upper triangle or the full off-diagonal in row-major order,
+    are proposed independently with q = min(1, phi_N * bound) by geometric
+    gaps, and a proposed pair is kept with probability phi_N |J| / q.
+    Yields the kept (j, k, sign) triples chunk by chunk.  At q = 1 every
+    pair is proposed, and the first row in order with phi_N |J| > 1 names
+    its argmax in ProbabilityOverflowError.  While q < 1, a proposed |J|
+    above ``spec.bound`` raises GraphonError: thinning would under-sample it.
+    """
+    q = min(1.0, phi_N * spec.bound)
+    total = N * (N - 1) // (2 if spec.symmetric else 1)
+    last = -1
+    while q > 0 and last < total - 1:
+        idx = last + np.cumsum(rng.geometric(q, min(_CHUNK, total - 1 - last)))
+        last = idx[-1]
+        idx = idx[idx < total]
+        if not idx.size:
+            return
+        j, k = _pair_of_index(idx, N, spec.symmetric)
+        J = np.asarray(spec.kernel(x[j], x[k]), dtype=float)
+        p = phi_N * np.abs(J)
+        over = p > 1.0 + 1e-12
+        if over.any():
+            _raise_overflow(spec, N, phi_N, x, int(j[np.argmax(over)]))
+        above = np.abs(J) > spec.bound + _BOUND_SLACK
+        if q < 1.0 and above.any():
+            i = int(np.argmax(above))
+            raise GraphonError(f"|J| = {abs(J[i]):.6g} at pair ({j[i]}, {k[i]}) exceeds "
+                               f"the stated bound {spec.bound} ({spec.family})")
+        yield _thin(j, k, J, p, q, rng)
+
+
+def _sample_decreasing(spec, N, phi_N, x, rng):
+    """Per-row envelope skipping for an unbounded kernel that does not
+    increase along a row (Miller & Hagberg 2011; the power-law family is
+    rank 1 and decreasing on its increasing positions).
+
+    All rows walk at once.  Each proposes its next column by a geometric
+    gap at its envelope, the clipped pair probability p = min(1, phi_N |J|)
+    at its last proposal (1 before the first), and keeps the proposal with
+    probability p / envelope.  A row whose p reaches 0 is done.  Yields the
+    kept (j, k, sign) triples step by step; raises GraphonError where p is
+    not finite or exceeds the envelope.
+    """
+    rows = np.arange(N - 1 if spec.symmetric else N)
+    length = N - 1 - rows if spec.symmetric else np.full(N, N - 1)
+    pos = np.full(rows.size, -1)
+    env = np.ones(rows.size)
+    while rows.size:
+        pos = pos + rng.geometric(env)
+        live = pos < length
+        rows, pos, env, length = rows[live], pos[live], env[live], length[live]
+        if not rows.size:
+            return
+        cols = rows + 1 + pos if spec.symmetric else pos + (pos >= rows)
+        J = np.asarray(spec.kernel(x[rows], x[cols]), dtype=float)
+        p = np.minimum(phi_N * np.abs(J), 1.0)
+        below = p <= env * (1.0 + 1e-9)
+        if not below.all():
+            i = int(np.argmin(below))
+            raise GraphonError(f"unbounded kernel ({spec.family}) must be finite and "
+                               f"non-increasing along each row: pair ({rows[i]}, {cols[i]})")
+        yield _thin(rows, cols, J, p, env, rng)
+        live = p > 0
+        rows, pos, env, length = rows[live], pos[live], p[live], length[live]
+
+
+def _thin(j, k, J, p, envelope, rng):
+    """Keep each proposed pair with probability p / envelope, by one uniform
+    u per pair (kept when u * envelope < p), with the sign of J."""
+    hit = rng.random(p.size) * envelope < p
+    return j[hit], k[hit], np.where(J[hit] > 0, 1, -1)
+
+
+def _pair_of_index(idx, N, symmetric):
+    """The pair (j, k) at row-major position ``idx`` of the upper triangle
+    (symmetric) or of the off-diagonal (directed), in closed form."""
+    if not symmetric:
+        j, r = np.divmod(idx, N - 1)
+        return j, r + (r >= j)
+    b = 2 * N - 1
+    j = ((b - np.sqrt(b * b - 8.0 * idx)) // 2).astype(np.int64)
+    # one step each way absorbs the rounding of the square root
+    j -= _row_start(j, N) > idx
+    j += _row_start(j + 1, N) <= idx
+    return j, idx - _row_start(j, N) + j + 1
+
+
+def _row_start(j, N):
+    """Position of pair (j, j + 1) in the row-major upper triangle."""
+    return j * (2 * N - 1 - j) // 2
+
+
+def _raise_overflow(spec, N, phi_N, x, j):
+    """ProbabilityOverflowError at row j's largest phi_N |J|."""
+    ks = np.arange(j + 1, N) if spec.symmetric else np.delete(np.arange(N), j)
+    p = phi_N * np.abs(np.asarray(spec.kernel(x[j], x[ks]), dtype=float))
+    i = int(np.argmax(p))
+    raise ProbabilityOverflowError(j, int(ks[i]), float(p[i]))
 
 
 def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic:

@@ -108,14 +108,30 @@ class KernelOperator:
         return self._convolve(x, self._row) if self.fft else x @ self.K
 
 
+class _DenseOperator(KernelOperator):
+    """A caller's (M, M) array, applied by dense products as given: no
+    circulance scan and no max|K| pass, so wrapping it costs O(1) and a call
+    costs the product alone.  Build a KernelOperator once for the FFT path."""
+
+    fft = False
+
+    def __init__(self, K, grid: SpatialGrid):
+        self.K, self.kw = K, grid.kappa_weights
+
+    @property
+    def max_abs(self):
+        return float(np.max(np.abs(self.K)))
+
+
 def _operator(kernel, grid: SpatialGrid):
-    """The KernelOperator of a GraphonSpec, a bare kernel callable or a
-    prebuilt (M, M) array; an operator is passed through unchanged."""
+    """The KernelOperator of a GraphonSpec or a bare kernel callable; a
+    prebuilt (M, M) array is applied densely as given, and an operator is
+    passed through unchanged."""
     if isinstance(kernel, KernelOperator):
         return kernel
-    if not isinstance(kernel, np.ndarray):
-        kernel = kernel_matrix(getattr(kernel, "kernel", kernel), grid)
-    return KernelOperator(kernel, grid)
+    if isinstance(kernel, np.ndarray):
+        return _DenseOperator(kernel, grid)
+    return KernelOperator(kernel_matrix(getattr(kernel, "kernel", kernel), grid), grid)
 
 
 @dataclass

@@ -46,6 +46,15 @@ class TestPathProblem:
         with pytest.raises(EndpointError):
             PathProblem(s0=good, sT=np.full(8, 1.0), horizon=1.0)
 
+    def test_horizon_must_be_finite_and_positive(self):
+        # a NaN horizon once passed `horizon <= 0` and surfaced later as an
+        # endpoint fault; every bad horizon is now named at construction
+        good = np.full(4, 0.5)
+        for horizon in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="horizon") as exc:
+                PathProblem(s0=good, sT=good, horizon=horizon, K=10)
+            assert not isinstance(exc.value, EndpointError)
+
     def test_initial_path_interpolates(self):
         prob = PathProblem(s0=np.full(4, 0.2), sT=np.full(4, 0.8), horizon=1.0, K=10)
         path = prob.initial_path()

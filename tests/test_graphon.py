@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,28 @@ from graphonldp.graphon import (
     small_world_kernel,
     write_network,
 )
+
+
+def counted(spec, **changes):
+    """``spec`` (with ``changes``) whose kernel adds its evaluations to count[0]."""
+    count = [0]
+
+    def kernel(x, y):
+        out = spec.kernel(x, y)
+        count[0] += np.size(out)
+        return out
+
+    return dataclasses.replace(spec, kernel=kernel, **changes), count
+
+
+def signed_cosine():
+    return GraphonSpec(kernel=lambda x, y: 0.5 * np.cos(np.asarray(x) - np.asarray(y)),
+                       bound=0.5, symmetric=True, family="signed-cosine")
+
+
+def directed_constant():
+    return GraphonSpec(kernel=constant_kernel(0.6).kernel, bound=0.6, symmetric=False,
+                       family="constant")
 
 
 class TestSpecs:
@@ -71,6 +95,39 @@ class TestSampling:
         assert exc.value.value > 1.0
         assert len(exc.value.pair) == 2
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_probability_overflow_names_first_row_argmax(self, symmetric):
+        # phi_N * bound > 1 proposes every pair; the error names the first
+        # row in order with phi_N |J| > 1 + 1e-12, at that row's argmax
+        N, phi = 40, 0.6
+        spec = GraphonSpec(kernel=lambda x, y: 1.0 + np.sin(x) * np.cos(np.asarray(y) - 1.0),
+                           bound=2.0, symmetric=symmetric, family="skewed")
+        x = spec.positions(N)
+        for j in range(N):
+            ks = np.arange(j + 1, N) if symmetric else np.delete(np.arange(N), j)
+            p = phi * np.abs(spec.kernel(x[j], x[ks]))
+            if np.any(p > 1.0 + 1e-12):
+                expected = (j, int(ks[np.argmax(p)])), float(p.max())
+                break
+        assert expected[0][0] > 0
+        with pytest.raises(ProbabilityOverflowError) as exc:
+            sample_network(spec, N, phi, seed=0)
+        assert (exc.value.pair, exc.value.value) == expected
+
+    def test_kernel_above_its_bound_rejected(self):
+        # with q = phi_N * bound < 1, thinning by |J| / bound would silently
+        # under-sample a pair whose |J| exceeds the stated bound
+        wrong = GraphonSpec(kernel=constant_kernel(0.6).kernel, bound=0.5, symmetric=True,
+                            family="constant")
+        with pytest.raises(GraphonError, match="stated bound"):
+            sample_network(wrong, 50, 0.5, seed=0)
+
+    def test_unbounded_kernel_increasing_along_rows_rejected(self):
+        rising = GraphonSpec(kernel=lambda x, y: np.asarray(x) * np.asarray(y), bound=np.inf,
+                             symmetric=True, family="rising", domain="unit-interval")
+        with pytest.raises(GraphonError, match="non-increasing"):
+            sample_network(rising, 50, 0.5, seed=0)
+
     def test_power_law_degree_profile(self):
         # P(J=1) proportional to (1-b)^2 (x_j x_k)^(-b); sampled in the
         # sparse regime (phi < 1) where the min(1, .) clipping is inactive,
@@ -86,25 +143,54 @@ class TestSampling:
         assert slope == pytest.approx(-b, abs=0.05)
 
     def test_kernel_evaluated_once_per_pair(self):
+        # J equals its bound, so thinning keeps every proposal: the sampled
+        # pairs are the proposals, and each was evaluated exactly once
         N = 50
         base = constant_kernel(0.5)
-        entries = []
+        evaluated = []
 
         def counting(x, y):
             out = base.kernel(x, y)
-            entries.append(np.size(out))
+            j, k = np.broadcast_arrays(np.rint(np.asarray(x) * N / TWO_PI),
+                                       np.rint(np.asarray(y) * N / TWO_PI))
+            evaluated.extend(zip(j.ravel().astype(int).tolist(), k.ravel().astype(int).tolist()))
             return out
 
         spec = GraphonSpec(kernel=counting, bound=0.5, symmetric=True, family="constant")
-        sample_network(spec, N, 0.5, seed=1)
-        assert sum(entries) == N * (N - 1) // 2
+        net = sample_network(spec, N, 0.5, seed=1)
+        assert len(set(evaluated)) == len(evaluated)
+        upper = net.rows < net.cols
+        assert sorted(evaluated) == list(zip(net.rows[upper].tolist(), net.cols[upper].tolist()))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_sparse_sampling_evaluates_order_edges(self, symmetric):
+        # the cost guard: at N = 20,000 and phi_N = N^-0.65 all pairs would
+        # be 2e8 (4e8 directed) evaluations; the proposals number q times the
+        # pairs, with q = phi_N * bound, and twice that is a generous ceiling
+        N = 20_000
+        phi = density_from_degree_exponent(N, 0.35)
+        spec, count = counted(cosine_kernel(1.0, 0.5), symmetric=symmetric)
+        sample_network(spec, N, phi, seed=1)
+        pairs = N * (N - 1) // (2 if symmetric else 1)
+        assert 0 < count[0] <= 2 * phi * spec.bound * pairs
+
+    def test_power_law_sampling_evaluates_order_edges(self):
+        # rank 1: the unclipped expected upper-triangle edge count is
+        # phi c ((sum x^-b)^2 - sum x^-2b) / 2; the row walks propose about
+        # one pair per row and one per edge, and twice that is the ceiling
+        N, b = 20_000, 0.3
+        phi = density_from_degree_exponent(N, 0.35)
+        spec, count = counted(power_law_kernel(b))
+        net = sample_network(spec, N, phi, seed=1)
+        xb = net.positions ** -b
+        edges = phi * (1 - b) ** 2 * (xb.sum() ** 2 - (xb ** 2).sum()) / 2
+        assert len(net.rows) > 0 and count[0] <= 2 * (N + edges)
 
     def test_signed_kernel_edges_follow_its_sign(self):
         # -1 edges only where J < 0, +1 only where J > 0, and the -1
         # count within a binomial interval of sum phi |J| over J < 0 pairs
         N, phi = 300, 1.0
-        spec = GraphonSpec(kernel=lambda x, y: 0.5 * np.cos(np.asarray(x) - np.asarray(y)),
-                           bound=0.5, symmetric=True, family="signed-cosine")
+        spec = signed_cosine()
         assert spec.validate()
         net = sample_network(spec, N, phi, seed=4)
         x = net.positions
@@ -164,9 +250,7 @@ class TestSampling:
             sample_network(constant_kernel(1.0), 1, 0.5, seed=0)
 
     def test_asymmetric_sampling_independent_directions(self):
-        spec = type(constant_kernel(0.6))(
-            kernel=constant_kernel(0.6).kernel, bound=0.6,
-            symmetric=False, family="constant")
+        spec = directed_constant()
         N = 300
         net = sample_network(spec, N, 0.5, seed=12)
         forward = {(j, k) for j, k in zip(net.rows, net.cols)}
@@ -208,6 +292,43 @@ class TestSampling:
                 build(rows, cols)
         net = build([2.0], np.array([1], dtype=np.uint8))  # integral values are indices
         assert net.rows.dtype == np.int64 and (net.rows[0], net.cols[0]) == (2, 1)
+
+
+class TestSamplingLaw:
+    """Each pair's +1 and -1 frequencies over many seeds against
+    min(1, phi_N max(+-J, 0)).  A pair with p in (0, 1) must lie within
+    5 binomial standard deviations, and the chi-square sum over those pairs
+    within its mean plus 5 standard deviations (dof + 5 sqrt(2 dof)); a
+    pair with p = 0 must never appear and one with p = 1 always."""
+
+    SEEDS = 2000
+
+    @pytest.mark.parametrize("spec, N, phi", [
+        (cosine_kernel(1.0, 0.5), 16, 0.4),
+        (directed_constant(), 12, 0.5),
+        (signed_cosine(), 16, 1.0),
+        (power_law_kernel(0.6), 16, 2.0),
+    ], ids=["cosine", "directed-constant", "signed-cosine", "clipped-power-law"])
+    def test_pair_frequencies(self, spec, N, phi):
+        x = spec.positions(N)
+        J = np.asarray(spec.kernel(x[:, None], x[None, :]), dtype=float)
+        pairs = np.triu(np.ones((N, N), dtype=bool), 1) if spec.symmetric else ~np.eye(N, dtype=bool)
+        plus, minus = np.zeros((N, N)), np.zeros((N, N))
+        for seed in range(self.SEEDS):
+            net = sample_network(spec, N, phi, seed=seed)
+            plus[net.rows, net.cols] += net.weights == 1
+            minus[net.rows, net.cols] += net.weights == -1
+        S = self.SEEDS
+        for count, p in ((plus, np.minimum(phi * np.maximum(J, 0.0), 1.0)),
+                         (minus, np.minimum(phi * np.maximum(-J, 0.0), 1.0))):
+            c, p = count[pairs], p[pairs]
+            assert np.all(c[p == 0.0] == 0) and np.all(c[p == 1.0] == S)
+            mid = (p > 0.0) & (p < 1.0)
+            z = (c[mid] - S * p[mid]) / np.sqrt(S * p[mid] * (1.0 - p[mid]))
+            dof = int(mid.sum())
+            assert np.all(np.abs(z) <= 5.0)
+            assert np.sum(z ** 2) <= dof + 5.0 * np.sqrt(2.0 * dof)
+        assert (plus + minus)[pairs].sum() > 0
 
 
 class TestEtaDiagnostic:

@@ -132,6 +132,21 @@ class TestKernelOperator:
         coarse = circle_grid(_FFT_MIN_M - 1)
         assert dense_taken(coarse, kernel_matrix(skewed_kernel, coarse))
 
+    def test_array_kernel_applied_densely_as_given(self):
+        # a bare array is neither scanned for circulance nor copied: the
+        # call is the dense product itself, bit for bit, on any grid
+        from graphonldp.meanfield import _operator
+
+        grid = circle_grid(1024)
+        K = kernel_matrix(small_world_kernel(0.9, 0.1, 0.5).kernel, grid)
+        op = _operator(K, grid)
+        assert not op.fft and op.K is K and op.max_abs == 0.9
+        kw = grid.kappa_weights
+        dens = np.random.default_rng(7).uniform(0.0, 1.0, (2, grid.M))
+        assert np.array_equal(field_from_density(grid, K, dens), (dens * kw) @ K.T)
+        assert np.array_equal(op.apply_T(dens), (dens * kw) @ K)
+        assert _operator(op, grid) is op
+
     def test_evolve_fft_matches_dense(self, monkeypatch):
         import graphonldp.meanfield as mf
 
