@@ -28,10 +28,10 @@ positive flux, the one source of the infinity marker; nothing is floored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .meanfield import _operator, channel_intensities, sis_lambda_field
 
@@ -77,7 +77,7 @@ def ell_scaled(p, lam):
         near = np.abs(x) < 0.5
         xn = np.where(near, x, 0.0)
         small = lam * ((1.0 + xn) * np.log1p(xn) - xn)
-        big = xlogy(p, p / lam) - p + lam
+        big = p * np.log(p / lam) - p + lam
     out = np.where(near, small, np.where(p == 0, lam, big))
     out = np.where((lam <= 0) & (p > 0), np.inf, out)
     return out if out.ndim else float(out)
@@ -86,26 +86,24 @@ def ell_scaled(p, lam):
 def poisson_tail_log_prob(k, mean):
     """log P(X >= k) for X ~ Poisson(mean), by stable tail summation.
 
-    Log-terms -mean + j log(mean) - log(j!) are accumulated with logsumexp
-    until they fall 60 nats below the running maximum; past the mode the
-    term ratio mean/j < 1 guarantees geometric decay, so the truncation
-    error is negligible at double precision.
+    The first log-term -mean + k log(mean) - log(k!) comes from ``math.lgamma``
+    and the rest from term(j) = term(j-1) mean / j, until a term falls 60 nats
+    below the largest (past the mode the terms decay geometrically); the sum is
+    shifted by that largest.  ValueError unless mean is finite and >= 0; at
+    mean = 0 the tail of k >= 1 is -inf.
     """
+    if not (math.isfinite(mean) and mean >= 0.0):
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
     k = int(k)
     if k <= 0:
         return 0.0
-    js = np.arange(k, k + 64)
-    logs = -mean + js * np.log(mean) - gammaln(js + 1.0)
-    best = float(logs.max())
-    while logs[-1] > best - 60.0 and len(logs) < 1_000_000:
-        j0 = js[-1] + 1
-        js2 = np.arange(j0, j0 + 256)
-        # recurrence: log term(j) = log term(j-1) + log(mean) - log(j)
-        logs2 = logs[-1] + np.cumsum(np.log(mean) - np.log(js2))
-        js = np.concatenate([js, js2])
-        logs = np.concatenate([logs, logs2])
-        best = max(best, float(logs2.max()))
-    return float(logsumexp(logs))
+    if mean == 0.0:
+        return -np.inf
+    logs = np.array([-mean + k * math.log(mean) - math.lgamma(k + 1)])
+    while logs[-1] > logs.max() - 60.0 and len(logs) < 1_000_000:
+        js = np.arange(k + len(logs), k + len(logs) + 256)
+        logs = np.concatenate([logs, logs[-1] + np.cumsum(math.log(mean) - np.log(js))])
+    return float(logs.max() + np.log(np.exp(logs - logs.max()).sum()))
 
 
 def _checked_fluxes(flux_densities):
@@ -266,8 +264,8 @@ def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha):
     def objective(a):
         b = sdot + a
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = xlogy(a, a / lam) - a + lam
-            t2 = xlogy(b, b / up) - b + up
+            t1 = np.where(a == 0, 0.0, a * np.log(a / lam)) - a + lam
+            t2 = np.where(b == 0, 0.0, b * np.log(b / up)) - b + up
         return t1 + t2
 
     A = np.asarray(sis_A(sdot, s_local, lam, alpha))
@@ -432,7 +430,7 @@ def contracted_node_bruteforce(r, lam):
         feasible = np.all(q >= -1e-12, axis=1) & ~np.any((lv[None, :] <= 0) & (q > 0), axis=1)
         qc = np.maximum(q, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cell = np.where(lv[None, :] > 0, xlogy(qc, qc / np.maximum(lv[None, :], 1e-300)) - qc + lv[None, :], 0.0)
+            cell = np.where(lv > 0, np.where(qc == 0, 0.0, qc * np.log(qc / lv)) - qc + lv, 0.0)
         out = cell.sum(axis=1)
         return np.where(feasible, out, np.inf)
 

@@ -294,9 +294,9 @@ class TestMinimizeAction:
         # and must not be divided by (0/0 is a RuntimeWarning, an error here)
         c = np.array([2.0, 0.5])
         x0 = np.array([1.0, 0.5])
-        res = _newton_cg(lambda x: 0.5 * np.sum((x - c) ** 2), x0, lambda x: x - c,
-                         (np.zeros(2), np.ones(2)), callback=None, maxiter=5, gtol=1e-9,
-                         precondition=lambda x: lambda r: r)
+        res = _newton_cg(lambda x: (0.5 * np.sum((x - c) ** 2), x - c), x0,
+                         np.zeros(2), np.ones(2), precondition=lambda x: lambda r: r,
+                         maxiter=5, gtol=1e-9)
         assert np.array_equal(res.x, x0)
         assert res.nit == 0 and res.cg_iters == 1
         assert res.message == "line search failed" and not res.success
@@ -362,6 +362,28 @@ class TestMinimizeAction:
         prob = PathProblem(s0=np.full(8, 0.9), sT=np.full(8, 0.2), horizon=1.0, K=10)
         with pytest.raises(ValueError):
             minimize_action(prob, PARAMS, kernel, grid)
+
+    def test_guess_endpoints_replaced_before_the_start_is_scored(self):
+        # the solve pins problem.s0/sT, so a guess whose end slices differ
+        # sets neither the infinite-action check nor the gradient tolerance
+        grid = circle_grid(8)
+        kernel = constant_kernel(1.0)
+        prob = PathProblem(s0=np.full(8, 0.5), sT=bump_profile(grid), horizon=1.0, K=10)
+        opts = ActionOptions(max_iters=50)
+        ref = minimize_action(prob, PARAMS, kernel, grid, opts)
+        guess = prob.initial_path()
+        guess[-1] = 0.99
+        res = minimize_action(prob, PARAMS, kernel, grid,
+                              ActionOptions(max_iters=50, initial_path=guess))
+        assert res.diagnostics["grad_tol"] == ref.diagnostics["grad_tol"] == opts.tol_grad
+        assert np.array_equal(res.path, ref.path)
+
+    def test_guess_of_wrong_shape_rejected(self):
+        grid = circle_grid(8)
+        prob = PathProblem(s0=np.full(8, 0.5), sT=np.full(8, 0.4), horizon=1.0, K=10)
+        with pytest.raises(ValueError, match=r"\(10, 8\).*\(11, 8\)"):
+            minimize_action(prob, PARAMS, constant_kernel(1.0), grid,
+                            ActionOptions(initial_path=np.full((10, 8), 0.45)))
 
     def test_nonconvergence_returns_best_iterate_with_warning(self):
         grid = circle_grid(12)

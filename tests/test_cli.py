@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,40 @@ class TestLdpCheck:
     def test_tail_level_validated(self, tmp_path):
         code, _ = run(tmp_path, "ldp-check", "ldp_check.a=0.9")
         assert code == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SMALL_RUNS = {
+    "sample": ["graphon.N=30"],
+    "simulate": ["graphon.N=40", "grid.T=0.5", "grid.M=8", "run.replicas=2"],
+    "meanfield": ["grid.M=4", "grid.T=0.1", "grid.steps=2"],
+    "compare": ["compare.N_sweep=40", "run.replicas=2", "grid.M=8"],
+    "rate": ["grid.M=8", "grid.T=0.5", "grid.steps=50"],
+    "action": ["graphon.family=constant", "graphon.level=1.0", "grid.M=8", "grid.K=20",
+               "grid.T=1.0", "action.sT=bump:3.14,0.7,0.15"],
+    "ldp-check": [],
+}
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        proc = _python("import sys, graphonldp, graphonldp.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_subcommand_runs_with_scipy_blocked(self, tmp_path, command):
+        # a None entry in sys.modules makes every `import scipy...` fail
+        argv = [command, "--out", str(tmp_path / "out")]
+        for ov in SMALL_RUNS[command]:
+            argv += ["--set", ov]
+        proc = _python("import sys; sys.modules['scipy'] = None; "
+                       "from graphonldp.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+        assert proc.returncode == 0, proc.stderr

@@ -74,6 +74,16 @@ class TestPoissonTail:
             ref = poisson.logsf(k - 1, mean)
             assert mine == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("mean", [np.nan, -1.0, np.inf])
+    def test_bad_mean_rejected(self, mean):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="mean"):
+                poisson_tail_log_prob(k, mean)
+
+    def test_zero_mean(self):
+        assert poisson_tail_log_prob(3, 0.0) == -np.inf
+        assert poisson_tail_log_prob(0, 0.0) == 0.0
+
     def test_slope_approaches_entropy(self):
         a = 1.2
         gaps = []
