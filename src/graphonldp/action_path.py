@@ -8,11 +8,19 @@ action is the source of truth; the Euler-Lagrange operators evaluated along
 the converged path serve as an independent stationarity verification, not
 as the solver.
 
-The analytic derivative formulas (A and L partials in sdot and the Frechet
-fields M, N) are long hand-derived expressions; the test suite checks each
-one against its defining finite-difference oracle.  The nonlocal G and the
-chain-rule field O are built from these and are verified through the
-gradient and stationarity tests.
+The Lagrangian is an infimum over the flux split: infection flux A =
+``sis_A`` and recovery flux B = sdot + A, with A B = lam up, up = alpha (1 - s)
+and D = A + B = sqrt(sdot^2 + 4 lam up).  By the envelope theorem every
+derivative is a function of the optimal split:
+
+    dL/dsdot = log(B / up),   d2L/dsdot2 = 1 / D,
+    dA/dsdot = -A / D,        d2A/dsdot2 = 2 A B / D^3,
+    M = dL/dlam = 1 - up / B, N = dL/ds at fixed lam = -alpha (1 - B / up),
+    O = delta_A / B + alpha sdot / up.
+
+The one floor is on B, at ``_EPS_S`` in the logarithm and the ratios; a cell
+with B at or below it is degenerate.  Tests check each field against a
+finite-difference oracle, and G and O through the gradient and stationarity.
 
 The stationarity identity checked by ``el_residual`` is
 
@@ -27,7 +35,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +42,14 @@ from .meanfield import _operator, field_from_density, sis_lambda_field
 from .rate_function import _sis_disc2, path_time_derivative, sis_A, sis_lagrangian
 
 #: Floor of the action layer: the path solve stays in [_EPS_S, 1 - _EPS_S],
-#: the derivative fields floor A and lam at it inside their logarithms, and
-#: a cell with lam (1 - s) at or below it is degenerate.
+#: the derivative fields floor the recovery flux B at it in their logarithm
+#: and ratios, and a cell with B at or below it is degenerate.
 _EPS_S = 1e-8
 
 
 class EndpointError(ValueError):
-    """Endpoint profiles must lie strictly inside (0, 1)."""
+    """Endpoint profiles must lie strictly inside (0, 1), and the start path
+    between them must have finite action."""
 
 
 @dataclass
@@ -73,9 +81,9 @@ class PathProblem:
         return len(self.s0)
 
     def initial_path(self):
-        """Linear interpolation between the endpoints."""
+        """Linear interpolation between the endpoints; constant where they agree."""
         lam = np.linspace(0.0, 1.0, self.K + 1)[:, None]
-        return (1.0 - lam) * self.s0[None, :] + lam * self.sT[None, :]
+        return self.s0 + lam * (self.sT - self.s0)
 
 
 @dataclass
@@ -98,65 +106,36 @@ class ElOperators:
 
 # --- pointwise analytic formulas ------------------------------------------
 
-class _Pointwise(NamedTuple):
-    D: np.ndarray
-    lr: np.ndarray        # log(lam / A), both floored at _EPS_S
-    Asafe: np.ndarray
-    lamsafe: np.ndarray
-    bracket: np.ndarray
-    dA: np.ndarray
-    d2A: np.ndarray
-    dL: np.ndarray
-    d2L: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
+# D = A + B; B floored at _EPS_S; the sdot-derivatives of A and L; M = dL/dlam, N = dL/ds
+_Pointwise = namedtuple("_Pointwise", "D B dA d2A dL d2L M N")
 
 
 def _pointwise(sdot, s, lam, alpha):
-    """A, D, log(lam/A), the A and L derivatives in sdot at fixed (s, lam),
-    and the Frechet coefficient fields of dL = M dlam + x(theta) N;
-    vectorized."""
+    """The optimal split (A, B) of L(sdot, s, lam), the A and L derivatives in
+    sdot and the Frechet fields M = dL/dlam, N = dL/ds at fixed lam; each is
+    an envelope identity of the split.  Vectorized."""
     up = alpha * (1.0 - s)
+    c, disc2 = _sis_disc2(sdot, s, lam, alpha)
+    D = np.sqrt(disc2)
+    A = sis_A(sdot, s, lam, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc2 = _sis_disc2(sdot, s, lam, alpha)[1]
-        D = np.sqrt(disc2)
-        A = sis_A(sdot, s, lam, alpha)
-        Asafe = np.maximum(A, _EPS_S)
-        lamsafe = np.maximum(lam, _EPS_S)
-        lr = np.log(lamsafe) - np.log(Asafe)
-        bracket = 1.0 + up * lam / (Asafe * Asafe)
-
-        dA = -0.5 + 0.5 * sdot / D
-        d2A = 0.5 / D - 0.5 * sdot * sdot / (D * disc2)
-        dL = -dA * lr * bracket
-        d2L = (-d2A * lr * bracket
-               + dA * dA * (1.0 / Asafe
-                            + 2.0 * up * lam / Asafe ** 3 * lr
-                            + up * lam / Asafe ** 3))
-
-        x2 = A / lamsafe
-        ell_A_over_lam = -x2 * lr - x2 + 1.0
-        M = (ell_A_over_lam
-             + (up / Asafe + A / lamsafe) * lr
-             + up / D * lr * (-up * lam / (Asafe * Asafe) - 1.0))
-        x1 = lam / Asafe
-        ell_lam_over_A = x1 * lr - x1 + 1.0
-        N = -alpha * ell_lam_over_A + alpha * lam / D * lr * (up * lam / (Asafe * Asafe) + 1.0)
-    return _Pointwise(D, lr, Asafe, lamsafe, bracket, dA, d2A, dL, d2L, M, N)
+        # 0.5 c / (D - sdot) == 0.5 (D + sdot), stable for sdot < 0
+        B = np.maximum(np.where(sdot < 0, 0.5 * c / (D - sdot), 0.5 * (D + sdot)), _EPS_S)
+        return _Pointwise(D, B, dA=-A / D, d2A=2.0 * A * B / D ** 3, dL=np.log(B / up),
+                          d2L=1.0 / D, M=1.0 - up / B, N=-alpha * (1.0 - B / up))
 
 
-def _G_field(pw, s, beta, grid, Km):
-    """Nonlocal G = N + beta M K[1 - s] - beta K^T[kappa M s], the first
-    variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
-    return (pw.N + beta * pw.M * field_from_density(grid, Km, 1.0 - s)
-            - beta * Km.apply_T(pw.M * s))
+def _G_field(N, M, s, W, beta, Km):
+    """Nonlocal G = N + beta M W - beta K^T[kappa M s] with W = K[1 - s], the
+    first variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
+    return N + beta * M * W - beta * Km.apply_T(M * s)
 
 
-def _delta_A(pw, s, lam, x, dlam, alpha):
+def _delta_A(D, s, lam, x, dlam, alpha):
     """alpha D^-1 (-lam x(theta) + (1 - s) dlam), with dlam the Frechet
     derivative of lam in direction x."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return alpha / pw.D * (-lam * x + (1.0 - s) * dlam)
+        return alpha / D * (-lam * x + (1.0 - s) * dlam)
 
 
 # --- slice-level operators --------------------------------------------------
@@ -166,27 +145,23 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
 
     The sdot-derivatives of A and L, the Frechet fields M, N, the nonlocal
     G, the velocity-direction Frechet increments (delta_lam, delta_A) and
-    the chain-rule field O; all are NaN where lam (1 - s) vanishes.
+    the chain-rule field O; all are NaN where the recovery flux B is at or
+    below its floor.
     """
     Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     sdot = np.asarray(sdot, dtype=float)
-    alpha = params.alpha
-    lam = sis_lambda_field(s, grid, Km, params.beta)
-    pw = _pointwise(sdot, s, lam, alpha)
+    W = field_from_density(grid, Km, 1.0 - s)
+    lam = params.beta * s * W
+    pw = _pointwise(sdot, s, lam, params.alpha)
     delta_lam = frechet_lambda(s, sdot, params, Km, grid)
-    delta_A = _delta_A(pw, s, lam, sdot, delta_lam, alpha)
-    dA, lr, bracket, Asafe, D = pw.dA, pw.lr, pw.bracket, pw.Asafe, pw.D
+    delta_A = _delta_A(pw.D, s, lam, sdot, delta_lam, params.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        O = (dA * bracket * (delta_A / Asafe - delta_lam / pw.lamsafe)
-             + alpha * sdot * lr * bracket * D ** -3 * ((1.0 - s) * delta_lam - lam * sdot)
-             + alpha * dA * lr * (sdot * lam / Asafe ** 2
-                                  + 2.0 * (1.0 - s) * lam * delta_A / Asafe ** 3
-                                  - (1.0 - s) * delta_lam / Asafe ** 2))
+        O = delta_A / pw.B + sdot / (1.0 - s)
 
-    mask = (lam * (1.0 - s)) <= _EPS_S
-    fields = dict(dA_dsdot=dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
-                  M_field=pw.M, N_field=pw.N, G_field=_G_field(pw, s, params.beta, grid, Km),
+    mask = pw.B <= _EPS_S
+    fields = dict(dA_dsdot=pw.dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
+                  M_field=pw.M, N_field=pw.N, G_field=_G_field(pw.N, pw.M, s, W, params.beta, Km),
                   delta_lam=delta_lam, delta_A=delta_A, O_field=O)
     for arr in fields.values():
         arr[mask] = np.nan
@@ -210,8 +185,8 @@ def frechet_A(sdot, s, x, params, kernel, grid):
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     lam = sis_lambda_field(s, grid, Km, params.beta)
-    pw = _pointwise(np.asarray(sdot, dtype=float), s, lam, params.alpha)
-    return _delta_A(pw, s, lam, x, frechet_lambda(s, x, params, Km, grid), params.alpha)
+    D = np.sqrt(_sis_disc2(np.asarray(sdot, dtype=float), s, lam, params.alpha)[1])
+    return _delta_A(D, s, lam, x, frechet_lambda(s, x, params, Km, grid), params.alpha)
 
 
 def el_residual(path, params, kernel, grid, horizon):
@@ -232,13 +207,6 @@ def el_residual(path, params, kernel, grid, horizon):
 
 # --- discrete action and its exact gradient ---------------------------------
 
-def _slice_fields(sdot, s, lam, params, grid, Km):
-    """dL/dsdot and the nonlocal G for one batch of (velocity, slice)
-    pairs; arrays are (n, M)."""
-    pw = _pointwise(sdot, s, lam, params.alpha)
-    return pw.dL, _G_field(pw, s, params.beta, grid, Km)
-
-
 def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     """Interval-based trapezoid quadrature of the action and its gradient.
 
@@ -251,7 +219,8 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     O(1/dt) stationarity defect at the pinned end; see the tests.)
 
     With ``with_grad`` also returns the exact gradient with respect to the
-    interior slices.
+    interior slices.  K[1 - s] serves lam and both sides of G, and K^T is
+    applied once to the sum of both sides: two kernel applications in all.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
@@ -261,24 +230,24 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     alpha = params.alpha
 
     v = (path[1:] - path[:-1]) / dt                     # (K, M)
-    lam = sis_lambda_field(path, grid, Km, params.beta)  # (n_t, M)
+    W = field_from_density(grid, Km, 1.0 - path)        # (n_t, M)
+    lam = params.beta * path * W
     L_lo = sis_lagrangian(v, path[:-1], lam[:-1], alpha)
     L_hi = sis_lagrangian(v, path[1:], lam[1:], alpha)
     if not (np.all(np.isfinite(L_lo)) and np.all(np.isfinite(L_hi))):
-        if not with_grad:
-            return np.inf
-        return np.inf, np.full((n_t - 2, M), np.nan)
+        return (np.inf, np.full((n_t - 2, M), np.nan)) if with_grad else np.inf
     action = float(0.5 * dt * ((L_lo + L_hi) @ kw).sum())
     if not with_grad:
         return action
 
-    dL_lo, G_lo = _slice_fields(v, path[:-1], lam[:-1], params, grid, Km)
-    dL_hi, G_hi = _slice_fields(v, path[1:], lam[1:], params, grid, Km)
+    lo = _pointwise(v, path[:-1], lam[:-1], alpha)
+    hi = _pointwise(v, path[1:], lam[1:], alpha)
     grad = np.zeros((n_t, M))
     # slice route: s_m enters interval m-1 on the high side, interval m low
-    grad[1:-1] += 0.5 * dt * kw[None, :] * (G_hi[:-1] + G_lo[1:])
+    grad[1:-1] = 0.5 * dt * kw * _G_field(hi.N[:-1] + lo.N[1:], hi.M[:-1] + lo.M[1:],
+                                          path[1:-1], W[1:-1], params.beta, Km)
     # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
-    C = 0.5 * kw[None, :] * (dL_lo + dL_hi)            # (K, M), dt cancels
+    C = 0.5 * kw[None, :] * (lo.dL + hi.dL)            # (K, M), dt cancels
     grad[1:] += C
     grad[:-1] -= C
     return action, grad[1:-1]
@@ -328,11 +297,12 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
         p = z = solve(r)
         rz = r @ z
         for j in range(_CG_MAX):
-            h = min(_FD_STEP / np.max(np.abs(p)), 0.5 * _room(x, p, lo, hi))
+            size = np.max(np.abs(p))
+            h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi)) if size > 0.0 else 0.0
             if h > 0.0:
                 Hp, evals = (fun(x + h * p)[1] - g) / h, evals + 1
                 curv = p @ Hp
-            else:  # p leaves the box at once: no curvature to measure along it
+            else:  # p is zero or leaves the box at once: no curvature to measure along it
                 curv = 0.0
             if not curv > 0.0:
                 if j == 0:
@@ -384,7 +354,8 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
     start[0], start[-1] = problem.s0, problem.sT
     a0 = discrete_action(start, params, Km, grid, problem.horizon)
     if not np.isfinite(a0):
-        raise ValueError("initial path has infinite action; move endpoints off the boundary")
+        raise EndpointError("initial path has infinite action: it needs a flux through "
+                            "a zero intensity, e.g. s falling where lam = 0")
     tol = opts.tol_grad * max(1.0, abs(a0))
 
     def unpack(x):
@@ -397,19 +368,22 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         return a, g.ravel()
 
     def precondition(x):
-        """Solver of D^T diag(c) D y = r per circle node, with D the pinned-end
-        time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt) per interval:
-        the flux q = c D y has D^T q = r, so q is minus the running sum of r
-        plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0."""
+        """Solver of E^T diag(c) E y = r per circle node, with E the pinned-end
+        time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt), d2L = 1 / D,
+        per interval: the flux q = c E y has E^T q = r, so q is minus the running
+        sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
+        A node whose every interval has D = 0 gets a zero step."""
         path = unpack(x)
         v, lam = (path[1:] - path[:-1]) / dt, sis_lambda_field(path, grid, Km, params.beta)
-        inv = 2.0 * dt / (grid.kappa_weights * (_pointwise(v, path[:-1], lam[:-1], params.alpha).d2L
-                                                + _pointwise(v, path[1:], lam[1:], params.alpha).d2L))
+        D_lo = np.sqrt(_sis_disc2(v, path[:-1], lam[:-1], params.alpha)[1])
+        D_hi = np.sqrt(_sis_disc2(v, path[1:], lam[1:], params.alpha)[1])
+        with np.errstate(invalid="ignore"):
+            inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
         total = inv.sum(axis=0)
 
         def solve(r):
             q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
-            q -= (q * inv).sum(axis=0) / total
+            q -= np.divide((q * inv).sum(axis=0), total, out=np.zeros(M), where=total > 0)
             return np.cumsum(q * inv, axis=0)[:-1].ravel()
         return solve
 
@@ -420,7 +394,7 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         "action": float(res.fun),
         "grad_norm": float(np.max(np.abs(res.jac))),
         "grad_tol": tol,
-        "el_residual_max": float(np.nanmax(np.abs(residual))),
+        "el_residual_max": float(np.fmax.reduce(np.abs(residual), axis=None)),  # NaN if all degenerate
         "iters": int(res.nit),
         "cg_iters": int(res.cg_iters),
         "grad_evals": int(res.nfev),

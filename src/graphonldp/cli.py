@@ -456,7 +456,10 @@ def cmd_action(cp, out):
     diag = {k: v for k, v in result.diagnostics.items() if k != "action_history"}
     man.add("diagnostics.json", json.dumps(diag, indent=2))
     man.write({"action": result.action, "converged": result.diagnostics["converged"]})
-    return 0 if result.diagnostics["converged"] else 3
+    if not result.diagnostics["converged"]:
+        print(f"not converged: {result.diagnostics['warning']}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_ldp_check(cp, out):

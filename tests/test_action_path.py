@@ -61,6 +61,13 @@ class TestPathProblem:
         assert np.allclose(path[0], 0.2) and np.allclose(path[-1], 0.8)
         assert np.allclose(path[5], 0.5)
 
+    def test_initial_path_constant_between_equal_endpoints(self):
+        # (1 - l) s0 + l s0 rounds away from s0, and on a zero field any
+        # downward velocity, however small, has infinite action
+        s0 = np.full(8, 0.3)
+        path = PathProblem(s0=s0, sT=s0.copy(), horizon=1.0, K=10).initial_path()
+        assert np.array_equal(path, np.broadcast_to(s0, path.shape))
+
 
 class TestElPartials:
     def setup_method(self):
@@ -356,11 +363,44 @@ class TestMinimizeAction:
         scale = max(1e-12, float(np.max(np.abs(interior))))
         assert spread <= 5e-3 * max(1.0, scale) + 2e-4
 
+    def test_zero_field_upward_path_gradient_matches_fd(self):
+        # lam = 0 everywhere: A = 0, B = sdot and dL/dsdot = log(sdot / up),
+        # finite although log(lam / A) is 0/0
+        grid = circle_grid(8)
+        kernel = constant_kernel(0.0)
+        prob = PathProblem(s0=np.full(8, 0.3), sT=np.full(8, 0.4), horizon=1.0, K=10)
+        rng = np.random.default_rng(3)
+        path = prob.initial_path()
+        path[1:-1] += 0.002 * rng.standard_normal((9, 8))  # steps of 0.01 stay upward
+        a, g = discrete_action(path, PARAMS, kernel, grid, 1.0, with_grad=True)
+        assert np.isfinite(a) and np.all(np.isfinite(g))
+        for _ in range(4):
+            v = rng.standard_normal(g.shape)
+            h = 1e-6
+            p1, p2 = path.copy(), path.copy()
+            p1[1:-1] += h * v
+            p2[1:-1] -= h * v
+            fd = (discrete_action(p1, PARAMS, kernel, grid, 1.0)
+                  - discrete_action(p2, PARAMS, kernel, grid, 1.0)) / (2 * h)
+            an = float(np.sum(g * v))
+            assert abs(fd - an) <= 1e-5 * abs(an)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_field_upward_path_converges(self):
+        # every d2L = 1 / D = 1 / sdot is finite on a zero field moving up
+        grid = circle_grid(8)
+        kernel = constant_kernel(0.0)
+        prob = PathProblem(s0=np.full(8, 0.3), sT=np.full(8, 0.4), horizon=1.0, K=10)
+        res = minimize_action(prob, SisParams(2.0, 1.0), kernel, grid)
+        assert res.diagnostics["converged"]
+        assert res.action < discrete_action(prob.initial_path(), PARAMS, kernel, grid, 1.0)
+        assert np.isfinite(res.diagnostics["el_residual_max"])
+
     def test_infinite_initial_guess_rejected(self):
         grid = circle_grid(8)
         kernel = constant_kernel(0.0)  # lambda == 0: moving down is forbidden
         prob = PathProblem(s0=np.full(8, 0.9), sT=np.full(8, 0.2), horizon=1.0, K=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(EndpointError, match="infinite action"):
             minimize_action(prob, PARAMS, kernel, grid)
 
     def test_guess_endpoints_replaced_before_the_start_is_scored(self):

@@ -346,6 +346,18 @@ class TestAction:
         code, _ = run(tmp_path, "action", "action.s0=uniform:0.0")
         assert code == 2
 
+    @pytest.mark.parametrize("sT, expected", [("0.2", 2), ("0.3", 3), ("0.4", 0)])
+    def test_zero_field_ends_with_a_message(self, tmp_path, capsys, sT, expected):
+        # lam = 0: falling is impossible (exit 2), staying put is the only
+        # finite path, whose gradient no step can reduce (exit 3), and rising
+        # converges (exit 0)
+        code, _ = run(tmp_path, "action", "graphon.family=constant", "graphon.level=0",
+                      "grid.M=8", "grid.K=10", "action.s0=uniform:0.3", f"action.sT=uniform:{sT}")
+        assert code == expected
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith({2: "config error:", 3: "not converged:", 0: ""}[expected])
+
     @pytest.mark.parametrize("setting", ["action.max_iters=0", "action.max_iters=-5",
                                          "action.tol_grad=0", "action.tol_grad=nan",
                                          "action.tol_grad=-1e-6", "action.tol_grad=inf"])
