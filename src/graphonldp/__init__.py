@@ -82,7 +82,6 @@ from .action_path import (  # noqa: F401
     discrete_action,
     el_operators,
     el_residual,
-    frechet_A,
     frechet_lambda,
     minimize_action,
 )

@@ -11,15 +11,15 @@ as the solver.
 The Lagrangian is an infimum over the flux split: infection flux A =
 ``sis_A`` and recovery flux B = sdot + A, with A B = lam up, up = alpha (1 - s)
 and D = A + B = sqrt(sdot^2 + 4 lam up).  By the envelope theorem every
-derivative is a function of the optimal split:
+derivative is a function of the optimal split (``_split``):
 
     dL/dsdot = log(B / up),   d2L/dsdot2 = 1 / D,
     dA/dsdot = -A / D,        d2A/dsdot2 = 2 A B / D^3,
     M = dL/dlam = 1 - up / B, N = dL/ds at fixed lam = -alpha (1 - B / up),
     O = delta_A / B + alpha sdot / up.
 
-The one floor is on B, at ``_EPS_S`` in the logarithm and the ratios; a cell
-with B at or below it is degenerate.  Tests check each field against a
+Nothing is floored: every field is the exact envelope derivative wherever
+B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
 finite-difference oracle, and G and O through the gradient and stationarity.
 
 The stationarity identity checked by ``el_residual`` is
@@ -39,11 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .meanfield import _operator, field_from_density, sis_lambda_field
-from .rate_function import _sis_disc2, path_time_derivative, sis_A, sis_lagrangian
+from .rate_function import path_time_derivative, sis_A, sis_lagrangian
 
-#: Floor of the action layer: the path solve stays in [_EPS_S, 1 - _EPS_S],
-#: the derivative fields floor the recovery flux B at it in their logarithm
-#: and ratios, and a cell with B at or below it is degenerate.
+#: The box of the path solve: interior slices stay in [_EPS_S, 1 - _EPS_S].
 _EPS_S = 1e-8
 
 
@@ -106,7 +104,18 @@ class ElOperators:
 
 # --- pointwise analytic formulas ------------------------------------------
 
-# D = A + B; B floored at _EPS_S; the sdot-derivatives of A and L; M = dL/dlam, N = dL/ds
+def _split(sdot, s, lam, alpha):
+    """The optimal split of L(sdot, s, lam) and the recovery intensity:
+    (A, B, up) with A = ``sis_A``, up = alpha (1 - s) and A B = lam up.  B is
+    lam up / A where sdot < 0 (there A >= -sdot > 0) and sdot + A elsewhere,
+    so neither form cancels.  Vectorized."""
+    A = sis_A(sdot, s, lam, alpha)
+    up = alpha * (1.0 - s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return A, np.where(sdot < 0, lam * up / A, sdot + A), up
+
+
+# D = A + B; the sdot-derivatives of A and L; M = dL/dlam, N = dL/ds
 _Pointwise = namedtuple("_Pointwise", "D B dA d2A dL d2L M N")
 
 
@@ -114,13 +123,9 @@ def _pointwise(sdot, s, lam, alpha):
     """The optimal split (A, B) of L(sdot, s, lam), the A and L derivatives in
     sdot and the Frechet fields M = dL/dlam, N = dL/ds at fixed lam; each is
     an envelope identity of the split.  Vectorized."""
-    up = alpha * (1.0 - s)
-    c, disc2 = _sis_disc2(sdot, s, lam, alpha)
-    D = np.sqrt(disc2)
-    A = sis_A(sdot, s, lam, alpha)
+    A, B, up = _split(sdot, s, lam, alpha)
+    D = A + B
     with np.errstate(divide="ignore", invalid="ignore"):
-        # 0.5 c / (D - sdot) == 0.5 (D + sdot), stable for sdot < 0
-        B = np.maximum(np.where(sdot < 0, 0.5 * c / (D - sdot), 0.5 * (D + sdot)), _EPS_S)
         return _Pointwise(D, B, dA=-A / D, d2A=2.0 * A * B / D ** 3, dL=np.log(B / up),
                           d2L=1.0 / D, M=1.0 - up / B, N=-alpha * (1.0 - B / up))
 
@@ -145,8 +150,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
 
     The sdot-derivatives of A and L, the Frechet fields M, N, the nonlocal
     G, the velocity-direction Frechet increments (delta_lam, delta_A) and
-    the chain-rule field O; all are NaN where the recovery flux B is at or
-    below its floor.
+    the chain-rule field O; all are NaN where the recovery flux B is 0.
     """
     Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
@@ -158,10 +162,11 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     delta_A = _delta_A(pw.D, s, lam, sdot, delta_lam, params.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         O = delta_A / pw.B + sdot / (1.0 - s)
+        G = _G_field(pw.N, pw.M, s, W, params.beta, Km)  # M = -inf meets W = 0 on a zero kernel
 
-    mask = pw.B <= _EPS_S
+    mask = ~(pw.B > 0.0)
     fields = dict(dA_dsdot=pw.dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
-                  M_field=pw.M, N_field=pw.N, G_field=_G_field(pw.N, pw.M, s, W, params.beta, Km),
+                  M_field=pw.M, N_field=pw.N, G_field=G,
                   delta_lam=delta_lam, delta_A=delta_A, O_field=O)
     for arr in fields.values():
         arr[mask] = np.nan
@@ -176,17 +181,6 @@ def frechet_lambda(s, x, params, kernel, grid):
     x = np.asarray(x, dtype=float)
     return (x * params.beta * field_from_density(grid, Km, 1.0 - s)
             - params.beta * s * field_from_density(grid, Km, x))
-
-
-def frechet_A(sdot, s, x, params, kernel, grid):
-    """Frechet derivative of the inner minimizer A in direction x:
-    alpha D^-1 (-lam x(theta) + (1 - s) Dlam . x)."""
-    Km = _operator(kernel, grid)
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lam = sis_lambda_field(s, grid, Km, params.beta)
-    D = np.sqrt(_sis_disc2(np.asarray(sdot, dtype=float), s, lam, params.alpha)[1])
-    return _delta_A(D, s, lam, x, frechet_lambda(s, x, params, Km, grid), params.alpha)
 
 
 def el_residual(path, params, kernel, grid, horizon):
@@ -219,8 +213,9 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     O(1/dt) stationarity defect at the pinned end; see the tests.)
 
     With ``with_grad`` also returns the exact gradient with respect to the
-    interior slices.  K[1 - s] serves lam and both sides of G, and K^T is
-    applied once to the sum of both sides: two kernel applications in all.
+    interior slices, non-finite next to a cell with B = 0.  K[1 - s] serves
+    lam and both sides of G, and K^T is applied once to the sum of both
+    sides: two kernel applications in all.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
@@ -243,13 +238,14 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     lo = _pointwise(v, path[:-1], lam[:-1], alpha)
     hi = _pointwise(v, path[1:], lam[1:], alpha)
     grad = np.zeros((n_t, M))
-    # slice route: s_m enters interval m-1 on the high side, interval m low
-    grad[1:-1] = 0.5 * dt * kw * _G_field(hi.N[:-1] + lo.N[1:], hi.M[:-1] + lo.M[1:],
-                                          path[1:-1], W[1:-1], params.beta, Km)
-    # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
-    C = 0.5 * kw[None, :] * (lo.dL + hi.dL)            # (K, M), dt cancels
-    grad[1:] += C
-    grad[:-1] -= C
+    with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
+        # slice route: s_m enters interval m-1 on the high side, interval m low
+        grad[1:-1] = 0.5 * dt * kw * _G_field(hi.N[:-1] + lo.N[1:], hi.M[:-1] + lo.M[1:],
+                                              path[1:-1], W[1:-1], params.beta, Km)
+        # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
+        C = 0.5 * kw[None, :] * (lo.dL + hi.dL)            # (K, M), dt cancels
+        grad[1:] += C
+        grad[:-1] -= C
     return action, grad[1:-1]
 
 
@@ -288,10 +284,14 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     difference of g, stops at the forcing tolerance min(0.5, sqrt|g|) |g| or
     on non-positive curvature, which includes a direction that leaves the box
     at once (then the first step is the preconditioned gradient); Armijo
-    backtracking follows, and the accepted trial's gradient is kept."""
+    backtracking follows, and the accepted trial's gradient is kept.  A
+    non-finite gradient stops the solve."""
     x, (f, g) = x0, fun(x0)
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
-    while np.max(np.abs(g)) > gtol and nit < maxiter:
+    while not np.max(np.abs(g)) <= gtol and nit < maxiter:
+        if not np.all(np.isfinite(g)):
+            message = "non-finite gradient"
+            break
         solve, gnorm = precondition(x), np.linalg.norm(g)
         d, r = np.zeros_like(x), -g
         p = z = solve(r)
@@ -375,8 +375,8 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         A node whose every interval has D = 0 gets a zero step."""
         path = unpack(x)
         v, lam = (path[1:] - path[:-1]) / dt, sis_lambda_field(path, grid, Km, params.beta)
-        D_lo = np.sqrt(_sis_disc2(v, path[:-1], lam[:-1], params.alpha)[1])
-        D_hi = np.sqrt(_sis_disc2(v, path[1:], lam[1:], params.alpha)[1])
+        D_lo, D_hi = (A + B for A, B, _ in (_split(v, path[:-1], lam[:-1], params.alpha),
+                                            _split(v, path[1:], lam[1:], params.alpha)))
         with np.errstate(invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
         total = inv.sum(axis=0)

@@ -7,11 +7,12 @@ with repeated ``--set section.key=value`` flags.  All artifacts land under
 --out with a manifest listing file hashes, and every run is deterministic
 given (config, seed).
 
-Exit codes: 0 success; 2 configuration error (a bad option, profile or
-network file, a kernel off the circle outside ``sample``, or snapshots off
-the mean-field time grid); 3 numerical failure (an exhausted event budget,
-a non-finite rate, density normalization drift, an equilibrium relaxation
-or an action solve that did not converge).
+Exit codes: 0 success; 2 configuration error (a bad option or profile, a
+kernel off the circle outside ``sample``, or snapshots off the mean-field
+time grid); 3 numerical failure (an exhausted event budget, a non-finite
+rate, density normalization drift, an equilibrium relaxation or an action
+solve that did not converge).  No subcommand reads a network file;
+``graphon.read_network`` raises GraphonError on a malformed one.
 """
 
 from __future__ import annotations
@@ -453,8 +454,10 @@ def cmd_action(cp, out):
     man.add("el_residual.csv", _table("t,theta,residual",
                                       _long_columns(res[1:-1], times[1:-1], grid.nodes)))
 
-    diag = {k: v for k, v in result.diagnostics.items() if k != "action_history"}
-    man.add("diagnostics.json", json.dumps(diag, indent=2))
+    # strict JSON: a non-finite number (all cells degenerate) is written as null
+    diag = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in result.diagnostics.items() if k != "action_history"}
+    man.add("diagnostics.json", json.dumps(diag, indent=2, allow_nan=False))
     man.write({"action": result.action, "converged": result.diagnostics["converged"]})
     if not result.diagnostics["converged"]:
         print(f"not converged: {result.diagnostics['warning']}", file=sys.stderr)

@@ -191,7 +191,7 @@ class TestElFrechet:
         assert np.allclose(d, 0.0)
 
     def test_frechet_helpers_match_fd(self):
-        from graphonldp.action_path import frechet_A, frechet_lambda
+        from graphonldp.action_path import frechet_lambda
         from graphonldp.rate_function import sis_A
         rng = np.random.default_rng(8)
         s = 0.5 + 0.2 * np.cos(self.grid.nodes)
@@ -202,20 +202,19 @@ class TestElFrechet:
         fd_lam = (lam_of(s + eps * x) - lam_of(s - eps * x)) / (2 * eps)
         an_lam = frechet_lambda(s, x, PARAMS, self.kernel, self.grid)
         assert np.max(np.abs(fd_lam - an_lam)) < 1e-7
+        # delta_A is the Frechet derivative of A along x = sdot
         A_of = lambda f: sis_A(sdot, f, lam_of(f), PARAMS.alpha)
-        fd_A = (A_of(s + eps * x) - A_of(s - eps * x)) / (2 * eps)
-        an_A = frechet_A(sdot, s, x, PARAMS, self.kernel, self.grid)
+        fd_A = (A_of(s + eps * sdot) - A_of(s - eps * sdot)) / (2 * eps)
+        an_A = el_operators(sdot, s, PARAMS, self.kernel, self.grid).delta_A
         assert np.max(np.abs(fd_A - an_A) / (1 + np.abs(an_A))) < 1e-6
 
     def test_delta_fields_are_velocity_direction_frechets(self):
-        from graphonldp.action_path import frechet_A, frechet_lambda
+        from graphonldp.action_path import frechet_lambda
         s = 0.5 + 0.15 * np.cos(self.grid.nodes)
         sdot = 0.2 * np.sin(self.grid.nodes) - 0.05
         ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
         assert np.allclose(ops.delta_lam,
                            frechet_lambda(s, sdot, PARAMS, self.kernel, self.grid))
-        assert np.allclose(ops.delta_A,
-                           frechet_A(sdot, s, sdot, PARAMS, self.kernel, self.grid))
 
 
 class TestElResidual:
@@ -362,6 +361,51 @@ class TestMinimizeAction:
         spread = float(np.max(interior) - np.min(interior))
         scale = max(1e-12, float(np.max(np.abs(interior))))
         assert spread <= 5e-3 * max(1.0, scale) + 2e-4
+
+    def test_gradient_matches_fd_at_the_disease_free_start(self):
+        # the CLI's small-world start is pinned at s0 = 1 - 3e-13, where the
+        # recovery intensity alpha (1 - s0) is far below the solve's box; the
+        # gradient on the first interior slice must still be the derivative
+        # of the value
+        from graphonldp import cli
+
+        cp = cli.load_config(None, ["graphon.family=small-world"])
+        spec, params, grid, _, equilibrium = cli._model(cp)
+        prob = PathProblem(s0=cli.parse_profile(cp.get("action", "s0"), grid, equilibrium),
+                           sT=cli.parse_profile(cp.get("action", "sT"), grid, equilibrium),
+                           horizon=cp.getfloat("grid", "T"), K=cp.getint("grid", "K"))
+        assert 1.0 - prob.s0.max() < 1e-12
+        path = np.clip(prob.initial_path(), 1e-8, 1.0 - 1e-8)
+        path[0], path[-1] = prob.s0, prob.sT
+        _, g = discrete_action(path, params, spec, grid, prob.horizon, with_grad=True)
+        h = 1e-9
+        fd = np.empty(grid.M)
+        for i in range(grid.M):
+            p1, p2 = path.copy(), path.copy()
+            p1[1, i] += h
+            p2[1, i] -= h
+            fd[i] = (discrete_action(p1, params, spec, grid, prob.horizon)
+                     - discrete_action(p2, params, spec, grid, prob.horizon)) / (2 * h)
+        assert np.max(np.abs(fd - g[0]) / (np.abs(fd) + 1e-6)) <= 1e-4
+
+    def test_quasi_potential_from_the_endemic_state(self):
+        # constant kernel, R0 = beta / alpha = 2: the minimum action from the
+        # endemic state s* = 1 / R0 to a uniform sT is the quasi-potential
+        # V(sT) = sT ln(R0 sT) - sT + 1 / R0 as T grows; at T = 20 the
+        # Richardson value of two time steps lands on it
+        grid = circle_grid(8)
+        kernel = constant_kernel(1.0)
+        r0 = PARAMS.beta / PARAMS.alpha
+        for sT in (0.9, 0.99):
+            actions = []
+            for K in (400, 800):
+                prob = PathProblem(s0=np.full(8, 1.0 / r0), sT=np.full(8, sT), horizon=20.0, K=K)
+                res = minimize_action(prob, PARAMS, kernel, grid, ActionOptions(tol_grad=1e-10))
+                assert res.diagnostics["converged"]
+                actions.append(res.action)
+            richardson = (4.0 * actions[1] - actions[0]) / 3.0
+            V = sT * np.log(r0 * sT) - sT + 1.0 / r0
+            assert abs(richardson - V) <= 1e-8
 
     def test_zero_field_upward_path_gradient_matches_fd(self):
         # lam = 0 everywhere: A = 0, B = sdot and dL/dsdot = log(sdot / up),

@@ -349,7 +349,7 @@ class TestAction:
     @pytest.mark.parametrize("sT, expected", [("0.2", 2), ("0.3", 3), ("0.4", 0)])
     def test_zero_field_ends_with_a_message(self, tmp_path, capsys, sT, expected):
         # lam = 0: falling is impossible (exit 2), staying put is the only
-        # finite path, whose gradient no step can reduce (exit 3), and rising
+        # finite path, whose gradient is not finite (exit 3), and rising
         # converges (exit 0)
         code, _ = run(tmp_path, "action", "graphon.family=constant", "graphon.level=0",
                       "grid.M=8", "grid.K=10", "action.s0=uniform:0.3", f"action.sT=uniform:{sT}")
@@ -357,6 +357,22 @@ class TestAction:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith({2: "config error:", 3: "not converged:", 0: ""}[expected])
+
+    def test_non_finite_gradient_stops_the_solve(self, tmp_path, capsys):
+        # lam = 0 and s0 = sT: every cell has B = 0 and the gradient is NaN, so
+        # the solve stops at once and writes the NaN numbers as strict JSON
+        code, out = run(tmp_path, "action", "graphon.family=constant", "graphon.level=0",
+                        "grid.M=8", "grid.K=10", "action.s0=uniform:0.3", "action.sT=uniform:0.3")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite gradient" in err and "Traceback" not in err
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        assert diag["grad_norm"] is None and diag["el_residual_max"] is None
+        assert diag["iters"] == 0 and diag["grad_evals"] == 1
 
     @pytest.mark.parametrize("setting", ["action.max_iters=0", "action.max_iters=-5",
                                          "action.tol_grad=0", "action.tol_grad=nan",
