@@ -22,7 +22,10 @@ TWO_PI = 2.0 * np.pi
 
 def circle_distance(a, b):
     """Wrap-around distance on the circle, elementwise."""
-    d = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    # the remainder of a value already in [0, 2 pi) is that value: skip the pass
+    if not np.all(d < TWO_PI):
+        d = d % TWO_PI
     return np.minimum(d, TWO_PI - d)
 
 
@@ -153,11 +156,10 @@ class SisRates(RateFamily):
         self.bounded_below = False
 
     def rate_matrix(self, theta, from_codes, w):
-        n = len(from_codes)
-        out = np.zeros((n, 2))
         sus = from_codes == S
-        out[sus, I] = self.params.beta * np.maximum(0.0, w[sus, I])
-        out[~sus, S] = self.params.alpha
+        out = np.zeros((len(from_codes), 2))
+        np.copyto(out[:, S], self.params.alpha, where=~sus)
+        np.multiply(self.params.beta, np.maximum(0.0, w[:, I]), out=out[:, I], where=sus)
         return out
 
 

@@ -72,8 +72,11 @@ def kernel_matrix(kernel, grid: SpatialGrid):
     return np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
 
 
-#: Smallest M at which a circulant K is applied by FFT (the measured crossover).
+#: A circulant K is applied by FFT from M = ``_FFT_MIN_M`` in a call of at
+#: least ``_FFT_MIN_ROWS`` rows, and from M = 2 ``_FFT_MIN_M`` in any call: the
+#: measured crossovers, below which a call of 1 or 2 rows is faster dense.
 _FFT_MIN_M = 256
+_FFT_MIN_ROWS = 8
 #: Largest deviation from circulance, relative to max|K|, taken as round-off.
 _CIRCULANT_TOL = 1e-13
 
@@ -82,8 +85,10 @@ class KernelOperator:
     """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
     d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
     weights, M >= ``_FFT_MIN_M`` and K circulant to round-off (every kernel of
-    x - y on the uniform circle grid) both are circular convolutions by real
-    FFT, O(M log M); otherwise dense products, which stay the oracle."""
+    x - y on the uniform circle grid) ``fft`` is set, and a call with at least
+    ``_FFT_MIN_ROWS`` rows, or any call once M >= 2 ``_FFT_MIN_M``, is a
+    circular convolution by real FFT, O(M log M) per row; every other call is
+    a dense product, which stays the oracle."""
 
     def __init__(self, K, grid: SpatialGrid):
         self.K, self.kw = K, grid.kappa_weights
@@ -96,16 +101,20 @@ class KernelOperator:
         if self.fft:
             self._col, self._row = np.fft.rfft(col), np.fft.rfft(K[0])
 
+    def _by_fft(self, x):
+        M = self.kw.size
+        return self.fft and (M >= 2 * _FFT_MIN_M or x.size >= _FFT_MIN_ROWS * M)
+
     def _convolve(self, x, spectrum):
         return np.fft.irfft(np.fft.rfft(x) * spectrum, n=self.kw.size)
 
     def apply(self, density):
         x = density * self.kw
-        return self._convolve(x, self._col) if self.fft else x @ self.K.T
+        return self._convolve(x, self._col) if self._by_fft(x) else x @ self.K.T
 
     def apply_T(self, v):
         x = v * self.kw
-        return self._convolve(x, self._row) if self.fft else x @ self.K
+        return self._convolve(x, self._row) if self._by_fft(x) else x @ self.K
 
 
 class _DenseOperator(KernelOperator):
@@ -183,16 +192,23 @@ def field_from_density(grid: SpatialGrid, K, density):
 
 
 def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
-    """Channel intensities lambda[a, b, i] = f_b(theta_i, a, w(theta_i)) nu(a, theta_i)
-    of the (k, M) densities ``nu``, with fields w = K[nu] for a GraphonSpec,
-    kernel callable, (M, M) array or KernelOperator ``kernel``.  The one
-    product of rates and densities: the mean-field drift is its divergence,
-    and the coupled rate functional compares fluxes against it."""
+    """Channel intensities lambda[..., a, b, i] = f_b(theta_i, a, w(theta_i)) nu(a, theta_i)
+    of (k, M) densities ``nu`` or a (..., k, M) stack of them, with fields
+    w = K[nu] for a GraphonSpec, kernel callable, (M, M) array or
+    KernelOperator ``kernel``: one field application, and one ``rate_matrix``
+    call per source state on the rows of every slice.  The one product of
+    rates and densities: the mean-field drift is its divergence, and the
+    coupled rate functional compares fluxes against it."""
     nu = np.asarray(nu, dtype=float)
-    w = field_from_density(grid, kernel, nu).T
-    lam = np.empty((nu.shape[0],) + nu.shape)
-    for a in range(nu.shape[0]):
-        lam[a] = rates.rate_matrix(grid.nodes, np.full(grid.M, a, dtype=np.int64), w).T * nu[a]
+    k, M = nu.shape[-2:]
+    # rows in (slice, node) order, one field component per column: a view for one slice
+    w = field_from_density(grid, kernel, nu).swapaxes(-1, -2).reshape(-1, k)
+    theta = grid.nodes if len(w) == M else np.tile(grid.nodes, len(w) // M)
+    lam = np.empty(nu.shape[:-1] + nu.shape[-2:])
+    for a in range(k):
+        r = rates.rate_matrix(theta, np.full(len(w), a, dtype=np.int64), w)
+        np.multiply(r.reshape(nu.shape[:-2] + (M, k)).swapaxes(-1, -2), nu[..., a, None, :],
+                    out=lam[..., a, :, :])
     return lam
 
 

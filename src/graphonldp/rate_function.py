@@ -66,20 +66,23 @@ def ell(a):
 def ell_scaled(p, lam):
     """The Poisson cost cell lam * ell(p / lam) of flux p at intensity lam.
 
-    It is lam where p = 0, +inf exactly where lam <= 0 < p (by that
-    comparison), and lam * [(1+x) log1p(x) - x] with x = (p - lam)/lam near
-    p = lam, where the naive p log(p/lam) - p + lam loses all precision.
+    With x = (p - lam)/lam, each cell takes one of two formulas, evaluated
+    on its own cells only.  Near balance, |x| < 0.5, it is
+    lam * [(1+x) log1p(x) - x], where the naive form loses all precision;
+    elsewhere p log(p/lam) - p + lam, with lam where p = 0 and +inf exactly
+    where lam <= 0 < p (by that comparison; such a cell has |x| >= 1 or NaN).
     """
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (p - lam) / lam
         near = np.abs(x) < 0.5
-        xn = np.where(near, x, 0.0)
-        small = lam * ((1.0 + xn) * np.log1p(xn) - xn)
-        big = p * np.log(p / lam) - p + lam
-    out = np.where(near, small, np.where(p == 0, lam, big))
-    out = np.where((lam <= 0) & (p > 0), np.inf, out)
+        out = np.log1p(x, out=np.empty(x.shape), where=near)
+        np.multiply(out, 1.0 + x, out=out, where=near)
+        np.subtract(out, x, out=out, where=near)
+        np.multiply(out, lam, out=out, where=near)
+        pf, lf = p[~near], lam[~near]
+        out[~near] = np.where((lf <= 0) & (pf > 0), np.inf,
+                              np.where(pf == 0, lf, pf * np.log(pf / lf) - pf + lf))
     return out if out.ndim else float(out)
 
 
@@ -117,17 +120,32 @@ def _checked_fluxes(flux_densities):
     return out
 
 
+def _time_grid(times, T, n_t):
+    """The n_t slice times: a uniform grid over [0, T], or ``times``, which
+    must be finite, strictly increasing and n_t long (ValueError otherwise)."""
+    if times is None:
+        return np.linspace(0.0, T, n_t)
+    tt = np.asarray(times, dtype=float)
+    if tt.shape != (n_t,):
+        raise ValueError(f"times must hold one entry per flux slice, shape ({n_t},); "
+                         f"got {tt.shape}")
+    if not (np.all(np.isfinite(tt)) and np.all(np.diff(tt) > 0)):
+        raise ValueError("times must be finite and strictly increasing")
+    return tt
+
+
 def rate_I(flux_densities, grid, T, times=None):
     """Uncoupled rate functional: sum over channels of iint ell(p) dkappa dt.
 
     ``flux_densities`` maps channel -> (n_t, M) nonnegative density arrays
-    sampled on a uniform time grid over [0, T] (or at explicit ``times``).
+    sampled on a uniform time grid over [0, T] (or at explicit ``times``,
+    finite and strictly increasing, one per slice: ValueError otherwise).
     Time integration is trapezoidal; space is the grid's kappa quadrature.
     """
     total = 0.0
     kw = grid.kappa_weights
     for p in _checked_fluxes(flux_densities).values():
-        tt = np.linspace(0.0, T, p.shape[0]) if times is None else times
+        tt = _time_grid(times, T, p.shape[0])
         space = ell(p) @ kw
         total += float(_trapezoid(space, tt))
     return total
@@ -137,27 +155,32 @@ def reconstruct_occupation(flux_densities, nu0, labels, times):
     """Occupation densities from initial value plus net time-integrated flux.
 
     nu_t(a) = nu_0(a) + int_0^t sum_{b != a} (p_{b->a} - p_{a->b}) ds,
-    cumulative-trapezoid in time.  Returns (n_t, k, M).
+    cumulative-trapezoid in time, accumulated one slice at a time in the
+    order of a cumulative sum over slices.  Returns (n_t, k, M).
     """
     nu0 = np.asarray(nu0, dtype=float)
     k, M = nu0.shape
-    n_t = len(times)
-    rate = np.zeros((n_t, k, M))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    for (a, b), p in flux_densities.items():
-        rate[:, idx[b], :] += p
-        rate[:, idx[a], :] -= p
-    dt = np.diff(times)[:, None, None]
-    nu = np.empty((n_t, k, M))
+    half_dt = 0.5 * np.diff(times)
+    nu = np.empty((len(times), k, M))
     nu[0] = nu0
-    np.cumsum(0.5 * dt * (rate[1:] + rate[:-1]), axis=0, out=nu[1:])
-    nu[1:] += nu0[None]
+    total = np.zeros((k, M))
+    for n in range(len(times)):
+        rate = np.zeros((k, M))  # net inflow into each state at slice n
+        for (a, b), p in flux_densities.items():
+            rate[labels.index(b)] += p[n]
+            rate[labels.index(a)] -= p[n]
+        if n:
+            total += half_dt[n - 1] * (rate + prev)
+            np.add(total, nu0, out=nu[n])
+        prev = rate
     return nu
 
 
 #: How far a density may leave [0, 1]: the occupation reconstructed by
 #: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
 _DENSITY_TOL = 1e-6
+#: Time slices per intensity stack in ``rate_G``: 4 MiB at k = 2, M = 1024.
+_CHUNK = 128
 
 
 def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
@@ -169,37 +192,48 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
         sum_{a != b} iint ell(p_{a->b} / lambda_{a,b}) lambda_{a,b} dkappa dt,
         lambda_{a,b}(x, t) = f_b(x, a, w(x, t)) nu_t(a, x).
 
-    Returns a RateValue; the infinity marker fires if the reconstructed
-    occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some channel has
-    positive flux against zero intensity.  A negative or NaN flux entry, or
-    a non-finite entry of ``nu0``, raises ValueError.
+    The intensities are formed ``_CHUNK`` time slices at a time, one
+    :func:`channel_intensities` stack and one :func:`ell_scaled` call per
+    channel each.  Returns a RateValue; the infinity marker fires if the
+    reconstructed occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some
+    channel has positive flux against zero intensity, and names the first
+    such cell in (slice, channel, node) order.  ValueError for a negative or
+    NaN flux entry, a non-finite entry of ``nu0``, fluxes that are not
+    (n_t, M) or ``nu0`` that is not (k, M) with M = ``grid.M``, and ``times``
+    that are not finite, strictly increasing and n_t long.
     """
     labels = rates.states.labels
     flux_densities = _checked_fluxes(flux_densities)
+    n_t = next(iter(flux_densities.values())).shape[0]
+    for chan, p in flux_densities.items():
+        if p.shape != (n_t, grid.M):
+            raise ValueError(f"flux on channel {chan} must be (n_t, M) = ({n_t}, {grid.M}), "
+                             f"got {p.shape}")
+    nu0 = np.asarray(nu0, dtype=float)
+    if nu0.shape != (len(labels), grid.M):
+        raise ValueError(f"nu0 must be (k, M) = ({len(labels)}, {grid.M}), got {nu0.shape}")
     if not np.all(np.isfinite(nu0)):
         raise ValueError("initial occupation nu0 has a non-finite entry")
-    n_t = next(iter(flux_densities.values())).shape[0]
-    tt = np.linspace(0.0, T, n_t) if times is None else np.asarray(times)
+    tt = _time_grid(times, T, n_t)
     nu = reconstruct_occupation(flux_densities, nu0, labels, tt)
     if np.min(nu) < -_DENSITY_TOL or np.max(nu) > 1.0 + _DENSITY_TOL:
         n, a, i = np.unravel_index(int(np.argmax(np.abs(nu - 0.5))), nu.shape)
         return RateValue(np.inf, finite=False, where=("occupation", n, i))
 
     K = _operator(kernel, grid)
-    kw = grid.kappa_weights
-    idx = {lab: i for i, lab in enumerate(labels)}
-
-    # one slice at a time: a whole-path intensity tensor would hold n_t (k, k, M) copies
-    integrand = np.zeros(n_t)
-    for n in range(n_t):
+    integrand = np.empty(n_t)
+    for n0 in range(0, n_t, _CHUNK):
+        sl = slice(n0, n0 + _CHUNK)
         # fields from the reconstructed occupation as it is; only the intensity is clamped
-        lam = np.maximum(channel_intensities(rates, grid, nu[n], K), 0.0)
-        for (la, lb), p in flux_densities.items():
-            a, b = idx[la], idx[lb]
-            cell = ell_scaled(p[n], lam[a, b])
-            if np.isinf(cell).any():
-                return RateValue(np.inf, finite=False, where=((la, lb), n, int(np.argmax(cell))))
-            integrand[n] += float(cell @ kw)
+        lam = np.maximum(channel_intensities(rates, grid, nu[sl], K), 0.0)
+        cells = np.stack([ell_scaled(p[sl], lam[:, labels.index(a), labels.index(b)])
+                          for (a, b), p in flux_densities.items()])
+        dead = np.isinf(cells).transpose(1, 0, 2)  # (slice, channel, node)
+        if dead.any():
+            n, c, i = np.unravel_index(int(np.argmax(dead)), dead.shape)
+            chan = list(flux_densities)[c]
+            return RateValue(np.inf, finite=False, where=(chan, n0 + int(n), int(i)))
+        integrand[sl] = (cells @ grid.kappa_weights).sum(axis=0)
     return RateValue(float(_trapezoid(integrand, tt)))
 
 
@@ -298,9 +332,12 @@ def sis_action(path, params, kernel, grid, T):
     ``path`` is (n_t, M) susceptible values in [0, 1]; the time derivative
     uses centered differences (one-sided at the endpoints) and the time
     integral is trapezoidal.  Degenerate points propagate the infinity
-    marker; a non-finite path entry raises ValueError.
+    marker; a non-finite path entry, or a path that is not (n_t, grid.M),
+    raises ValueError.
     """
     path = np.asarray(path, dtype=float)
+    if path.ndim != 2 or path.shape[1] != grid.M:
+        raise ValueError(f"path must be (n_t, M) with M = {grid.M}, got {path.shape}")
     n_t = path.shape[0]
     if n_t < 3:
         raise ValueError("need at least 3 time slices")

@@ -8,7 +8,9 @@ from graphonldp.core_model import (
     I,
     ModelError,
     SisParams,
+    TWO_PI,
     StateSpace,
+    circle_distance,
     local_field,
     sis_rates,
 )
@@ -20,6 +22,25 @@ def rate(fam, to_label, theta, from_label, w_s, w_i):
     row = fam.rate_matrix(np.array([theta]), np.array([SIS_SPACE.index(from_label)]),
                           np.array([[w_s, w_i]]))
     return row[0, SIS_SPACE.index(to_label)]
+
+
+class TestCircleDistance:
+    def test_matches_the_remainder_form(self):
+        def oracle(a, b):
+            d = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
+            return np.minimum(d, TWO_PI - d)
+
+        rng = np.random.default_rng(4)
+        inside = rng.uniform(0.0, TWO_PI, 500)
+        cases = [(inside[:, None], inside[None, :]),
+                 (rng.uniform(-TWO_PI, 0.0, 300), inside[:300]),
+                 (rng.uniform(-20.0, 20.0, 300), rng.uniform(-20.0, 20.0, 300)),
+                 (np.array([0.0, np.nextafter(TWO_PI, 0.0), TWO_PI, 3 * np.pi]), 0.0),
+                 (np.array([1.0, np.nan]), 0.5), (np.array([]), np.array([])), (7.0, 0.25)]
+        for a, b in cases:
+            got = circle_distance(a, b)
+            assert np.array_equal(got, oracle(a, b), equal_nan=True)
+            assert np.all((got >= 0.0) & (got <= np.pi) | np.isnan(got))
 
 
 class TestStateSpace:

@@ -7,6 +7,7 @@ from graphonldp.core_model import SisParams, sis_rates
 from graphonldp.graphon import constant_kernel, cosine_kernel
 from graphonldp.meanfield import circle_grid, evolve, kernel_matrix
 from graphonldp.rate_function import (
+    _CHUNK,
     InfeasibleRateError,
     channel_intensities,
     contracted_L,
@@ -65,6 +66,34 @@ class TestEllScaled:
         p = lam * (1.0 + 1e-6)
         x = (p - lam) / lam  # the defect p carries after rounding
         assert ell_scaled(p, lam) == pytest.approx(lam * (x * x / 2 - x ** 3 / 6), rel=1e-12)
+
+    def test_matches_both_formulas_on_every_cell(self):
+        def oracle(p, lam):
+            # both formulas on every cell, then the branch picked by np.where
+            p = np.asarray(p, dtype=float)
+            lam = np.asarray(lam, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = (p - lam) / lam
+                near = np.abs(x) < 0.5
+                xn = np.where(near, x, 0.0)
+                small = lam * ((1.0 + xn) * np.log1p(xn) - xn)
+                big = p * np.log(p / lam) - p + lam
+            out = np.where(near, small, np.where(p == 0, lam, big))
+            out = np.where((lam <= 0) & (p > 0), np.inf, out)
+            return out if out.ndim else float(out)
+
+        edge = 0.5 * (1.0 + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-12]))
+        lam = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0])
+        # p = 0, p = lam, and p just inside and outside |x| = 0.5 of every lam
+        p = np.concatenate([[0.0, 1e-300, 0.2, 1.0, 3.0, 1e6], lam,
+                            *(np.outer(lam, 1.0 + sign * edge).ravel() for sign in (-1.0, 1.0))])
+        P, L = np.meshgrid(np.abs(p), lam, indexing="ij")
+        for args in [(P, L), (P, 0.3), (0.45, L), (0.0, L), (P[:, :1], L[:1]), (0.3, 0.45),
+                     (0.0, 0.0), (1.0, -1.0)]:
+            got, want = ell_scaled(*args), oracle(*args)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isinf(ell_scaled(P, L)).sum() == np.sum((L <= 0) & (P > 0))
 
 
 class TestPoissonTail:
@@ -346,6 +375,75 @@ class TestRateG:
         with pytest.raises(ValueError, match="nu0"):
             rate_G({("S", "I"): p, ("I", "S"): p.copy()}, nu0, grid,
                    cosine_kernel(1.0, 0.5), self.rates, 1.0)
+
+    def meanfield_flux(self, T=1.0, steps=100):
+        s0 = 0.6 + 0.2 * np.cos(self.grid.nodes)
+        nu0 = np.vstack([s0, 1 - s0])
+        _, flux = evolve(self.grid, self.kernel, self.rates, nu0, T, dt=T / steps)
+        return flux, nu0
+
+    @pytest.mark.parametrize("fault", ["reversed", "nan", "short"])
+    def test_bad_times_rejected(self, fault):
+        # reversed times gave a negative rate functional, NaN ones a NaN
+        # marked finite, and a short grid a bare broadcast error
+        flux, nu0 = self.meanfield_flux()
+        times = {"reversed": flux.times[::-1], "short": flux.times[:-1],
+                 "nan": np.where(np.arange(len(flux.times)) == 40, np.nan, flux.times)}[fault]
+        with pytest.raises(ValueError, match="times"):
+            rate_G(flux.densities, nu0, self.grid, self.kernel, self.rates, 1.0, times=times)
+        with pytest.raises(ValueError, match="times"):
+            rate_I(flux.densities, self.grid, 1.0, times=times)
+
+    def test_wrong_width_names_the_shape(self):
+        flux, nu0 = self.meanfield_flux()
+        with pytest.raises(ValueError, match=r"nu0 must be \(k, M\) = \(2, 32\)"):
+            rate_G(flux.densities, nu0[:, :-1], self.grid, self.kernel, self.rates, 1.0)
+        narrow = {c: p[:, :-1] for c, p in flux.densities.items()}
+        with pytest.raises(ValueError, match=r"\(n_t, M\) = \(101, 32\)"):
+            rate_G(narrow, nu0, self.grid, self.kernel, self.rates, 1.0)
+        path = np.full((5, self.grid.M - 1), 0.5)
+        with pytest.raises(ValueError, match=r"\(n_t, M\) with M = 32"):
+            sis_action(path, self.params, self.kernel, self.grid, 1.0)
+
+    @pytest.mark.parametrize("n_t", [2 * _CHUNK, 2 * _CHUNK + 45])
+    def test_infinity_marker_across_chunk_boundaries(self, n_t):
+        # J == 0 and no infected mass: both channels have zero intensity,
+        # so a flux cell is infinite wherever it is positive; the fluxes are
+        # small enough that the occupation stays inside [0, 1]
+        def marker(dead_si, dead_is):
+            p = {("S", "I"): np.zeros((n_t, self.grid.M)), ("I", "S"): np.zeros((n_t, self.grid.M))}
+            for chan, cells in ((("S", "I"), dead_si), (("I", "S"), dead_is)):
+                for n, i in cells:
+                    p[chan][n, i] = 1e-9
+            nu0 = np.vstack([np.ones(self.grid.M), np.zeros(self.grid.M)])
+            val = rate_G(p, nu0, self.grid, constant_kernel(0.0), self.rates, 1.0)
+            assert not val.finite
+            return val.where
+
+        b = _CHUNK
+        # the earlier slice wins over the earlier channel, on either side of the boundary
+        assert marker([(b, 3)], [(b - 1, 5)]) == (("I", "S"), b - 1, 5)
+        assert marker([(b - 1, 9)], [(b, 2)]) == (("S", "I"), b - 1, 9)
+        # in one slice, the first channel, then the first node
+        assert marker([(b, 20), (b, 4)], [(b, 1)]) == (("S", "I"), b, 4)
+        # the last, partial chunk
+        assert marker([(n_t - 1, 6)], [(n_t - 2, 30)]) == (("I", "S"), n_t - 2, 30)
+
+    def test_occupation_reconstruction_in_cumsum_order(self):
+        rng = np.random.default_rng(8)
+        tt = np.cumsum(rng.uniform(0.01, 0.02, 300))
+        p = {("S", "I"): rng.uniform(0.0, 1.0, (300, 16)), ("I", "S"): rng.uniform(0.0, 1.0, (300, 16))}
+        nu0 = rng.uniform(0.0, 1.0, (2, 16))
+        rate = np.zeros((300, 2, 16))
+        rate[:, 1] += p[("S", "I")]
+        rate[:, 0] -= p[("S", "I")]
+        rate[:, 0] += p[("I", "S")]
+        rate[:, 1] -= p[("I", "S")]
+        want = np.empty((300, 2, 16))
+        want[0] = nu0
+        np.cumsum(0.5 * np.diff(tt)[:, None, None] * (rate[1:] + rate[:-1]), axis=0, out=want[1:])
+        want[1:] += nu0
+        assert np.array_equal(reconstruct_occupation(p, nu0, ("S", "I"), tt), want)
 
     def test_occupation_reconstruction(self):
         tt = np.linspace(0, 1, 11)
