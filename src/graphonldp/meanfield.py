@@ -72,11 +72,8 @@ def kernel_matrix(kernel, grid: SpatialGrid):
     return np.asarray(kernel(grid.nodes[:, None], grid.nodes[None, :]), dtype=float)
 
 
-#: A circulant K is applied by FFT from M = ``_FFT_MIN_M`` in a call of at
-#: least ``_FFT_MIN_ROWS`` rows, and from M = 2 ``_FFT_MIN_M`` in any call: the
-#: measured crossovers, below which a call of 1 or 2 rows is faster dense.
+#: Smallest M at which a circulant K is applied by FFT (the measured crossover).
 _FFT_MIN_M = 256
-_FFT_MIN_ROWS = 8
 #: Largest deviation from circulance, relative to max|K|, taken as round-off.
 _CIRCULANT_TOL = 1e-13
 
@@ -85,10 +82,8 @@ class KernelOperator:
     """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
     d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
     weights, M >= ``_FFT_MIN_M`` and K circulant to round-off (every kernel of
-    x - y on the uniform circle grid) ``fft`` is set, and a call with at least
-    ``_FFT_MIN_ROWS`` rows, or any call once M >= 2 ``_FFT_MIN_M``, is a
-    circular convolution by real FFT, O(M log M) per row; every other call is
-    a dense product, which stays the oracle."""
+    x - y on the uniform circle grid) both are circular convolutions by real
+    FFT, O(M log M); otherwise dense products, which stay the oracle."""
 
     def __init__(self, K, grid: SpatialGrid):
         self.K, self.kw = K, grid.kappa_weights
@@ -101,20 +96,16 @@ class KernelOperator:
         if self.fft:
             self._col, self._row = np.fft.rfft(col), np.fft.rfft(K[0])
 
-    def _by_fft(self, x):
-        M = self.kw.size
-        return self.fft and (M >= 2 * _FFT_MIN_M or x.size >= _FFT_MIN_ROWS * M)
-
     def _convolve(self, x, spectrum):
         return np.fft.irfft(np.fft.rfft(x) * spectrum, n=self.kw.size)
 
     def apply(self, density):
         x = density * self.kw
-        return self._convolve(x, self._col) if self._by_fft(x) else x @ self.K.T
+        return self._convolve(x, self._col) if self.fft else x @ self.K.T
 
     def apply_T(self, v):
         x = v * self.kw
-        return self._convolve(x, self._row) if self._by_fft(x) else x @ self.K
+        return self._convolve(x, self._row) if self.fft else x @ self.K
 
 
 class _DenseOperator(KernelOperator):
@@ -201,14 +192,12 @@ def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
     coupled rate functional compares fluxes against it."""
     nu = np.asarray(nu, dtype=float)
     k, M = nu.shape[-2:]
-    # rows in (slice, node) order, one field component per column: a view for one slice
-    w = field_from_density(grid, kernel, nu).swapaxes(-1, -2).reshape(-1, k)
-    theta = grid.nodes if len(w) == M else np.tile(grid.nodes, len(w) // M)
+    w = field_from_density(grid, kernel, nu).swapaxes(-1, -2).reshape(-1, k)  # (slice, node) rows
+    theta = np.tile(grid.nodes, len(w) // M)
     lam = np.empty(nu.shape[:-1] + nu.shape[-2:])
     for a in range(k):
-        r = rates.rate_matrix(theta, np.full(len(w), a, dtype=np.int64), w)
-        np.multiply(r.reshape(nu.shape[:-2] + (M, k)).swapaxes(-1, -2), nu[..., a, None, :],
-                    out=lam[..., a, :, :])
+        r = rates.rate_matrix(theta, np.full(len(w), a), w).reshape(nu.shape[:-2] + (M, k))
+        np.multiply(r.swapaxes(-1, -2), nu[..., a, None, :], out=lam[..., a, :, :])
     return lam
 
 

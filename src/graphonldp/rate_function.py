@@ -66,20 +66,19 @@ def ell(a):
 def ell_scaled(p, lam):
     """The Poisson cost cell lam * ell(p / lam) of flux p at intensity lam.
 
-    With x = (p - lam)/lam, each cell takes one of two formulas, evaluated
-    on its own cells only.  Near balance, |x| < 0.5, it is
-    lam * [(1+x) log1p(x) - x], where the naive form loses all precision;
-    elsewhere p log(p/lam) - p + lam, with lam where p = 0 and +inf exactly
-    where lam <= 0 < p (by that comparison; such a cell has |x| >= 1 or NaN).
+    With x = (p - lam)/lam, each cell takes one of two formulas.  Near
+    balance, |x| < 0.5, it is lam * [(1+x) log1p(x) - x], where the naive
+    form loses all precision; log1p is taken on these cells only.  The other
+    cells alone are gathered for p log(p/lam) - p + lam, with lam where p = 0
+    and +inf exactly where lam <= 0 < p (by that comparison; such a cell has
+    |x| >= 1 or NaN).
     """
     p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (p - lam) / lam
         near = np.abs(x) < 0.5
-        out = np.log1p(x, out=np.empty(x.shape), where=near)
-        np.multiply(out, 1.0 + x, out=out, where=near)
-        np.subtract(out, x, out=out, where=near)
-        np.multiply(out, lam, out=out, where=near)
+        out = np.log1p(x, out=np.zeros(x.shape), where=near)
+        np.multiply(lam, (1.0 + x) * out - x, out=out, where=near)
         pf, lf = p[~near], lam[~near]
         out[~near] = np.where((lf <= 0) & (pf > 0), np.inf,
                               np.where(pf == 0, lf, pf * np.log(pf / lf) - pf + lf))
@@ -159,19 +158,16 @@ def reconstruct_occupation(flux_densities, nu0, labels, times):
     order of a cumulative sum over slices.  Returns (n_t, k, M).
     """
     nu0 = np.asarray(nu0, dtype=float)
-    k, M = nu0.shape
-    half_dt = 0.5 * np.diff(times)
-    nu = np.empty((len(times), k, M))
-    nu[0] = nu0
-    total = np.zeros((k, M))
+    nu = np.empty((len(times),) + nu0.shape)
+    total = np.zeros(nu0.shape)
     for n in range(len(times)):
-        rate = np.zeros((k, M))  # net inflow into each state at slice n
+        rate = np.zeros(nu0.shape)  # net inflow into each state at slice n
         for (a, b), p in flux_densities.items():
             rate[labels.index(b)] += p[n]
             rate[labels.index(a)] -= p[n]
         if n:
-            total += half_dt[n - 1] * (rate + prev)
-            np.add(total, nu0, out=nu[n])
+            total += 0.5 * (times[n] - times[n - 1]) * (rate + prev)
+        np.add(total, nu0, out=nu[n])
         prev = rate
     return nu
 
@@ -230,9 +226,8 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
                           for (a, b), p in flux_densities.items()])
         dead = np.isinf(cells).transpose(1, 0, 2)  # (slice, channel, node)
         if dead.any():
-            n, c, i = np.unravel_index(int(np.argmax(dead)), dead.shape)
-            chan = list(flux_densities)[c]
-            return RateValue(np.inf, finite=False, where=(chan, n0 + int(n), int(i)))
+            n, c, i = map(int, np.unravel_index(np.argmax(dead), dead.shape))
+            return RateValue(np.inf, finite=False, where=(list(flux_densities)[c], n0 + n, i))
         integrand[sl] = (cells @ grid.kappa_weights).sum(axis=0)
     return RateValue(float(_trapezoid(integrand, tt)))
 

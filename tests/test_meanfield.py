@@ -116,22 +116,14 @@ class TestKernelOperator:
         assert np.max(np.abs(field_from_density(grid, K, dens) - (dens * kw) @ K.T)) <= 1e-12
 
     def test_dense_path_off_the_circulant_case(self):
-        from graphonldp.meanfield import _FFT_MIN_M, _FFT_MIN_ROWS
-
-        def path(grid, K, rows):
-            """'dense' or 'fft': the product whose bits a call of ``rows`` rows has."""
-            op = KernelOperator(K, grid)
-            dens = np.random.default_rng(6).uniform(0.0, 1.0, (rows, grid.M))
-            x = dens * grid.kappa_weights
-            dense = (np.array_equal(op.apply(dens), x @ K.T)
-                     and np.array_equal(op.apply_T(dens), x @ K))
-            fft = op.fft and (np.array_equal(op.apply(dens), op._convolve(x, op._col))
-                              and np.array_equal(op.apply_T(dens), op._convolve(x, op._row)))
-            assert dense != fft
-            return "dense" if dense else "fft"
+        from graphonldp.meanfield import _FFT_MIN_M
 
         def dense_taken(grid, K):
-            return not KernelOperator(K, grid).fft and path(grid, K, 2) == "dense"
+            op = KernelOperator(K, grid)
+            dens = np.random.default_rng(6).uniform(0.0, 1.0, (2, grid.M))
+            kw = grid.kappa_weights
+            return (not op.fft and np.array_equal(op.apply(dens), (dens * kw) @ K.T)
+                    and np.array_equal(op.apply_T(dens), (dens * kw) @ K))
 
         uniform = circle_grid(1024)
         weights = 1.0 + 0.5 * np.cos(uniform.nodes)
@@ -146,19 +138,6 @@ class TestKernelOperator:
 
         coarse = circle_grid(_FFT_MIN_M - 1)
         assert dense_taken(coarse, kernel_matrix(skewed_kernel, coarse))
-
-        # a circulant K takes the FFT by rows x M: from _FFT_MIN_M on for a call
-        # of _FFT_MIN_ROWS rows or more, from 2 _FFT_MIN_M on for any call
-        for M, rows, want in [(_FFT_MIN_M, 1, "dense"), (_FFT_MIN_M, _FFT_MIN_ROWS - 1, "dense"),
-                              (_FFT_MIN_M, _FFT_MIN_ROWS, "fft"), (2 * _FFT_MIN_M - 1, 2, "dense"),
-                              (2 * _FFT_MIN_M, 1, "fft"), (1024, 2, "fft")]:
-            grid = circle_grid(M)
-            assert path(grid, kernel_matrix(skewed_kernel, grid), rows) == want, (M, rows)
-        # the benchmark grids: M = 64 always dense, M = 1024 always FFT
-        for M, want in ((64, "dense"), (1024, "fft")):
-            grid = circle_grid(M)
-            K = kernel_matrix(small_world_kernel(0.9, 0.1, 0.5).kernel, grid)
-            assert {path(grid, K, rows) for rows in (1, 2, 256)} == {want}
 
     def test_array_kernel_applied_densely_as_given(self):
         # a bare array is neither scanned for circulance nor copied: the
@@ -176,24 +155,20 @@ class TestKernelOperator:
         assert _operator(op, grid) is op
 
     def test_evolve_fft_matches_dense(self, monkeypatch):
-        # evolve's calls have k = 2 rows: by FFT at M = 1024, and dense, so
-        # bit for bit, at M = 256
         import graphonldp.meanfield as mf
 
+        grid = circle_grid(1024)
         rates = sis_rates(SisParams(beta=2.0, alpha=1.0))
         kernel = small_world_kernel(0.9, 0.1, 0.5)
-        for M, tol in ((1024, 1e-12), (256, 0.0)):
-            grid = circle_grid(M)
-            assert KernelOperator(kernel_matrix(kernel.kernel, grid), grid).fft
-            s0 = 0.6 + 0.2 * np.cos(grid.nodes)
-            nu0 = np.vstack([s0, 1 - s0])
-            fft, fft_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
-            with monkeypatch.context() as m:
-                m.setattr(mf, "_FFT_MIN_M", grid.M + 1)
-                dense, dense_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
-            assert np.max(np.abs(fft.values - dense.values)) <= tol
-            for chan, p in dense_flux.densities.items():
-                assert np.max(np.abs(fft_flux.densities[chan] - p)) <= tol
+        assert KernelOperator(kernel_matrix(kernel.kernel, grid), grid).fft
+        s0 = 0.6 + 0.2 * np.cos(grid.nodes)
+        nu0 = np.vstack([s0, 1 - s0])
+        fft, fft_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
+        monkeypatch.setattr(mf, "_FFT_MIN_M", grid.M + 1)
+        dense, dense_flux = evolve(grid, kernel, rates, nu0, T=0.5, dt=0.01)
+        assert np.max(np.abs(fft.values - dense.values)) <= 1e-12
+        for chan, p in dense_flux.densities.items():
+            assert np.max(np.abs(fft_flux.densities[chan] - p)) <= 1e-12
 
 
 class TestChannelIntensities:
