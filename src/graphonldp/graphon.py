@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -186,7 +188,8 @@ class Network:
     rejects a non-integer index, an index outside [0, N), a weight outside
     {-1, 0, +1} and a repeated (j, k) pair; self-loops are allowed.
     ``phi_N`` is the edge-density scale of sampling and of the local-field
-    normalization.
+    normalization.  The in-neighbour index both event loops of ``simulate``
+    read is built on the first call and kept (``_in_index``).
     """
 
     N: int
@@ -217,6 +220,23 @@ class Network:
         object.__setattr__(self, "indptr", np.searchsorted(rows, np.arange(self.N + 1)))
         for arr in (self.positions, self.rows, self.cols, self.weights, self.indptr):
             arr.setflags(write=False)
+
+    @cached_property
+    def _in_index(self):
+        """In-neighbour lists: ``order`` (the stable argsort of ``cols``) puts
+        column k's entries, by row, at order[ptr[k]:ptr[k + 1]]; ``stubs``, the
+        rows of its +1 entries in that order, column k's ``n_stubs[k]`` from
+        ``start[k]``; ``k_max`` = max ``n_stubs``; ``signed``: a weight is -1."""
+        order = np.argsort(self.cols, kind="stable")
+        plus = self.weights == 1
+        stubs = self.rows[order][plus[order]]
+        n_stubs = np.bincount(self.cols[plus], minlength=self.N)
+        ptr, start = (np.concatenate(([0], np.cumsum(c)))
+                      for c in (np.bincount(self.cols, minlength=self.N), n_stubs))
+        for arr in (order, ptr, stubs, start, n_stubs):
+            arr.setflags(write=False)
+        return SimpleNamespace(order=order, ptr=ptr, stubs=stubs, start=start, n_stubs=n_stubs,
+                               k_max=int(n_stubs.max(initial=0)), signed=bool(np.any(self.weights < 0)))
 
     def csr_row(self, j):
         return int(self.indptr[j]), int(self.indptr[j + 1])

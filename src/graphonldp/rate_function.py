@@ -109,12 +109,12 @@ def poisson_tail_log_prob(k, mean):
 
 
 def _checked_fluxes(flux_densities):
-    """The flux densities as float arrays; ValueError on a negative or NaN entry."""
+    """The flux densities as float arrays; ValueError on a negative, NaN or inf entry."""
     out = {}
     for chan, p in flux_densities.items():
         p = np.asarray(p, dtype=float)
-        if not np.all(p >= 0):
-            raise ValueError(f"negative or NaN flux density on channel {chan}")
+        if not np.all((p >= 0) & (p < np.inf)):
+            raise ValueError(f"negative, NaN or infinite flux density on channel {chan}")
         out[chan] = p
     return out
 

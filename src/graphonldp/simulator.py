@@ -90,13 +90,11 @@ class EmpiricalFlux:
     def channel_counts(self, from_label, to_label, bins, t_hi=None):
         """Integer transition counts per spatial bin up to time t_hi."""
         ch = self.atoms.get((from_label, to_label))
-        counts = np.zeros(bins, dtype=np.int64)
         if ch is None:
-            return counts
+            return np.zeros(bins, dtype=np.int64)
         times, _, pos = ch
         sel = slice(None) if t_hi is None else times <= t_hi
-        np.add.at(counts, bin_index(pos[sel], bins), 1)
-        return counts
+        return np.bincount(bin_index(pos[sel], bins), minlength=bins)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,8 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     SIS loop (O(1) Python work per event; its null proposals advance time
     but are not logged), any other family, ``SisRates`` subclasses included,
     the generic O(N)-per-event loop; the two agree in law, not in their
-    random streams.
+    random streams.  Both read the network's in-neighbour index, built on
+    its first call and kept, so replicas on one network sort it once.
     A horizon that is not positive, NaN included, raises ModelError; an
     infinite one runs until absorption or the event budget.
     Raises RateOverflowError if the rate family produces a non-finite value,
@@ -177,19 +176,13 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     times, nodes and target codes.
     """
     N = network.N
-    rows, cols, wts = network.rows, network.cols, network.weights
-    # positive out-stubs of node k: the rows j with J_jk = +1, grouped by k
-    plus = wts == 1
-    heads = cols[plus]
-    order = np.argsort(heads, kind="stable")
-    stubs = rows[plus][order]
-    start = np.searchsorted(heads[order], np.arange(N + 1))
-    n_stubs = np.diff(start)
-    k_max = int(n_stubs.max(initial=0))
-    D = int(n_stubs[config == I].sum())
-    start, n_stubs = start.tolist(), n_stubs.tolist()
-    signed = bool(np.any(wts < 0))
-    indptr = network.indptr
+    cols, wts, indptr = network.cols, network.weights, network.indptr
+    # positive out-stubs of node k: the rows j with J_jk = +1, grouped by k;
+    # a memoryview reads a stub as a Python int
+    idx = network._in_index
+    stubs, k_max, signed = memoryview(idx.stubs), idx.k_max, idx.signed
+    D = int(idx.n_stubs[config == I].sum())
+    start, n_stubs = idx.start.tolist(), idx.n_stubs.tolist()
 
     # infected nodes in an add/remove list; where[j] is j's slot, -1 if susceptible
     infected = np.flatnonzero(config == I).tolist()
@@ -227,7 +220,7 @@ def _sis_events(network, params, config, horizon, rng, max_events):
                 k = infected[int(unif() * n)]
                 if unif() * k_max < n_stubs[k]:
                     break
-            j = int(stubs[start[k] + int(unif() * n_stubs[k])])
+            j = stubs[start[k] + int(unif() * n_stubs[k])]
             if where[j] >= 0:
                 continue
             if signed:
@@ -255,10 +248,8 @@ def _generic_events(network, rates, config, horizon, rng, max_events):
     scale = 1.0 / (N * network.phi_N)
 
     # in-neighbour lists: the rows j holding an entry (j, k), grouped by k
-    order = np.argsort(network.cols, kind="stable")
-    in_rows = network.rows[order]
-    in_wts = network.weights[order]
-    in_ptr = np.searchsorted(network.cols[order], np.arange(N + 1))
+    idx = network._in_index
+    in_rows, in_wts, in_ptr = network.rows[idx.order], network.weights[idx.order], idx.ptr
 
     # exact field counts c[j, a] = sum_k J_jk 1{config_k = a}; rates see c * scale
     counts = np.zeros((N, k), dtype=np.int64)
@@ -326,7 +317,5 @@ def occupation_at(traj: TrajectoryRecord, t, bins) -> EmpiricalOccupation:
     """Replay the event log up to t and bin the configuration."""
     cfg = traj.config_at(t)
     k = len(traj.labels)
-    idx = bin_index(traj.positions, bins)
-    counts = np.zeros((k, bins), dtype=np.int64)
-    np.add.at(counts, (cfg, idx), 1)
-    return EmpiricalOccupation(N=traj.N, labels=traj.labels, t=float(t), counts=counts)
+    counts = np.bincount(cfg * bins + bin_index(traj.positions, bins), minlength=k * bins)
+    return EmpiricalOccupation(N=traj.N, labels=traj.labels, t=float(t), counts=counts.reshape(k, bins))

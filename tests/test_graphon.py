@@ -294,6 +294,56 @@ class TestSampling:
         assert net.rows.dtype == np.int64 and (net.rows[0], net.cols[0]) == (2, 1)
 
 
+def signed_directed_triples(N, density, rng):
+    """A Network from shuffled random triples with J != J^T, weights in
+    {-1, 0, +1} and self-loops; column N - 1 has no in-neighbours."""
+    mask = rng.random((N, N)) < density
+    mask[:, -1] = False
+    rows, cols = np.nonzero(mask)
+    weights = rng.choice([-1.0, 0.0, 1.0], len(rows))
+    perm = rng.permutation(len(rows))
+    return Network(N=N, positions=np.zeros(N), rows=rows[perm], cols=cols[perm],
+                   weights=weights[perm], phi_N=1.0, seed=0, family="constant")
+
+
+class TestInNeighbourIndex:
+    """The cached index both event loops read, against the stable argsort of
+    the columns that each loop made for itself before."""
+
+    @pytest.mark.parametrize("N,density,seed", [(1, 0.0, 0), (5, 0.0, 1), (2, 1.0, 2),
+                                                (17, 0.3, 3), (40, 0.15, 4)])
+    def test_equals_stable_argsort_grouping(self, N, density, seed):
+        net = signed_directed_triples(N, density, np.random.default_rng(seed))
+        if len(net.rows) > 50:
+            assert np.any(net.rows == net.cols) and np.any(net.weights == 0)
+            assert np.any(net.weights < 0) and np.any(net.weights > 0)
+        assert "_in_index" not in vars(net)  # built on first use only
+        idx = net._in_index
+        order = np.argsort(net.cols, kind="stable")
+        assert np.array_equal(idx.order, order)
+        assert np.array_equal(idx.ptr, np.searchsorted(net.cols[order], np.arange(N + 1)))
+        plus = net.weights == 1
+        heads = net.cols[plus]
+        by_head = np.argsort(heads, kind="stable")
+        start = np.searchsorted(heads[by_head], np.arange(N + 1))
+        assert np.array_equal(idx.stubs, net.rows[plus][by_head])
+        assert np.array_equal(idx.start, start) and np.array_equal(idx.n_stubs, np.diff(start))
+        assert idx.k_max == int(np.diff(start).max(initial=0))
+        assert idx.signed == bool(np.any(net.weights < 0))
+        for k in range(N):  # column k: its in-neighbours by row
+            group = order[idx.ptr[k]:idx.ptr[k + 1]]
+            assert list(net.rows[group]) == sorted(net.rows[net.cols == k])
+        assert idx.ptr[N] - idx.ptr[N - 1] == 0 and net._in_index is idx
+
+    def test_arrays_read_only(self):
+        idx = signed_directed_triples(12, 0.4, np.random.default_rng(5))._in_index
+        for name in ("order", "ptr", "stubs", "start", "n_stubs"):
+            arr = getattr(idx, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestSamplingLaw:
     """Each pair's +1 and -1 frequencies over many seeds against
     min(1, phi_N max(+-J, 0)).  A pair with p in (0, 1) must lie within

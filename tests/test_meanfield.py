@@ -139,6 +139,32 @@ class TestKernelOperator:
         coarse = circle_grid(_FFT_MIN_M - 1)
         assert dense_taken(coarse, kernel_matrix(skewed_kernel, coarse))
 
+    def test_circulance_scan_matches_abs_form(self):
+        # max|K| from the two extremes and the deviation's abs taken in place
+        # give the bound and FFT decision of the np.max(np.abs(.)) form, and
+        # leave K as it was
+        from graphonldp.meanfield import _CIRCULANT_TOL, _FFT_MIN_M
+
+        grid = circle_grid(_FFT_MIN_M)
+        base = kernel_matrix(skewed_kernel, grid)
+        cases = [base, -2.0 * base, kernel_matrix(cosine_kernel(0.9, 0.9).kernel, grid) - 1.2,
+                 np.zeros((grid.M, grid.M))]
+        for scale in (0.5, 2.0):
+            moved = base.copy()
+            moved[7, 100] += scale * _CIRCULANT_TOL * np.max(np.abs(base))
+            cases.append(moved)
+        decisions = []
+        for K in cases:
+            before = K.copy()
+            op = KernelOperator(K, grid)
+            max_abs = float(np.max(np.abs(K)))
+            rolls = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([K[:, 0], K[:, 0]])[1:], grid.M)
+            assert op.max_abs == max_abs and np.array_equal(K, before)
+            assert op.fft == bool(np.max(np.abs(K[:, ::-1] - rolls)) <= _CIRCULANT_TOL * max_abs)
+            decisions.append(op.fft)
+        assert decisions == [True, True, True, True, True, False]
+
     def test_array_kernel_applied_densely_as_given(self):
         # a bare array is neither scanned for circulance nor copied: the
         # call is the dense product itself, bit for bit, on any grid

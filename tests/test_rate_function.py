@@ -141,6 +141,12 @@ class TestRateI:
         with pytest.raises(ValueError):
             rate_I({("S", "I"): -np.ones((3, 4))}, grid, T=1.0)
 
+    def test_infinite_density_rejected(self):
+        q = np.full((3, 8), 0.5)
+        q[1, 2] = np.inf
+        with pytest.raises(ValueError, match="infinite"):
+            rate_I({("S", "I"): q}, circle_grid(8), 1.0)
+
     def test_constant_tail_slope_consistency(self):
         # the optimal way to realize total mass a over [0,1] is the constant
         # density, whose cost matches the exact Poisson tail slope limit
@@ -358,7 +364,7 @@ class TestRateG:
         assert not val.finite
         assert val.where == (("S", "I"), 2, 7)
 
-    @pytest.mark.parametrize("value", [-0.05, np.nan])
+    @pytest.mark.parametrize("value", [-0.05, np.nan, np.inf])
     def test_invalid_flux_rejected(self, value):
         p = np.full((5, self.grid.M), 0.1)
         p[2, 7] = value

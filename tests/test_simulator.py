@@ -13,7 +13,13 @@ from graphonldp.core_model import (
     sis_rates,
 )
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
-from graphonldp.simulator import bin_index, extract_flux, occupation_at, simulate
+from graphonldp.simulator import (
+    TrajectoryRecord,
+    bin_index,
+    extract_flux,
+    occupation_at,
+    simulate,
+)
 
 
 def empty_network(N):
@@ -279,6 +285,28 @@ class TestSimulate:
             res = stats.chisquare(obs, exp)
             assert res.pvalue > 0.001, (type(rates).__name__, res)
 
+    @pytest.mark.parametrize("make", [sis, generic_sis])
+    def test_same_log_with_cold_warm_and_rebuilt_index(self, make):
+        # the in-neighbour index is built on the first call and kept; a warm
+        # network, and one rebuilt from the same triples shuffled, must give
+        # the cold call's event log
+        net, _, rng = signed_directed_network()
+        init = (rng.random(net.N) < 0.5).astype(np.int64)
+        assert "_in_index" not in vars(net)
+        cold = simulate(net, make(), init, 2.0, seed=3)
+        index = net._in_index
+        warm = simulate(net, make(), init, 2.0, seed=3)
+        assert net._in_index is index
+        perm = rng.permutation(len(net.rows))
+        rebuilt = Network(N=net.N, positions=net.positions, rows=net.rows[perm],
+                          cols=net.cols[perm], weights=net.weights[perm], phi_N=net.phi_N,
+                          seed=0, family="constant")
+        fresh = simulate(rebuilt, make(), init, 2.0, seed=3)
+        assert cold.n_events > 20
+        for traj in (warm, fresh):
+            for name in ("times", "nodes", "from_codes", "to_codes"):
+                assert np.array_equal(getattr(traj, name), getattr(cold, name))
+
     def test_loops_agree_in_law_on_signed_directed_network(self):
         # the one test of the SIS loop's signed acceptance max(0, c)/c^+: on
         # J != J^T with both signs, the event count's mean and variance over
@@ -336,6 +364,37 @@ class TestOccupation:
             for j, st_ in cfg.items():
                 counts[st_, idx[j]] += 1
             assert np.array_equal(occ.counts, counts)
+
+    def test_counts_equal_scatter_add_form(self):
+        # bincount over code * bins + bin against np.add.at, for occupations
+        # and channel counts, on random consistent event logs
+        rng = np.random.default_rng(8)
+        for k, N, m, bins in ((2, 1, 3, 1), (2, 50, 200, 7), (3, 120, 500, 16), (4, 30, 0, 5)):
+            cfg = rng.integers(0, k, N)
+            initial, frs, tos = cfg.copy(), [], []
+            nodes = rng.integers(0, N, m)
+            for j in nodes:
+                frs.append(cfg[j])
+                cfg[j] = (cfg[j] + rng.integers(1, k)) % k
+                tos.append(cfg[j])
+            traj = TrajectoryRecord(
+                N=N, horizon=1.0, labels=tuple("SIRE"[:k]), positions=rng.uniform(0, 2 * np.pi, N),
+                initial=initial, times=np.sort(rng.uniform(0.0, 1.0, m)), nodes=nodes,
+                from_codes=np.array(frs, dtype=np.int64), to_codes=np.array(tos, dtype=np.int64))
+            flux = extract_flux(traj)
+            idx = bin_index(traj.positions, bins)
+            for t in (0.0, 0.4, 1.0):
+                expect = np.zeros((k, bins), dtype=np.int64)
+                np.add.at(expect, (traj.config_at(t), idx), 1)
+                got = occupation_at(traj, t, bins).counts
+                assert got.dtype == np.int64 and np.array_equal(got, expect)
+                for a, b in ((0, 1), (1, 0), (k - 1, 0)):
+                    ch = flux.atoms.get((traj.labels[a], traj.labels[b]))
+                    expect = np.zeros(bins, dtype=np.int64)
+                    if ch is not None:
+                        np.add.at(expect, bin_index(ch[2][ch[0] <= t], bins), 1)
+                    got = flux.channel_counts(traj.labels[a], traj.labels[b], bins, t_hi=t)
+                    assert got.dtype == np.int64 and np.array_equal(got, expect)
 
     def test_out_of_range_time(self):
         traj = self.make_traj()
