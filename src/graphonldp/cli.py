@@ -211,6 +211,19 @@ def _long_columns(values, *axes):
     return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + [np.ravel(values)]
 
 
+def _json(obj, **kwargs):
+    """Strict JSON text of ``obj``, every non-finite float written as null:
+    bare NaN and Infinity are not JSON, and strict parsers reject them."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+
+    return json.dumps(finite(obj), allow_nan=False, **kwargs)
+
+
 class Manifest:
     def __init__(self, out_dir, command, cp):
         self.dir = Path(out_dir)
@@ -236,7 +249,7 @@ class Manifest:
         if extra:
             self.data.update(extra)
         out = self.dir / "manifest.json"
-        out.write_text(json.dumps(self.data, indent=2, sort_keys=True))
+        out.write_text(_json(self.data, indent=2, sort_keys=True))
         return out
 
 
@@ -302,7 +315,9 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
 
     Each replica gets its own RNG stream derived from (seed, replica id),
     so results are identical regardless of ``threads``; threads only
-    parallelize across replicas.
+    parallelize across replicas.  The jobs go to the workers in one chunk
+    per worker, and pickling a chunk writes the network once, so each
+    worker unpickles one copy and builds its in-neighbour index once.
     """
     streams = np.random.SeedSequence(seed).spawn(reps)
     jobs = []
@@ -312,8 +327,9 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-            return list(pool.map(_one_replica, jobs))
+        workers = min(threads, reps)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_one_replica, jobs, chunksize=-(-reps // workers)))
     return [_one_replica(job) for job in jobs]
 
 
@@ -413,7 +429,7 @@ def cmd_compare(cp, out):
     seed = _i(cp, "run", "seed", least=0)
     rows = [{"N": N, "median_sup_deviation": med, "replicas": devs}
             for N, (med, devs) in zip(sweep, compare_deviations(cp, sweep, seed))]
-    man.add("compare.json", json.dumps(rows, indent=2))
+    man.add("compare.json", _json(rows, indent=2))
     man.write({"medians": {str(r["N"]): r["median_sup_deviation"] for r in rows}})
     return 0
 
@@ -432,7 +448,7 @@ def cmd_rate(cp, out):
         {"name": "sis_action_meanfield_path", "value": float(act),
          "grid": {"M": grid.M, "dt": dens.dt}, "tolerance": 1e-4},
     ]
-    man.add("rate.json", json.dumps(report, indent=2))
+    man.add("rate.json", _json(report, indent=2))
     man.write()
     return 0
 
@@ -454,10 +470,9 @@ def cmd_action(cp, out):
     man.add("el_residual.csv", _table("t,theta,residual",
                                       _long_columns(res[1:-1], times[1:-1], grid.nodes)))
 
-    # strict JSON: a non-finite number (all cells degenerate) is written as null
-    diag = {k: None if isinstance(v, float) and not np.isfinite(v) else v
-            for k, v in result.diagnostics.items() if k != "action_history"}
-    man.add("diagnostics.json", json.dumps(diag, indent=2, allow_nan=False))
+    # el_residual_max is NaN when every cell is degenerate: written as null
+    diag = {k: v for k, v in result.diagnostics.items() if k != "action_history"}
+    man.add("diagnostics.json", _json(diag, indent=2))
     man.write({"action": result.action, "converged": result.diagnostics["converged"]})
     if not result.diagnostics["converged"]:
         print(f"not converged: {result.diagnostics['warning']}", file=sys.stderr)
@@ -482,7 +497,7 @@ def cmd_ldp_check(cp, out):
     report = {"a": a, "rows": rows,
               "monotone": all(rows[i]["gap"] >= rows[i + 1]["gap"] for i in range(len(rows) - 1)),
               "final_gap": rows[-1]["gap"]}
-    man.add("ldp_check.json", json.dumps(report, indent=2))
+    man.add("ldp_check.json", _json(report, indent=2))
     man.write({"final_gap": rows[-1]["gap"]})
     return 0
 

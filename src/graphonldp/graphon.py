@@ -238,6 +238,13 @@ class Network:
         return SimpleNamespace(order=order, ptr=ptr, stubs=stubs, start=start, n_stubs=n_stubs,
                                k_max=int(n_stubs.max(initial=0)), signed=bool(np.any(self.weights < 0)))
 
+    def __setstate__(self, state):
+        # pickled arrays come back writeable: a copy is as read-only as its original
+        self.__dict__.update(state)
+        for arr in (*state.values(), *vars(state.get("_in_index", SimpleNamespace())).values()):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
     def csr_row(self, j):
         return int(self.indptr[j]), int(self.indptr[j + 1])
 

@@ -40,7 +40,9 @@ class NormalizationError(NumericalError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Quadrature nodes, weights (sum 1), and node density on the domain."""
+    """Quadrature nodes, weights (sum 1), and node density on the domain,
+    in read-only arrays, so the kernel operator a grid keeps for its last
+    kernel (``_operator``) cannot go stale."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -51,6 +53,8 @@ class SpatialGrid:
             raise ValueError("quadrature weights must be positive")
         if abs(float(np.sum(self.weights * self.rho)) - 1.0) > 1e-9:
             raise ValueError("grid must carry unit kappa-mass")
+        for arr in (self.nodes, self.weights, self.rho):
+            arr.setflags(write=False)
 
     @property
     def M(self):
@@ -125,14 +129,21 @@ class _DenseOperator(KernelOperator):
 
 
 def _operator(kernel, grid: SpatialGrid):
-    """The KernelOperator of a GraphonSpec or a bare kernel callable; a
+    """The KernelOperator of a GraphonSpec or a bare kernel callable, built
+    once per grid: the grid keeps the last one in a single slot keyed by the
+    kernel object, so ``evolve``, ``rate_G``, ``sis_action`` and the action
+    solve on one (kernel, grid) share it, and another kernel replaces it.  A
     prebuilt (M, M) array is applied densely as given, and an operator is
     passed through unchanged."""
     if isinstance(kernel, KernelOperator):
         return kernel
     if isinstance(kernel, np.ndarray):
         return _DenseOperator(kernel, grid)
-    return KernelOperator(kernel_matrix(getattr(kernel, "kernel", kernel), grid), grid)
+    slot = grid.__dict__.get("_operator_slot")
+    if slot is None or slot[0] is not kernel:
+        slot = kernel, KernelOperator(kernel_matrix(getattr(kernel, "kernel", kernel), grid), grid)
+        grid.__dict__["_operator_slot"] = slot  # the frozen grid's one cached attribute
+    return slot[1]
 
 
 @dataclass
@@ -279,7 +290,17 @@ def sis_drift(s, grid: SpatialGrid, K, beta, alpha):
 
 
 def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000):
-    """Relax the scalar SIS dynamics to its stable fixed point.
+    """The stable fixed point of the scalar SIS dynamics, by its fixed-point map.
+
+    s = T(s) = alpha / (alpha + beta K[1 - s]) at every rest point.  For
+    K >= 0 the map preserves order (the multi-group SIS model of Lajmanovich
+    & Yorke 1976), so its iterates from T(0) rise monotonically to the least
+    fixed point: the endemic state when R0 > 1, else the disease-free state,
+    the state that relaxation reaches.  Near it the error shrinks by about
+    1/R0 per step, whatever the kernel's size.  Each step takes the map from
+    the drift ds: alpha - ds = s (alpha + beta K[1 - s]), so T(s) = s + s ds /
+    (alpha - ds), with the denominator floored at alpha s, which keeps only
+    the field's positive part; a negative field then steps to the clip at 1.
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
@@ -288,12 +309,11 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
     after ``max_iter`` steps.
     """
     K = _operator(kernel, grid)
-    s = np.full(grid.M, 0.5)
-    dt = 0.2 / max(alpha, beta * K.max_abs)
+    s = alpha / (alpha + beta * np.maximum(K.apply(np.ones(grid.M)), 0.0))
     drift = np.inf
     for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)
-        s = np.clip(s + dt * ds, 0.0, 1.0)
+        s = np.clip(s + s * ds / np.maximum(alpha - ds, alpha * s), 0.0, 1.0)
         drift = np.max(np.abs(ds))
         if drift < 1e-13:
             return s

@@ -243,7 +243,7 @@ class TestCompare:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -253,6 +253,27 @@ class TestCompare:
         trajs = cli._replica_trajectories(net, rates, np.full(grid.M, 0.3), 0.1,
                                           reps=2, threads=16, seed=1)
         assert len(trajs) == 2 and sizes == [2]
+
+    def test_network_sent_once_per_worker(self, monkeypatch):
+        # one chunk of jobs per worker, and a chunk pickles the network once:
+        # a worker's replicas share one copy, whose index the first one builds
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched simulate reaches the workers only by fork")
+
+        def first_use(net, *args, **kwargs):
+            cold = "_in_index" not in vars(net)
+            net._in_index
+            return cold
+
+        monkeypatch.setattr(cli, "simulate", first_use)
+        cp = cli.load_config(None, ["graphon.N=30"])
+        spec, _, grid, rates, _ = cli._model(cp)
+        net = cli._network(cp, spec, 30, 1)
+        cold = cli._replica_trajectories(net, rates, np.full(grid.M, 0.3), 0.1,
+                                         reps=6, threads=2, seed=1)
+        assert len(cold) == 6 and 1 <= sum(cold) <= 2
 
 
 class TestInputErrors:
@@ -303,6 +324,26 @@ class TestRate:
         for r in rep:
             assert r["value"] < r["tolerance"]
             assert set(r["grid"]) == {"M", "dt"}
+
+    def test_infinite_rate_written_as_strict_json(self, tmp_path, monkeypatch):
+        # the +inf marker of rate_G becomes null in rate.json; no JSON file of
+        # the run holds a bare NaN or Infinity
+        from graphonldp.rate_function import RateValue
+
+        monkeypatch.setattr(cli, "rate_G", lambda *a, **k: RateValue(np.inf, finite=False,
+                                                                     where=("occupation", 0, 0)))
+        code, out = run(tmp_path, "rate", "grid.M=8", "grid.T=0.5", "grid.steps=50")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        files = sorted(out.glob("*.json"))
+        assert [f.name for f in files] == ["manifest.json", "rate.json"]
+        parsed = {f.name: json.loads(f.read_text(), parse_constant=reject) for f in files}
+        values = {r["name"]: r["value"] for r in parsed["rate.json"]}
+        assert values["rate_G_meanfield_flux"] is None
+        assert 0.0 <= values["sis_action_meanfield_path"] < 1e-4
 
 
 class TestAction:
@@ -409,7 +450,7 @@ class TestExitCodes:
     def test_numerical_failure_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch,
                                                          command, target, patch):
         # an event budget too small for the horizon; an equilibrium
-        # relaxation cut short (at beta=3 the 0.5 start is far from it)
+        # fixed-point iteration cut short (ten steps at R0 = 3 leave a drift near 1e-5)
         monkeypatch.setattr(cli, target, functools.partial(getattr(cli, target), **patch))
         code, _ = run(tmp_path, command, "model.beta=3.0", "graphon.N=60", "grid.T=0.5",
                       "grid.M=8", "run.replicas=1")

@@ -20,6 +20,7 @@ from graphonldp.meanfield import (
     evolve,
     field_from_density,
     kernel_matrix,
+    sis_drift,
 )
 
 
@@ -366,10 +367,107 @@ class TestEquilibrium:
         assert np.allclose(s, 1.0, atol=1e-6)
 
     def test_unconverged_relaxation_raises(self):
-        # ten steps leave the profile near 0.41 against the exact 1/3
+        # the map shrinks the error by 1/R0 = 1/3 per step from T(0) = 1/4:
+        # ten steps leave a drift near 1e-5 against the exact 1/3
         grid = circle_grid(32)
         with pytest.raises(NumericalError, match="not reached in 10 steps"):
             endemic_equilibrium(grid, cosine_kernel(1.0, 0.5), beta=3.0, alpha=1.0, max_iter=10)
+
+    @staticmethod
+    def euler_relaxation(grid, spec, beta, alpha):
+        """Explicit Euler from s = 0.5 at the stable step 0.2 / max(alpha,
+        beta max|K|) to max|drift| < 1e-13: the equilibrium's former solver."""
+        K = kernel_matrix(spec.kernel, grid)
+        s = np.full(grid.M, 0.5)
+        dt = 0.2 / max(alpha, beta * np.max(np.abs(K)))
+        while True:
+            ds = sis_drift(s, grid, K, beta, alpha)
+            s = np.clip(s + dt * ds, 0.0, 1.0)
+            if np.max(np.abs(ds)) < 1e-13:
+                return s
+
+    @pytest.mark.parametrize("M, spec, beta", [
+        (32, cosine_kernel(1.0, 0.5), 3.0), (64, cosine_kernel(1.0, 0.5), 2.0),
+        (32, constant_kernel(1.0), 2.0), (32, constant_kernel(1.0), 0.5),
+        (256, small_world_kernel(1.5, 0.1, 0.5), 4.0)])
+    def test_fixed_point_map_matches_relaxation(self, M, spec, beta):
+        grid = circle_grid(M)
+        s = endemic_equilibrium(grid, spec, beta=beta, alpha=1.0)
+        assert np.max(np.abs(s - self.euler_relaxation(grid, spec, beta, 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("spec, beta", [(constant_kernel(-1.0), 0.5),
+                                            (constant_kernel(-1.0), 2.0),
+                                            (small_world_kernel(1.5, -0.3, 0.5), 2.0)])
+    def test_signed_kernel_gives_disease_free(self, spec, beta):
+        # a negative field puts the map's plain step above 1; the floored
+        # denominator keeps it finite and the clip takes it to s = 1
+        s = endemic_equilibrium(circle_grid(64), spec, beta=beta, alpha=1.0)
+        assert np.all(np.isfinite(s)) and np.allclose(s, 1.0, atol=1e-12)
+
+    def test_negative_field_floored_to_disease_free(self):
+        # K[1] >= 0 at both nodes, so the start is T(0) = (1/3, 1); then node
+        # 0 sees the field -5 (1 - s_0) and alpha - ds < 0 there.  The plain
+        # map would step below 0 and stall at the clip; the floored one steps
+        # to s_0 = 1, where the dynamics also go: ds_0 = (1 - s_0)(1 + 10 s_0)
+        K = np.array([[-10.0, 12.0], [0.0, 0.0]])
+        s = endemic_equilibrium(circle_grid(2), K, beta=2.0, alpha=1.0)
+        assert np.array_equal(s, [1.0, 1.0])
+
+    def test_few_drift_evaluations_on_fine_small_world_grid(self, monkeypatch):
+        # the continuum_fine inputs: M = 1024, beta = 4; the map converges at
+        # the rate 1/R0, which the Euler step size bound does not limit
+        import graphonldp.meanfield as mf
+
+        calls = []
+        drift = mf.sis_drift
+        monkeypatch.setattr(mf, "sis_drift", lambda *a: calls.append(1) or drift(*a))
+        s = endemic_equilibrium(circle_grid(1024), small_world_kernel(1.5, 0.1, 0.5),
+                                beta=4.0, alpha=1.0)
+        assert 0.0 < s.min() < 1.0 and len(calls) <= 150
+
+
+class TestOperatorSlot:
+    """The grid keeps the operator of its last kernel: one build per (kernel, grid)."""
+
+    def test_same_operator_for_same_spec(self):
+        from graphonldp.meanfield import _operator
+
+        grid, spec = circle_grid(16), cosine_kernel(1.0, 0.5)
+        assert _operator(spec, grid) is _operator(spec, grid)
+
+    def test_kernel_built_once_across_layers(self, monkeypatch):
+        import graphonldp.meanfield as mf
+        from graphonldp.rate_function import rate_G, sis_action
+
+        calls = []
+        build = mf.kernel_matrix
+        monkeypatch.setattr(mf, "kernel_matrix", lambda *a: calls.append(1) or build(*a))
+        grid, spec = circle_grid(16), small_world_kernel(1.5, 0.1, 0.5)
+        params = SisParams(beta=4.0, alpha=1.0)
+        rates = sis_rates(params)
+        s0 = 0.5 + 0.1 * np.cos(grid.nodes)
+        dens, flux = evolve(grid, spec, rates, np.vstack([s0, 1 - s0]), T=0.5, dt=0.05)
+        rate_G(flux.densities, dens.values[0], grid, spec, rates, 0.5, times=flux.times)
+        sis_action(dens.state("S"), params, spec, grid, 0.5)
+        assert len(calls) == 1
+
+    def test_another_spec_replaces_the_slot(self):
+        from graphonldp.meanfield import _operator
+
+        grid = circle_grid(16)
+        first, second = cosine_kernel(1.0, 0.5), cosine_kernel(1.0, 0.5)
+        op = _operator(first, grid)
+        other = _operator(second, grid)
+        assert other is not op and _operator(second, grid) is other
+        assert _operator(first, grid) is not op  # the slot held the second spec
+        assert np.array_equal(other.K, op.K)
+
+    def test_grid_arrays_read_only(self):
+        grid = circle_grid(8)
+        for arr in (grid.nodes, grid.weights, grid.rho):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestNonFinite:

@@ -307,6 +307,32 @@ class TestSimulate:
             for name in ("times", "nodes", "from_codes", "to_codes"):
                 assert np.array_equal(getattr(traj, name), getattr(cold, name))
 
+    @pytest.mark.parametrize("built", [False, True])
+    def test_pickled_copy_read_only_with_same_log(self, built):
+        # a replica worker gets the network by pickle: the copy's arrays, and
+        # its index when the original had built one, must refuse writes, and
+        # the copy must give the original's event log
+        import pickle
+
+        net, _, rng = signed_directed_network()
+        init = (rng.random(net.N) < 0.5).astype(np.int64)
+        if built:
+            net._in_index
+        copy = pickle.loads(pickle.dumps(net))
+        assert ("_in_index" in vars(copy)) == built
+        arrays = [getattr(copy, name) for name in ("positions", "rows", "cols", "weights", "indptr")]
+        if built:
+            arrays += [getattr(copy._in_index, name)
+                       for name in ("order", "ptr", "stubs", "start", "n_stubs")]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        traj, original = (simulate(n, sis(), init, 2.0, seed=3) for n in (copy, net))
+        assert traj.n_events > 20
+        for name in ("times", "nodes", "from_codes", "to_codes"):
+            assert np.array_equal(getattr(traj, name), getattr(original, name))
+
     def test_loops_agree_in_law_on_signed_directed_network(self):
         # the one test of the SIS loop's signed acceptance max(0, c)/c^+: on
         # J != J^T with both signs, the event count's mean and variance over
