@@ -7,7 +7,8 @@ with repeated ``--set section.key=value`` flags.  All artifacts land under
 --out with a manifest listing file hashes, and every run is deterministic
 given (config, seed).
 
-Exit codes: 0 success; 2 configuration error (a bad option or profile, a
+Exit codes: 0 success; 2 configuration error (a config section or key that
+DEFAULTS does not have, from --config or --set, a bad option or profile, a
 kernel off the circle outside ``sample``, or snapshots off the mean-field
 time grid); 3 numerical failure (an exhausted event budget, a non-finite
 rate, density normalization drift, an equilibrium relaxation or an action
@@ -21,7 +22,9 @@ import argparse
 import configparser
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -64,6 +67,7 @@ DEFAULTS = {
 def load_config(path, overrides=()):
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
+    known = {(s, k) for s in cp.sections() for k in cp.options(s)}  # keys in lower case
     if path is not None:
         read = cp.read(path)
         if not read:
@@ -73,9 +77,13 @@ def load_config(path, overrides=()):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), key.strip(), value.strip())
+        cp.read_dict({section.strip(): {key.strip(): value.strip()}})
+    for section in cp.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"unknown config key [{section}] {key}")
     return cp
 
 
@@ -187,28 +195,23 @@ def bernoulli_init(p_infected, positions, rng):
     return np.where(rng.random(len(positions)) < probs, 1, 0).astype(np.int64)
 
 
-def _table(header, columns, line=None):
-    """Lines of a table with one row per index of the equal-length ``columns``.
-
-    Each row is ``line`` (default: the values joined by commas) filled with
-    the column values, so floats appear as their repr; ``header``, when
-    given, is the first line.
-    """
-    columns = [np.asarray(c) for c in columns]
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError("columns differ in length")
-    line = (line or ",".join(["{}"] * len(columns))) + "\n"
-    if header is not None:
-        yield header + "\n"
-    for lo in range(0, len(columns[0]), 65536):  # Python numbers one chunk at a time
-        for row in zip(*(c[lo:lo + 65536].tolist() for c in columns)):
-            yield line.format(*row)
-
-
-def _long_columns(values, *axes):
-    """Long format of an array: for each axis, its coordinate at every
-    cell in C order, then the cell values."""
-    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + [np.ravel(values)]
+def _long_table(header, values, axes, order=None):
+    """Lines of ``header`` and then, per cell of ``values`` in C order, the
+    cell's coordinate on each axis and its value.  ``axes[d]`` holds the
+    coordinates along dimension d, each a number, a label or a row of numbers
+    (a (t_lo, t_hi) window) that fills as many columns; ``order`` lists the
+    axes in column order.  Each coordinate is formatted once, as str() of its
+    Python value (floats as their repr), and each value once per cell."""
+    values = np.asarray(values)
+    texts = [[",".join(map(str, c)) for c in np.reshape(a, (n, -1)).tolist()]
+             for a, n in zip(axes, values.shape)]
+    rows = map(operator.itemgetter(*(order or range(values.ndim))), itertools.product(*texts))
+    yield header + "\n"
+    flat = values.ravel()
+    for lo in range(0, flat.size, 65536):  # Python numbers one chunk at a time
+        # the chunk leads the zip, so no row is drawn past the chunk's end
+        yield "".join([f"{','.join(row)},{v}\n"
+                       for v, row in zip(flat[lo:lo + 65536].tolist(), rows)])
 
 
 def _json(obj, **kwargs):
@@ -345,25 +348,25 @@ def cmd_simulate(cp, out):
     edges = np.linspace(0.0, T, 11)
     bins = np.arange(grid.M)
     for r, traj in enumerate(trajs):
-        labels = np.array([json.dumps(lab) for lab in traj.labels])
-        man.add(f"trajectory_{r:03d}.jsonl", _table(
-            None, [traj.times, traj.nodes, labels[traj.from_codes], labels[traj.to_codes]],
-            line='{{"t": {}, "j": {}, "from": {}, "to": {}}}'))
+        labels = [json.dumps(lab) for lab in traj.labels]
+        man.add(f"trajectory_{r:03d}.jsonl", (
+            f'{{"t": {t}, "j": {j}, "from": {labels[a]}, "to": {labels[b]}}}\n'
+            for t, j, a, b in zip(traj.times.tolist(), traj.nodes.tolist(),
+                                  traj.from_codes.tolist(), traj.to_codes.tolist())))
         # window counts from cumulative counts at the edges; event times are
         # > 0, so the closed first window [0, t_1] needs no special case
         fx = extract_flux(traj)
         chans = sorted(fx.atoms)
         cum = np.array([[fx.channel_counts(a, b, grid.M, t_hi=t) for t in edges]
                         for a, b in chans]).reshape(len(chans), len(edges), grid.M)
-        ch, win, col_bin, mass = _long_columns(np.diff(cum, axis=1) / traj.N,
-                                               [f"{a}->{b}" for a, b in chans],
-                                               np.arange(len(edges) - 1), bins)
-        man.add(f"flux_{r:03d}.csv", _table("channel,bin,t_lo,t_hi,mass",
-                                            [ch, col_bin, edges[:-1][win], edges[1:][win], mass]))
+        man.add(f"flux_{r:03d}.csv", _long_table(
+            "channel,bin,t_lo,t_hi,mass", np.diff(cum, axis=1) / traj.N,
+            [[f"{a}->{b}" for a, b in chans], np.column_stack([edges[:-1], edges[1:]]), bins],
+            order=(0, 2, 1)))
         occ = np.array([occupation_at(traj, t, bins=grid.M).masses for t in edges])
-        col_t, lab, col_bin, mass = _long_columns(occ, edges, list(traj.labels), bins)
-        man.add(f"occupation_{r:03d}.csv",
-                _table("channel,bin,t_lo,t_hi,mass", [lab, col_bin, col_t, col_t, mass]))
+        man.add(f"occupation_{r:03d}.csv", _long_table(
+            "channel,bin,t_lo,t_hi,mass", occ,
+            [np.column_stack([edges, edges]), traj.labels, bins], order=(1, 2, 0)))
     man.write({"replicas": len(trajs),
                "events": [int(t.n_events) for t in trajs]})
     return 0
@@ -381,12 +384,12 @@ def cmd_meanfield(cp, out):
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
                                      _f(cp, "grid", "T", positive=True),
                                      _i(cp, "grid", "steps", least=1))
-    man.add("density.csv", _table("t,alpha,theta,value", _long_columns(
-        dens.values, dens.times, list(dens.labels), grid.nodes)))
+    man.add("density.csv", _long_table("t,alpha,theta,value", dens.values,
+                                       [dens.times, dens.labels, grid.nodes]))
     chans = sorted(flux.densities)
-    ch, t, th, value = _long_columns([flux.densities[c] for c in chans],
-                                     [f"{a}->{b}" for a, b in chans], flux.times, grid.nodes)
-    man.add("flux.csv", _table("t,channel,theta,value", [t, ch, th, value]))
+    man.add("flux.csv", _long_table("t,channel,theta,value", [flux.densities[c] for c in chans],
+                                    [[f"{a}->{b}" for a, b in chans], flux.times, grid.nodes],
+                                    order=(1, 0, 2)))
     man.write()
     return 0
 
@@ -465,10 +468,10 @@ def cmd_action(cp, out):
     result = minimize_action(problem, params, spec, grid, opts)
 
     times = np.linspace(0.0, problem.horizon, problem.K + 1)
-    man.add("path.csv", _table("t,theta,s", _long_columns(result.path, times, grid.nodes)))
+    man.add("path.csv", _long_table("t,theta,s", result.path, [times, grid.nodes]))
     res = el_residual(result.path, params, spec, grid, problem.horizon)
-    man.add("el_residual.csv", _table("t,theta,residual",
-                                      _long_columns(res[1:-1], times[1:-1], grid.nodes)))
+    man.add("el_residual.csv", _long_table("t,theta,residual", res[1:-1],
+                                           [times[1:-1], grid.nodes]))
 
     # el_residual_max is NaN when every cell is degenerate: written as null
     diag = {k: v for k, v in result.diagnostics.items() if k != "action_history"}

@@ -91,13 +91,12 @@ class KernelOperator:
 
     def __init__(self, K, grid: SpatialGrid):
         self.K, self.kw = K, grid.kappa_weights
-        self.max_abs = float(max(K.max(), -K.min()))
         col = K[:, 0]
         # row i of a circulant K read right to left is [col, col][i + 1 : i + 1 + M]
         rolls = np.lib.stride_tricks.sliding_window_view(np.concatenate([col, col])[1:], grid.M)
         self.fft = bool(grid.M >= _FFT_MIN_M and np.all(self.kw == self.kw[0])
                         and np.abs(dev := K[:, ::-1] - rolls, out=dev).max()
-                        <= _CIRCULANT_TOL * self.max_abs)
+                        <= _CIRCULANT_TOL * float(max(K.max(), -K.min())))
         if self.fft:
             self._col, self._row = np.fft.rfft(col), np.fft.rfft(K[0])
 
@@ -122,10 +121,6 @@ class _DenseOperator(KernelOperator):
 
     def __init__(self, K, grid: SpatialGrid):
         self.K, self.kw = K, grid.kappa_weights
-
-    @property
-    def max_abs(self):
-        return float(np.max(np.abs(self.K)))
 
 
 def _operator(kernel, grid: SpatialGrid):

@@ -383,3 +383,57 @@ def test_A8_contracted_rate_function_reduction():
     assert worst3 <= 1e-4
     report("A8", f"2-state gap {worst2:.1e} <= 1e-10; 3-state vs brute force "
                  f"{worst3:.1e} <= 1e-4")
+
+
+def _complete_graph_log_prob(N, n0, nT, T):
+    """log P(I_T = nT | I_0 = n0) of the SIS infected count on the complete
+    graph, the birth-death chain with rates (N - n) beta n / N up and alpha n
+    down, by uniformization: every term is non-negative, so a probability
+    near e^-170 keeps its relative accuracy."""
+    from scipy.stats import poisson
+
+    n = np.arange(N + 1.0)
+    up, down = (N - n) * PARAMS.beta * n / N, PARAMS.alpha * n
+    rate = np.max(up + down)
+    stay, up, down = 1.0 - (up + down) / rate, up / rate, down / rate
+    mu = rate * T
+    # the Poisson tail past mu + 40 sqrt(mu) is below e^-600
+    weights = poisson.pmf(np.arange(int(mu + 40.0 * np.sqrt(mu))), mu)
+    p = np.zeros(N + 1)
+    p[n0] = 1.0
+    total = 0.0
+    for w in weights:
+        total += w * p[nT]
+        q = stay * p
+        q[1:] += up[:-1] * p[:-1]
+        q[:-1] += down[1:] * p[1:]
+        p = q
+    return np.log(total)
+
+
+def test_A9_complete_graph_exponent():
+    """The minimum action is the decay rate of the finite-N probabilities:
+    on the complete graph, -log P(I_T = n_T) / N fitted in N meets the
+    Richardson-extrapolated minimum action."""
+    t0 = time.time()
+    kernel = constant_kernel(1.0)
+    assert len(sample_network(kernel, 800, 1.0, seed=0).rows) == 800 * 799  # complete
+    grid = circle_grid(4)
+    gaps = []
+    for s0, sT, T in ((0.5, 0.7, 2.0), (0.5, 0.8, 1.0), (0.5, 0.3, 2.0)):
+        # -log P / N - ln N / (2N) = S + c / N on N = 800, 1600, where both
+        # endpoints are lattice points; ln N / (2N) is the local-limit prefactor
+        y = [-_complete_graph_log_prob(N, round(N * (1 - s0)), round(N * (1 - sT)), T) / N
+             - np.log(N) / (2 * N) for N in (800, 1600)]
+        fit = 2.0 * y[1] - y[0]
+        solves = [minimize_action(PathProblem(s0=np.full(grid.M, s0), sT=np.full(grid.M, sT),
+                                              horizon=T, K=K), PARAMS, kernel, grid)
+                  for K in (400, 800)]
+        assert all(r.diagnostics["converged"] for r in solves)
+        action = (4.0 * solves[1].action - solves[0].action) / 3.0  # error O(dt^2)
+        gaps.append(fit - action)
+    elapsed = time.time() - t0
+    assert max(abs(g) for g in gaps) <= 1e-5, gaps
+    assert elapsed <= 10.0
+    report("A9", "fitted exponent - minimum action "
+                 + ", ".join(f"{g:+.2e}" for g in gaps) + f" within 1e-5 ({elapsed:.1f}s)")

@@ -10,6 +10,7 @@ import pytest
 
 from graphonldp import cli
 from graphonldp.cli import main
+from graphonldp.simulator import bin_index, occupation_at
 
 
 def run(tmp_path, command, *overrides, config=None, out=None):
@@ -40,6 +41,21 @@ class TestConfig:
         assert man["config"]["graphon"]["n"] == "40"
         assert man["config"]["run"]["seed"] == "5"
 
+    @pytest.mark.parametrize("overrides, text, entry", [
+        (["ldp_check.aa=3"], None, "[ldp_check] aa"),
+        (["nosuch.key=1"], None, "[nosuch]"),
+        ([], "[ldp_check]\nN_valus = 10,20\n", "[ldp_check] n_valus"),
+    ], ids=["unknown-key", "unknown-section", "misspelt-key-in-file"])
+    def test_unknown_entry_rejected(self, tmp_path, capsys, overrides, text, entry):
+        # a misspelt key or an unknown section is an error, not ignored
+        cfg = None
+        if text is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(text)
+        code, _ = run(tmp_path, "ldp-check", *overrides, config=cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config") and entry in err
 
 class TestSample:
     def test_header_and_manifest(self, tmp_path):
@@ -168,6 +184,71 @@ class TestArtifacts:
         assert len(mass) == 11 * 2 * 8
         assert np.allclose(mass.reshape(11, 16).sum(axis=1), 1.0)
         assert np.array_equal(t_lo.reshape(11, 16)[:, 0], np.linspace(0.0, 0.5, 11))
+
+    def test_every_table_line_matches_a_naive_writer(self, tmp_path):
+        # every CSV and JSONL line equals one written row by row from the
+        # arrays, floats as their repr and rows in the arrays' C order:
+        # flux.csv runs channel, time, node with t in its first column, and
+        # an occupation row holds a state, a bin and its snapshot time twice
+        def line(*cells):
+            return ",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
+                            for c in cells)
+
+        def check(out, name, header, rows):
+            assert (out / name).read_text().splitlines() == [header] * bool(header) + rows, name
+
+        chans = [("I", "S"), ("S", "I")]
+        overrides = ["grid.M=4", "grid.steps=2"]
+        assert run(tmp_path, "meanfield", *overrides, out=tmp_path / "mf")[0] == 0
+        cp = cli.load_config(None, overrides)
+        spec, params, grid, rates, eq = cli._model(cp)
+        dens, flux = cli._meanfield_solution(grid, spec, rates,
+                                             cli._init_infected(cp, grid, eq), 5.0, 2)
+        th = grid.nodes
+        check(tmp_path / "mf", "density.csv", "t,alpha,theta,value",
+              [line(t, lab, th[m], dens.values[i, a, m]) for i, t in enumerate(dens.times)
+               for a, lab in enumerate(dens.labels) for m in range(4)])
+        assert sorted(flux.densities) == chans
+        check(tmp_path / "mf", "flux.csv", "t,channel,theta,value",
+              [line(t, f"{a}->{b}", th[m], flux.densities[a, b][i, m]) for a, b in chans
+               for i, t in enumerate(flux.times) for m in range(4)])
+
+        overrides = ["graphon.N=50", "grid.M=4", "run.replicas=1"]
+        assert run(tmp_path, "simulate", *overrides, out=tmp_path / "sim")[0] == 0
+        cp = cli.load_config(None, overrides)
+        spec, params, grid, rates, eq = cli._model(cp)
+        traj, = cli._replica_trajectories(cli._network(cp, spec, 50, 7), rates,
+                                          cli._init_infected(cp, grid, eq), 5.0, 1, 1, 7)
+        lab = np.array(traj.labels)
+        src, dst = lab[traj.from_codes], lab[traj.to_codes]
+        check(tmp_path / "sim", "trajectory_000.jsonl", None,
+              [f'{{"t": {line(t)}, "j": {j}, "from": "{a}", "to": "{b}"}}'
+               for t, j, a, b in zip(traj.times, traj.nodes, src, dst)])
+        edges = np.linspace(0.0, 5.0, 11)
+        bins = bin_index(traj.positions[traj.nodes], 4)
+        assert all(np.any((src == a) & (dst == b)) for a, b in chans)
+        check(tmp_path / "sim", "flux_000.csv", "channel,bin,t_lo,t_hi,mass",
+              [line(f"{a}->{b}", m, lo, hi, np.sum((src == a) & (dst == b) & (bins == m)
+                                                   & (traj.times > lo) & (traj.times <= hi)) / 50)
+               for a, b in chans for lo, hi in zip(edges[:-1], edges[1:]) for m in range(4)])
+        check(tmp_path / "sim", "occupation_000.csv", "channel,bin,t_lo,t_hi,mass",
+              [line(lab[a], m, t, t, occupation_at(traj, t, bins=4).masses[a, m])
+               for t in edges for a in range(2) for m in range(4)])
+
+        overrides = ["grid.M=8", "grid.K=10"]
+        assert run(tmp_path, "action", *overrides, out=tmp_path / "act")[0] == 0
+        spec, params, grid, rates, eq = cli._model(cli.load_config(None, overrides))
+        problem = cli.PathProblem(s0=cli.parse_profile("equilibrium", grid, eq),
+                                  sT=cli.parse_profile("bump:3.14159,0.8,0.2", grid, eq),
+                                  horizon=5.0, K=10)
+        path = cli.minimize_action(problem, params, spec, grid,
+                                   cli.ActionOptions(max_iters=20000, tol_grad=1e-6)).path
+        res = cli.el_residual(path, params, spec, grid, 5.0)
+        times = np.linspace(0.0, 5.0, 11)
+        check(tmp_path / "act", "path.csv", "t,theta,s",
+              [line(times[k], grid.nodes[m], path[k, m]) for k in range(11) for m in range(8)])
+        check(tmp_path / "act", "el_residual.csv", "t,theta,residual",
+              [line(times[k], grid.nodes[m], res[k, m]) for k in range(1, 10) for m in range(8)])
 
 
 class TestCompare:
