@@ -203,8 +203,8 @@ def _long_table(header, values, axes, order=None):
     axes in column order.  Each coordinate is formatted once, as str() of its
     Python value (floats as their repr), and each value once per cell."""
     values = np.asarray(values)
-    texts = [[",".join(map(str, c)) for c in np.reshape(a, (n, -1)).tolist()]
-             for a, n in zip(axes, values.shape)]
+    texts = [[",".join(map(str, c)) if isinstance(c, list) else str(c)
+              for c in np.asarray(a).tolist()] for a in axes]
     rows = map(operator.itemgetter(*(order or range(values.ndim))), itertools.product(*texts))
     yield header + "\n"
     flat = values.ravel()

@@ -185,6 +185,18 @@ class TestArtifacts:
         assert np.allclose(mass.reshape(11, 16).sum(axis=1), 1.0)
         assert np.array_equal(t_lo.reshape(11, 16)[:, 0], np.linspace(0.0, 0.5, 11))
 
+    def test_replica_without_events_writes_header_only_flux(self, tmp_path):
+        # no node starts infected, so nothing ever happens: the flux table
+        # has no channel and holds its header alone
+        code, out = run(tmp_path, "simulate", "model.init=uniform:0", "graphon.N=50",
+                        "grid.M=4", "run.replicas=1")
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["events"] == [0]
+        assert (out / "trajectory_000.jsonl").read_text() == ""
+        assert (out / "flux_000.csv").read_text() == "channel,bin,t_lo,t_hi,mass\n"
+        mass = np.loadtxt(out / "occupation_000.csv", delimiter=",", skiprows=1, usecols=4)
+        assert np.array_equal(mass.reshape(11, 2, 4).sum(axis=2), np.tile([1.0, 0.0], (11, 1)))
+
     def test_every_table_line_matches_a_naive_writer(self, tmp_path):
         # every CSV and JSONL line equals one written row by row from the
         # arrays, floats as their repr and rows in the arrays' C order:
