@@ -53,7 +53,6 @@ from .rate_function import (  # noqa: F401
     RateValue,
     channel_intensities,
     contracted_L,
-    contracted_node_bruteforce,
     contracted_node_value,
     ell,
     poisson_tail_log_prob,

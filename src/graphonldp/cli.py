@@ -65,7 +65,7 @@ DEFAULTS = {
 
 
 def load_config(path, overrides=()):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # '%' is a literal character
     cp.read_dict(DEFAULTS)
     known = {(s, k) for s in cp.sections() for k in cp.options(s)}  # keys in lower case
     if path is not None:

@@ -27,6 +27,8 @@ and the stored density is N^(g-1); see :func:`density_from_degree_exponent`.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -185,8 +187,11 @@ class Network:
 
     The triples J[rows, cols] = weights, sorted lexicographically, are the one
     adjacency; row j is the slice indptr[j]:indptr[j + 1].  Construction
-    rejects a non-integer index, an index outside [0, N), a weight outside
-    {-1, 0, +1} and a repeated (j, k) pair; self-loops are allowed.
+    rejects an N that is not an integer >= 1, a phi_N that is not finite and
+    positive, positions whose length is not N, a non-integer index, an index
+    outside [0, N), a weight outside {-1, 0, +1} and a repeated (j, k) pair;
+    self-loops are allowed.  The entries are sorted once, as the int64 keys
+    (j N + k) 3 + (w + 1), so N must also keep 3 N^2 below 2^63.
     ``phi_N`` is the edge-density scale of sampling and of the local-field
     normalization.  The in-neighbour index both event loops of ``simulate``
     read is built on the first call and kept (``_in_index``).
@@ -203,21 +208,39 @@ class Network:
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_scalars(self.N, self.phi_N)
+        N = int(self.N)
+        positions = np.asarray(self.positions)
+        if positions.shape != (N,):
+            raise GraphonError(f"positions of shape {positions.shape} for N = {N}")
         rows, cols = _node_indices(self.rows), _node_indices(self.cols)
         weights = np.asarray(self.weights)
+        if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+            raise GraphonError("rows, cols and weights must be 1-D arrays of one length")
         if len(rows) and (min(rows.min(), cols.min()) < 0
-                          or max(rows.max(), cols.max()) >= self.N):
-            raise GraphonError(f"node index outside [0, {self.N})")
-        if not np.all(np.isin(weights, (-1, 0, 1))):
+                          or max(rows.max(), cols.max()) >= N):
+            raise GraphonError(f"node index outside [0, {N})")
+        if not ((weights == -1) | (weights == 0) | (weights == 1)).all():
             raise GraphonError("couplings must be signed integers in {-1, 0, +1}")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+        # one sort of the keys (j N + k) 3 + (w + 1), after which a repeated
+        # (j, k) pair is two equal adjacent pair keys j N + k; in place, so that
+        # besides its inputs at most four arrays of the entries are alive at once
+        keys = rows * N
+        keys += cols
+        keys *= 3
+        keys += weights.astype(np.int64, copy=False)
+        keys += 1
+        keys.sort()
+        pairs = keys // 3
+        if np.any(pairs[1:] == pairs[:-1]):
             raise GraphonError("repeated (j, k) coupling")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "weights", weights[order].astype(np.int64))
-        object.__setattr__(self, "indptr", np.searchsorted(rows, np.arange(self.N + 1)))
+        keys %= 3
+        keys -= 1
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "rows", pairs // N)
+        object.__setattr__(self, "cols", pairs % N)
+        object.__setattr__(self, "weights", keys)
+        object.__setattr__(self, "indptr", np.searchsorted(self.rows, np.arange(N + 1)))
         for arr in (self.positions, self.rows, self.cols, self.weights, self.indptr):
             arr.setflags(write=False)
 
@@ -227,7 +250,8 @@ class Network:
         column k's entries, by row, at order[ptr[k]:ptr[k + 1]]; ``stubs``, the
         rows of its +1 entries in that order, column k's ``n_stubs[k]`` from
         ``start[k]``; ``k_max`` = max ``n_stubs``; ``signed``: a weight is -1."""
-        order = np.argsort(self.cols, kind="stable")
+        # (k, j) pairs are unique, so any argsort of k N + j is the stable one of k
+        order = np.argsort(self.cols * self.N + self.rows)
         plus = self.weights == 1
         stubs = self.rows[order][plus[order]]
         n_stubs = np.bincount(self.cols[plus], minlength=self.N)
@@ -257,6 +281,17 @@ class Network:
         lo, hi = self.csr_row(j)
         out[self.cols[lo:hi]] = self.weights[lo:hi]
         return out
+
+
+def _check_scalars(N, phi_N):
+    """GraphonError unless N is an integer >= 1 with 3 N^2 < 2^63, so that a
+    Network's packed entry keys fit int64, and phi_N is finite and > 0."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise GraphonError(f"N must be an integer >= 1, got {N!r}")
+    if 3 * int(N) ** 2 >= 2 ** 63:
+        raise GraphonError(f"N = {N} is too large: 3 N^2 must stay below 2^63")
+    if not (isinstance(phi_N, numbers.Real) and math.isfinite(phi_N) and phi_N > 0):
+        raise GraphonError(f"phi_N must be finite and positive, got {phi_N!r}")
 
 
 def _node_indices(a):
@@ -463,10 +498,11 @@ def write_network(path, network: Network, explicit_positions=False):
 def read_network(path) -> Network:
     """Parse a file written by :func:`write_network`.
 
-    Raises GraphonError on malformed content: a bad header, a positions
-    block whose length is not N, an edge line that is not three fields, a
-    node index outside [0, N), a repeated (j, k) pair, a self-loop or a
-    weight other than -1, +1.
+    Raises GraphonError on malformed content: a bad header (N not an
+    integer >= 1 with 3 N^2 < 2^63, phi_N not finite and positive, checked
+    before any array is built), a positions block whose length is not N, an
+    edge line that is not three fields, a node index outside [0, N), a
+    repeated (j, k) pair, a self-loop or a weight other than -1, +1.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -479,6 +515,7 @@ def read_network(path) -> Network:
 def _parse_network(lines) -> Network:
     head = lines[0].split()
     N, phi_N, seed, family = int(head[0]), float(head[1]), int(head[2]), head[3]
+    _check_scalars(N, phi_N)
     i = 1
     if i < len(lines) and lines[i] == "positions":
         if "edges" not in lines[i + 1:]:

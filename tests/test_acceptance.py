@@ -20,7 +20,6 @@ from graphonldp.graphon import (
 )
 from graphonldp.meanfield import circle_grid, endemic_equilibrium, evolve, kernel_matrix
 from graphonldp.rate_function import (
-    contracted_node_bruteforce,
     contracted_node_value,
     ell,
     poisson_tail_log_prob,
@@ -41,6 +40,8 @@ from graphonldp.action_path import (
     minimize_action,
 )
 from graphonldp.cli import compare_deviations, load_config
+
+from oracles import contracted_node_bruteforce
 
 PARAMS = SisParams(beta=2.0, alpha=1.0)
 
@@ -437,3 +438,69 @@ def test_A9_complete_graph_exponent():
     assert elapsed <= 10.0
     report("A9", "fitted exponent - minimum action "
                  + ", ".join(f"{g:+.2e}" for g in gaps) + f" within 1e-5 ({elapsed:.1f}s)")
+
+
+#: The coupling of the two-block chain: K[a, b] from block b into block a.
+TWO_BLOCK = np.array([[1.4, 0.2], [0.5, 0.8]])
+
+
+def _two_block_log_prob(N, n0, nT, T):
+    """log P(I_T = nT | I_0 = n0) of the infected counts (n_1, n_2) of two
+    blocks of N / 2 nodes, the SIS chain on the M = 2 grid: a susceptible
+    node of block a is infected at rate beta (K_a1 n_1 + K_a2 n_2) / N with
+    K = TWO_BLOCK, and an infected node recovers at rate alpha.  By
+    uniformization, as on the complete graph."""
+    from scipy.stats import poisson
+
+    n1, n2 = np.meshgrid(np.arange(N // 2 + 1.0), np.arange(N // 2 + 1.0), indexing="ij")
+    up1 = (N // 2 - n1) * PARAMS.beta * (TWO_BLOCK[0, 0] * n1 + TWO_BLOCK[0, 1] * n2) / N
+    up2 = (N // 2 - n2) * PARAMS.beta * (TWO_BLOCK[1, 0] * n1 + TWO_BLOCK[1, 1] * n2) / N
+    down1, down2 = PARAMS.alpha * n1, PARAMS.alpha * n2
+    out = up1 + up2 + down1 + down2
+    rate = np.max(out)
+    stay, up1, up2, down1, down2 = (x / rate for x in (rate - out, up1, up2, down1, down2))
+    mu = rate * T
+    # the Poisson tail past mu + 40 sqrt(mu) is below e^-600
+    weights = poisson.pmf(np.arange(int(mu + 40.0 * np.sqrt(mu))), mu)
+    p = np.zeros_like(n1)
+    p[n0] = 1.0
+    total = 0.0
+    for w in weights:
+        total += w * p[nT]
+        q = stay * p
+        q[1:] += up1[:-1] * p[:-1]
+        q[:, 1:] += up2[:, :-1] * p[:, :-1]
+        q[:-1] += down1[1:] * p[1:]
+        q[:, :-1] += down2[:, 1:] * p[:, 1:]
+        p = q
+    return np.log(total)
+
+
+def test_A9_two_block_exponent():
+    """A9's spatial half: on two blocks coupled by the asymmetric kernel
+    TWO_BLOCK (the M = 2 grid, kappa = 1/2 each), -log P / N fitted in N
+    meets the Richardson-extrapolated minimum action, so the action's
+    coupling (which block's field, which side of K) meets the chain's."""
+    t0 = time.time()
+    grid = circle_grid(2)
+    gaps = []
+    for s0, sT, T in (((0.5, 0.6), (0.7, 0.4), 1.0), ((0.6, 0.5), (0.4, 0.7), 1.0),
+                      ((0.4, 0.6), (0.6, 0.3), 2.0)):
+        # -log P / N - ln N / N = S + c / N on N = 200, 400, where both endpoints
+        # are lattice points; ln N / N is the local-limit prefactor in two dimensions
+        y = []
+        for N in (200, 400):
+            n0, nT = (tuple(round(N // 2 * (1 - x)) for x in s) for s in (s0, sT))
+            y.append(-_two_block_log_prob(N, n0, nT, T) / N - np.log(N) / N)
+        fit = 2.0 * y[1] - y[0]
+        solves = [minimize_action(PathProblem(s0=np.array(s0), sT=np.array(sT), horizon=T, K=K),
+                                  PARAMS, TWO_BLOCK, grid)
+                  for K in (400, 800)]
+        assert all(r.diagnostics["converged"] for r in solves)
+        action = (4.0 * solves[1].action - solves[0].action) / 3.0  # error O(dt^2)
+        gaps.append(fit - action)
+    elapsed = time.time() - t0
+    assert max(abs(g) for g in gaps) <= 1e-4, gaps
+    assert elapsed <= 10.0
+    report("A9", "two-block fitted exponent - minimum action "
+                 + ", ".join(f"{g:+.2e}" for g in gaps) + f" within 1e-4 ({elapsed:.1f}s)")

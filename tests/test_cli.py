@@ -57,6 +57,22 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown config") and entry in err
 
+    @pytest.mark.parametrize("command, overrides, text, entry", [
+        ("ldp-check", ["ldp_check.a=50%"], None, "[ldp_check] a"),
+        ("simulate", ["graphon.N=50"], "[model]\ninit = uniform:3%\n", "uniform:3%"),
+    ], ids=["set", "config-file"])
+    def test_percent_is_a_literal_character(self, tmp_path, capsys, command, overrides,
+                                            text, entry):
+        # '%' is no interpolation syntax: a bad value gets the value check's exit 2
+        cfg = None
+        if text is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(text)
+        code, _ = run(tmp_path, command, *overrides, config=cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and entry in err
+
 class TestSample:
     def test_header_and_manifest(self, tmp_path):
         code, out = run(tmp_path, "sample", "graphon.family=constant",

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +284,20 @@ class TestSampling:
         net = build([1, 0], [1, 2], [0, -1])  # self-loops and zero weights are allowed
         assert list(net.rows) == [0, 1] and list(net.degrees()) == [1, 1, 0]
 
+    @pytest.mark.parametrize("changes", [
+        {"N": 0, "positions": np.zeros(0)}, {"N": -3, "positions": np.zeros(0)},
+        {"N": 3.0}, {"phi_N": 0.0}, {"phi_N": -1.0}, {"phi_N": np.nan}, {"phi_N": np.inf},
+        {"positions": np.zeros(2)}, {"positions": np.zeros((3, 1))}, {"weights": np.ones(1)},
+    ], ids=["N-zero", "N-negative", "N-float", "phi-zero", "phi-negative", "phi-nan",
+            "phi-inf", "positions-short", "positions-2d", "weights-longer"])
+    def test_scalars_and_shapes_checked_at_construction(self, changes):
+        empty = np.zeros(0, dtype=np.int64)
+        args = dict(N=3, positions=np.zeros(3), rows=empty, cols=empty, weights=empty,
+                    phi_N=1.0, seed=0, family="constant")
+        Network(**args)
+        with pytest.raises(GraphonError):
+            Network(**{**args, **changes})
+
     def test_non_integer_indices_rejected(self):
         def build(rows, cols):
             return Network(N=3, positions=np.zeros(3), rows=rows, cols=cols, weights=[1],
@@ -304,6 +320,84 @@ def signed_directed_triples(N, density, rng):
     perm = rng.permutation(len(rows))
     return Network(N=N, positions=np.zeros(N), rows=rows[perm], cols=cols[perm],
                    weights=weights[perm], phi_N=1.0, seed=0, family="constant")
+
+
+def lexsorted(N, rows, cols, weights):
+    """The canonical arrays by np.lexsort: rows, cols, int64 weights, indptr."""
+    order = np.lexsort((cols, rows))
+    rows, cols = np.asarray(rows, dtype=np.int64)[order], np.asarray(cols, dtype=np.int64)[order]
+    return rows, cols, np.asarray(weights)[order].astype(np.int64), np.searchsorted(rows, np.arange(N + 1))
+
+
+class TestPackedKeySort:
+    """Construction sorts the entries once as int64 keys (j N + k) 3 + (w + 1)."""
+
+    @pytest.mark.parametrize("N,density,seed,dtype", [
+        (1, 0.0, 0, float), (1, 1.0, 1, float), (7, 0.0, 2, float), (23, 0.3, 3, float),
+        (60, 0.2, 4, float), (31, 0.5, 5, bool), (45, 0.1, 6, np.int8),
+    ])
+    def test_equals_lexsort_oracle(self, N, density, seed, dtype):
+        rng = np.random.default_rng(seed)
+        rows, cols = np.nonzero(rng.random((N, N)) < density)
+        choices = [False, True] if dtype is bool else [-1, 0, 1]
+        weights = rng.choice(choices, len(rows)).astype(dtype)
+        if len(rows) > 50:
+            assert np.any(rows == cols) and np.any(weights == 0) and np.any(weights == 1)
+        want = lexsorted(N, rows, cols, weights)
+        perm = rng.permutation(len(rows))
+        for order in (perm, perm[::-1], np.arange(len(rows))[::-1]):
+            net = Network(N=N, positions=np.zeros(N), rows=rows[order], cols=cols[order],
+                          weights=weights[order], phi_N=1.0, seed=0, family="constant")
+            for got, ref in zip((net.rows, net.cols, net.weights, net.indptr), want):
+                assert got.dtype == np.int64 and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("w1,w2", [(1, 1), (-1, -1), (0, 0), (1, -1), (-1, 0)])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_repeated_pair_rejected(self, w1, w2, far):
+        N = 40
+        rows, cols = np.nonzero(np.random.default_rng(7).random((N, N)) < 0.2)
+        fresh = ~((rows == 5) & (cols == 9))
+        rows, cols, weights = list(rows[fresh]), list(cols[fresh]), [1] * int(fresh.sum())
+        # two copies of (5, 9): first and next to last in the input, or side by side
+        for at, w in zip((0, len(rows)) if far else (len(rows) // 2,) * 2, (w1, w2)):
+            rows.insert(at, 5)
+            cols.insert(at, 9)
+            weights.insert(at, w)
+        with pytest.raises(GraphonError, match="repeated"):
+            Network(N=N, positions=np.zeros(N), rows=np.array(rows), cols=np.array(cols),
+                    weights=np.array(weights), phi_N=1.0, seed=0, family="constant")
+
+    def test_key_overflow_rejected_before_any_allocation(self):
+        N = 1 << 31  # 3 N^2 = 3 * 2^62 >= 2^63
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphonError, match="2\\^63"):
+                Network(N=N, positions=np.zeros(0), rows=[0], cols=[0], weights=[1],
+                        phi_N=1.0, seed=0, family="constant")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("spec, N, phi, seed, entries, digest", [
+        (cosine_kernel(1.0, 0.5), 500, 0.05, 1, 12508,
+         "2da5bb3955ea3ad199020c267be751b5874943a501c31ab65e08fbaf0fd5c432"),
+        (small_world_kernel(1.5, 0.1, 0.5), 500, 0.05, 2, 4112,
+         "606ebbede89e9f90e9a5f62c43ae99a04ae03f24800255a2713d81ae1dd89e6a"),
+        (power_law_kernel(0.3), 500, 0.05, 3, 12544,
+         "e89106164bf29739e6781030e976ccdf626acaedb099f24e8b5664b57e779a2c"),
+        (dataclasses.replace(signed_cosine(), symmetric=False), 400, 0.5, 4, 25466,
+         "0a402c493ce929650578f84488cbf000674de85f66cc26d5ac9d08b4f4d190d3"),
+    ], ids=["cosine", "small-world", "power-law", "signed-directed"])
+    def test_sampled_arrays_pinned(self, spec, N, phi, seed, entries, digest):
+        # sha256 of the int64 rows, cols, weights and indptr the lexsort
+        # construction gave for these seeds
+        net = sample_network(spec, N, phi, seed=seed)
+        h = hashlib.sha256()
+        for arr in (net.rows, net.cols, net.weights, net.indptr):
+            assert arr.dtype == np.int64
+            h.update(arr.tobytes())
+        assert len(net.rows) == entries and h.hexdigest() == digest
 
 
 class TestInNeighbourIndex:
@@ -513,6 +607,15 @@ class TestMalformedNetworkFile:
         for body in ("0 1 1\n0 1 1\n", "0 1 1\n1 0 1\n0 1 -1\n"):
             with pytest.raises(GraphonError):
                 self.read(tmp_path, body)
+
+    @pytest.mark.parametrize("header", ["-3 0.1 0 circle", "0 0.1 0 circle", "3 nan 0 circle",
+                                        "3 -1 0 circle", "1000000000000 0.1 0 circle"])
+    def test_header_scalars(self, tmp_path, header):
+        # checked before the positions are built: N = 10^12 is no MemoryError
+        p = tmp_path / "net.txt"
+        p.write_text(header + "\n")
+        with pytest.raises(GraphonError, match="malformed network file"):
+            read_network(p)
 
     def test_positions_block_length(self, tmp_path):
         for body in ("positions\n0.0\n1.0\nedges\n0 1 1\n",

@@ -11,7 +11,6 @@ from graphonldp.rate_function import (
     InfeasibleRateError,
     channel_intensities,
     contracted_L,
-    contracted_node_bruteforce,
     contracted_node_value,
     ell,
     ell_scaled,
@@ -25,6 +24,8 @@ from graphonldp.rate_function import (
     sis_lagrangian_bruteforce,
     sis_lambda_field,
 )
+
+from oracles import contracted_node_bruteforce
 
 
 class TestEll:
