@@ -9,9 +9,13 @@ the converged path serve as an independent stationarity verification, not
 as the solver.
 
 The Lagrangian is an infimum over the flux split: infection flux A =
-``sis_A`` and recovery flux B = sdot + A, with A B = lam up, up = alpha (1 - s)
-and D = A + B = sqrt(sdot^2 + 4 lam up).  By the envelope theorem every
-derivative is a function of the optimal split (``_split``):
+``sis_A`` and recovery flux B with B - A = sdot and A B = lam up, up =
+alpha (1 - s), so D = A + B = sqrt(sdot^2 + 4 lam up).  One function forms
+that split, ``rate_function._sis_split``: B = max(lam up, 0) / A where
+sdot < 0 and sdot + A elsewhere.  ``sis_lagrangian``, the discrete action
+(once per interval side and call), the Newton preconditioner and the
+Euler-Lagrange operators all read it, and by the envelope theorem every
+derivative is a function of it:
 
     dL/dsdot = log(B / up),   d2L/dsdot2 = 1 / D,
     dA/dsdot = -A / D,        d2A/dsdot2 = 2 A B / D^3,
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .meanfield import _operator, field_from_density, sis_lambda_field
-from .rate_function import path_time_derivative, sis_A, sis_lagrangian
+from .rate_function import _sis_split, ell_scaled, path_time_derivative
 
 #: The box of the path solve: interior slices stay in [_EPS_S, 1 - _EPS_S].
 _EPS_S = 1e-8
@@ -104,26 +108,16 @@ class ElOperators:
 
 # --- pointwise analytic formulas ------------------------------------------
 
-def _split(sdot, s, lam, alpha):
-    """The optimal split of L(sdot, s, lam) and the recovery intensity:
-    (A, B, up) with A = ``sis_A``, up = alpha (1 - s) and A B = lam up.  B is
-    lam up / A where sdot < 0 (there A >= -sdot > 0) and sdot + A elsewhere,
-    so neither form cancels.  Vectorized."""
-    A = sis_A(sdot, s, lam, alpha)
-    up = alpha * (1.0 - s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return A, np.where(sdot < 0, lam * up / A, sdot + A), up
-
-
 # D = A + B; the sdot-derivatives of A and L; M = dL/dlam, N = dL/ds
 _Pointwise = namedtuple("_Pointwise", "D B dA d2A dL d2L M N")
 
 
-def _pointwise(sdot, s, lam, alpha):
-    """The optimal split (A, B) of L(sdot, s, lam), the A and L derivatives in
-    sdot and the Frechet fields M = dL/dlam, N = dL/ds at fixed lam; each is
-    an envelope identity of the split.  Vectorized."""
-    A, B, up = _split(sdot, s, lam, alpha)
+def _pointwise(split, alpha):
+    """From the optimal split (A, B, up) = ``_sis_split(sdot, s, lam, alpha)``
+    of L(sdot, s, lam): D = A + B, B, the A and L derivatives in sdot and the
+    Frechet fields M = dL/dlam, N = dL/ds at fixed lam; each is an envelope
+    identity of the split.  Vectorized."""
+    A, B, up = split
     D = A + B
     with np.errstate(divide="ignore", invalid="ignore"):
         return _Pointwise(D, B, dA=-A / D, d2A=2.0 * A * B / D ** 3, dL=np.log(B / up),
@@ -157,7 +151,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     sdot = np.asarray(sdot, dtype=float)
     W = field_from_density(grid, Km, 1.0 - s)
     lam = params.beta * s * W
-    pw = _pointwise(sdot, s, lam, params.alpha)
+    pw = _pointwise(_sis_split(sdot, s, lam, params.alpha), params.alpha)
     delta_lam = frechet_lambda(s, sdot, params, Km, grid)
     delta_A = _delta_A(pw.D, s, lam, sdot, delta_lam, params.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -227,23 +221,26 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     v = (path[1:] - path[:-1]) / dt                     # (K, M)
     W = field_from_density(grid, Km, 1.0 - path)        # (n_t, M)
     lam = params.beta * path * W
-    L_lo = sis_lagrangian(v, path[:-1], lam[:-1], alpha)
-    L_hi = sis_lagrangian(v, path[1:], lam[1:], alpha)
-    if not (np.all(np.isfinite(L_lo)) and np.all(np.isfinite(L_hi))):
+    # each interval side's split, once: the value cells and the gradient read it
+    sides = [(l, _sis_split(v, s, l, alpha))
+             for s, l in ((path[:-1], lam[:-1]), (path[1:], lam[1:]))]
+    L = sum(ell_scaled(A, l) + ell_scaled(B, up) for l, (A, B, up) in sides)  # L_lo + L_hi
+    if not np.all(np.isfinite(L)):
         return (np.inf, np.full((n_t - 2, M), np.nan)) if with_grad else np.inf
-    action = float(0.5 * dt * ((L_lo + L_hi) @ kw).sum())
+    action = float(0.5 * dt * (L @ kw).sum())
     if not with_grad:
         return action
 
-    lo = _pointwise(v, path[:-1], lam[:-1], alpha)
-    hi = _pointwise(v, path[1:], lam[1:], alpha)
+    # one side's envelope fields at a time, keeping only the three the gradient reads
+    (N_lo, M_lo, dL_lo), (N_hi, M_hi, dL_hi) = (
+        (pw.N, pw.M, pw.dL) for pw in (_pointwise(split, alpha) for _, split in sides))
     grad = np.zeros((n_t, M))
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
         # slice route: s_m enters interval m-1 on the high side, interval m low
-        grad[1:-1] = 0.5 * dt * kw * _G_field(hi.N[:-1] + lo.N[1:], hi.M[:-1] + lo.M[1:],
+        grad[1:-1] = 0.5 * dt * kw * _G_field(N_hi[:-1] + N_lo[1:], M_hi[:-1] + M_lo[1:],
                                               path[1:-1], W[1:-1], params.beta, Km)
         # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
-        C = 0.5 * kw[None, :] * (lo.dL + hi.dL)            # (K, M), dt cancels
+        C = 0.5 * kw[None, :] * (dL_lo + dL_hi)            # (K, M), dt cancels
         grad[1:] += C
         grad[:-1] -= C
     return action, grad[1:-1]
@@ -375,8 +372,8 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         A node whose every interval has D = 0 gets a zero step."""
         path = unpack(x)
         v, lam = (path[1:] - path[:-1]) / dt, sis_lambda_field(path, grid, Km, params.beta)
-        D_lo, D_hi = (A + B for A, B, _ in (_split(v, path[:-1], lam[:-1], params.alpha),
-                                            _split(v, path[1:], lam[1:], params.alpha)))
+        D_lo, D_hi = (A + B for A, B, _ in (_sis_split(v, path[:-1], lam[:-1], params.alpha),
+                                            _sis_split(v, path[1:], lam[1:], params.alpha)))
         with np.errstate(invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
         total = inv.sum(axis=0)

@@ -240,35 +240,49 @@ def sis_A(sdot, s_local, lam, alpha):
 
     The nonnegative root of a^2 + a sdot - alpha lam (1-s) = 0, i.e.
     0.5 (-sdot + sqrt(sdot^2 + 4 alpha lam (1-s))); evaluated in the
-    cancellation-free form when sdot > 0.  Degenerate lam (1-s) = 0 gives
-    max(0, -sdot).
+    cancellation-free form 0.5 c / (sqrt(sdot^2 + c) + sdot), c = 4 alpha lam
+    (1-s), where sdot > 0.  Degenerate lam (1-s) = 0 gives max(0, -sdot).
     """
     sdot = np.asarray(sdot, dtype=float)
     c = 4.0 * alpha * np.asarray(lam, dtype=float) * (1.0 - np.asarray(s_local, dtype=float))
     c = np.maximum(c, 0.0)
     disc = np.sqrt(sdot * sdot + c)
+    out = np.asarray(0.5 * (disc - sdot))
     with np.errstate(divide="ignore", invalid="ignore"):
-        alt = 0.5 * c / (disc + sdot)  # == 0.5 (disc - sdot), stable for sdot > 0
-    out = np.where(sdot > 0, np.where(disc + sdot > 0, alt, 0.0), 0.5 * (disc - sdot))
+        np.divide(0.5 * c, disc + sdot, out=out, where=sdot > 0)
     return out if out.ndim else float(out)
+
+
+def _sis_split(sdot, s_local, lam, alpha):
+    """The optimal flux split of L(sdot, s): (A, B, up), with A = ``sis_A``,
+    the recovery intensity up = alpha (1 - s) and A B = max(lam up, 0).  B is
+    max(lam up, 0) / A where sdot < 0 (there A >= -sdot > 0) and sdot + A
+    elsewhere, so neither form cancels; where sdot < 0 and lam up <= 0 (s
+    just outside [0, 1], or lam = 0), B = 0.  A susceptible value outside
+    [0, 1] by more than ``_DENSITY_TOL`` raises ValueError.  Vectorized."""
+    s_local = np.asarray(s_local, dtype=float)
+    if not np.all((s_local >= -_DENSITY_TOL) & (s_local <= 1.0 + _DENSITY_TOL)):
+        raise ValueError("susceptible density outside [0, 1]")
+    A = sis_A(sdot, s_local, lam, alpha)
+    up = alpha * (1.0 - s_local)
+    B = np.asarray(sdot + A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.maximum(lam * up, 0.0), A, out=B, where=np.less(sdot, 0))
+    return A, B, up
 
 
 def sis_lagrangian(sdot, s_local, lam, alpha):
     """Per-point SIS cost L(sdot, s): the exact infimum over flux splits.
 
-    The two channel cells at the optimal split, lam ell(A / lam) for the
-    infection flux A = sis_A(...) and alpha (1-s) ell(B / (alpha (1-s)))
-    for the recovery flux B = sdot + A (clamped at 0 against round-off).
-    Where the sign of sdot forces flow through a zero intensity, the cell
-    gives the +inf marker.  A susceptible value outside [0, 1] by more than
-    ``_DENSITY_TOL`` raises ValueError.
+    The two channel cells at the optimal split of :func:`_sis_split`,
+    lam ell(A / lam) for the infection flux A and alpha (1-s)
+    ell(B / (alpha (1-s))) for the recovery flux B.  Where the sign of sdot
+    forces flow through a zero intensity, the cell gives the +inf marker.  A
+    susceptible value outside [0, 1] by more than ``_DENSITY_TOL`` raises
+    ValueError.
     """
-    s_local = np.asarray(s_local, dtype=float)
-    if not np.all((s_local >= -_DENSITY_TOL) & (s_local <= 1.0 + _DENSITY_TOL)):
-        raise ValueError("susceptible density outside [0, 1]")
-    A = sis_A(sdot, s_local, lam, alpha)
-    B = np.maximum(sdot + A, 0.0)
-    return ell_scaled(A, lam) + ell_scaled(B, alpha * (1.0 - s_local))
+    A, B, up = _sis_split(sdot, s_local, lam, alpha)
+    return ell_scaled(A, lam) + ell_scaled(B, up)
 
 
 def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha):

@@ -162,6 +162,7 @@ def test_A5_derivative_oracles():
     """Every analytic derivative matches its finite-difference oracle."""
     t0 = time.time()
     from graphonldp.action_path import _pointwise
+    from graphonldp.rate_function import _sis_split
 
     rng = np.random.default_rng(77)
     n = 1000
@@ -173,7 +174,7 @@ def test_A5_derivative_oracles():
     def relmax(x, y):
         return float(np.max(np.abs(x - y) / (1.0 + np.abs(y))))
 
-    pw = _pointwise(sdot, s, lam, alpha)
+    pw = _pointwise(_sis_split(sdot, s, lam, alpha), alpha)
     dA, d2A, dL, d2L, Mf, Nf = pw.dA, pw.d2A, pw.dL, pw.d2L, pw.M, pw.N
     h = 1e-6
     checks = {

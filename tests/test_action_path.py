@@ -237,6 +237,29 @@ class TestElResidual:
         assert np.nanmax(np.abs(res)) > 1.0
 
 
+class TestDiscreteAction:
+    def test_one_flux_split_per_interval_side(self, monkeypatch):
+        # the value cells and the gradient read the same split of each side
+        from graphonldp import rate_function
+
+        calls, sis_A = [], rate_function.sis_A
+        monkeypatch.setattr(rate_function, "sis_A", lambda *args: calls.append(1) or sis_A(*args))
+        grid = circle_grid(8)
+        path = PathProblem(s0=np.full(8, 0.6), sT=bump_profile(grid), horizon=1.0, K=10).initial_path()
+        a, _ = discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0, with_grad=True)
+        assert len(calls) == 2
+        assert discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0) == a
+        assert len(calls) == 4
+
+    def test_path_outside_unit_interval_rejected(self):
+        grid = circle_grid(8)
+        path = PathProblem(s0=np.full(8, 0.6), sT=np.full(8, 0.4), horizon=1.0, K=10).initial_path()
+        path[5, 3] = 1.0 + 1e-5
+        for with_grad in (False, True):
+            with pytest.raises(ValueError, match="outside"):
+                discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0, with_grad=with_grad)
+
+
 class TestMinimizeAction:
     def test_equilibrium_to_equilibrium_constant(self):
         grid = circle_grid(16)
@@ -338,7 +361,7 @@ class TestMinimizeAction:
         # "energy" E(t) = int (sdot dL/dsdot - L) dkappa is constant along
         # any stationary path; this invariant is independent of the
         # optimizer and of the stationarity-residual code
-        from graphonldp.rate_function import sis_lagrangian, sis_lambda_field
+        from graphonldp.rate_function import _sis_split, sis_lagrangian, sis_lambda_field
         from graphonldp.action_path import _pointwise
 
         grid = circle_grid(16)
@@ -355,7 +378,7 @@ class TestMinimizeAction:
         sdot = np.gradient(path, dt, axis=0)
         lam = sis_lambda_field(path, grid, K, PARAMS.beta)
         L = sis_lagrangian(sdot, path, lam, PARAMS.alpha)
-        dL = _pointwise(sdot, path, lam, PARAMS.alpha).dL
+        dL = _pointwise(_sis_split(sdot, path, lam, PARAMS.alpha), PARAMS.alpha).dL
         energy = ((sdot * dL - L) @ grid.kappa_weights)
         interior = energy[2:-2]
         spread = float(np.max(interior) - np.min(interior))

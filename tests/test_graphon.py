@@ -575,6 +575,19 @@ class TestSerialization:
         assert np.allclose(back.positions, net.positions)
         assert back.positions.max() <= 1.0
 
+    @pytest.mark.parametrize("rows, cols, w, match", [
+        ([0, 1], [2, 1], [1, 1], r"\(1, 1, 1\) is a self-loop"),
+        ([0, 1], [1, 2], [-1, 0], r"\(1, 2, 0\) is of weight 0"),
+    ], ids=["self-loop", "zero-weight"])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, rows, cols, w, match):
+        # a Network may hold self-loops and zero weights; a network file may not
+        net = Network(N=3, positions=np.zeros(3), rows=np.array(rows), cols=np.array(cols),
+                      weights=np.array(w), phi_N=1.0, seed=0, family="constant")
+        p = tmp_path / "net.txt"
+        with pytest.raises(GraphonError, match=match):
+            write_network(p, net)
+        assert not p.exists()
+
 
 class TestMalformedNetworkFile:
     HEADER = "3 0.5 0 constant\n"
@@ -585,7 +598,7 @@ class TestMalformedNetworkFile:
         return read_network(p)
 
     def test_edge_line_field_count(self, tmp_path):
-        for body in ("0 1\n", "0 1 1 7\n"):
+        for body in ("0 1\n", "0 1 1 7\n", "0 1\n1 2\n", "0 1 1\n1 2\n", "0 1 1\n\n1 2 1 1\n"):
             with pytest.raises(GraphonError):
                 self.read(tmp_path, body)
 
@@ -616,6 +629,17 @@ class TestMalformedNetworkFile:
         p.write_text(header + "\n")
         with pytest.raises(GraphonError, match="malformed network file"):
             read_network(p)
+
+    def test_integer_indices_and_unit_weights_as_floats(self, tmp_path):
+        net = self.read(tmp_path, "0 1 1.0\n\n2 0 -1.0\n")
+        assert list(net.rows) == [0, 2] and list(net.weights) == [1, -1]
+        for body in ("0.0 1 1\n", "0 1.0 1\n", "0 x 1\n", "0 1 nan\n", "0 99999999999999999999 1\n"):
+            with pytest.raises(GraphonError, match="malformed network file"):
+                self.read(tmp_path, body)
+
+    def test_empty_edge_block(self, tmp_path):
+        for body in ("", "\n\n"):
+            assert len(self.read(tmp_path, body).rows) == 0
 
     def test_positions_block_length(self, tmp_path):
         for body in ("positions\n0.0\n1.0\nedges\n0 1 1\n",

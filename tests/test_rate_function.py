@@ -8,6 +8,7 @@ from graphonldp.graphon import constant_kernel, cosine_kernel
 from graphonldp.meanfield import circle_grid, evolve, kernel_matrix
 from graphonldp.rate_function import (
     _CHUNK,
+    _sis_split,
     InfeasibleRateError,
     channel_intensities,
     contracted_L,
@@ -184,6 +185,21 @@ class TestSisLagrangian:
             alpha = rng.uniform(0.1, 3.0)
             drift = -lam + alpha * (1.0 - s)
             assert sis_lagrangian(drift, s, lam, alpha) == pytest.approx(0.0, abs=1e-13)
+
+    def test_zero_on_drift_where_the_recovery_flux_cancels(self):
+        # alpha far below lam: on the drift sdot + A rounds to 0 (at alpha = 1e-17,
+        # s = 0.5, lam = 1, sdot is -1.0), while B = lam up / A keeps the
+        # recovery cell at up ell(B / up) = 0; L is the two cells at the split
+        # the action's derivatives read
+        alpha = np.array([1e-17, 1e-12, 1e-3, 0.4])[:, None, None]
+        s = np.array([0.1, 0.5, 0.9])[None, :, None]
+        lam = np.array([0.5, 1.0, 2.0])[None, None, :]
+        drift = alpha * (1.0 - s) - lam
+        L = sis_lagrangian(drift, s, lam, alpha)
+        A, B, up = _sis_split(drift, s, lam, alpha)
+        assert np.array_equal(L, ell_scaled(A, lam) + ell_scaled(B, up))
+        assert np.all(np.abs(L) <= 1e-13)
+        assert drift[0, 1, 1] == -1.0 and L[0, 1, 1] == 0.0
 
     def test_positive_off_drift(self):
         rng = np.random.default_rng(2)
