@@ -37,8 +37,7 @@ velocity field and therefore already carries the velocity factor.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,33 +107,28 @@ class ElOperators:
 
 # --- pointwise analytic formulas ------------------------------------------
 
-# D = A + B; the sdot-derivatives of A and L; M = dL/dlam, N = dL/ds
-_Pointwise = namedtuple("_Pointwise", "D B dA d2A dL d2L M N")
-
-
 def _pointwise(split, alpha):
-    """From the optimal split (A, B, up) = ``_sis_split(sdot, s, lam, alpha)``
-    of L(sdot, s, lam): D = A + B, B, the A and L derivatives in sdot and the
-    Frechet fields M = dL/dlam, N = dL/ds at fixed lam; each is an envelope
-    identity of the split.  Vectorized."""
-    A, B, up = split
+    """The gradient's envelope fields of L(sdot, s, lam) at the optimal split
+    (A, B, up) = ``_sis_split(sdot, s, lam, alpha)``: dL/dsdot and the Frechet
+    fields M = dL/dlam, N = dL/ds at fixed lam.  Vectorized."""
+    _, B, up = split
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(B / up), 1.0 - up / B, -alpha * (1.0 - B / up)
+
+
+def _second_order(split):
+    """D = A + B and the sdot-derivatives dA/dsdot, d2A/dsdot2 and
+    d2L/dsdot2 = 1 / D at the optimal split (A, B, up).  Vectorized."""
+    A, B, _ = split
     D = A + B
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _Pointwise(D, B, dA=-A / D, d2A=2.0 * A * B / D ** 3, dL=np.log(B / up),
-                          d2L=1.0 / D, M=1.0 - up / B, N=-alpha * (1.0 - B / up))
+        return D, -A / D, 2.0 * A * B / D ** 3, 1.0 / D
 
 
 def _G_field(N, M, s, W, beta, Km):
     """Nonlocal G = N + beta M W - beta K^T[kappa M s] with W = K[1 - s], the
     first variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
     return N + beta * M * W - beta * Km.apply_T(M * s)
-
-
-def _delta_A(D, s, lam, x, dlam, alpha):
-    """alpha D^-1 (-lam x(theta) + (1 - s) dlam), with dlam the Frechet
-    derivative of lam in direction x."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return alpha / D * (-lam * x + (1.0 - s) * dlam)
 
 
 # --- slice-level operators --------------------------------------------------
@@ -151,16 +145,20 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     sdot = np.asarray(sdot, dtype=float)
     W = field_from_density(grid, Km, 1.0 - s)
     lam = params.beta * s * W
-    pw = _pointwise(_sis_split(sdot, s, lam, params.alpha), params.alpha)
+    split = _sis_split(sdot, s, lam, params.alpha)
+    dL, Mf, Nf = _pointwise(split, params.alpha)
+    D, dA, d2A, d2L = _second_order(split)
+    B = split[1]
     delta_lam = frechet_lambda(s, sdot, params, Km, grid)
-    delta_A = _delta_A(pw.D, s, lam, sdot, delta_lam, params.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        O = delta_A / pw.B + sdot / (1.0 - s)
-        G = _G_field(pw.N, pw.M, s, W, params.beta, Km)  # M = -inf meets W = 0 on a zero kernel
+        # the Frechet increment of A along the velocity
+        delta_A = params.alpha / D * (-lam * sdot + (1.0 - s) * delta_lam)
+        O = delta_A / B + sdot / (1.0 - s)
+        G = _G_field(Nf, Mf, s, W, params.beta, Km)  # M = -inf meets W = 0 on a zero kernel
 
-    mask = ~(pw.B > 0.0)
-    fields = dict(dA_dsdot=pw.dA, d2A_dsdot2=pw.d2A, dL_dsdot=pw.dL, d2L_dsdot2=pw.d2L,
-                  M_field=pw.M, N_field=pw.N, G_field=G,
+    mask = ~(B > 0.0)
+    fields = dict(dA_dsdot=dA, d2A_dsdot2=d2A, dL_dsdot=dL, d2L_dsdot2=d2L,
+                  M_field=Mf, N_field=Nf, G_field=G,
                   delta_lam=delta_lam, delta_A=delta_A, O_field=O)
     for arr in fields.values():
         arr[mask] = np.nan
@@ -231,9 +229,7 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     if not with_grad:
         return action
 
-    # one side's envelope fields at a time, keeping only the three the gradient reads
-    (N_lo, M_lo, dL_lo), (N_hi, M_hi, dL_hi) = (
-        (pw.N, pw.M, pw.dL) for pw in (_pointwise(split, alpha) for _, split in sides))
+    (dL_lo, M_lo, N_lo), (dL_hi, M_hi, N_hi) = (_pointwise(split, alpha) for _, split in sides)
     grad = np.zeros((n_t, M))
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
         # slice route: s_m enters interval m-1 on the high side, interval m low
@@ -262,17 +258,14 @@ class ActionOptions:
 class ActionResult:
     path: np.ndarray
     action: float
-    diagnostics: dict = field(default_factory=dict)
+    el_residual: np.ndarray  # el_residual of path: NaN on its end slices
+    diagnostics: dict
 
 
 def _room(x, d, lo, hi):
     """The largest t >= 0 with lo <= x + t d <= hi."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.min(np.where(d > 0, hi - x, lo - x) / d, initial=np.inf, where=d != 0))
-
-
-# history: the objective after each accepted step
-_NewtonResult = namedtuple("_NewtonResult", "x fun jac nit nfev cg_iters success message history")
 
 
 def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
@@ -282,7 +275,9 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     on non-positive curvature, which includes a direction that leaves the box
     at once (then the first step is the preconditioned gradient); Armijo
     backtracking follows, and the accepted trial's gradient is kept.  A
-    non-finite gradient stops the solve."""
+    non-finite gradient stops the solve.  Returns the last iterate, its f
+    and g, and the solve's diagnostics entries (``action_history``: f after
+    each accepted step)."""
     x, (f, g) = x0, fun(x0)
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
     while not np.max(np.abs(g)) <= gtol and nit < maxiter:
@@ -324,8 +319,11 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
         x, f, g, nit = x + step * d, f_trial, g_trial, nit + 1
         history.append(float(f))
     success = bool(np.max(np.abs(g)) <= gtol)
-    return _NewtonResult(x, f, g, nit, evals, cg_iters, success,
-                         "gradient tolerance reached" if success else message, history)
+    diag = {"iters": nit, "cg_iters": cg_iters, "grad_evals": evals,
+            "converged": success, "action_history": history}
+    if not success:
+        diag["warning"] = f"gradient tolerance not reached ({message}); returning the last iterate"
+    return x, f, g, diag
 
 
 def minimize_action(problem: PathProblem, params, kernel, grid,
@@ -384,23 +382,17 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
             return np.cumsum(q * inv, axis=0)[:-1].ravel()
         return solve
 
-    res = _newton_cg(fun, start[1:-1].ravel(), lo, hi, precondition, opts.max_iters, tol)
-    path = unpack(res.x)
+    x, f, g, stats = _newton_cg(fun, start[1:-1].ravel(), lo, hi, precondition, opts.max_iters, tol)
+    path = unpack(x)
     residual = el_residual(path, params, Km, grid, problem.horizon)
     diag = {
-        "action": float(res.fun),
-        "grad_norm": float(np.max(np.abs(res.jac))),
+        "action": float(f),
+        "grad_norm": float(np.max(np.abs(g))),
         "grad_tol": tol,
         "el_residual_max": float(np.fmax.reduce(np.abs(residual), axis=None)),  # NaN if all degenerate
-        "iters": int(res.nit),
-        "cg_iters": int(res.cg_iters),
-        "grad_evals": int(res.nfev),
-        "converged": res.success,
-        "action_history": res.history,
+        **stats,
     }
-    if not res.success:
-        diag["warning"] = f"gradient tolerance not reached ({res.message}); returning the last iterate"
-    return ActionResult(path=path, action=float(res.fun), diagnostics=diag)
+    return ActionResult(path=path, action=float(f), el_residual=residual, diagnostics=diag)
 
 
 def __getattr__(name):

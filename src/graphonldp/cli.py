@@ -41,7 +41,7 @@ from .graphon import (
 )
 from .meanfield import circle_grid, endemic_equilibrium, evolve
 from .rate_function import ell, poisson_tail_log_prob, rate_G, sis_action
-from .action_path import ActionOptions, EndpointError, PathProblem, el_residual, minimize_action
+from .action_path import ActionOptions, EndpointError, PathProblem, minimize_action
 from .simulator import extract_flux, occupation_at, simulate
 
 
@@ -469,8 +469,7 @@ def cmd_action(cp, out):
 
     times = np.linspace(0.0, problem.horizon, problem.K + 1)
     man.add("path.csv", _long_table("t,theta,s", result.path, [times, grid.nodes]))
-    res = el_residual(result.path, params, spec, grid, problem.horizon)
-    man.add("el_residual.csv", _long_table("t,theta,residual", res[1:-1],
+    man.add("el_residual.csv", _long_table("t,theta,residual", result.el_residual[1:-1],
                                            [times[1:-1], grid.nodes]))
 
     # el_residual_max is NaN when every cell is degenerate: written as null

@@ -475,14 +475,21 @@ def max_degree_margin(network: Network, spec: GraphonSpec):
 
 
 # ---------------------------------------------------------------------------
-# serialization: header "N phi_N seed family", optional explicit positions,
-# then one "j k w" triple per line (0-based, ASCII)
+# serialization: header "N phi_N seed family", a positions block unless the
+# positions are the family's grid, then one "j k w" triple per line (0-based, ASCII)
 
-def write_network(path, network: Network, explicit_positions=False):
+def _file_positions(N, family):
+    """The positions a network file without a positions block stands for."""
+    return _grid_positions(N, "unit-interval" if family == "power-law" else "circle")
+
+
+def write_network(path, network: Network):
     """Write ``network`` in the format :func:`read_network` parses.
 
-    Raises GraphonError, before any byte is written, at the first entry that
-    is a self-loop or has weight 0: a network file holds neither.
+    A positions block is written exactly when the positions are not the grid
+    a file without one stands for.  Raises GraphonError, before any byte is
+    written, at the first entry that is a self-loop or has weight 0: a
+    network file holds neither.
     """
     triples = (network.rows, network.cols, network.weights)
     bad = np.flatnonzero((network.rows == network.cols) | (network.weights == 0))
@@ -491,7 +498,7 @@ def write_network(path, network: Network, explicit_positions=False):
         what = "a self-loop" if j == k else "of weight 0"
         raise GraphonError(f"entry ({j}, {k}, {w}) is {what}, which a network file cannot hold")
     lines = [f"{network.N} {network.phi_N!r} {network.seed} {network.family}\n"]
-    if explicit_positions:
+    if not np.array_equal(network.positions, _file_positions(network.N, network.family)):
         positions = network.positions.astype(float).tolist()
         lines += ["positions\n", *(f"{xj!r}\n" for xj in positions), "edges\n"]
     # formatted from Python ints: numpy scalars format about 4x slower
@@ -538,7 +545,7 @@ def _parse_network(lines) -> Network:
         x = np.array([float(v) for v in lines[i + 1:end]])
         i = end + 1
     else:
-        x = _grid_positions(N, "unit-interval" if family == "power-law" else "circle")
+        x = _file_positions(N, family)
     # the edge block in one pass; loadtxt skips blank lines and warns on a block of none
     block = lines[i:]
     triples = (np.loadtxt(block, dtype=_TRIPLE, comments=None, ndmin=1)

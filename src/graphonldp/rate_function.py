@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_model import NumericalError
 from .meanfield import _operator, channel_intensities, sis_lambda_field
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -88,11 +89,12 @@ def ell_scaled(p, lam):
 def poisson_tail_log_prob(k, mean):
     """log P(X >= k) for X ~ Poisson(mean), by stable tail summation.
 
-    The first log-term -mean + k log(mean) - log(k!) comes from ``math.lgamma``
-    and the rest from term(j) = term(j-1) mean / j, until a term falls 60 nats
-    below the largest (past the mode the terms decay geometrically); the sum is
-    shifted by that largest.  ValueError unless mean is finite and >= 0; at
-    mean = 0 the tail of k >= 1 is -inf.
+    Above the mean the tail is summed up from j = k by term(j) = term(j-1)
+    mean / j; at or below it, log1p(-P(X <= k - 1)) sums down from j = k - 1,
+    so no sum crosses the mode.  Its first term, from ``math.lgamma``, is the
+    largest; it stops 60 nats below.  ValueError unless mean is finite and
+    >= 0; at mean = 0 the tail of k >= 1 is -inf.  NumericalError if a sum
+    needs more than 10^6 terms (a mean near 10^12).
     """
     if not (math.isfinite(mean) and mean >= 0.0):
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
@@ -101,11 +103,19 @@ def poisson_tail_log_prob(k, mean):
         return 0.0
     if mean == 0.0:
         return -np.inf
-    logs = np.array([-mean + k * math.log(mean) - math.lgamma(k + 1)])
-    while logs[-1] > logs.max() - 60.0 and len(logs) < 1_000_000:
-        js = np.arange(k + len(logs), k + len(logs) + 256)
-        logs = np.concatenate([logs, logs[-1] + np.cumsum(math.log(mean) - np.log(js))])
-    return float(logs.max() + np.log(np.exp(logs - logs.max()).sum()))
+    below = k <= mean
+    j = k - 1 if below else k
+    top = -mean + j * math.log(mean) - math.lgamma(j + 1)
+    chunks, n = [np.array([top])], 1
+    while chunks[-1][-1] > top - 60.0 and not (below and n > j):
+        if n >= 1_000_000:
+            raise NumericalError(f"Poisson tail of k={k}, mean={mean!r} needs over 10^6 terms")
+        js = np.arange(j - n + 1, max(j - n - 255, 0), -1) if below else np.arange(j + n, j + n + 256)
+        steps = math.log(mean) - np.log(js)  # log term(j) - log term(j-1)
+        chunks.append(chunks[-1][-1] + np.cumsum(-steps if below else steps))
+        n += len(js)
+    log_sum = float(top + np.log(np.exp(np.concatenate(chunks) - top).sum()))
+    return math.log1p(-math.exp(log_sum)) if below else log_sum
 
 
 def _checked_fluxes(flux_densities):

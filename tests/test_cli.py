@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from graphonldp import cli
+from graphonldp.action_path import el_residual
 from graphonldp.cli import main
 from graphonldp.simulator import bin_index, occupation_at
 
@@ -271,7 +272,7 @@ class TestArtifacts:
                                   horizon=5.0, K=10)
         path = cli.minimize_action(problem, params, spec, grid,
                                    cli.ActionOptions(max_iters=20000, tol_grad=1e-6)).path
-        res = cli.el_residual(path, params, spec, grid, 5.0)
+        res = el_residual(path, params, spec, grid, 5.0)
         times = np.linspace(0.0, 5.0, 11)
         check(tmp_path / "act", "path.csv", "t,theta,s",
               [line(times[k], grid.nodes[m], path[k, m]) for k in range(11) for m in range(8)])

@@ -556,9 +556,13 @@ class TestSerialization:
                            cols=net.cols, weights=net.weights, phi_N=net.phi_N,
                            seed=net.seed, family=net.family)
         p = tmp_path / "net.txt"
-        write_network(p, shuffled, explicit_positions=True)
+        write_network(p, shuffled)
         back = read_network(p)
-        assert np.allclose(back.positions, shuffled.positions)
+        assert np.array_equal(back.positions, shuffled.positions)
+        # the canonical grid is what a file without the block reads back as
+        write_network(p, net)
+        assert "positions" not in p.read_text().splitlines()
+        assert np.array_equal(read_network(p).positions, net.positions)
 
     def test_canonical_positions(self):
         spec = cosine_kernel(1.0, 0.5)

@@ -272,6 +272,15 @@ class TestEvolve:
         with pytest.raises(NormalizationError):
             evolve(grid, spec, rates, nu0, T=1.0, dt=0.01)
 
+    def test_unstable_step_raises_negative_density(self):
+        # beta = 40 on a constant kernel: one RK4 step of 0.5 overshoots below zero
+        grid, spec, rates = sis_setup(M=8, beta=40.0)
+        nu0 = np.vstack([np.full(grid.M, 0.5), np.full(grid.M, 0.5)])
+        with pytest.raises(NormalizationError,
+                           match=r"density went negative .* at t=0.5; reduce dt") as err:
+            evolve(grid, spec, rates, nu0, T=2.0, dt=0.5)
+        assert isinstance(err.value, NumericalError)
+
     @pytest.mark.parametrize("T, dt", [(-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
                                        (1.0, -0.1), (1.0, 0.0), (1.0, np.nan)])
     def test_invalid_horizon_or_step_rejected(self, T, dt):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
-from graphonldp.core_model import SisParams, sis_rates
+from graphonldp.core_model import NumericalError, SisParams, sis_rates
 from graphonldp.graphon import constant_kernel, cosine_kernel
 from graphonldp.meanfield import circle_grid, evolve, kernel_matrix
 from graphonldp.rate_function import (
@@ -100,10 +100,18 @@ class TestEllScaled:
 
 class TestPoissonTail:
     def test_matches_scipy_logsf(self):
-        for mean, k in ((250.0, 300), (1000.0, 1200), (2000.0, 2400)):
+        # above the mean, then at or below it, where the tail is near 1
+        for mean, k in ((250.0, 300), (1000.0, 1200), (2000.0, 2400),
+                        (1e7, 1), (1e6, 900000), (20.0, 5)):
             mine = poisson_tail_log_prob(k, mean)
             ref = poisson.logsf(k - 1, mean)
             assert mine == pytest.approx(ref, rel=1e-10)
+
+    def test_term_cap_raises(self):
+        # near a mean of 1e12 the tail needs ~1e7 terms: an error, not a truncated sum
+        for k in (10 ** 12, 10 ** 12 + 1):
+            with pytest.raises(NumericalError, match="terms"):
+                poisson_tail_log_prob(k, 1e12)
 
     @pytest.mark.parametrize("mean", [np.nan, -1.0, np.inf])
     def test_bad_mean_rejected(self, mean):

@@ -14,6 +14,7 @@ from graphonldp.core_model import (
 )
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
 from graphonldp.simulator import (
+    RateOverflowError,
     TrajectoryRecord,
     bin_index,
     extract_flux,
@@ -39,6 +40,19 @@ class GenericSis(SisRates):
 
 def generic_sis(beta=2.0, alpha=1.0):
     return GenericSis(SisParams(beta=beta, alpha=alpha))
+
+
+class InfiniteOutOfS(ConstantRates):
+    """Recovery at rate 1 out of I and an infinite rate out of S."""
+
+    def __init__(self):
+        super().__init__(SIS_SPACE, 1.0)
+
+    def rate_matrix(self, theta, from_codes, w):
+        out = np.zeros((len(from_codes), 2))
+        out[from_codes == 1, 0] = 1.0
+        out[from_codes == 0, 1] = np.inf
+        return out
 
 
 def signed_directed_network(N=60, phi=0.1, seed=4):
@@ -125,6 +139,18 @@ class TestSimulate:
         occ = occupation_at(traj, 40.0, bins=4)
         assert occ.counts[0].sum() == 60  # everyone susceptible
         assert occ.counts[1].sum() == 0
+
+    def test_non_finite_rate_at_start_raises(self):
+        with pytest.raises(RateOverflowError, match="node 0, time 0") as err:
+            simulate(empty_network(3), InfiniteOutOfS(), ["S", "I", "I"], horizon=50.0, seed=1)
+        assert isinstance(err.value, NumericalError)
+
+    def test_non_finite_rate_after_an_event_raises(self):
+        # all infected: the first recovery makes an S, whose recomputed row is inf
+        with pytest.raises(RateOverflowError) as err:
+            simulate(empty_network(3), InfiniteOutOfS(), ["I"] * 3, horizon=50.0, seed=1)
+        assert err.value.t > 0.0
+        assert isinstance(err.value, NumericalError)
 
     def test_exhausted_event_budget_raises(self):
         # isolated infected nodes recover at rate 1: five events cannot
