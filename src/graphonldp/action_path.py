@@ -149,7 +149,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     dL, Mf, Nf = _pointwise(split, params.alpha)
     D, dA, d2A, d2L = _second_order(split)
     B = split[1]
-    delta_lam = frechet_lambda(s, sdot, params, Km, grid)
+    delta_lam = _frechet_lambda(s, sdot, W, params.beta, Km)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Frechet increment of A along the velocity
         delta_A = params.alpha / D * (-lam * sdot + (1.0 - s) * delta_lam)
@@ -165,14 +165,18 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     return ElOperators(**fields, degenerate=mask)
 
 
+def _frechet_lambda(s, x, W, beta, Km):
+    """``frechet_lambda`` given the field W = K[1 - s] and the operator Km."""
+    return x * beta * W - beta * s * Km.apply(x)
+
+
 def frechet_lambda(s, x, params, kernel, grid):
     """Frechet derivative of the infection intensity in direction x:
     x(theta) beta int J(theta, z)(1 - s(z)) dmu - beta s(theta) int J(theta, z) x(z) dmu."""
     Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    return (x * params.beta * field_from_density(grid, Km, 1.0 - s)
-            - params.beta * s * field_from_density(grid, Km, x))
+    return _frechet_lambda(s, x, field_from_density(grid, Km, 1.0 - s), params.beta, Km)
 
 
 def el_residual(path, params, kernel, grid, horizon):

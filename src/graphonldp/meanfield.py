@@ -87,16 +87,18 @@ class KernelOperator:
     d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
     weights, M >= ``_FFT_MIN_M`` and K circulant to round-off (every kernel of
     x - y on the uniform circle grid) both are circular convolutions by real
-    FFT, O(M log M); otherwise dense products, which stay the oracle."""
+    FFT, O(M log M), from the two spectra alone (K is dropped); otherwise
+    dense products, which stay the oracle."""
 
     def __init__(self, K, grid: SpatialGrid):
-        self.K, self.kw = K, grid.kappa_weights
+        self.kw = grid.kappa_weights
         col = K[:, 0]
         # row i of a circulant K read right to left is [col, col][i + 1 : i + 1 + M]
         rolls = np.lib.stride_tricks.sliding_window_view(np.concatenate([col, col])[1:], grid.M)
         self.fft = bool(grid.M >= _FFT_MIN_M and np.all(self.kw == self.kw[0])
                         and np.abs(dev := K[:, ::-1] - rolls, out=dev).max()
                         <= _CIRCULANT_TOL * float(max(K.max(), -K.min())))
+        self.K = None if self.fft else K
         if self.fft:
             self._col, self._row = np.fft.rfft(col), np.fft.rfft(K[0])
 

@@ -129,9 +129,15 @@ def _checked_fluxes(flux_densities):
     return out
 
 
+def _check_horizon(T):
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"horizon T must be finite and > 0, got T={T!r}")
+
+
 def _time_grid(times, T, n_t):
     """The n_t slice times: a uniform grid over [0, T], or ``times``, which
-    must be finite, strictly increasing and n_t long (ValueError otherwise)."""
+    must be finite, strictly increasing and n_t long (ValueError otherwise, as for a bad T)."""
+    _check_horizon(T)
     if times is None:
         return np.linspace(0.0, T, n_t)
     tt = np.asarray(times, dtype=float)
@@ -160,6 +166,33 @@ def rate_I(flux_densities, grid, T, times=None):
     return total
 
 
+#: How far a density may leave [0, 1]: the occupation reconstructed by
+#: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
+_DENSITY_TOL = 1e-6
+#: Time slices per stack in ``rate_G`` and ``sis_action``, so their working
+#: memory is independent of n_t: 4 MiB of intensities at k = 2, M = 1024.
+_CHUNK = 128
+
+
+def _occupation_stacks(flux_densities, nu0, labels, times):
+    """(n0, nu[n0 : n0 + _CHUNK]) for n0 = 0, _CHUNK, ...: the occupation of
+    :func:`reconstruct_occupation`, its running total carried across stacks."""
+    nu0 = np.asarray(nu0, dtype=float)
+    total = np.zeros(nu0.shape)
+    for n0 in range(0, len(times), _CHUNK):
+        nu = np.empty((min(_CHUNK, len(times) - n0),) + nu0.shape)
+        for n in range(n0, n0 + len(nu)):
+            rate = np.zeros(nu0.shape)  # net inflow into each state at slice n
+            for (a, b), p in flux_densities.items():
+                rate[labels.index(b)] += p[n]
+                rate[labels.index(a)] -= p[n]
+            if n:
+                total += 0.5 * (times[n] - times[n - 1]) * (rate + prev)
+            np.add(total, nu0, out=nu[n - n0])
+            prev = rate
+        yield n0, nu
+
+
 def reconstruct_occupation(flux_densities, nu0, labels, times):
     """Occupation densities from initial value plus net time-integrated flux.
 
@@ -167,26 +200,10 @@ def reconstruct_occupation(flux_densities, nu0, labels, times):
     cumulative-trapezoid in time, accumulated one slice at a time in the
     order of a cumulative sum over slices.  Returns (n_t, k, M).
     """
-    nu0 = np.asarray(nu0, dtype=float)
-    nu = np.empty((len(times),) + nu0.shape)
-    total = np.zeros(nu0.shape)
-    for n in range(len(times)):
-        rate = np.zeros(nu0.shape)  # net inflow into each state at slice n
-        for (a, b), p in flux_densities.items():
-            rate[labels.index(b)] += p[n]
-            rate[labels.index(a)] -= p[n]
-        if n:
-            total += 0.5 * (times[n] - times[n - 1]) * (rate + prev)
-        np.add(total, nu0, out=nu[n])
-        prev = rate
+    nu = np.empty((len(times),) + np.shape(nu0))
+    for n0, stack in _occupation_stacks(flux_densities, nu0, labels, times):
+        nu[n0:n0 + len(stack)] = stack
     return nu
-
-
-#: How far a density may leave [0, 1]: the occupation reconstructed by
-#: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
-_DENSITY_TOL = 1e-6
-#: Time slices per intensity stack in ``rate_G``: 4 MiB at k = 2, M = 1024.
-_CHUNK = 128
 
 
 def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
@@ -198,15 +215,16 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
         sum_{a != b} iint ell(p_{a->b} / lambda_{a,b}) lambda_{a,b} dkappa dt,
         lambda_{a,b}(x, t) = f_b(x, a, w(x, t)) nu_t(a, x).
 
-    The intensities are formed ``_CHUNK`` time slices at a time, one
-    :func:`channel_intensities` stack and one :func:`ell_scaled` call per
-    channel each.  Returns a RateValue; the infinity marker fires if the
-    reconstructed occupation exits [0, 1] beyond ``_DENSITY_TOL`` or if some
-    channel has positive flux against zero intensity, and names the first
-    such cell in (slice, channel, node) order.  ValueError for a negative or
-    NaN flux entry, a non-finite entry of ``nu0``, fluxes that are not
-    (n_t, M) or ``nu0`` that is not (k, M) with M = ``grid.M``, and ``times``
-    that are not finite, strictly increasing and n_t long.
+    The occupation and intensities are formed ``_CHUNK`` time slices at a
+    time, one :func:`channel_intensities` stack and one :func:`ell_scaled`
+    call per channel each.  Returns a RateValue; the infinity marker fires
+    if the reconstructed occupation exits [0, 1] beyond ``_DENSITY_TOL``,
+    naming its largest excursion |nu - 1/2|, first in (slice, state, node)
+    order; else if some channel has positive flux against zero intensity,
+    naming the first such cell in (slice, channel, node) order.  ValueError
+    for a negative or NaN flux entry, a non-finite entry of ``nu0``, fluxes
+    that are not (n_t, M) or ``nu0`` that is not (k, M) with M = ``grid.M``,
+    bad ``times`` (see :func:`_time_grid`) or horizon T.
     """
     labels = rates.states.labels
     flux_densities = _checked_fluxes(flux_densities)
@@ -221,24 +239,30 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
     if not np.all(np.isfinite(nu0)):
         raise ValueError("initial occupation nu0 has a non-finite entry")
     tt = _time_grid(times, T, n_t)
-    nu = reconstruct_occupation(flux_densities, nu0, labels, tt)
-    if np.min(nu) < -_DENSITY_TOL or np.max(nu) > 1.0 + _DENSITY_TOL:
-        n, a, i = np.unravel_index(int(np.argmax(np.abs(nu - 0.5))), nu.shape)
-        return RateValue(np.inf, finite=False, where=("occupation", n, i))
-
     K = _operator(kernel, grid)
     integrand = np.empty(n_t)
-    for n0 in range(0, n_t, _CHUNK):
-        sl = slice(n0, n0 + _CHUNK)
+    outside, peak, occupation, channel = False, -1.0, None, None
+    for n0, nu in _occupation_stacks(flux_densities, nu0, labels, tt):
+        outside = outside or nu.min() < -_DENSITY_TOL or nu.max() > 1.0 + _DENSITY_TOL
+        dev = np.abs(nu - 0.5)
+        j = int(np.argmax(dev))
+        if dev.flat[j] > peak:
+            peak, occupation = dev.flat[j], ("occupation", n0 + j // nu[0].size, j % grid.M)
+        if outside or channel:
+            continue  # the occupation marker outranks a channel marker: walk only it on
+        sl = slice(n0, n0 + len(nu))
         # fields from the reconstructed occupation as it is; only the intensity is clamped
-        lam = np.maximum(channel_intensities(rates, grid, nu[sl], K), 0.0)
+        lam = np.maximum(channel_intensities(rates, grid, nu, K), 0.0)
         cells = np.stack([ell_scaled(p[sl], lam[:, labels.index(a), labels.index(b)])
                           for (a, b), p in flux_densities.items()])
         dead = np.isinf(cells).transpose(1, 0, 2)  # (slice, channel, node)
         if dead.any():
             n, c, i = map(int, np.unravel_index(np.argmax(dead), dead.shape))
-            return RateValue(np.inf, finite=False, where=(list(flux_densities)[c], n0 + n, i))
+            channel = (list(flux_densities)[c], n0 + n, i)
+            continue
         integrand[sl] = (cells @ grid.kappa_weights).sum(axis=0)
+    if outside or channel:
+        return RateValue(np.inf, finite=False, where=occupation if outside else channel)
     return RateValue(float(_trapezoid(integrand, tt)))
 
 
@@ -349,10 +373,12 @@ def sis_action(path, params, kernel, grid, T):
     """Space-time quadrature of the SIS Lagrangian along a density path.
 
     ``path`` is (n_t, M) susceptible values in [0, 1]; the time derivative
-    uses centered differences (one-sided at the endpoints) and the time
-    integral is trapezoidal.  Degenerate points propagate the infinity
-    marker; a non-finite path entry, or a path that is not (n_t, grid.M),
-    raises ValueError.
+    uses centered differences (one-sided at the endpoints), taken on
+    ``_CHUNK``-slice stacks with one halo row on either side, and the time
+    integral is trapezoidal.  Degenerate points give the infinity marker at
+    the first infinite cell; a non-finite path entry, a path that is not
+    (n_t, grid.M), or a horizon T that is not finite and > 0 raises
+    ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != grid.M:
@@ -362,15 +388,22 @@ def sis_action(path, params, kernel, grid, T):
         raise ValueError("need at least 3 time slices")
     if not np.all(np.isfinite(path)):
         raise ValueError("path has a non-finite entry")
+    _check_horizon(T)
     dt = T / (n_t - 1)
     K = _operator(kernel, grid)
-    sdot = path_time_derivative(path, dt)
-    lam = sis_lambda_field(path, grid, K, params.beta)
-    L = sis_lagrangian(sdot, path, lam, params.alpha)
-    if np.isinf(L).any():
-        n, i = np.unravel_index(int(np.argmax(L)), L.shape)
-        return RateValue(np.inf, finite=False, where=("L", n, i))
-    space = L @ grid.kappa_weights
+    space, where = np.empty(n_t), None
+    for n0 in range(0, n_t, _CHUNK):
+        n1 = min(n0 + _CHUNK, n_t)
+        lo, hi = max(min(n0 - 1, n_t - 3), 0), min(max(n1 + 1, 3), n_t)  # >= 3 rows
+        s = path[n0:n1]
+        sdot = path_time_derivative(path[lo:hi], dt)[n0 - lo:n1 - lo]
+        L = sis_lagrangian(sdot, s, sis_lambda_field(s, grid, K, params.beta), params.alpha)
+        if where is None and np.isinf(L).any():
+            n, i = np.unravel_index(int(np.argmax(L)), L.shape)
+            where = ("L", n0 + n, i)
+        space[n0:n1] = L @ grid.kappa_weights
+    if where:
+        return RateValue(np.inf, finite=False, where=where)
     return RateValue(float(_trapezoid(space, dx=dt)))
 
 

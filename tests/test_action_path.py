@@ -216,6 +216,21 @@ class TestElFrechet:
         assert np.allclose(ops.delta_lam,
                            frechet_lambda(s, sdot, PARAMS, self.kernel, self.grid))
 
+    def test_one_field_application_per_kernel_product(self, monkeypatch):
+        # W = K[1 - s] is formed once and read by lambda, delta_lam and G:
+        # K[1 - s] and K[sdot] forward, K^T[kappa M s] for G
+        from graphonldp import meanfield
+
+        calls, apply, apply_T = [], meanfield.KernelOperator.apply, meanfield.KernelOperator.apply_T
+        monkeypatch.setattr(meanfield.KernelOperator, "apply",
+                            lambda op, d: calls.append("apply") or apply(op, d))
+        monkeypatch.setattr(meanfield.KernelOperator, "apply_T",
+                            lambda op, v: calls.append("apply_T") or apply_T(op, v))
+        s = 0.5 + 0.15 * np.cos(self.grid.nodes)
+        sdot = 0.2 * np.sin(self.grid.nodes) - 0.05
+        el_operators(sdot, s, PARAMS, self.kernel, self.grid)
+        assert sorted(calls) == ["apply", "apply", "apply_T"]
+
 
 class TestElResidual:
     def test_meanfield_path_small_residual(self):

@@ -318,6 +318,42 @@ class TestSisAction:
         with pytest.raises(ValueError):
             sis_action(path, self.params, self.kernel, self.grid, 1.0)
 
+    @pytest.mark.parametrize("n_t", [2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 45])
+    def test_infinity_marker_across_stack_boundaries(self, n_t):
+        # J == 0: the infection intensity is zero, so a cell whose velocity
+        # is negative is infinite.  A dip at (m, i) makes the centered
+        # velocity negative at (m - 1, i); a rise at (m, i) makes it
+        # negative at (m + 1, i)
+        def marker(dips=(), rises=()):
+            path = np.full((n_t, self.grid.M), 0.5)
+            for cells, step in ((dips, -0.01), (rises, 0.01)):
+                for m, i in cells:
+                    path[m, i] += step
+            val = sis_action(path, self.params, constant_kernel(0.0), self.grid, 1.0)
+            assert not val.finite
+            return val.where
+
+        b = _CHUNK
+        # the last slice of the first stack, its velocity read through the halo row
+        assert marker(dips=[(b, 20), (b + 1, 3)]) == ("L", b - 1, 20)
+        # the first slice of the second stack
+        assert marker(dips=[(b + 1, 9), (b + 2, 1)]) == ("L", b, 9)
+        # in one slice, the first node
+        assert marker(dips=[(b + 1, 17), (b + 1, 4)]) == ("L", b, 4)
+        # the last, partial stack: the one-sided endpoint velocity
+        assert marker(rises=[(n_t - 2, 6)]) == ("L", n_t - 1, 6)
+
+    @pytest.mark.parametrize("n_t", [2 * _CHUNK + 1, 2 * _CHUNK + 45])
+    def test_one_stack_equals_many(self, monkeypatch, n_t):
+        from graphonldp import rate_function
+
+        t = np.linspace(0.0, 1.0, n_t)[:, None]
+        path = 0.55 + 0.15 * np.cos(self.grid.nodes) * np.sin(np.pi * t) - 0.1 * t
+        many = sis_action(path, self.params, self.kernel, self.grid, 1.0)
+        monkeypatch.setattr(rate_function, "_CHUNK", n_t)
+        one = sis_action(path, self.params, self.kernel, self.grid, 1.0)
+        assert many.finite and many == one
+
 
 class TestRateG:
     def setup_method(self):
@@ -425,6 +461,18 @@ class TestRateG:
         with pytest.raises(ValueError, match="times"):
             rate_I(flux.densities, self.grid, 1.0, times=times)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_horizon_rejected(self, T):
+        # a negative horizon gave negative rates, T = 0 a NaN action and
+        # T = inf an infinite action marked finite
+        flux, nu0 = self.meanfield_flux()
+        with pytest.raises(ValueError, match="horizon"):
+            rate_G(flux.densities, nu0, self.grid, self.kernel, self.rates, T)
+        with pytest.raises(ValueError, match="horizon"):
+            rate_I(flux.densities, self.grid, T)
+        with pytest.raises(ValueError, match="horizon"):
+            sis_action(np.full((11, self.grid.M), 0.5), self.params, self.kernel, self.grid, T)
+
     def test_wrong_width_names_the_shape(self):
         flux, nu0 = self.meanfield_flux()
         with pytest.raises(ValueError, match=r"nu0 must be \(k, M\) = \(2, 32\)"):
@@ -460,6 +508,32 @@ class TestRateG:
         # the last, partial chunk
         assert marker([(n_t - 1, 6)], [(n_t - 2, 30)]) == (("I", "S"), n_t - 2, 30)
 
+    def test_occupation_marker_outranks_an_earlier_dead_channel(self):
+        # J == 0 and no infected mass: S -> I flux at slice 5 is a dead cell
+        # in the first stack.  A spike of I -> S flux at slice m adds
+        # dt * spike to S from slice m + 1 on: the occupation leaves [0, 1]
+        # in a later stack, and its marker names the largest excursion
+        n_t = 3 * _CHUNK + 45
+        dt = 1.0 / (n_t - 1)
+
+        def marker(spikes):
+            p = {("S", "I"): np.zeros((n_t, self.grid.M)), ("I", "S"): np.zeros((n_t, self.grid.M))}
+            p[("S", "I")][5, 3] = 1e-9
+            for m, i, excess in spikes:
+                p[("I", "S")][m, i] = excess / dt
+            nu0 = np.vstack([np.ones(self.grid.M), np.zeros(self.grid.M)])
+            val = rate_G(p, nu0, self.grid, constant_kernel(0.0), self.rates, 1.0)
+            assert not val.finite
+            return val.where
+
+        b = _CHUNK
+        assert marker([]) == (("S", "I"), 5, 3)
+        # the largest excursion, in a later stack or an earlier one
+        assert marker([(b + 3, 2, 1e-3), (2 * b + 7, 7, 1e-2)]) == ("occupation", 2 * b + 8, 7)
+        assert marker([(b + 3, 2, 1e-2), (2 * b + 7, 7, 1e-3)]) == ("occupation", b + 4, 2)
+        # equal excursions: the first in (slice, state, node) order
+        assert marker([(b - 1, 9, 1e-3), (b - 1, 4, 1e-3)]) == ("occupation", b, 4)
+
     def test_occupation_reconstruction_in_cumsum_order(self):
         rng = np.random.default_rng(8)
         tt = np.cumsum(rng.uniform(0.01, 0.02, 300))
@@ -486,6 +560,37 @@ class TestRateG:
         # net S drain 0.2 per unit time
         assert np.allclose(nu[-1, 0], 0.3)
         assert np.allclose(nu[-1, 1], 0.7)
+
+
+def test_working_memory_independent_of_n_t():
+    # both functionals walk _CHUNK-slice stacks: their peak working memory
+    # at 16 stacks is that at 4, to within 1 MiB (one path at 16 is 4 MiB)
+    import tracemalloc
+
+    grid = circle_grid(256)
+    kernel = cosine_kernel(1.0, 0.5)  # circulant at M = 256: the FFT operator
+    params = SisParams(beta=2.0, alpha=1.0)
+    rates = sis_rates(params)
+
+    def peaks(n_t):
+        t = np.linspace(0.0, 1.0, n_t)[:, None]
+        path = 0.55 + 0.15 * np.cos(grid.nodes) * np.sin(np.pi * t)
+        flux = {("S", "I"): np.full((n_t, grid.M), 0.1), ("I", "S"): np.full((n_t, grid.M), 0.1)}
+        nu0 = np.full((2, grid.M), 0.5)
+        out = []
+        for call in (lambda: sis_action(path, params, kernel, grid, 1.0),
+                     lambda: rate_G(flux, nu0, grid, kernel, rates, 1.0)):
+            tracemalloc.start()
+            try:
+                assert call().finite
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return np.array(out)
+
+    peaks(4)  # the grid's kernel operator, built outside the measurement
+    short, long = peaks(4 * _CHUNK + 1), peaks(16 * _CHUNK + 1)
+    assert np.all(np.abs(long - short) < 2**20), (short, long)
 
 
 class TestContracted:
