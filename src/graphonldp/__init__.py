@@ -9,7 +9,6 @@ most-likely transition paths by discretized action minimization.
 __version__ = "0.1.0"
 
 from .core_model import (  # noqa: F401
-    ConstantRates,
     ModelError,
     NumericalError,
     RateFamily,
@@ -18,7 +17,6 @@ from .core_model import (  # noqa: F401
     SisRates,
     StateSpace,
     circle_distance,
-    local_field,
     sis_rates,
 )
 from .graphon import (  # noqa: F401

@@ -8,14 +8,18 @@ action is the source of truth; the Euler-Lagrange operators evaluated along
 the converged path serve as an independent stationarity verification, not
 as the solver.
 
-The Lagrangian is an infimum over the flux split: infection flux A =
-``sis_A`` and recovery flux B with B - A = sdot and A B = lam up, up =
-alpha (1 - s), so D = A + B = sqrt(sdot^2 + 4 lam up).  One function forms
-that split, ``rate_function._sis_split``: B = max(lam up, 0) / A where
-sdot < 0 and sdot + A elsewhere.  ``sis_lagrangian``, the discrete action
-(once per interval side and call), the Newton preconditioner and the
-Euler-Lagrange operators all read it, and by the envelope theorem every
-derivative is a function of it:
+The field W = K[1 - s] and the infection intensity lam = beta s W come
+from one function, ``meanfield._sis_field``; every SIS consumer reads it,
+``sis_lambda_field`` included.  The Lagrangian is an infimum over the flux
+split: infection flux A = ``sis_A`` and recovery flux B with B - A = sdot
+and A B = lam up, up = alpha (1 - s), so D = A + B = sqrt(sdot^2 + 4 lam
+up).  One function forms that split, ``rate_function._sis_split``: B =
+max(lam up, 0) / A where sdot < 0 and sdot + A elsewhere.
+``_interval_sides`` forms W and each interval side's (lam, split) at the
+forward velocity, once per call of the discrete action and of the Newton
+preconditioner, which both read it; ``sis_lagrangian`` and the
+Euler-Lagrange operators read the split too, and by the envelope theorem
+every derivative is a function of it:
 
     dL/dsdot = log(B / up),   d2L/dsdot2 = 1 / D,
     dA/dsdot = -A / D,        d2A/dsdot2 = 2 A B / D^3,
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _operator, field_from_density, sis_lambda_field
+from .meanfield import _operator, _sis_field
 from .rate_function import _sis_split, ell_scaled, path_time_derivative
 
 #: The box of the path solve: interior slices stay in [_EPS_S, 1 - _EPS_S].
@@ -66,10 +70,9 @@ class PathProblem:
         self.s0 = np.asarray(self.s0, dtype=float)
         self.sT = np.asarray(self.sT, dtype=float)
         for name, prof in (("initial", self.s0), ("final", self.sT)):
-            if prof.min() <= 0.0 or prof.max() >= 1.0:
-                raise EndpointError(
-                    f"{name} endpoint must satisfy 0 < s < 1, got range "
-                    f"[{prof.min():.3g}, {prof.max():.3g}]")
+            if not (prof.size and np.all((prof > 0.0) & (prof < 1.0))):  # NaN fails both
+                got = f"range [{np.min(prof):.3g}, {np.max(prof):.3g}]" if prof.size else "no values"
+                raise EndpointError(f"{name} endpoint must satisfy 0 < s < 1, got {got}")
         if len(self.s0) != len(self.sT):
             raise EndpointError("endpoint grids differ in size")
         if not (0 < self.horizon < np.inf):
@@ -143,8 +146,7 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     sdot = np.asarray(sdot, dtype=float)
-    W = field_from_density(grid, Km, 1.0 - s)
-    lam = params.beta * s * W
+    W, lam = _sis_field(s, grid, Km, params.beta)
     split = _sis_split(sdot, s, lam, params.alpha)
     dL, Mf, Nf = _pointwise(split, params.alpha)
     D, dA, d2A, d2L = _second_order(split)
@@ -176,7 +178,7 @@ def frechet_lambda(s, x, params, kernel, grid):
     Km = _operator(kernel, grid)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    return _frechet_lambda(s, x, field_from_density(grid, Km, 1.0 - s), params.beta, Km)
+    return _frechet_lambda(s, x, _sis_field(s, grid, Km, params.beta)[0], params.beta, Km)
 
 
 def el_residual(path, params, kernel, grid, horizon):
@@ -196,6 +198,17 @@ def el_residual(path, params, kernel, grid, horizon):
 
 
 # --- discrete action and its exact gradient ---------------------------------
+
+def _interval_sides(path, params, Km, grid, dt):
+    """W = K[1 - s] on every slice of a (K + 1, M) path, and each interval
+    side's (lam, split): the low side at s_n, the high side at s_{n+1}, both
+    at the forward velocity v_n = (s_{n+1} - s_n)/dt.  The one per-point
+    state that the discrete action and the Newton preconditioner read."""
+    v = (path[1:] - path[:-1]) / dt
+    W, lam = _sis_field(path, grid, Km, params.beta)
+    return W, [(l, _sis_split(v, s, l, params.alpha))
+               for s, l in ((path[:-1], lam[:-1]), (path[1:], lam[1:]))]
+
 
 def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     """Interval-based trapezoid quadrature of the action and its gradient.
@@ -218,14 +231,8 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     dt = horizon / (n_t - 1)
     Km = _operator(kernel, grid)
     kw = grid.kappa_weights
-    alpha = params.alpha
-
-    v = (path[1:] - path[:-1]) / dt                     # (K, M)
-    W = field_from_density(grid, Km, 1.0 - path)        # (n_t, M)
-    lam = params.beta * path * W
     # each interval side's split, once: the value cells and the gradient read it
-    sides = [(l, _sis_split(v, s, l, alpha))
-             for s, l in ((path[:-1], lam[:-1]), (path[1:], lam[1:]))]
+    W, sides = _interval_sides(path, params, Km, grid, dt)
     L = sum(ell_scaled(A, l) + ell_scaled(B, up) for l, (A, B, up) in sides)  # L_lo + L_hi
     if not np.all(np.isfinite(L)):
         return (np.inf, np.full((n_t - 2, M), np.nan)) if with_grad else np.inf
@@ -233,7 +240,7 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     if not with_grad:
         return action
 
-    (dL_lo, M_lo, N_lo), (dL_hi, M_hi, N_hi) = (_pointwise(split, alpha) for _, split in sides)
+    (dL_lo, M_lo, N_lo), (dL_hi, M_hi, N_hi) = (_pointwise(split, params.alpha) for _, split in sides)
     grad = np.zeros((n_t, M))
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
         # slice route: s_m enters interval m-1 on the high side, interval m low
@@ -372,10 +379,8 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         per interval: the flux q = c E y has E^T q = r, so q is minus the running
         sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
         A node whose every interval has D = 0 gets a zero step."""
-        path = unpack(x)
-        v, lam = (path[1:] - path[:-1]) / dt, sis_lambda_field(path, grid, Km, params.beta)
-        D_lo, D_hi = (A + B for A, B, _ in (_sis_split(v, path[:-1], lam[:-1], params.alpha),
-                                            _sis_split(v, path[1:], lam[1:], params.alpha)))
+        _, sides = _interval_sides(unpack(x), params, Km, grid, dt)
+        D_lo, D_hi = (A + B for _, (A, B, _) in sides)
         with np.errstate(invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
         total = inv.sum(axis=0)

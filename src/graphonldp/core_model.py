@@ -1,4 +1,4 @@
-"""Finite state space, transition-rate families, and local interaction fields.
+"""Finite state space and transition-rate families.
 
 The dynamical object throughout the package is a population of N agents at
 fixed positions on a compact space (the circle, parameterized by [0, 2*pi)
@@ -163,47 +163,6 @@ class SisRates(RateFamily):
         return out
 
 
-class ConstantRates(RateFamily):
-    """Toy family with one constant rate on every off-diagonal channel.
-
-    Satisfies the two-sided bound hypothesis exactly; shipped for tests only.
-    """
-
-    def __init__(self, states: StateSpace, rate: float):
-        if rate <= 0:
-            raise ModelError("constant rate must be positive")
-        self.states = states
-        self.rate = float(rate)
-        self.lower_bound = self.rate
-        self.upper_bound = self.rate
-        self.lipschitz = 0.0
-        self.bounded_below = True
-
-    def rate_matrix(self, theta, from_codes, w):
-        n, k = len(from_codes), self.states.size
-        out = np.full((n, k), self.rate)
-        out[np.arange(n), from_codes] = 0.0
-        return out
-
-
 def sis_rates(params: SisParams) -> SisRates:
     """Build the SIS rate family."""
     return SisRates(params)
-
-
-def local_field(node, network, config, states: StateSpace = SIS_SPACE):
-    """Local field w at one node: coupling-weighted neighbour state census.
-
-    Returns the (k,) array w_state = (N * phi_N)^-1 * sum_k J[node, k] *
-    1{config[k] == state}, in the order of ``states``, where phi_N is the
-    network's sparsity (edge-density) scale: an exact integer count scaled
-    once, the same bits the simulator uses.  ``config`` may be integer
-    codes or labels from ``states``.
-    """
-    if not (0 <= node < network.N):
-        raise IndexError(f"node {node} out of range for N={network.N}")
-    codes = _config_codes(states, config, network.N, "config")
-    lo, hi = network.csr_row(node)
-    counts = np.zeros(states.size, dtype=np.int64)
-    np.add.at(counts, codes[network.cols[lo:hi]], network.weights[lo:hi])
-    return counts * (1.0 / (network.N * network.phi_N))

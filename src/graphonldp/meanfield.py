@@ -210,10 +210,18 @@ def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
     return lam
 
 
+def _sis_field(s, grid: SpatialGrid, K, beta):
+    """(W, lam): the field W = K[1 - s] and the SIS infection intensity
+    lam = beta s W of a slice s or a stack of slices.  The one place either
+    is formed: ``sis_lambda_field`` and the action layer read it."""
+    s = np.asarray(s, dtype=float)
+    W = field_from_density(grid, K, 1.0 - s)
+    return W, beta * s * W
+
+
 def sis_lambda_field(s, grid: SpatialGrid, K, beta):
     """SIS infection intensity lambda(theta) = beta s(theta) * K[(1-s)](theta)."""
-    s = np.asarray(s, dtype=float)
-    return beta * s * field_from_density(grid, K, 1.0 - s)
+    return _sis_field(s, grid, K, beta)[1]
 
 
 def _drift(rates, grid, K, nu):

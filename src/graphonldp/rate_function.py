@@ -135,9 +135,11 @@ def _check_horizon(T):
 
 
 def _time_grid(times, T, n_t):
-    """The n_t slice times: a uniform grid over [0, T], or ``times``, which
+    """The n_t >= 2 slice times: a uniform grid over [0, T], or ``times``, which
     must be finite, strictly increasing and n_t long (ValueError otherwise, as for a bad T)."""
     _check_horizon(T)
+    if n_t < 2:
+        raise ValueError(f"need at least 2 slice times, one per flux slice; got {n_t}")
     if times is None:
         return np.linspace(0.0, T, n_t)
     tt = np.asarray(times, dtype=float)
@@ -152,9 +154,10 @@ def _time_grid(times, T, n_t):
 def rate_I(flux_densities, grid, T, times=None):
     """Uncoupled rate functional: sum over channels of iint ell(p) dkappa dt.
 
-    ``flux_densities`` maps channel -> (n_t, M) nonnegative density arrays
-    sampled on a uniform time grid over [0, T] (or at explicit ``times``,
-    finite and strictly increasing, one per slice: ValueError otherwise).
+    ``flux_densities`` maps channel -> (n_t, M) nonnegative density arrays,
+    n_t >= 2, sampled on a uniform time grid over [0, T] (or at explicit
+    ``times``, finite and strictly increasing, one per slice: ValueError
+    otherwise).
     Time integration is trapezoidal; space is the grid's kappa quadrature.
     """
     total = 0.0
@@ -222,11 +225,19 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
     naming its largest excursion |nu - 1/2|, first in (slice, state, node)
     order; else if some channel has positive flux against zero intensity,
     naming the first such cell in (slice, channel, node) order.  ValueError
-    for a negative or NaN flux entry, a non-finite entry of ``nu0``, fluxes
-    that are not (n_t, M) or ``nu0`` that is not (k, M) with M = ``grid.M``,
-    bad ``times`` (see :func:`_time_grid`) or horizon T.
+    unless the fluxes are keyed by exactly the off-diagonal channels of
+    ``rates.states``; for a negative or NaN flux entry, a non-finite entry
+    of ``nu0``, fluxes that are not (n_t, M) with n_t >= 2 or ``nu0`` that is
+    not (k, M) with M = ``grid.M``, bad ``times`` (see :func:`_time_grid`) or
+    horizon T.
     """
     labels = rates.states.labels
+    chans = [(a, b) for a in labels for b in labels if a != b]
+    missing = [c for c in chans if c not in flux_densities]
+    unknown = [c for c in flux_densities if c not in chans]
+    if missing or unknown:
+        raise ValueError(f"fluxes must be given on exactly the channels {chans}: "
+                         f"missing {missing}, unknown {unknown}")
     flux_densities = _checked_fluxes(flux_densities)
     n_t = next(iter(flux_densities.values())).shape[0]
     for chan, p in flux_densities.items():

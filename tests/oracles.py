@@ -1,6 +1,50 @@
-"""Brute-force oracles the tests compare the solvers against."""
+"""Brute-force oracles the tests compare the solvers against, and the
+test-only rate family."""
 
 import numpy as np
+
+from graphonldp.core_model import SIS_SPACE, ModelError, RateFamily, StateSpace, _config_codes
+
+
+class ConstantRates(RateFamily):
+    """Toy family with one constant rate on every off-diagonal channel.
+
+    Satisfies the two-sided bound hypothesis exactly.
+    """
+
+    def __init__(self, states: StateSpace, rate: float):
+        if rate <= 0:
+            raise ModelError("constant rate must be positive")
+        self.states = states
+        self.rate = float(rate)
+        self.lower_bound = self.rate
+        self.upper_bound = self.rate
+        self.lipschitz = 0.0
+        self.bounded_below = True
+
+    def rate_matrix(self, theta, from_codes, w):
+        n, k = len(from_codes), self.states.size
+        out = np.full((n, k), self.rate)
+        out[np.arange(n), from_codes] = 0.0
+        return out
+
+
+def local_field(node, network, config, states: StateSpace = SIS_SPACE):
+    """Local field w at one node: coupling-weighted neighbour state census.
+
+    Returns the (k,) array w_state = (N * phi_N)^-1 * sum_k J[node, k] *
+    1{config[k] == state}, in the order of ``states``, where phi_N is the
+    network's sparsity (edge-density) scale: an exact integer count scaled
+    once, the same bits the simulator uses.  ``config`` may be integer
+    codes or labels from ``states``.
+    """
+    if not (0 <= node < network.N):
+        raise IndexError(f"node {node} out of range for N={network.N}")
+    codes = _config_codes(states, config, network.N, "config")
+    lo, hi = network.csr_row(node)
+    counts = np.zeros(states.size, dtype=np.int64)
+    np.add.at(counts, codes[network.cols[lo:hi]], network.weights[lo:hi])
+    return counts * (1.0 / (network.N * network.phi_N))
 
 
 def contracted_node_bruteforce(r, lam):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from graphonldp.core_model import ConstantRates, SisParams, StateSpace, sis_rates
+from graphonldp.core_model import SisParams, StateSpace, sis_rates
 from graphonldp.graphon import (
     constant_kernel,
     cosine_kernel,
@@ -41,7 +41,7 @@ from graphonldp.action_path import (
 )
 from graphonldp.cli import compare_deviations, load_config
 
-from oracles import contracted_node_bruteforce
+from oracles import ConstantRates, contracted_node_bruteforce
 
 PARAMS = SisParams(beta=2.0, alpha=1.0)
 

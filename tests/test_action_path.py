@@ -45,6 +45,15 @@ class TestPathProblem:
             PathProblem(s0=np.full(8, 0.0), sT=good, horizon=1.0)
         with pytest.raises(EndpointError):
             PathProblem(s0=good, sT=np.full(8, 1.0), horizon=1.0)
+        # NaN fails both comparisons of a range check, and an empty profile
+        # has no range: both slipped through or raised numpy's own error
+        nan = good.copy()
+        nan[3] = np.nan
+        for bad in (nan, np.full(8, np.nan), np.zeros(0)):
+            with pytest.raises(EndpointError):
+                PathProblem(s0=bad, sT=good, horizon=1.0)
+            with pytest.raises(EndpointError):
+                PathProblem(s0=good, sT=bad, horizon=1.0)
 
     def test_horizon_must_be_finite_and_positive(self):
         # a NaN horizon once passed `horizon <= 0` and surfaced later as an
@@ -265,6 +274,69 @@ class TestDiscreteAction:
         assert len(calls) == 2
         assert discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0) == a
         assert len(calls) == 4
+
+    def test_one_lambda_source(self, monkeypatch):
+        # every SIS consumer takes W = K[1 - s] and lam = beta s W from one
+        # call of meanfield._sis_field and applies K to 1 - s nowhere else.
+        # Doubling the lam it returns must act as beta -> 2 beta does on lam
+        # (exactly: a factor 2 rounds the same), which an inline copy of the
+        # formula would not see
+        from graphonldp import action_path, meanfield, rate_function
+        from graphonldp.action_path import frechet_lambda
+        from graphonldp.meanfield import sis_drift
+        from graphonldp.rate_function import sis_action
+
+        grid, kernel = circle_grid(8), cosine_kernel(1.0, 0.5)
+        prob = PathProblem(s0=np.full(8, 0.6), sT=bump_profile(grid), horizon=1.0, K=10)
+        path = prob.initial_path()
+        s, x = path[4], 0.2 * np.sin(grid.nodes) - 0.05
+        r = np.cos(np.arange(9 * 8))
+        newton = action_path._newton_cg
+
+        def consumers(params):
+            # the preconditioner of one minimize_action step, as the solve builds it
+            pre = []
+            monkeypatch.setattr(action_path, "_newton_cg",
+                                lambda fun, x0, lo, hi, p, *a: pre.append(p) or newton(fun, x0, lo, hi, p, *a))
+            minimize_action(prob, params, kernel, grid, ActionOptions(max_iters=1))
+            return {  # name: (call, kernel applications of its own, outside the shared one)
+                "discrete_action": (lambda: discrete_action(path, params, kernel, grid, 1.0), 0),
+                "discrete_action grad": (lambda: discrete_action(path, params, kernel, grid, 1.0,
+                                                                 with_grad=True)[0], 0),
+                "el_operators": (lambda: el_operators(x, s, params, kernel, grid).dL_dsdot, 1),
+                "frechet_lambda": (lambda: frechet_lambda(s, x, params, kernel, grid), 1),
+                "precondition": (lambda: pre[0](path[1:-1].ravel())(r), 0),
+                "sis_action": (lambda: sis_action(path, params, kernel, grid, 1.0).value, 0),
+                "sis_drift": (lambda: sis_drift(s, grid, kernel, params.beta, params.alpha), 0),
+            }
+
+        want = {name: f() for name, (f, _) in consumers(SisParams(2 * PARAMS.beta, PARAMS.alpha)).items()}
+        want["frechet_lambda"] = frechet_lambda(s, x, PARAMS, kernel, grid)  # it reads W alone
+
+        calls, inside, shared = [], [], meanfield._sis_field
+        apply = meanfield.KernelOperator.apply
+
+        def doubled(*args):
+            calls.append(1)
+            inside.append(1)
+            try:
+                W, lam = shared(*args)
+            finally:
+                inside.pop()
+            return W, 2.0 * lam
+
+        outside = []
+        monkeypatch.setattr(meanfield.KernelOperator, "apply",
+                            lambda op, d: (outside.append(1) if not inside else None) or apply(op, d))
+        for mod in (meanfield, action_path, rate_function):
+            if hasattr(mod, "_sis_field"):
+                monkeypatch.setattr(mod, "_sis_field", doubled)
+        for name, (f, own) in consumers(PARAMS).items():
+            calls.clear()
+            outside.clear()
+            got = f()
+            assert len(calls) == 1 and len(outside) == own, name
+            assert np.array_equal(got, want[name]), name
 
     def test_path_outside_unit_interval_rejected(self):
         grid = circle_grid(8)

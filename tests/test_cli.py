@@ -493,9 +493,12 @@ class TestAction:
         code, _ = run(tmp_path, "action", "action.sT=bump:oops")
         assert code == 2
 
-    def test_infeasible_endpoint_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "action", "action.s0=uniform:0.0")
-        assert code == 2
+    def test_infeasible_endpoint_rejected(self, tmp_path, capsys):
+        # NaN fails both comparisons of a range check: it gave a traceback
+        for s0 in ("0.0", "nan"):
+            code, _ = run(tmp_path, "action", f"action.s0=uniform:{s0}")
+            assert code == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("sT, expected", [("0.2", 2), ("0.3", 3), ("0.4", 0)])
     def test_zero_field_ends_with_a_message(self, tmp_path, capsys, sT, expected):

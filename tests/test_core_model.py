@@ -4,17 +4,16 @@ from hypothesis import given, strategies as st
 
 from graphonldp.core_model import (
     SIS_SPACE,
-    ConstantRates,
     I,
     ModelError,
     SisParams,
     TWO_PI,
     StateSpace,
     circle_distance,
-    local_field,
     sis_rates,
 )
 from graphonldp.graphon import Network, constant_kernel, sample_network
+from oracles import ConstantRates, local_field
 
 
 def rate(fam, to_label, theta, from_label, w_s, w_i):

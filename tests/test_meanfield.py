@@ -4,7 +4,6 @@ import pytest
 from graphonldp import channel_intensities
 from graphonldp.core_model import (
     SIS_SPACE,
-    ConstantRates,
     NumericalError,
     SisParams,
     StateSpace,
@@ -22,6 +21,7 @@ from graphonldp.meanfield import (
     kernel_matrix,
     sis_drift,
 )
+from oracles import ConstantRates
 
 
 def sis_setup(M=32, beta=2.0, alpha=1.0, level=1.0):

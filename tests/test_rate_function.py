@@ -449,17 +449,38 @@ class TestRateG:
         _, flux = evolve(self.grid, self.kernel, self.rates, nu0, T, dt=T / steps)
         return flux, nu0
 
-    @pytest.mark.parametrize("fault", ["reversed", "nan", "short"])
+    @pytest.mark.parametrize("fault", ["reversed", "nan", "short", "no_slices", "one_slice"])
     def test_bad_times_rejected(self, fault):
         # reversed times gave a negative rate functional, NaN ones a NaN
-        # marked finite, and a short grid a bare broadcast error
+        # marked finite, a short grid a bare broadcast error, and fluxes of
+        # 0 or 1 slices a rate of 0
         flux, nu0 = self.meanfield_flux()
+        fluxes = flux.densities
+        if fault in ("no_slices", "one_slice"):
+            fluxes = {c: p[:int(fault == "one_slice")] for c, p in fluxes.items()}
         times = {"reversed": flux.times[::-1], "short": flux.times[:-1],
-                 "nan": np.where(np.arange(len(flux.times)) == 40, np.nan, flux.times)}[fault]
+                 "nan": np.where(np.arange(len(flux.times)) == 40, np.nan, flux.times)}.get(fault)
         with pytest.raises(ValueError, match="times"):
-            rate_G(flux.densities, nu0, self.grid, self.kernel, self.rates, 1.0, times=times)
+            rate_G(fluxes, nu0, self.grid, self.kernel, self.rates, 1.0, times=times)
         with pytest.raises(ValueError, match="times"):
-            rate_I(flux.densities, self.grid, 1.0, times=times)
+            rate_I(fluxes, self.grid, 1.0, times=times)
+
+    @pytest.mark.parametrize("keys, named", [
+        ([("S", "I")], r"missing \[\('I', 'S'\)\]"),
+        ([], r"missing \[\('S', 'I'\), \('I', 'S'\)\]"),
+        ([("S", "I"), ("I", "S"), ("S", "X")], r"unknown \[\('S', 'X'\)\]"),
+        ([("S", "I"), ("I", "S"), ("S", "S")], r"unknown \[\('S', 'S'\)\]"),
+    ], ids=["one-channel", "none", "unknown-state", "diagonal"])
+    def test_channels_must_be_exact(self, keys, named):
+        # a missing channel was read as zero flux with its cost dropped
+        # (0.2337 where explicit zeros give 0.7837); no channels gave a bare
+        # StopIteration, an unknown state a tuple.index error, and the
+        # diagonal channel the infinity marker
+        grid = circle_grid(8)
+        p = np.full((11, grid.M), 0.1)
+        with pytest.raises(ValueError, match=named):
+            rate_G({c: p for c in keys}, np.full((2, grid.M), 0.5), grid, self.kernel,
+                   self.rates, 1.0)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
     def test_bad_horizon_rejected(self, T):

@@ -4,12 +4,10 @@ from scipy import stats
 
 from graphonldp.core_model import (
     SIS_SPACE,
-    ConstantRates,
     ModelError,
     NumericalError,
     SisParams,
     SisRates,
-    local_field,
     sis_rates,
 )
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
@@ -21,6 +19,7 @@ from graphonldp.simulator import (
     occupation_at,
     simulate,
 )
+from oracles import ConstantRates, local_field
 
 
 def empty_network(N):
