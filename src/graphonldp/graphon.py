@@ -9,13 +9,13 @@ locations.  Finite networks are sampled with independent signed edges,
 so that E[J_jk / phi_N] = J(x_j, x_k).  An unbounded kernel (power-law)
 has its pair probabilities clipped at 1.
 
-Sampling costs O(N + edges), not O(N^2): pairs are proposed by geometric
-skipping over the pair index at rate min(1, phi_N * bound) (Batagelj &
-Brandes 2005), or along each row under a decreasing envelope for the
-unbounded rank-1 family (Miller & Hagberg 2011), and thinned to the exact
-marginals with one kernel evaluation per proposed pair.  The networks a
-seed gives are those of this sampler; an all-pairs loop with one uniform
-per pair gave other networks, with the same law, for the same seed.
+Sampling costs O(N + edges), not O(N^2): each row walks its columns by
+geometric gaps under an envelope (Miller & Hagberg 2011), the constant
+min(1, phi_N * bound) for a bounded kernel or the last clipped pair
+probability for the unbounded rank-1 family, and each proposal is thinned
+to the exact marginals with one kernel evaluation.  For a bounded kernel a
+seed gives other networks, of the same law, than the all-pairs loop and the
+skip over the flat pair index (Batagelj & Brandes 2005) that came before.
 
 Normalization convention (important, the literature conflates two scales):
 ``phi_N`` here is the *edge-density* scale, so the mean degree is
@@ -315,12 +315,13 @@ def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
 
     Edges are independent (or mirrored when ``spec.symmetric``), with
     P(J=+1) = phi_N max(J, 0) and P(J=-1) = phi_N max(-J, 0) at the
-    canonical node positions.  Pairs are proposed by geometric skipping and
-    thinned, so the kernel is evaluated once per proposed pair and the cost
-    is O(N + edges) (:func:`_sample_bounded`, :func:`_sample_decreasing`).
-    Deterministic given ``seed``.  Raises ProbabilityOverflowError when
-    phi_N |J| > 1 at some pair, unless the kernel is unbounded
-    (``spec.bound`` infinite), in which case probabilities are clipped at 1.
+    canonical node positions.  Pairs are proposed by one row walk, under a
+    constant envelope for a bounded kernel and a moving one for an unbounded
+    kernel, and thinned, so the kernel is evaluated once per proposed pair
+    and the cost is O(N + edges) (:func:`_sample_rows`).  Deterministic
+    given ``seed``.  Raises ProbabilityOverflowError when phi_N |J| > 1 at
+    some pair, unless the kernel is unbounded (``spec.bound`` infinite), in
+    which case probabilities are clipped at 1.
     """
     if N < 2:
         raise GraphonError(f"need N >= 2, got {N}")
@@ -328,9 +329,8 @@ def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
         raise GraphonError(f"phi_N must be positive, got {phi_N}")
     x = spec.positions(N)
     rng = np.random.default_rng(seed)
-    sample = _sample_decreasing if np.isinf(spec.bound) else _sample_bounded
     empty = np.zeros(0, dtype=np.int64)
-    triples = [(empty, empty, empty), *sample(spec, N, phi_N, x, rng)]
+    triples = [(empty, empty, empty), *_sample_rows(spec, N, phi_N, x, rng)]
     j, k, w = (np.concatenate(a) for a in zip(*triples))
     if spec.symmetric:
         j, k, w = np.concatenate((j, k)), np.concatenate((k, j)), np.concatenate((w, w))
@@ -338,60 +338,31 @@ def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
                    seed=int(seed), family=spec.family)
 
 
-#: Proposals drawn per step of the bounded sampler; bounds its transient memory.
-_CHUNK = 1 << 15
+def _sample_rows(spec, N, phi_N, x, rng):
+    """Per-row envelope skipping (Miller & Hagberg 2011): all rows, of the
+    upper triangle or of the full off-diagonal, walk at once, each proposing
+    its next column by a geometric gap at its envelope and keeping the
+    proposal when u * envelope < p for one uniform u, with the sign of J.
+    Yields the kept (j, k, sign) triples step by step.
 
-
-def _sample_bounded(spec, N, phi_N, x, rng):
-    """Geometric skipping over the pair index (Batagelj & Brandes 2005).
-
-    Pairs, the upper triangle or the full off-diagonal in row-major order,
-    are proposed independently with q = min(1, phi_N * bound) by geometric
-    gaps, and a proposed pair is kept with probability phi_N |J| / q.
-    Yields the kept (j, k, sign) triples chunk by chunk.  At q = 1 every
-    pair is proposed, and the first row in order with phi_N |J| > 1 names
-    its argmax in ProbabilityOverflowError.  While q < 1, a proposed |J|
-    above ``spec.bound`` raises GraphonError: thinning would under-sample it.
+    A bounded kernel keeps the envelope q = min(1, phi_N * bound), so q = 1
+    proposes every pair; phi_N |J| > 1 raises ProbabilityOverflowError
+    (:func:`_raise_overflow`), and while q < 1 a |J| above ``spec.bound``
+    raises GraphonError, as thinning would under-sample it.  An unbounded
+    kernel, which must not increase along a row (the power law is rank 1 and
+    decreasing on its increasing positions), moves a row's envelope to its
+    last clipped p = min(1, phi_N |J|) (1 before the first) and ends the row
+    where p reaches 0; a p that is not finite or exceeds the envelope raises
+    GraphonError.
     """
-    q = min(1.0, phi_N * spec.bound)
-    total = N * (N - 1) // (2 if spec.symmetric else 1)
-    last = -1
-    while q > 0 and last < total - 1:
-        idx = last + np.cumsum(rng.geometric(q, min(_CHUNK, total - 1 - last)))
-        last = idx[-1]
-        idx = idx[idx < total]
-        if not idx.size:
-            return
-        j, k = _pair_of_index(idx, N, spec.symmetric)
-        J = np.asarray(spec.kernel(x[j], x[k]), dtype=float)
-        p = phi_N * np.abs(J)
-        over = p > 1.0 + 1e-12
-        if over.any():
-            _raise_overflow(spec, N, phi_N, x, int(j[np.argmax(over)]))
-        above = np.abs(J) > spec.bound + _BOUND_SLACK
-        if q < 1.0 and above.any():
-            i = int(np.argmax(above))
-            raise GraphonError(f"|J| = {abs(J[i]):.6g} at pair ({j[i]}, {k[i]}) exceeds "
-                               f"the stated bound {spec.bound} ({spec.family})")
-        yield _thin(j, k, J, p, q, rng)
-
-
-def _sample_decreasing(spec, N, phi_N, x, rng):
-    """Per-row envelope skipping for an unbounded kernel that does not
-    increase along a row (Miller & Hagberg 2011; the power-law family is
-    rank 1 and decreasing on its increasing positions).
-
-    All rows walk at once.  Each proposes its next column by a geometric
-    gap at its envelope, the clipped pair probability p = min(1, phi_N |J|)
-    at its last proposal (1 before the first), and keeps the proposal with
-    probability p / envelope.  A row whose p reaches 0 is done.  Yields the
-    kept (j, k, sign) triples step by step; raises GraphonError where p is
-    not finite or exceeds the envelope.
-    """
+    bounded = not np.isinf(spec.bound)
+    q = min(1.0, phi_N * spec.bound) if bounded else 1.0
+    if q == 0:
+        return
     rows = np.arange(N - 1 if spec.symmetric else N)
     length = N - 1 - rows if spec.symmetric else np.full(N, N - 1)
     pos = np.full(rows.size, -1)
-    env = np.ones(rows.size)
+    env = np.full(rows.size, q)
     while rows.size:
         pos = pos + rng.geometric(env)
         live = pos < length
@@ -400,49 +371,39 @@ def _sample_decreasing(spec, N, phi_N, x, rng):
             return
         cols = rows + 1 + pos if spec.symmetric else pos + (pos >= rows)
         J = np.asarray(spec.kernel(x[rows], x[cols]), dtype=float)
-        p = np.minimum(phi_N * np.abs(J), 1.0)
-        below = p <= env * (1.0 + 1e-9)
-        if not below.all():
-            i = int(np.argmin(below))
-            raise GraphonError(f"unbounded kernel ({spec.family}) must be finite and "
-                               f"non-increasing along each row: pair ({rows[i]}, {cols[i]})")
-        yield _thin(rows, cols, J, p, env, rng)
-        live = p > 0
-        rows, pos, env, length = rows[live], pos[live], p[live], length[live]
+        p = phi_N * np.abs(J)
+        if bounded:
+            if np.any(p > 1.0 + 1e-12):
+                _raise_overflow(spec, N, phi_N, x)
+            above = np.abs(J) > spec.bound + _BOUND_SLACK
+            if q < 1.0 and above.any():
+                i = int(np.argmax(above))
+                raise GraphonError(f"|J| = {abs(J[i]):.6g} at pair ({rows[i]}, {cols[i]}) "
+                                   f"exceeds the stated bound {spec.bound} ({spec.family})")
+        else:
+            p = np.minimum(p, 1.0)
+            below = p <= env * (1.0 + 1e-9)
+            if not below.all():
+                i = int(np.argmin(below))
+                raise GraphonError(f"unbounded kernel ({spec.family}) must be finite and "
+                                   f"non-increasing along each row: pair ({rows[i]}, {cols[i]})")
+        hit = rng.random(p.size) * env < p
+        yield rows[hit], cols[hit], np.where(J[hit] > 0, 1, -1)
+        if not bounded:
+            live = p > 0
+            rows, pos, env, length = rows[live], pos[live], p[live], length[live]
 
 
-def _thin(j, k, J, p, envelope, rng):
-    """Keep each proposed pair with probability p / envelope, by one uniform
-    u per pair (kept when u * envelope < p), with the sign of J."""
-    hit = rng.random(p.size) * envelope < p
-    return j[hit], k[hit], np.where(J[hit] > 0, 1, -1)
-
-
-def _pair_of_index(idx, N, symmetric):
-    """The pair (j, k) at row-major position ``idx`` of the upper triangle
-    (symmetric) or of the off-diagonal (directed), in closed form."""
-    if not symmetric:
-        j, r = np.divmod(idx, N - 1)
-        return j, r + (r >= j)
-    b = 2 * N - 1
-    j = ((b - np.sqrt(b * b - 8.0 * idx)) // 2).astype(np.int64)
-    # one step each way absorbs the rounding of the square root
-    j -= _row_start(j, N) > idx
-    j += _row_start(j + 1, N) <= idx
-    return j, idx - _row_start(j, N) + j + 1
-
-
-def _row_start(j, N):
-    """Position of pair (j, j + 1) in the row-major upper triangle."""
-    return j * (2 * N - 1 - j) // 2
-
-
-def _raise_overflow(spec, N, phi_N, x, j):
-    """ProbabilityOverflowError at row j's largest phi_N |J|."""
-    ks = np.arange(j + 1, N) if spec.symmetric else np.delete(np.arange(N), j)
-    p = phi_N * np.abs(np.asarray(spec.kernel(x[j], x[ks]), dtype=float))
-    i = int(np.argmax(p))
-    raise ProbabilityOverflowError(j, int(ks[i]), float(p[i]))
+def _raise_overflow(spec, N, phi_N, x):
+    """ProbabilityOverflowError at the largest phi_N |J| of the first row,
+    in row order, with phi_N |J| > 1 + 1e-12: a scan from row 0, taken only
+    on error."""
+    for j in range(N):
+        ks = np.arange(j + 1, N) if spec.symmetric else np.delete(np.arange(N), j)
+        p = phi_N * np.abs(np.asarray(spec.kernel(x[j], x[ks]), dtype=float))
+        if np.any(p > 1.0 + 1e-12):
+            i = int(np.argmax(p))
+            raise ProbabilityOverflowError(j, int(ks[i]), float(p[i]))
 
 
 def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic:

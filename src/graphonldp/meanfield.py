@@ -237,14 +237,16 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
     f_b(., a, w) nu_a are recorded at every grid time.  Aborts with
     NormalizationError if the per-site state-sum drifts by more than
     ``_NORM_TOL``, if a density goes clearly negative, or if either turns
-    non-finite.  Raises ValueError unless T and dt are finite and positive.
+    non-finite.  Raises ValueError unless T and dt are finite and positive
+    and ``nu0`` is (k, M), k the states of ``rates`` and M = ``grid.M``.
     """
     if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
         raise ValueError(f"T and dt must be finite and positive, got T={T!r}, dt={dt!r}")
     nu0 = np.asarray(nu0, dtype=float)
-    k, M = nu0.shape
-    if M != grid.M:
-        raise ValueError("nu0 incompatible with grid")
+    k, M = len(rates.states.labels), grid.M
+    if nu0.shape != (k, M):
+        raise ValueError(f"nu0 incompatible with grid and states: must be (k, M) = ({k}, {M}), "
+                         f"got {nu0.shape}")
     drift0 = np.max(np.abs(nu0.sum(axis=0) - 1.0))
     if not drift0 <= _NORM_TOL:
         raise NormalizationError(f"initial density not per-site normalized: {drift0:.3g}")

@@ -29,6 +29,7 @@ positive flux, the one source of the infinity marker; nothing is floored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,19 @@ def poisson_tail_log_prob(k, mean):
     Above the mean the tail is summed up from j = k by term(j) = term(j-1)
     mean / j; at or below it, log1p(-P(X <= k - 1)) sums down from j = k - 1,
     so no sum crosses the mode.  Its first term, from ``math.lgamma``, is the
-    largest; it stops 60 nats below.  ValueError unless mean is finite and
-    >= 0; at mean = 0 the tail of k >= 1 is -inf.  NumericalError if a sum
-    needs more than 10^6 terms (a mean near 10^12).
+    largest; it stops 60 nats below.  A non-integer k counts as its ceiling,
+    the least integer the event X >= k contains.  ValueError unless mean is
+    finite and >= 0 and k is finite; at mean = 0 the tail of k >= 1 is -inf.
+    NumericalError if a sum needs more than 10^6 terms (a mean near 10^12).
     """
     if not (math.isfinite(mean) and mean >= 0.0):
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
-    k = int(k)
+    if isinstance(k, numbers.Integral):
+        k = int(k)
+    elif math.isfinite(k):
+        k = math.ceil(k)
+    else:
+        raise ValueError(f"tail level k must be finite, got {k!r}")
     if k <= 0:
         return 0.0
     if mean == 0.0:
@@ -118,15 +125,22 @@ def poisson_tail_log_prob(k, mean):
     return math.log1p(-math.exp(log_sum)) if below else log_sum
 
 
-def _checked_fluxes(flux_densities):
-    """The flux densities as float arrays; ValueError on a negative, NaN or inf entry."""
-    out = {}
-    for chan, p in flux_densities.items():
-        p = np.asarray(p, dtype=float)
+def _checked_fluxes(flux_densities, M):
+    """The flux densities as float arrays, and their common slice count n_t.
+    ValueError unless there is at least one channel and every channel's
+    density is an (n_t, M) array with the first channel's n_t, finite and >= 0."""
+    out = {chan: np.asarray(p, dtype=float) for chan, p in flux_densities.items()}
+    if not out:
+        raise ValueError("no flux density given: need at least one channel")
+    first = next(iter(out.values()))
+    n_t = first.shape[0] if first.ndim else 0
+    for chan, p in out.items():
+        if p.shape != (n_t, M):
+            raise ValueError(f"flux on channel {chan} must be (n_t, M) = ({n_t}, {M}), "
+                             f"got {p.shape}")
         if not np.all((p >= 0) & (p < np.inf)):
             raise ValueError(f"negative, NaN or infinite flux density on channel {chan}")
-        out[chan] = p
-    return out
+    return out, n_t
 
 
 def _check_horizon(T):
@@ -136,7 +150,8 @@ def _check_horizon(T):
 
 def _time_grid(times, T, n_t):
     """The n_t >= 2 slice times: a uniform grid over [0, T], or ``times``, which
-    must be finite, strictly increasing and n_t long (ValueError otherwise, as for a bad T)."""
+    must be finite, strictly increasing, n_t long and run from 0 to T, each end
+    to a relative 1e-9 of T (ValueError otherwise, as for a bad T)."""
     _check_horizon(T)
     if n_t < 2:
         raise ValueError(f"need at least 2 slice times, one per flux slice; got {n_t}")
@@ -148,6 +163,8 @@ def _time_grid(times, T, n_t):
                          f"got {tt.shape}")
     if not (np.all(np.isfinite(tt)) and np.all(np.diff(tt) > 0)):
         raise ValueError("times must be finite and strictly increasing")
+    if not (abs(tt[0]) <= 1e-9 * T and abs(tt[-1] - T) <= 1e-9 * T):
+        raise ValueError(f"times must run from 0 to T = {T!r}, got {tt[0]!r} to {tt[-1]!r}")
     return tt
 
 
@@ -155,18 +172,14 @@ def rate_I(flux_densities, grid, T, times=None):
     """Uncoupled rate functional: sum over channels of iint ell(p) dkappa dt.
 
     ``flux_densities`` maps channel -> (n_t, M) nonnegative density arrays,
-    n_t >= 2, sampled on a uniform time grid over [0, T] (or at explicit
-    ``times``, finite and strictly increasing, one per slice: ValueError
-    otherwise).
+    n_t >= 2, M = ``grid.M``, at least one channel, sampled on a uniform time
+    grid over [0, T] or at explicit ``times`` (see :func:`_time_grid`):
+    ValueError otherwise.
     Time integration is trapezoidal; space is the grid's kappa quadrature.
     """
-    total = 0.0
-    kw = grid.kappa_weights
-    for p in _checked_fluxes(flux_densities).values():
-        tt = _time_grid(times, T, p.shape[0])
-        space = ell(p) @ kw
-        total += float(_trapezoid(space, tt))
-    return total
+    fluxes, n_t = _checked_fluxes(flux_densities, grid.M)
+    tt = _time_grid(times, T, n_t)
+    return sum(float(_trapezoid(ell(p) @ grid.kappa_weights, tt)) for p in fluxes.values())
 
 
 #: How far a density may leave [0, 1]: the occupation reconstructed by
@@ -238,12 +251,7 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
     if missing or unknown:
         raise ValueError(f"fluxes must be given on exactly the channels {chans}: "
                          f"missing {missing}, unknown {unknown}")
-    flux_densities = _checked_fluxes(flux_densities)
-    n_t = next(iter(flux_densities.values())).shape[0]
-    for chan, p in flux_densities.items():
-        if p.shape != (n_t, grid.M):
-            raise ValueError(f"flux on channel {chan} must be (n_t, M) = ({n_t}, {grid.M}), "
-                             f"got {p.shape}")
+    flux_densities, n_t = _checked_fluxes(flux_densities, grid.M)
     nu0 = np.asarray(nu0, dtype=float)
     if nu0.shape != (len(labels), grid.M):
         raise ValueError(f"nu0 must be (k, M) = ({len(labels)}, {grid.M}), got {nu0.shape}")

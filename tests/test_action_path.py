@@ -55,6 +55,16 @@ class TestPathProblem:
             with pytest.raises(EndpointError):
                 PathProblem(s0=good, sT=bad, horizon=1.0)
 
+    def test_endpoint_sizes_must_agree(self):
+        with pytest.raises(EndpointError, match="endpoint grids differ in size"):
+            PathProblem(s0=np.full(8, 0.5), sT=np.full(6, 0.5), horizon=1.0)
+
+    @pytest.mark.parametrize("K", [2, 0, -4])
+    def test_needs_three_intervals(self, K):
+        with pytest.raises(ValueError, match=f"need K >= 3, got {K}") as exc:
+            PathProblem(s0=np.full(4, 0.5), sT=np.full(4, 0.5), horizon=1.0, K=K)
+        assert not isinstance(exc.value, EndpointError)
+
     def test_horizon_must_be_finite_and_positive(self):
         # a NaN horizon once passed `horizon <= 0` and surfaced later as an
         # endpoint fault; every bad horizon is now named at construction

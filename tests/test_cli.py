@@ -423,6 +423,25 @@ class TestInputErrors:
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("sample", "graphon.family=nope", "unknown graphon family 'nope'"),
+        ("meanfield", "model.init=cosine:0.5", "bad cosine profile 'cosine:0.5'"),
+        ("meanfield", "model.init=bump:3.1,0,0.1", "bump width must be positive"),
+        ("action", "action.s0=bump:3.1,-1,0.1", "bump width must be positive"),
+        ("meanfield", "model.init=wobble", "unknown profile 'wobble'"),
+        ("sample", "graphon.phi_exponent=1.5", "phi_exponent must lie in (0, 1]"),
+        ("sample", "graphon.phi_exponent=0", "phi_exponent must lie in (0, 1]"),
+        ("meanfield", "grid.M=8.5", "[grid] M: invalid literal for int()"),
+    ], ids=["family", "cosine-profile", "bump-width", "bump-width-action", "profile",
+            "phi-exponent-high", "phi-exponent-zero", "non-integer-M"])
+    def test_bad_model_setting_named(self, tmp_path, capsys, command, setting, message):
+        # the setting comes last, so that it overrides the small sizes
+        code, _ = run(tmp_path, command, "graphon.N=40", "grid.M=8", "grid.steps=10", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
 class TestRate:
     def test_report_structure(self, tmp_path):
         code, out = run(tmp_path, "rate", "grid.M=16", "grid.T=1.0",

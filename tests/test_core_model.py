@@ -53,6 +53,11 @@ class TestStateSpace:
         with pytest.raises(ModelError):
             StateSpace(("S", "S"))
 
+    def test_index_of_unknown_label(self):
+        assert SIS_SPACE.index("I") == 1
+        with pytest.raises(ModelError, match="unknown state label 'X'"):
+            SIS_SPACE.index("X")
+
     def test_codes_roundtrip(self):
         sp = StateSpace(("a", "b", "c"))
         assert list(sp.codes(["c", "a", "b"])) == [2, 0, 1]

@@ -74,6 +74,29 @@ class TestSpecs:
             with pytest.raises(GraphonError):
                 power_law_kernel(b)
 
+    @pytest.mark.parametrize("cutoff", [0.0, np.pi, 4.0, -0.5])
+    def test_small_world_cutoff_domain(self, cutoff):
+        with pytest.raises(GraphonError, match=r"cutoff must lie in \(0, pi\)"):
+            small_world_kernel(1.5, 0.1, cutoff)
+
+    def test_small_world_needs_high_above_low(self):
+        with pytest.raises(GraphonError, match="needs high >= low"):
+            small_world_kernel(0.1, 1.5, 0.5)
+
+    def test_non_finite_kernel_rejected(self):
+        spec = dataclasses.replace(constant_kernel(1.0),
+                                   kernel=lambda x, y: np.where(np.asarray(x) == y, np.inf, 1.0))
+        with pytest.raises(GraphonError, match=r"kernel not finite on spot grid \(constant\)"):
+            spec.validate()
+
+    def test_lipschitz_spot_check(self):
+        # |J| <= 1 = bound, but the slope is 5 on the 64-point spot grid
+        steep = dataclasses.replace(constant_kernel(1.0),
+                                    kernel=lambda x, y: np.sin(5.0 * (np.asarray(x) - y)))
+        with pytest.raises(GraphonError, match=r"Lipschitz spot check failed: slope .* > bound 1"):
+            steep.validate()
+        assert dataclasses.replace(steep, lipschitz_exempt=True).validate()
+
 
 class TestSampling:
     def test_empty_when_probabilities_vanish(self):
@@ -380,14 +403,14 @@ class TestPackedKeySort:
         assert peak < 1 << 16
 
     @pytest.mark.parametrize("spec, N, phi, seed, entries, digest", [
-        (cosine_kernel(1.0, 0.5), 500, 0.05, 1, 12508,
-         "2da5bb3955ea3ad199020c267be751b5874943a501c31ab65e08fbaf0fd5c432"),
-        (small_world_kernel(1.5, 0.1, 0.5), 500, 0.05, 2, 4112,
-         "606ebbede89e9f90e9a5f62c43ae99a04ae03f24800255a2713d81ae1dd89e6a"),
+        (cosine_kernel(1.0, 0.5), 500, 0.05, 1, 12444,
+         "20eeb6efb7a7e09415fb01943e79210c7d274a4b87bfc0e83b76f3101a503efb"),
+        (small_world_kernel(1.5, 0.1, 0.5), 500, 0.05, 2, 4002,
+         "7c49a8481fb2f1bbe9a779352d947338b95d7ecf3df243a2facea146e79688d6"),
         (power_law_kernel(0.3), 500, 0.05, 3, 12544,
          "e89106164bf29739e6781030e976ccdf626acaedb099f24e8b5664b57e779a2c"),
-        (dataclasses.replace(signed_cosine(), symmetric=False), 400, 0.5, 4, 25466,
-         "0a402c493ce929650578f84488cbf000674de85f66cc26d5ac9d08b4f4d190d3"),
+        (dataclasses.replace(signed_cosine(), symmetric=False), 400, 0.5, 4, 25431,
+         "70ffe48498eafd336d24ab5e7679d36638723152f6de1c54c8a0737addcefaa5"),
     ], ids=["cosine", "small-world", "power-law", "signed-directed"])
     def test_sampled_arrays_pinned(self, spec, N, phi, seed, entries, digest):
         # sha256 of the int64 rows, cols, weights and indptr the lexsort

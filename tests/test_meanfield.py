@@ -41,6 +41,12 @@ class TestGrid:
             SpatialGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.7, 0.7]),
                         rho=np.ones(2))
 
+    @pytest.mark.parametrize("weights", [[1.5, -0.5], [1.0, 0.0]])
+    def test_rejects_non_positive_weight(self, weights):
+        # unit kappa-mass holds for both; the weight check alone rejects them
+        with pytest.raises(ValueError, match="quadrature weights must be positive"):
+            SpatialGrid(nodes=np.array([0.0, 1.0]), weights=np.array(weights), rho=np.ones(2))
+
 
 class TestFieldFromDensity:
     def test_constant_kernel_constant_density(self):
@@ -288,6 +294,17 @@ class TestEvolve:
         nu0 = np.vstack([np.full(grid.M, 0.6), np.full(grid.M, 0.4)])
         with pytest.raises(ValueError, match="finite and positive"):
             evolve(grid, spec, rates, nu0, T=T, dt=dt)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 7), (1, 8), (8,)],
+                             ids=["three-states", "narrow", "one-state", "one-dimensional"])
+    def test_nu0_shape_must_match_states_and_grid(self, shape):
+        # three states with SIS rates raised numpy's bare reshape error, and a
+        # one-dimensional nu0 a bare unpacking error
+        grid, spec, rates = sis_setup(M=8)
+        nu0 = np.full(shape, 1.0 / (shape[0] if len(shape) == 2 else 1))
+        with pytest.raises(ValueError, match=r"nu0 incompatible with grid and states: "
+                                             r"must be \(k, M\) = \(2, 8\), got "):
+            evolve(grid, spec, rates, nu0, T=1.0, dt=0.1)
 
     @pytest.mark.parametrize("rates", [sis_rates(SisParams(beta=2.0, alpha=1.0)),
                                        ConstantRates(SIS_SPACE, 0.7)], ids=["sis", "constant"])

@@ -123,6 +123,23 @@ class TestPoissonTail:
         assert poisson_tail_log_prob(3, 0.0) == -np.inf
         assert poisson_tail_log_prob(0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("k, kk", [(2.5, 3), (0.5, 1), (2.0, 2), (-0.5, 0), (1e-9, 1)])
+    def test_non_integer_level_counts_as_its_ceiling(self, k, kk):
+        # X >= 2.5 is X >= 3: int() truncated 2.5 to log P(X >= 2) = -1.3309
+        # where log P(X >= 3) = -2.5220, and 0.5 to 0.0 where log(1 - 1/e) is due
+        assert poisson_tail_log_prob(k, 1.0) == poisson_tail_log_prob(kk, 1.0)
+        assert poisson_tail_log_prob(k, 1.0) == pytest.approx(poisson.logsf(kk - 1, 1.0),
+                                                              rel=1e-10)
+        assert poisson_tail_log_prob(np.float64(k), 1.0) == poisson_tail_log_prob(kk, 1.0)
+        if k == 0.5:
+            assert poisson_tail_log_prob(k, 1.0) == pytest.approx(np.log(1.0 - np.exp(-1.0)),
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, k):
+        with pytest.raises(ValueError, match="tail level k must be finite"):
+            poisson_tail_log_prob(k, 1.0)
+
     def test_slope_approaches_entropy(self):
         a = 1.2
         gaps = []
@@ -156,6 +173,23 @@ class TestRateI:
         q[1, 2] = np.inf
         with pytest.raises(ValueError, match="infinite"):
             rate_I({("S", "I"): q}, circle_grid(8), 1.0)
+
+    def test_no_channel_rejected(self):
+        # no channels gave a rate of 0.0
+        with pytest.raises(ValueError, match="at least one channel"):
+            rate_I({}, circle_grid(8), 1.0)
+
+    @pytest.mark.parametrize("shapes, named", [
+        ([(11, 5)], r"\(n_t, M\) = \(11, 8\), got \(11, 5\)"),
+        ([(11, 8), (9, 8)], r"\(n_t, M\) = \(11, 8\), got \(9, 8\)"),
+        ([(11,)], r"\(n_t, M\) = \(11, 8\), got \(11,\)"),
+    ], ids=["narrow", "slice-counts-differ", "one-dimensional"])
+    def test_flux_shape_named(self, shapes, named):
+        # a (11, 5) flux on the 8-node grid raised numpy's bare matmul error
+        chans = [("S", "I"), ("I", "S")]
+        fluxes = {c: np.full(shape, 0.5) for c, shape in zip(chans, shapes)}
+        with pytest.raises(ValueError, match=named):
+            rate_I(fluxes, circle_grid(8), 1.0)
 
     def test_constant_tail_slope_consistency(self):
         # the optimal way to realize total mass a over [0,1] is the constant
@@ -282,6 +316,11 @@ class TestSisAction:
         s0 = 0.6 + 0.2 * np.cos(self.grid.nodes)
         nu0 = np.vstack([s0, 1 - s0])
         return evolve(self.grid, self.kernel, self.rates, nu0, T, dt=T / steps)
+
+    @pytest.mark.parametrize("n_t", [0, 1, 2])
+    def test_needs_three_slices(self, n_t):
+        with pytest.raises(ValueError, match="need at least 3 time slices"):
+            sis_action(np.full((n_t, self.grid.M), 0.5), self.params, self.kernel, self.grid, 1.0)
 
     def test_meanfield_path_near_zero(self):
         dens, _ = self._meanfield()
@@ -465,6 +504,36 @@ class TestRateG:
         with pytest.raises(ValueError, match="times"):
             rate_I(fluxes, self.grid, 1.0, times=times)
 
+    @pytest.mark.parametrize("T, shift", [(5.0, 0.0), (0.5, 0.0), (1.0, 3.0), (4.0, 3.0)],
+                             ids=["T-beyond-times", "T-inside-times", "times-on-3-4",
+                                  "times-on-3-4-T-4"])
+    def test_times_must_run_from_zero_to_T(self, T, shift):
+        # with times given, T was read for its sign alone: rate_I and rate_G
+        # gave one value for T = 1, for T = 5 and for times on [3, 4]
+        flux, nu0 = self.meanfield_flux()
+        times = flux.times + shift
+        with pytest.raises(ValueError, match=r"times must run from 0 to T"):
+            rate_G(flux.densities, nu0, self.grid, self.kernel, self.rates, T, times=times)
+        with pytest.raises(ValueError, match=r"times must run from 0 to T"):
+            rate_I(flux.densities, self.grid, T, times=times)
+
+    def test_times_of_evolve_accepted(self):
+        # evolve's times end at dt * steps, within rounding of T; the ends
+        # are held to a relative 1e-9 of T, and a uniform grid gives the
+        # value of the default one
+        for T, steps in ((1.0, 100), (0.3, 70), (3.0, 210)):
+            flux, nu0 = self.meanfield_flux(T=T, steps=steps)
+            assert flux.times[0] == 0.0 and abs(flux.times[-1] - T) <= 1e-9 * T
+            g = rate_G(flux.densities, nu0, self.grid, self.kernel, self.rates, T,
+                       times=flux.times)
+            assert g.finite and float(g) < 1e-6
+            i = rate_I(flux.densities, self.grid, T, times=flux.times)
+            assert i == pytest.approx(rate_I(flux.densities, self.grid, T), rel=1e-12)
+        nudged = flux.times.copy()
+        nudged[-1] *= 1.0 + 1e-10
+        nudged[0] = 1e-10 * T
+        assert rate_I(flux.densities, self.grid, T, times=nudged) == pytest.approx(i, rel=1e-8)
+
     @pytest.mark.parametrize("keys, named", [
         ([("S", "I")], r"missing \[\('I', 'S'\)\]"),
         ([], r"missing \[\('S', 'I'\), \('I', 'S'\)\]"),
@@ -615,6 +684,17 @@ def test_working_memory_independent_of_n_t():
 
 
 class TestContracted:
+    @pytest.mark.parametrize("lam", [np.ones((2, 3)), np.ones((3, 3)), np.ones(2)],
+                             ids=["ragged", "too-many-states", "one-dimensional"])
+    def test_intensity_shape_must_be_k_by_k(self, lam):
+        with pytest.raises(ValueError, match=r"lam must be \(k, k\)"):
+            contracted_node_value(np.array([0.3, -0.3]), lam)
+
+    def test_negative_intensity_rejected(self):
+        lam = np.array([[0.0, 0.8], [-0.1, 0.0]])
+        with pytest.raises(ValueError, match="intensities must be nonnegative"):
+            contracted_node_value(np.array([0.3, -0.3]), lam)
+
     def test_two_state_equals_lagrangian(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
