@@ -20,7 +20,6 @@ from .core_model import (  # noqa: F401
     sis_rates,
 )
 from .graphon import (  # noqa: F401
-    ConvergenceDiagnostic,
     GraphonError,
     GraphonSpec,
     Network,

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import ModelError, NumericalError, SisParams, sis_rates
+from .core_model import ModelError, NumericalError, SisParams, circle_distance, sis_rates
 from .graphon import (
     FAMILIES,
     GraphonError,
@@ -173,6 +173,8 @@ def parse_profile(text, grid, equilibrium):
             raise ConfigError(f"bad cosine profile {text!r}") from None
         return base + amp * np.cos(th)
     if name == "equilibrium":
+        if text != name:
+            raise ConfigError(f"bad equilibrium profile {text!r} (takes no parameters)")
         return equilibrium()
     if name == "bump":
         try:
@@ -182,8 +184,7 @@ def parse_profile(text, grid, equilibrium):
                               "(expected bump:center,width,depth)") from None
         if width <= 0:
             raise ConfigError("bump width must be positive")
-        d = np.abs(th - center)
-        d = np.minimum(d, 2 * np.pi - d)
+        d = circle_distance(th, center)
         return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
     raise ConfigError(f"unknown profile {text!r}")
 

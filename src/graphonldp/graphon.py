@@ -13,9 +13,7 @@ Sampling costs O(N + edges), not O(N^2): each row walks its columns by
 geometric gaps under an envelope (Miller & Hagberg 2011), the constant
 min(1, phi_N * bound) for a bounded kernel or the last clipped pair
 probability for the unbounded rank-1 family, and each proposal is thinned
-to the exact marginals with one kernel evaluation.  For a bounded kernel a
-seed gives other networks, of the same law, than the all-pairs loop and the
-skip over the flat pair index (Batagelj & Brandes 2005) that came before.
+to the exact marginals with one kernel evaluation.
 
 Normalization convention (important, the literature conflates two scales):
 ``phi_N`` here is the *edge-density* scale, so the mean degree is
@@ -268,17 +266,14 @@ class Network:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
-    def csr_row(self, j):
-        return int(self.indptr[j]), int(self.indptr[j + 1])
-
     def degrees(self):
         return np.diff(self.indptr)
 
     def row_dense(self, j):
         """Dense coupling row J[j, :]."""
         out = np.zeros(self.N)
-        lo, hi = self.csr_row(j)
-        out[self.cols[lo:hi]] = self.weights[lo:hi]
+        row = slice(self.indptr[j], self.indptr[j + 1])
+        out[self.cols[row]] = self.weights[row]
         return out
 
 
@@ -300,14 +295,6 @@ def _node_indices(a):
     if a.dtype.kind not in "iu" and not np.all(np.isfinite(a) & (np.floor(a) == a)):
         raise GraphonError("node indices must be integers")
     return a.astype(np.int64, copy=False)
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostic:
-    """Per-node graphon-approximation defects and their average."""
-
-    eta: np.ndarray
-    mean_eta: float
 
 
 def sample_network(spec: GraphonSpec, N, phi_N, seed=0) -> Network:
@@ -346,7 +333,8 @@ def _sample_rows(spec, N, phi_N, x, rng):
     Yields the kept (j, k, sign) triples step by step.
 
     A bounded kernel keeps the envelope q = min(1, phi_N * bound), so q = 1
-    proposes every pair; phi_N |J| > 1 raises ProbabilityOverflowError
+    proposes every pair; a NaN J raises GraphonError naming its pair,
+    phi_N |J| > 1 raises ProbabilityOverflowError
     (:func:`_raise_overflow`), and while q < 1 a |J| above ``spec.bound``
     raises GraphonError, as thinning would under-sample it.  An unbounded
     kernel, which must not increase along a row (the power law is rank 1 and
@@ -373,7 +361,10 @@ def _sample_rows(spec, N, phi_N, x, rng):
         J = np.asarray(spec.kernel(x[rows], x[cols]), dtype=float)
         p = phi_N * np.abs(J)
         if bounded:
-            if np.any(p > 1.0 + 1e-12):
+            if not np.all(p <= 1.0 + 1e-12):  # NaN included
+                if np.isnan(p).any():
+                    i = int(np.argmax(np.isnan(p)))
+                    raise GraphonError(f"kernel ({spec.family}) is NaN at pair ({rows[i]}, {cols[i]})")
                 _raise_overflow(spec, N, phi_N, x)
             above = np.abs(J) > spec.bound + _BOUND_SLACK
             if q < 1.0 and above.any():
@@ -406,8 +397,8 @@ def _raise_overflow(spec, N, phi_N, x):
             raise ProbabilityOverflowError(j, int(ks[i]), float(p[i]))
 
 
-def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic:
-    """Exact per-node graphon defect via the sign trick.
+def eta_diagnostic(network: Network, spec: GraphonSpec):
+    """Exact per-node graphon defects eta, an (N,) array, via the sign trick.
 
     eta_j = sup over test vectors a in {-1,0,1}^N of
     |sum_k (J_jk / phi_N - J(x_j, x_k)) a_k|; the supremum is attained at
@@ -420,7 +411,7 @@ def eta_diagnostic(network: Network, spec: GraphonSpec) -> ConvergenceDiagnostic
     for j in range(network.N):
         d = inv_phi * network.row_dense(j) - np.asarray(spec.kernel(x[j], x), dtype=float)
         eta[j] = np.sum(np.abs(d))
-    return ConvergenceDiagnostic(eta=eta, mean_eta=float(eta.mean()))
+    return eta
 
 
 def max_degree_margin(network: Network, spec: GraphonSpec):

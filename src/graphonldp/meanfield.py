@@ -14,11 +14,11 @@ densities, recorded alongside; their signed sums reproduce the density
 increments exactly (the continuum flux/occupation conservation identity),
 which the tests check to integrator order.
 
-Conventions: the reference measure on the circle is normalized to total
-mass 1 and carried by quadrature weights summing to 1 (periodic trapezoid,
-uniform weights 1/M).  Densities are per-site conditional, so the states
-sum to 1 at every grid node; a node-density rho (uniform 1 on the circle)
-multiplies the weights wherever the node measure kappa enters.
+Conventions: the node measure kappa has total mass 1 and is carried by one
+array of per-node masses, ``SpatialGrid.kappa_weights`` (quadrature weight
+times node density; the periodic trapezoid's uniform 1/M on the circle), so
+it enters every integral exactly once.  Densities are per-site conditional,
+so the states sum to 1 at every grid node.
 """
 
 from __future__ import annotations
@@ -40,35 +40,35 @@ class NormalizationError(NumericalError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Quadrature nodes, weights (sum 1), and node density on the domain,
-    in read-only arrays, so the kernel operator a grid keeps for its last
-    kernel (``_operator``) cannot go stale."""
+    """Quadrature nodes on the domain and the node measure kappa on them: one
+    mass per node (quadrature weight times node density), each > 0, summing
+    to 1; else ValueError.  Both arrays are made read-only, so the kernel
+    operator a grid keeps for its last kernel (``_operator``) cannot go
+    stale."""
 
     nodes: np.ndarray
-    weights: np.ndarray
-    rho: np.ndarray
+    kappa_weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
+        kw = self.kappa_weights
+        if kw.shape != (self.M,):
+            raise ValueError(f"need one kappa weight per node: {kw.shape} for {self.M} nodes")
+        if not np.all(kw > 0):  # NaN included
             raise ValueError("quadrature weights must be positive")
-        if abs(float(np.sum(self.weights * self.rho)) - 1.0) > 1e-9:
+        if abs(float(np.sum(kw)) - 1.0) > 1e-9:
             raise ValueError("grid must carry unit kappa-mass")
-        for arr in (self.nodes, self.weights, self.rho):
+        for arr in (self.nodes, kw):
             arr.setflags(write=False)
 
     @property
     def M(self):
         return len(self.nodes)
 
-    @property
-    def kappa_weights(self):
-        return self.weights * self.rho
-
 
 def circle_grid(M) -> SpatialGrid:
-    """Uniform periodic grid on the circle; trapezoid weights 1/M, rho == 1."""
+    """Uniform periodic grid on the circle; trapezoid kappa-masses 1/M."""
     nodes = TWO_PI * np.arange(M) / M
-    return SpatialGrid(nodes=nodes, weights=np.full(M, 1.0 / M), rho=np.ones(M))
+    return SpatialGrid(nodes=nodes, kappa_weights=np.full(M, 1.0 / M))
 
 
 def kernel_matrix(kernel, grid: SpatialGrid):
@@ -85,10 +85,10 @@ _CIRCULANT_TOL = 1e-13
 class KernelOperator:
     """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
     d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
-    weights, M >= ``_FFT_MIN_M`` and K circulant to round-off (every kernel of
-    x - y on the uniform circle grid) both are circular convolutions by real
-    FFT, O(M log M), from the two spectra alone (K is dropped); otherwise
-    dense products, which stay the oracle."""
+    kappa-masses, M >= ``_FFT_MIN_M`` and K circulant to round-off (every
+    kernel of x - y on the uniform circle grid) both are circular convolutions
+    by real FFT, O(M log M), from the two spectra alone (K is dropped);
+    otherwise dense products, which stay the oracle."""
 
     def __init__(self, K, grid: SpatialGrid):
         self.kw = grid.kappa_weights
@@ -114,28 +114,18 @@ class KernelOperator:
         return self._convolve(x, self._row) if self.fft else x @ self.K
 
 
-class _DenseOperator(KernelOperator):
-    """A caller's (M, M) array, applied by dense products as given: no
-    circulance scan and no max|K| pass, so wrapping it costs O(1) and a call
-    costs the product alone.  Build a KernelOperator once for the FFT path."""
-
-    fft = False
-
-    def __init__(self, K, grid: SpatialGrid):
-        self.K, self.kw = K, grid.kappa_weights
-
-
 def _operator(kernel, grid: SpatialGrid):
-    """The KernelOperator of a GraphonSpec or a bare kernel callable, built
-    once per grid: the grid keeps the last one in a single slot keyed by the
-    kernel object, so ``evolve``, ``rate_G``, ``sis_action`` and the action
-    solve on one (kernel, grid) share it, and another kernel replaces it.  A
-    prebuilt (M, M) array is applied densely as given, and an operator is
-    passed through unchanged."""
+    """The KernelOperator of a kernel on ``grid``: KernelOperator's one
+    FFT-or-dense rule for every input.  An operator passes through, and an
+    (M, M) array is wrapped afresh at each call, as its owner may still write
+    to it.  A GraphonSpec or a bare kernel callable is built once per grid:
+    the grid keeps the last one in a single slot keyed by the kernel object,
+    so ``evolve``, ``rate_G``, ``sis_action`` and the action solve on one
+    (kernel, grid) share it, and another kernel replaces it."""
     if isinstance(kernel, KernelOperator):
         return kernel
     if isinstance(kernel, np.ndarray):
-        return _DenseOperator(kernel, grid)
+        return KernelOperator(kernel, grid)
     slot = grid.__dict__.get("_operator_slot")
     if slot is None or slot[0] is not kernel:
         slot = kernel, KernelOperator(kernel_matrix(getattr(kernel, "kernel", kernel), grid), grid)
@@ -155,10 +145,6 @@ class DensityField:
     def dt(self):
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    @property
-    def horizon(self):
-        return float(self.times[-1])
-
     def state(self, label):
         return self.values[:, self.labels.index(label), :]
 
@@ -167,7 +153,7 @@ class DensityField:
         n = int(round(t / self.dt)) if self.dt else 0
         if not (0 <= n < len(self.times) and abs(self.times[n] - t) <= 1e-9 * self.dt):
             raise ValueError(f"t={t!r} is not a grid time: multiples of dt={self.dt:.6g} "
-                             f"in [0, {self.horizon:.6g}]")
+                             f"in [0, {self.times[-1]:.6g}]")
         return self.values[n]
 
 
@@ -183,10 +169,11 @@ class LimitFlux:
 def field_from_density(grid: SpatialGrid, K, density):
     """Quadrature of w_a(theta_i) = integral J(theta_i, zeta) nu(a, zeta) dmu.
 
-    ``K`` is a KernelOperator or a dense (M, M) array; ``density`` is (M,)
-    or (k, M) and the result has the same shape: the kernel contraction of
-    each row against the kappa-weighted density.  This is the one forward
-    application of K.
+    ``K`` is a GraphonSpec, a kernel callable, an (M, M) array or a
+    KernelOperator, made an operator by ``_operator``'s one rule; ``density``
+    is (M,) or (k, M) and the result has the same shape: the kernel
+    contraction of each row against the kappa-weighted density.  This is
+    the one forward application of K.
     """
     return _operator(K, grid).apply(density)
 
@@ -194,8 +181,8 @@ def field_from_density(grid: SpatialGrid, K, density):
 def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
     """Channel intensities lambda[..., a, b, i] = f_b(theta_i, a, w(theta_i)) nu(a, theta_i)
     of (k, M) densities ``nu`` or a (..., k, M) stack of them, with fields
-    w = K[nu] for a GraphonSpec, kernel callable, (M, M) array or
-    KernelOperator ``kernel``: one field application, and one ``rate_matrix``
+    w = K[nu] for any ``kernel`` that ``field_from_density`` takes (one
+    operator rule for all): one field application, and one ``rate_matrix``
     call per source state on the rows of every slice.  The one product of
     rates and densities: the mean-field drift is its divergence, and the
     coupled rate functional compares fluxes against it."""

@@ -110,9 +110,6 @@ class EmpiricalOccupation:
     def masses(self):
         return self.counts / self.N
 
-    def total_mass(self):
-        return float(self.counts.sum()) / self.N
-
 
 def bin_index(positions, bins):
     """Uniform circular bins [2 pi b / M, 2 pi (b+1) / M)."""

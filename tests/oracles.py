@@ -41,9 +41,9 @@ def local_field(node, network, config, states: StateSpace = SIS_SPACE):
     if not (0 <= node < network.N):
         raise IndexError(f"node {node} out of range for N={network.N}")
     codes = _config_codes(states, config, network.N, "config")
-    lo, hi = network.csr_row(node)
+    row = slice(network.indptr[node], network.indptr[node + 1])
     counts = np.zeros(states.size, dtype=np.int64)
-    np.add.at(counts, codes[network.cols[lo:hi]], network.weights[lo:hi])
+    np.add.at(counts, codes[network.cols[row]], network.weights[row])
     return counts * (1.0 / (network.N * network.phi_N))
 
 

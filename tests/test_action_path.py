@@ -33,7 +33,7 @@ def skewed_case(M, seed=11):
     rng = np.random.default_rng(seed)
     nodes = np.sort(rng.uniform(0.0, 2 * np.pi, M))
     weights, rho = rng.uniform(0.5, 1.5, (2, M))
-    grid = SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho)
+    grid = SpatialGrid(nodes=nodes, kappa_weights=weights / np.sum(weights * rho) * rho)
     return grid, lambda x, y: 1.0 + 0.5 * np.sin(x - y + 0.3)
 
 

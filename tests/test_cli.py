@@ -432,14 +432,23 @@ class TestInputErrors:
         ("sample", "graphon.phi_exponent=1.5", "phi_exponent must lie in (0, 1]"),
         ("sample", "graphon.phi_exponent=0", "phi_exponent must lie in (0, 1]"),
         ("meanfield", "grid.M=8.5", "[grid] M: invalid literal for int()"),
+        ("action", "action.sT=equilibrium:junk", "bad equilibrium profile 'equilibrium:junk'"),
     ], ids=["family", "cosine-profile", "bump-width", "bump-width-action", "profile",
-            "phi-exponent-high", "phi-exponent-zero", "non-integer-M"])
+            "phi-exponent-high", "phi-exponent-zero", "non-integer-M", "equilibrium-suffix"])
     def test_bad_model_setting_named(self, tmp_path, capsys, command, setting, message):
         # the setting comes last, so that it overrides the small sizes
         code, _ = run(tmp_path, command, "graphon.N=40", "grid.M=8", "grid.steps=10", setting)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+    def test_bump_centre_wraps_around_the_circle(self):
+        # the dip repeats every 2 pi: the distance to the centre wraps
+        grid = cli.circle_grid(16)
+        base = functools.partial(np.full, 16, 0.9)
+        far = cli.parse_profile("bump:10,0.8,0.2", grid, base)
+        near = cli.parse_profile(f"bump:{10 - 2 * np.pi!r},0.8,0.2", grid, base)
+        assert np.max(np.abs(far - near)) <= 1e-12
 
 
 class TestRate:

@@ -38,14 +38,24 @@ class TestGrid:
     def test_rejects_bad_mass(self):
         from graphonldp.meanfield import SpatialGrid
         with pytest.raises(ValueError):
-            SpatialGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.7, 0.7]),
-                        rho=np.ones(2))
+            SpatialGrid(nodes=np.array([0.0, 1.0]), kappa_weights=np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("M, weights", [(3, [0.5, 0.5]), (2, [0.5, 0.3, 0.2]),
+                                            (2, [[0.5, 0.5]])])
+    def test_rejects_weights_not_one_per_node(self, M, weights):
+        # a 2-long measure on 3 nodes once gave a grid of M = 3
+        with pytest.raises(ValueError, match="one kappa weight per node"):
+            SpatialGrid(nodes=np.arange(float(M)), kappa_weights=np.array(weights))
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="quadrature weights must be positive"):
+            SpatialGrid(nodes=np.arange(3.0), kappa_weights=np.array([0.5, 0.5, np.nan]))
 
     @pytest.mark.parametrize("weights", [[1.5, -0.5], [1.0, 0.0]])
     def test_rejects_non_positive_weight(self, weights):
         # unit kappa-mass holds for both; the weight check alone rejects them
         with pytest.raises(ValueError, match="quadrature weights must be positive"):
-            SpatialGrid(nodes=np.array([0.0, 1.0]), weights=np.array(weights), rho=np.ones(2))
+            SpatialGrid(nodes=np.array([0.0, 1.0]), kappa_weights=np.array(weights))
 
 
 class TestFieldFromDensity:
@@ -62,14 +72,14 @@ class TestFieldFromDensity:
         rng = np.random.default_rng(3)
         nodes = np.sort(rng.uniform(0.0, 2 * np.pi, 12))
         weights, rho = rng.uniform(0.5, 1.5, (2, 12))
-        grid = SpatialGrid(nodes=nodes, weights=weights / np.sum(weights * rho), rho=rho)
+        grid = SpatialGrid(nodes=nodes, kappa_weights=weights / np.sum(weights * rho) * rho)
 
         def kernel(x, y):
             return 1.0 + 0.5 * np.sin(x - y + 0.3)
 
         K = kernel_matrix(kernel, grid)
         dens = rng.uniform(0.0, 1.0, (2, grid.M))
-        kw = grid.weights * grid.rho
+        kw = grid.kappa_weights
         explicit = np.array([[sum(kernel(grid.nodes[i], grid.nodes[j]) * dens[a, j] * kw[j]
                                   for j in range(grid.M)) for i in range(grid.M)]
                              for a in range(2)])
@@ -134,8 +144,7 @@ class TestKernelOperator:
 
         uniform = circle_grid(1024)
         weights = 1.0 + 0.5 * np.cos(uniform.nodes)
-        skewed_weights = SpatialGrid(nodes=uniform.nodes, weights=weights / weights.sum(),
-                                     rho=np.ones(uniform.M))
+        skewed_weights = SpatialGrid(nodes=uniform.nodes, kappa_weights=weights / weights.sum())
         assert dense_taken(skewed_weights, kernel_matrix(skewed_kernel, skewed_weights))
 
         moved = kernel_matrix(skewed_kernel, uniform)
@@ -172,20 +181,31 @@ class TestKernelOperator:
             decisions.append(op.fft)
         assert decisions == [True, True, True, True, True, False]
 
-    def test_array_kernel_applied_densely_as_given(self):
-        # a bare array is neither scanned for circulance nor copied: the
-        # call is the dense product itself, bit for bit, on any grid
-        from graphonldp.meanfield import _operator
+    def test_array_kernel_takes_the_one_rule(self):
+        # a bare array is an operator by KernelOperator's own FFT-or-dense
+        # test, as every other kernel input is; an operator passes through
+        from graphonldp.meanfield import _FFT_MIN_M, _operator
 
-        grid = circle_grid(1024)
-        K = kernel_matrix(small_world_kernel(0.9, 0.1, 0.5).kernel, grid)
-        op = _operator(K, grid)
-        assert not op.fft and op.K is K
-        kw = grid.kappa_weights
-        dens = np.random.default_rng(7).uniform(0.0, 1.0, (2, grid.M))
-        assert np.array_equal(field_from_density(grid, K, dens), (dens * kw) @ K.T)
-        assert np.array_equal(op.apply_T(dens), (dens * kw) @ K)
-        assert _operator(op, grid) is op
+        uniform, coarse = circle_grid(1024), circle_grid(_FFT_MIN_M - 1)
+        circulant = kernel_matrix(small_world_kernel(0.9, 0.1, 0.5).kernel, uniform)
+        perturbed = circulant.copy()
+        perturbed[7, 400] += 1e-6
+        weights = 1.0 + 0.5 * np.cos(uniform.nodes)
+        skewed = SpatialGrid(nodes=uniform.nodes, kappa_weights=weights / weights.sum())
+        cases = [(circulant, uniform), (perturbed, uniform),
+                 (kernel_matrix(skewed_kernel, skewed), skewed),
+                 (kernel_matrix(skewed_kernel, coarse), coarse)]
+        decisions = []
+        for K, grid in cases:
+            op = _operator(K, grid)
+            assert op.fft == KernelOperator(K, grid).fft
+            assert _operator(op, grid) is op
+            kw = grid.kappa_weights
+            dens = np.random.default_rng(7).uniform(0.0, 1.0, (2, grid.M))
+            assert np.max(np.abs(field_from_density(grid, K, dens) - (dens * kw) @ K.T)) <= 1e-12
+            assert np.max(np.abs(op.apply_T(dens) - (dens * kw) @ K)) <= 1e-12
+            decisions.append(op.fft)
+        assert decisions == [True, False, False, False]
 
     def test_evolve_fft_matches_dense(self, monkeypatch):
         import graphonldp.meanfield as mf
@@ -490,7 +510,7 @@ class TestOperatorSlot:
 
     def test_grid_arrays_read_only(self):
         grid = circle_grid(8)
-        for arr in (grid.nodes, grid.weights, grid.rho):
+        for arr in (grid.nodes, grid.kappa_weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0

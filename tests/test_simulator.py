@@ -398,7 +398,7 @@ class TestOccupation:
         traj = self.make_traj()
         for t in (0.0, 0.7, 2.5):
             occ = occupation_at(traj, t, bins=8)
-            assert occ.total_mass() == pytest.approx(1.0)
+            assert occ.masses.sum() == pytest.approx(1.0)
 
     def test_replay_matches_bruteforce_recount(self):
         traj = self.make_traj()
