@@ -27,8 +27,6 @@ from .graphon import (  # noqa: F401
     constant_kernel,
     cosine_kernel,
     density_from_degree_exponent,
-    eta_diagnostic,
-    max_degree_margin,
     power_law_kernel,
     read_network,
     sample_network,
@@ -49,16 +47,12 @@ from .meanfield import (  # noqa: F401
 from .rate_function import (  # noqa: F401
     RateValue,
     channel_intensities,
-    contracted_L,
-    contracted_node_value,
     ell,
     poisson_tail_log_prob,
     rate_G,
-    rate_I,
     sis_A,
     sis_action,
     sis_lagrangian,
-    sis_lagrangian_bruteforce,
 )
 from .simulator import (  # noqa: F401
     EmpiricalFlux,
@@ -78,6 +72,5 @@ from .action_path import (  # noqa: F401
     discrete_action,
     el_operators,
     el_residual,
-    frechet_lambda,
     minimize_action,
 )

@@ -168,17 +168,9 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
 
 
 def _frechet_lambda(s, x, W, beta, Km):
-    """``frechet_lambda`` given the field W = K[1 - s] and the operator Km."""
+    """Frechet derivative of lam = beta s K[1 - s] in direction x, given the
+    field W = K[1 - s] and the operator Km: x beta W - beta s K[x]."""
     return x * beta * W - beta * s * Km.apply(x)
-
-
-def frechet_lambda(s, x, params, kernel, grid):
-    """Frechet derivative of the infection intensity in direction x:
-    x(theta) beta int J(theta, z)(1 - s(z)) dmu - beta s(theta) int J(theta, z) x(z) dmu."""
-    Km = _operator(kernel, grid)
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return _frechet_lambda(s, x, _sis_field(s, grid, Km, params.beta)[0], params.beta, Km)
 
 
 def el_residual(path, params, kernel, grid, horizon):
@@ -286,19 +278,21 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     on non-positive curvature, which includes a direction that leaves the box
     at once (then the first step is the preconditioned gradient); Armijo
     backtracking follows, and the accepted trial's gradient is kept.  A
-    non-finite gradient stops the solve.  Returns the last iterate, its f
-    and g, and the solve's diagnostics entries (``action_history``: f after
-    each accepted step)."""
+    non-finite gradient or preconditioned gradient stops the solve.  Returns
+    the last iterate, its f and g, and the solve's diagnostics entries
+    (``action_history``: f after each accepted step)."""
     x, (f, g) = x0, fun(x0)
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
     while not np.max(np.abs(g)) <= gtol and nit < maxiter:
         if not np.all(np.isfinite(g)):
             message = "non-finite gradient"
             break
-        solve, gnorm = precondition(x), np.linalg.norm(g)
-        d, r = np.zeros_like(x), -g
+        solve, d, r = precondition(x), np.zeros_like(x), -g
         p = z = solve(r)
-        rz = r @ z
+        if not np.all(np.isfinite(z)):  # the preconditioner overflowed, at a dt near the float range
+            message = "non-finite Newton direction"
+            break
+        gnorm, rz = np.linalg.norm(g), r @ z
         for j in range(_CG_MAX):
             size = np.max(np.abs(p))
             h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi)) if size > 0.0 else 0.0
@@ -381,14 +375,16 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         A node whose every interval has D = 0 gets a zero step."""
         _, sides = _interval_sides(unpack(x), params, Km, grid, dt)
         D_lo, D_hi = (A + B for _, (A, B, _) in sides)
-        with np.errstate(invalid="ignore"):
+        # at a dt near the float range inv and q overflow, and _newton_cg stops
+        with np.errstate(over="ignore", invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
-        total = inv.sum(axis=0)
+            total = inv.sum(axis=0)
 
         def solve(r):
-            q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
-            q -= np.divide((q * inv).sum(axis=0), total, out=np.zeros(M), where=total > 0)
-            return np.cumsum(q * inv, axis=0)[:-1].ravel()
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
+                q -= np.divide((q * inv).sum(axis=0), total, out=np.zeros(M), where=total > 0)
+                return np.cumsum(q * inv, axis=0)[:-1].ravel()
         return solve
 
     x, f, g, stats = _newton_cg(fun, start[1:-1].ravel(), lo, hi, precondition, opts.max_iters, tol)

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import sys
 from pathlib import Path
@@ -443,7 +444,7 @@ def cmd_rate(cp, out):
     spec, params, grid, rates, equilibrium = _model(cp)
     T = _f(cp, "grid", "T", positive=True)
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
-                                     T, _i(cp, "grid", "steps", least=1))
+                                     T, _i(cp, "grid", "steps", least=2))  # sis_action: 3 slices
     g = rate_G(flux.densities, dens.values[0], grid, spec, rates, T, times=flux.times)
     act = sis_action(dens.state("S"), params, spec, grid, T)
     report = [
@@ -490,6 +491,9 @@ def cmd_ldp_check(cp, out):
     if a <= 1.0:
         raise ConfigError("tail level a must exceed 1")
     Ns = _sizes(cp, "ldp_check", "N_values")
+    log_k = math.log(a) + math.log(max(Ns))  # in logs: k = a N and the tail's log k! ~ k log k
+    if log_k + math.log(log_k) >= math.log(sys.float_info.max):
+        raise ConfigError(f"tail level a = {a!r} with N up to {max(Ns)}: a N log(a N) overflows")
     limit = -float(ell(a))
     rows = []
     for N in Ns:

@@ -125,6 +125,7 @@ class RateFamily:
     """
 
     states: StateSpace
+    # no src/ code reads these four; only bench/tracing.py copies them: next benchmark change, delete
     lower_bound: float
     upper_bound: float
     lipschitz: float

@@ -266,16 +266,6 @@ class Network:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
-    def degrees(self):
-        return np.diff(self.indptr)
-
-    def row_dense(self, j):
-        """Dense coupling row J[j, :]."""
-        out = np.zeros(self.N)
-        row = slice(self.indptr[j], self.indptr[j + 1])
-        out[self.cols[row]] = self.weights[row]
-        return out
-
 
 def _check_scalars(N, phi_N):
     """GraphonError unless N is an integer >= 1 with 3 N^2 < 2^63, so that a
@@ -395,35 +385,6 @@ def _raise_overflow(spec, N, phi_N, x):
         if np.any(p > 1.0 + 1e-12):
             i = int(np.argmax(p))
             raise ProbabilityOverflowError(j, int(ks[i]), float(p[i]))
-
-
-def eta_diagnostic(network: Network, spec: GraphonSpec):
-    """Exact per-node graphon defects eta, an (N,) array, via the sign trick.
-
-    eta_j = sup over test vectors a in {-1,0,1}^N of
-    |sum_k (J_jk / phi_N - J(x_j, x_k)) a_k|; the supremum is attained at
-    a_k = sign(J_jk / phi_N - J(x_j, x_k)), so it equals the L1 row norm of
-    the defect and is computed exactly.
-    """
-    x = network.positions
-    eta = np.empty(network.N)
-    inv_phi = 1.0 / network.phi_N
-    for j in range(network.N):
-        d = inv_phi * network.row_dense(j) - np.asarray(spec.kernel(x[j], x), dtype=float)
-        eta[j] = np.sum(np.abs(d))
-    return eta
-
-
-def max_degree_margin(network: Network, spec: GraphonSpec):
-    """Ratio of observed max degree to the expected scale C_J * N * phi_N.
-
-    The expected-degree bound lives on the N * phi_N scale under the
-    density convention; callers assert this ratio <= 3 (sampling margin).
-    """
-    scale = spec.bound * network.N * network.phi_N
-    if not np.isfinite(scale) or scale <= 0:
-        return np.nan
-    return float(network.degrees().max(initial=0) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,16 @@ class NormalizationError(NumericalError):
 class SpatialGrid:
     """Quadrature nodes on the domain and the node measure kappa on them: one
     mass per node (quadrature weight times node density), each > 0, summing
-    to 1; else ValueError.  Both arrays are made read-only, so the kernel
-    operator a grid keeps for its last kernel (``_operator``) cannot go
-    stale."""
+    to 1; else ValueError.  The grid holds read-only float copies of both
+    (the caller's arrays stay as they were), so the kernel operator a grid
+    keeps for its last kernel (``_operator``) cannot go stale."""
 
     nodes: np.ndarray
     kappa_weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("nodes", "kappa_weights"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         kw = self.kappa_weights
         if kw.shape != (self.M,):
             raise ValueError(f"need one kappa weight per node: {kw.shape} for {self.M} nodes")

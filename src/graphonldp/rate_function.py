@@ -4,13 +4,9 @@ Everything is built from the Poisson entropy cell
 
     ell(a) = a log a - a + 1,        ell(0) = 1,  0 log 0 = 0,
 
-which is nonnegative, strictly convex, and vanishes only at a = 1.
+which is nonnegative, strictly convex, and vanishes only at a = 1.  The
+module evaluates
 
-Three levels of rate function are evaluated:
-
-* ``rate_I`` - the uncoupled functional: space-time integral of ell of the
-  flux density against the node measure.  Its exact finite-N counterpart is
-  the Poisson tail computed by :func:`poisson_tail_log_prob`.
 * ``rate_G`` - the coupled functional: ell of flux over its own
   state-consistent intensity, with occupation and fields reconstructed from
   the fluxes themselves so inconsistent inputs cannot sneak in.  The
@@ -18,8 +14,10 @@ Three levels of rate function are evaluated:
   the builder the limiting dynamics use, so the functional is zero exactly
   on them.
 * the two-state (SIS) contraction: the per-point Lagrangian L(sdot, s) with
-  its closed-form inner minimizer A(sdot, s), plus the general small-state
-  contraction solved as a convex program per grid node.
+  its closed-form inner minimizer A(sdot, s).
+* :func:`poisson_tail_log_prob`, the exact finite-N counterpart of the
+  uncoupled functional ``rate_I``.  That functional and the general
+  small-state contraction are test yardsticks, in ``tests/oracles.py``.
 
 Every closed form sums the cell lam ell(p / lam) of :func:`ell_scaled` over
 reaction channels.  The cell is +inf exactly where a zero intensity meets
@@ -168,20 +166,6 @@ def _time_grid(times, T, n_t):
     return tt
 
 
-def rate_I(flux_densities, grid, T, times=None):
-    """Uncoupled rate functional: sum over channels of iint ell(p) dkappa dt.
-
-    ``flux_densities`` maps channel -> (n_t, M) nonnegative density arrays,
-    n_t >= 2, M = ``grid.M``, at least one channel, sampled on a uniform time
-    grid over [0, T] or at explicit ``times`` (see :func:`_time_grid`):
-    ValueError otherwise.
-    Time integration is trapezoidal; space is the grid's kappa quadrature.
-    """
-    fluxes, n_t = _checked_fluxes(flux_densities, grid.M)
-    tt = _time_grid(times, T, n_t)
-    return sum(float(_trapezoid(ell(p) @ grid.kappa_weights, tt)) for p in fluxes.values())
-
-
 #: How far a density may leave [0, 1]: the occupation reconstructed by
 #: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
 _DENSITY_TOL = 1e-6
@@ -191,8 +175,9 @@ _CHUNK = 128
 
 
 def _occupation_stacks(flux_densities, nu0, labels, times):
-    """(n0, nu[n0 : n0 + _CHUNK]) for n0 = 0, _CHUNK, ...: the occupation of
-    :func:`reconstruct_occupation`, its running total carried across stacks."""
+    """(n0, nu[n0 : n0 + _CHUNK]) for n0 = 0, _CHUNK, ...: the occupation
+    nu_t(a) = nu_0(a) + int_0^t sum_{b != a} (p_{b->a} - p_{a->b}) ds by the
+    cumulative trapezoid, its running total carried across stacks."""
     nu0 = np.asarray(nu0, dtype=float)
     total = np.zeros(nu0.shape)
     for n0 in range(0, len(times), _CHUNK):
@@ -207,19 +192,6 @@ def _occupation_stacks(flux_densities, nu0, labels, times):
             np.add(total, nu0, out=nu[n - n0])
             prev = rate
         yield n0, nu
-
-
-def reconstruct_occupation(flux_densities, nu0, labels, times):
-    """Occupation densities from initial value plus net time-integrated flux.
-
-    nu_t(a) = nu_0(a) + int_0^t sum_{b != a} (p_{b->a} - p_{a->b}) ds,
-    cumulative-trapezoid in time, accumulated one slice at a time in the
-    order of a cumulative sum over slices.  Returns (n_t, k, M).
-    """
-    nu = np.empty((len(times),) + np.shape(nu0))
-    for n0, stack in _occupation_stacks(flux_densities, nu0, labels, times):
-        nu[n0:n0 + len(stack)] = stack
-    return nu
 
 
 def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
@@ -338,6 +310,7 @@ def sis_lagrangian(sdot, s_local, lam, alpha):
     return ell_scaled(A, lam) + ell_scaled(B, up)
 
 
+# here only for bench/checks.py's import; the next benchmark change can move it to tests/oracles.py
 def sis_lagrangian_bruteforce(sdot, s_local, lam, alpha):
     """Independent convex-minimization oracle for the SIS Lagrangian.
 
@@ -424,87 +397,3 @@ def sis_action(path, params, kernel, grid, T):
     if where:
         return RateValue(np.inf, finite=False, where=where)
     return RateValue(float(_trapezoid(space, dx=dt)))
-
-
-# ---------------------------------------------------------------------------
-# contracted rate function on small state spaces
-
-class InfeasibleRateError(ValueError):
-    """Requested occupation rate of change violates mass conservation."""
-
-
-def contracted_node_value(r, lam):
-    """Minimal Poisson cost of fluxes realizing occupation change r.
-
-    Solves   min sum_{a != b} lam_ab ell(q_ab / lam_ab)
-             s.t. q >= 0,  r_z = sum_{a != z} (q_az - q_za)
-    by Newton iteration on the concave dual (at most 100 steps, to a flow
-    residual of 1e-12 times the problem's scale): the optimal flux is
-    q_ab = lam_ab exp(u_b - u_a) for node potentials u, and the potentials
-    solve the flow-matching equations.  Requires sum(r) = 0 and positive
-    intensities on enough channels to make r reachable.
-    """
-    r = np.asarray(r, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    k = len(r)
-    if lam.shape != (k, k):
-        raise ValueError("lam must be (k, k)")
-    if np.any(lam < 0):
-        raise ValueError("intensities must be nonnegative")
-    scale = max(1.0, float(np.max(lam)), float(np.max(np.abs(r))))
-    if abs(float(r.sum())) > 1e-9 * scale:
-        raise InfeasibleRateError(f"sum of rates must vanish, got {r.sum():.3g}")
-    lam = lam.copy()
-    np.fill_diagonal(lam, 0.0)
-
-    u = np.zeros(k)
-
-    def flows(u):
-        E = np.exp(u[None, :] - u[:, None])
-        return lam * E  # q_ab
-
-    for _ in range(100):
-        q = flows(u)
-        F = q.sum(axis=0) - q.sum(axis=1) - r  # net inflow minus target
-        if np.max(np.abs(F)) <= 1e-12 * scale:
-            break
-        # Jacobian dF_z/du_y: diagonal q_in+q_out, off-diagonal -(q_zy+q_yz)
-        Jd = q.sum(axis=0) + q.sum(axis=1)
-        Jac = -(q + q.T)
-        np.fill_diagonal(Jac, Jd)
-        # gauge: potentials defined up to a constant; pin u_0
-        try:
-            step = np.linalg.solve(Jac[1:, 1:], -F[1:])
-        except np.linalg.LinAlgError:
-            raise InfeasibleRateError("dual system singular: r unreachable for given intensities")
-        full = np.zeros(k)
-        full[1:] = step
-        # damped update guarding against overflow of the exponentials
-        t = 1.0
-        base = np.max(np.abs(F))
-        for _ in range(60):
-            q2 = flows(u + t * full)
-            F2 = q2.sum(axis=0) - q2.sum(axis=1) - r
-            if np.all(np.isfinite(F2)) and np.max(np.abs(F2)) < base:
-                break
-            t *= 0.5
-        u = u + t * full
-    else:
-        raise InfeasibleRateError("dual Newton failed to converge")
-    return float(np.sum(ell_scaled(flows(u), lam)))
-
-
-def contracted_L(r_fields, intensities, grid):
-    """Grid-level contracted rate integrand: kappa-quadrature of node values.
-
-    ``r_fields`` is (k, M) per-state occupation rates of change (summing to
-    zero per node); ``intensities`` is (k, k, M) per-channel values
-    lambda_ab(theta_i) = f_b(theta_i, a, w) nu(a, theta_i), assembled by
-    :func:`channel_intensities`.
-    """
-    r_fields = np.asarray(r_fields, dtype=float)
-    k, M = r_fields.shape
-    vals = np.empty(M)
-    for i in range(M):
-        vals[i] = contracted_node_value(r_fields[:, i], intensities[:, :, i])
-    return float(vals @ grid.kappa_weights)

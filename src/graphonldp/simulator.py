@@ -83,6 +83,7 @@ class EmpiricalFlux:
     horizon: float
     atoms: dict  # (from_label, to_label) -> (times, nodes, positions)
 
+    # read only by bench/checks.py; the next benchmark change can delete it
     def channel_mass(self, from_label, to_label):
         ch = self.atoms.get((from_label, to_label))
         return 0.0 if ch is None else len(ch[0]) / self.N

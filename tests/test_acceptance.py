@@ -20,7 +20,6 @@ from graphonldp.graphon import (
 )
 from graphonldp.meanfield import circle_grid, endemic_equilibrium, evolve, kernel_matrix
 from graphonldp.rate_function import (
-    contracted_node_value,
     ell,
     poisson_tail_log_prob,
     rate_G,
@@ -41,7 +40,7 @@ from graphonldp.action_path import (
 )
 from graphonldp.cli import compare_deviations, load_config
 
-from oracles import ConstantRates, contracted_node_bruteforce
+from oracles import ConstantRates, contracted_node_bruteforce, contracted_node_value
 
 PARAMS = SisParams(beta=2.0, alpha=1.0)
 

@@ -203,14 +203,14 @@ class TestElFrechet:
         assert np.all(ops.degenerate)
 
     def test_zero_kernel_frechet_lambda_vanishes(self):
-        from graphonldp.action_path import frechet_lambda
+        from oracles import frechet_lambda
         s = np.full(self.grid.M, 0.5)
         x = np.cos(self.grid.nodes)
         d = frechet_lambda(s, x, PARAMS, constant_kernel(0.0), self.grid)
         assert np.allclose(d, 0.0)
 
     def test_frechet_helpers_match_fd(self):
-        from graphonldp.action_path import frechet_lambda
+        from oracles import frechet_lambda
         from graphonldp.rate_function import sis_A
         rng = np.random.default_rng(8)
         s = 0.5 + 0.2 * np.cos(self.grid.nodes)
@@ -228,7 +228,7 @@ class TestElFrechet:
         assert np.max(np.abs(fd_A - an_A) / (1 + np.abs(an_A))) < 1e-6
 
     def test_delta_fields_are_velocity_direction_frechets(self):
-        from graphonldp.action_path import frechet_lambda
+        from oracles import frechet_lambda
         s = 0.5 + 0.15 * np.cos(self.grid.nodes)
         sdot = 0.2 * np.sin(self.grid.nodes) - 0.05
         ops = el_operators(sdot, s, PARAMS, self.kernel, self.grid)
@@ -292,7 +292,7 @@ class TestDiscreteAction:
         # (exactly: a factor 2 rounds the same), which an inline copy of the
         # formula would not see
         from graphonldp import action_path, meanfield, rate_function
-        from graphonldp.action_path import frechet_lambda
+        from oracles import frechet_lambda
         from graphonldp.meanfield import sis_drift
         from graphonldp.rate_function import sis_action
 
@@ -426,6 +426,23 @@ class TestMinimizeAction:
         assert np.array_equal(x, x0)
         assert diag["iters"] == 0 and diag["cg_iters"] == 1
         assert "(line search failed)" in diag["warning"] and not diag["converged"]
+
+    def test_non_finite_preconditioned_gradient_stops_before_a_trial_step(self):
+        # an overflowed preconditioner (a horizon near the float range) gives a
+        # NaN direction; min(1, nan) once made its first trial step 1
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return 0.5 * float(x @ x), x.copy()
+
+        x0 = np.full(3, 0.5)
+        x, f, _, diag = _newton_cg(fun, x0, np.zeros(3), np.ones(3),
+                                   precondition=lambda x: lambda r: np.full_like(r, np.nan),
+                                   maxiter=5, gtol=1e-9)
+        assert len(calls) == 1 and np.array_equal(x, x0) and f == 0.375
+        assert diag["iters"] == 0 and diag["grad_evals"] == 1 and not diag["converged"]
+        assert "(non-finite Newton direction)" in diag["warning"]
 
     def test_descent_and_convergence(self):
         grid = circle_grid(16)

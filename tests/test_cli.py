@@ -463,6 +463,15 @@ class TestRate:
             assert r["value"] < r["tolerance"]
             assert set(r["grid"]) == {"M", "dt"}
 
+    def test_two_time_slices_rejected(self, tmp_path, capsys):
+        # one step gives sis_action two slices where it needs three: it raised
+        # ValueError (exit 1); meanfield still runs at one step
+        code, _ = run(tmp_path, "rate", "grid.M=8", "grid.steps=1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[grid] steps must be at least 2, got 1" in err and "Traceback" not in err
+        assert run(tmp_path, "meanfield", "grid.M=8", "grid.steps=1")[0] == 0
+
     def test_infinite_rate_written_as_strict_json(self, tmp_path, monkeypatch):
         # the +inf marker of rate_G becomes null in rate.json; no JSON file of
         # the run holds a bare NaN or Infinity
@@ -556,6 +565,16 @@ class TestAction:
         assert diag["grad_norm"] is None and diag["el_residual_max"] is None
         assert diag["iters"] == 0 and diag["grad_evals"] == 1
 
+    def test_horizon_near_the_float_range_stops_without_a_trial_step(self, tmp_path, capsys):
+        # at dt ~ 1e307 the preconditioner overflows: its NaN direction once had a
+        # line-search trial leave the box, and _sis_split raised (exit 1)
+        code, out = run(tmp_path, "action", "grid.T=1e308", "grid.M=8", "grid.K=10")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "(non-finite Newton direction)" in err and "Traceback" not in err
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["iters"] == 0 and diag["grad_evals"] == 1 and diag["converged"] is False
+
     @pytest.mark.parametrize("setting", ["action.max_iters=0", "action.max_iters=-5",
                                          "action.tol_grad=0", "action.tol_grad=nan",
                                          "action.tol_grad=-1e-6", "action.tol_grad=inf"])
@@ -611,6 +630,21 @@ class TestLdpCheck:
     def test_tail_level_validated(self, tmp_path):
         code, _ = run(tmp_path, "ldp-check", "ldp_check.a=0.9")
         assert code == 2
+
+    @pytest.mark.parametrize("a", ["1e308", "1e305", "5e304"])
+    def test_tail_level_beyond_the_float_range_rejected(self, tmp_path, capsys, a):
+        # a N overflowed int(ceil(.)) at 1e308; at 5e304 a N and ell(a) are
+        # finite, but log k! of k = a N is not (math.lgamma raised)
+        code, _ = run(tmp_path, "ldp-check", f"ldp_check.a={a}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "overflows" in err and "Traceback" not in err
+
+    def test_largest_tail_levels_still_run(self, tmp_path):
+        code, out = run(tmp_path, "ldp-check", "ldp_check.a=1e300")
+        assert code == 0
+        rows = json.loads((out / "ldp_check.json").read_text())["rows"]
+        assert all(np.isfinite(r["slope"]) and np.isfinite(r["limit"]) for r in rows)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

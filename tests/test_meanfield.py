@@ -57,6 +57,26 @@ class TestGrid:
         with pytest.raises(ValueError, match="quadrature weights must be positive"):
             SpatialGrid(nodes=np.array([0.0, 1.0]), kappa_weights=np.array(weights))
 
+    def test_caller_arrays_stay_writeable(self):
+        # the grid keeps read-only copies; the arrays it was given stay the caller's
+        nodes, weights = np.array([0.0, 1.0, 2.0]), np.full(3, 1.0 / 3.0)
+        grid = SpatialGrid(nodes=nodes, kappa_weights=weights)
+        assert nodes.flags.writeable and weights.flags.writeable
+        weights[0] = 0.5
+        nodes[0] = 9.0
+        assert grid.kappa_weights[0] == 1.0 / 3.0 and grid.nodes[0] == 0.0
+        assert not grid.nodes.flags.writeable and not grid.kappa_weights.flags.writeable
+
+    def test_lists_make_the_same_grid(self):
+        # a list was read for its .shape and raised AttributeError
+        want = circle_grid(4)
+        grid = SpatialGrid(nodes=want.nodes.tolist(), kappa_weights=[0.25] * 4)
+        assert grid.nodes.dtype == float and grid.M == 4
+        assert np.array_equal(grid.nodes, want.nodes)
+        assert np.array_equal(grid.kappa_weights, want.kappa_weights)
+        with pytest.raises(ValueError):
+            SpatialGrid(nodes=[0.0, 1.0], kappa_weights=["half", "half"])
+
 
 class TestFieldFromDensity:
     def test_constant_kernel_constant_density(self):

@@ -9,16 +9,11 @@ from graphonldp.meanfield import circle_grid, evolve, kernel_matrix
 from graphonldp.rate_function import (
     _CHUNK,
     _sis_split,
-    InfeasibleRateError,
     channel_intensities,
-    contracted_L,
-    contracted_node_value,
     ell,
     ell_scaled,
     poisson_tail_log_prob,
     rate_G,
-    rate_I,
-    reconstruct_occupation,
     sis_A,
     sis_action,
     sis_lagrangian,
@@ -26,7 +21,14 @@ from graphonldp.rate_function import (
     sis_lambda_field,
 )
 
-from oracles import contracted_node_bruteforce
+from oracles import (
+    InfeasibleRateError,
+    contracted_L,
+    contracted_node_bruteforce,
+    contracted_node_value,
+    rate_I,
+    reconstruct_occupation,
+)
 
 
 class TestEll:
