@@ -12,19 +12,31 @@ The field W = K[1 - s] and the infection intensity lam = beta s W come
 from one function, ``meanfield._sis_field``; every SIS consumer reads it,
 ``sis_lambda_field`` included.  The Lagrangian is an infimum over the flux
 split: infection flux A = ``sis_A`` and recovery flux B with B - A = sdot
-and A B = lam up, up = alpha (1 - s), so D = A + B = sqrt(sdot^2 + 4 lam
-up).  One function forms that split, ``rate_function._sis_split``: B =
-max(lam up, 0) / A where sdot < 0 and sdot + A elsewhere.
-``_interval_sides`` forms W and each interval side's (lam, split) at the
-forward velocity, once per call of the discrete action and of the Newton
-preconditioner, which both read it; ``sis_lagrangian`` and the
-Euler-Lagrange operators read the split too, and by the envelope theorem
-every derivative is a function of it:
+and A B = c = max(lam up, 0), up = alpha (1 - s), so D = A + B = sqrt(sdot^2
++ 4 c).  One function forms that split, ``rate_function._sis_split``, and
+returns D with it; ``sis_lagrangian`` and the Euler-Lagrange operators read
+it, and by the envelope theorem every derivative is a function of it:
 
     dL/dsdot = log(B / up),   d2L/dsdot2 = 1 / D,
     dA/dsdot = -A / D,        d2A/dsdot2 = 2 A B / D^3,
     M = dL/dlam = 1 - up / B, N = dL/ds at fixed lam = -alpha (1 - B / up),
     O = delta_A / B + alpha sdot / up.
+
+Since A B = lam up at the split, L is the Legendre transform of the
+Hamiltonian H = D - lam - up at the momentum p = dL/dsdot:
+
+    L = sdot p - H,   p = log(B / up) = log(lam / A),
+
+the two forms of p agreeing wherever lam up > 0.  The discrete action reads
+each cell that way, with p = log(lam / A) where sdot < 0 (finite at s = 1,
+where B = up = 0) and log(B / up) elsewhere, and sdot p = 0 where sdot = 0.
+Per path, ``_interval_sides`` forms W, lam, up, c and the [0, 1] range check
+once on the (K + 1, M) slices and the forward velocity v; per interval side
+(low at s_n, high at s_{n+1}) it forms only the velocity half of the split,
+A, B and D.  Per side the objective then forms r = B / up and p once; r
+gives M = 1 - 1 / r and N = -alpha (1 - r), p the cells and the gradient's
+velocity route.  The Newton preconditioner reads the D of the evaluation
+made at its iterate.
 
 Nothing is floored: every field is the exact envelope derivative wherever
 B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
@@ -46,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meanfield import _operator, _sis_field
-from .rate_function import _sis_split, ell_scaled, path_time_derivative
+from .rate_function import _flux_split, _sis_split, _split_state, path_time_derivative
 
 #: The box of the path solve: interior slices stay in [_EPS_S, 1 - _EPS_S].
 _EPS_S = 1e-8
@@ -112,18 +124,26 @@ class ElOperators:
 
 def _pointwise(split, alpha):
     """The gradient's envelope fields of L(sdot, s, lam) at the optimal split
-    (A, B, up) = ``_sis_split(sdot, s, lam, alpha)``: dL/dsdot and the Frechet
-    fields M = dL/dlam, N = dL/ds at fixed lam.  Vectorized."""
-    _, B, up = split
+    (A, B, up, D) = ``_sis_split(sdot, s, lam, alpha)``: dL/dsdot = log r and the
+    Frechet fields of :func:`_frechet_fields`, all from r = B / up.
+    Vectorized."""
+    _, B, up, _ = split
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(B / up), 1.0 - up / B, -alpha * (1.0 - B / up)
+        r = B / up
+        return (np.log(r), *_frechet_fields(r, alpha))
+
+
+def _frechet_fields(r, alpha):
+    """M = dL/dlam = 1 - 1 / r and N = dL/ds at fixed lam = -alpha (1 - r)
+    from r = B / up.  Vectorized."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 - 1.0 / r, -alpha * (1.0 - r)
 
 
 def _second_order(split):
-    """D = A + B and the sdot-derivatives dA/dsdot, d2A/dsdot2 and
-    d2L/dsdot2 = 1 / D at the optimal split (A, B, up).  Vectorized."""
-    A, B, _ = split
-    D = A + B
+    """D and the sdot-derivatives dA/dsdot, d2A/dsdot2 and d2L/dsdot2 = 1 / D
+    at the optimal split (A, B, up, D).  Vectorized."""
+    A, B, _, D = split
     with np.errstate(divide="ignore", invalid="ignore"):
         return D, -A / D, 2.0 * A * B / D ** 3, 1.0 / D
 
@@ -192,17 +212,62 @@ def el_residual(path, params, kernel, grid, horizon):
 # --- discrete action and its exact gradient ---------------------------------
 
 def _interval_sides(path, params, Km, grid, dt):
-    """W = K[1 - s] on every slice of a (K + 1, M) path, and each interval
-    side's (lam, split): the low side at s_n, the high side at s_{n+1}, both
-    at the forward velocity v_n = (s_{n+1} - s_n)/dt.  The one per-point
-    state that the discrete action and the Newton preconditioner read."""
-    v = (path[1:] - path[:-1]) / dt
+    """The one per-point state that the discrete action and the Newton
+    preconditioner read: W = K[1 - s] on every slice of a (K + 1, M) path, the
+    forward velocity v_n = (s_{n+1} - s_n)/dt, and each interval side's (lam,
+    split), the low side at s_n and the high side at s_{n+1}.  The field, lam,
+    the split state (up, c) and its range check are formed once on the path
+    and sliced for the two sides; per side only the velocity half of the
+    split is formed."""
+    v = path[1:] - path[:-1]
+    v /= dt
     W, lam = _sis_field(path, grid, Km, params.beta)
-    return W, [(l, _sis_split(v, s, l, params.alpha))
-               for s, l in ((path[:-1], lam[:-1]), (path[1:], lam[1:]))]
+    up, c = _split_state(path, lam, params.alpha)
+    return W, v, [(lam[sl], _flux_split(v, up[sl], c[sl])) for sl in (np.s_[:-1], np.s_[1:])]
 
 
-def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
+def _momentum(v, lam, split):
+    """r = B / up and the momentum p = dL/dsdot = log(lam / A) where v < 0 and
+    log r elsewhere of one interval side.  The two are equal wherever
+    lam up > 0; where s = 1 (B = up = 0) the first stays finite."""
+    A, B, up, _ = split
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = B / up
+        return r, np.log(np.where(v < 0, lam / A, r))
+
+
+def _side_fields(v, sides, alpha, with_grad):
+    """P = p_lo + p_hi per interval and, with ``with_grad``, the Frechet fields
+    (M, N) of both sides summed on each interior slice: s_m is the low side
+    of interval m and the high side of interval m - 1."""
+    (lam_lo, lo), (lam_hi, hi) = sides
+    with np.errstate(invalid="ignore"):  # inf - inf next to a cell with B = 0
+        r, P = _momentum(v, lam_lo, lo)
+        if with_grad:
+            M, N = _frechet_fields(r, alpha)
+        r, p = _momentum(v, lam_hi, hi)
+        P += p
+        if not with_grad:
+            return P, None
+        M_hi, N_hi = _frechet_fields(r, alpha)
+        M[1:] += M_hi[:-1]
+        N[1:] += N_hi[:-1]
+    return P, (M[1:], N[1:])
+
+
+def _action_value(v, P, sides, dt, kw):
+    """The trapezoid sum of the cells L_lo + L_hi = v P - H_lo - H_hi, the
+    Legendre identity L = v p - H with H = D - lam - up on each side and
+    v P = 0 where v = 0; +inf if it is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        L = np.where(v == 0, 0.0, v * P)
+        for lam, (_, _, up, D) in sides:
+            L = L + lam + up - D
+        action = float(0.5 * dt * (L @ kw).sum())
+    return action if np.isfinite(action) else np.inf
+
+
+def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _sides=None):
     """Interval-based trapezoid quadrature of the action and its gradient.
 
     H = sum_n (dt/2) int [ L(v_n, s_n) + L(v_n, s_{n+1}) ] dkappa with the
@@ -213,10 +278,16 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     difference quadrature looks natural but its minimizers develop an
     O(1/dt) stationarity defect at the pinned end; see the tests.)
 
-    With ``with_grad`` also returns the exact gradient with respect to the
-    interior slices, non-finite next to a cell with B = 0.  K[1 - s] serves
-    lam and both sides of G, and K^T is applied once to the sum of both
-    sides: two kernel applications in all.
+    Each cell is read off its side's split by the Legendre identity
+    L = v p - H (``_action_value``); the momentum p of ``_momentum`` also
+    drives the gradient's velocity route.  With ``with_grad`` also returns
+    the exact gradient with respect to the interior slices, non-finite next
+    to a cell with B = 0.  K[1 - s] serves lam and both sides of G, and K^T
+    is applied once to the sum of both sides: two kernel applications in
+    all.  A list passed as ``_sides`` receives the interval sides of
+    ``_interval_sides``; it exists only for the Newton preconditioner of
+    :func:`minimize_action`, which reads D there instead of splitting the
+    path a second time.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
@@ -224,25 +295,26 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False):
     Km = _operator(kernel, grid)
     kw = grid.kappa_weights
     # each interval side's split, once: the value cells and the gradient read it
-    W, sides = _interval_sides(path, params, Km, grid, dt)
-    L = sum(ell_scaled(A, l) + ell_scaled(B, up) for l, (A, B, up) in sides)  # L_lo + L_hi
-    if not np.all(np.isfinite(L)):
-        return (np.inf, np.full((n_t - 2, M), np.nan)) if with_grad else np.inf
-    action = float(0.5 * dt * (L @ kw).sum())
+    W, v, sides = _interval_sides(path, params, Km, grid, dt)
+    if _sides is not None:
+        _sides[:] = sides
+    P, MN = _side_fields(v, sides, params.alpha, with_grad)
+    action = _action_value(v, P, sides, dt, kw)
     if not with_grad:
         return action
+    if action == np.inf:
+        return action, np.full((n_t - 2, M), np.nan)
 
-    (dL_lo, M_lo, N_lo), (dL_hi, M_hi, N_hi) = (_pointwise(split, params.alpha) for _, split in sides)
-    grad = np.zeros((n_t, M))
+    Mf, Nf = MN
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
         # slice route: s_m enters interval m-1 on the high side, interval m low
-        grad[1:-1] = 0.5 * dt * kw * _G_field(N_hi[:-1] + N_lo[1:], M_hi[:-1] + M_lo[1:],
-                                              path[1:-1], W[1:-1], params.beta, Km)
+        grad = _G_field(Nf, Mf, path[1:-1], W[1:-1], params.beta, Km)
+        grad *= 0.5 * dt * kw
         # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
-        C = 0.5 * kw[None, :] * (dL_lo + dL_hi)            # (K, M), dt cancels
-        grad[1:] += C
-        grad[:-1] -= C
-    return action, grad[1:-1]
+        P *= 0.5 * kw                                       # (K, M), dt cancels
+        grad += P[:-1]
+        grad -= P[1:]
+    return action, grad
 
 
 _CG_MAX = 40       # CG steps per Newton step
@@ -277,9 +349,11 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     difference of g, stops at the forcing tolerance min(0.5, sqrt|g|) |g| or
     on non-positive curvature, which includes a direction that leaves the box
     at once (then the first step is the preconditioned gradient); Armijo
-    backtracking follows, and the accepted trial's gradient is kept.  A
-    non-finite gradient or preconditioned gradient stops the solve.  Returns
-    the last iterate, its f and g, and the solve's diagnostics entries
+    backtracking follows, and the accepted trial's gradient is kept.
+    ``precondition(x)`` is always called at the x of the latest ``fun(x)``
+    call.  A non-finite gradient,
+    preconditioned gradient or curvature stops the solve.  Returns the last
+    iterate, its f and g, and the solve's diagnostics entries
     (``action_history``: f after each accepted step)."""
     x, (f, g) = x0, fun(x0)
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
@@ -289,18 +363,24 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
             break
         solve, d, r = precondition(x), np.zeros_like(x), -g
         p = z = solve(r)
-        if not np.all(np.isfinite(z)):  # the preconditioner overflowed, at a dt near the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            rz = r @ z
+        if not np.isfinite(rz):  # z or r z overflowed, at a dt far above the solve's scale
             message = "non-finite Newton direction"
             break
-        gnorm, rz = np.linalg.norm(g), r @ z
+        gnorm = np.linalg.norm(g)
         for j in range(_CG_MAX):
             size = np.max(np.abs(p))
             h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi)) if size > 0.0 else 0.0
             if h > 0.0:
                 Hp, evals = (fun(x + h * p)[1] - g) / h, evals + 1
-                curv = p @ Hp
+                with np.errstate(over="ignore", invalid="ignore"):  # p and Hp near the float range
+                    curv = p @ Hp
             else:  # p is zero or leaves the box at once: no curvature to measure along it
                 curv = 0.0
+            if not np.isfinite(curv):
+                d = None
+                break
             if not curv > 0.0:
                 if j == 0:
                     d = z
@@ -312,16 +392,20 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
         cg_iters += j + 1
+        if d is None:
+            message = "non-finite curvature"
+            break
         step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi)), g @ d
         while step > 1e-12:
-            (f_trial, g_trial), evals = fun(x + step * d), evals + 1
+            trial = x + step * d
+            (f_trial, g_trial), evals = fun(trial), evals + 1
             if f_trial < f + 1e-4 * step * slope:
                 break
             step /= 2
         else:
             message = "line search failed"
             break
-        x, f, g, nit = x + step * d, f_trial, g_trial, nit + 1
+        x, f, g, nit = trial, f_trial, g_trial, nit + 1
         history.append(float(f))
     success = bool(np.max(np.abs(g)) <= gtol)
     diag = {"iters": nit, "cg_iters": cg_iters, "grad_evals": evals,
@@ -363,8 +447,10 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         p[1:-1] = x.reshape(n_t - 2, M)
         return p
 
+    sides = []  # the interval sides of the latest fun(x)
+
     def fun(x):
-        a, g = discrete_action(unpack(x), params, Km, grid, problem.horizon, with_grad=True)
+        a, g = discrete_action(unpack(x), params, Km, grid, problem.horizon, with_grad=True, _sides=sides)
         return a, g.ravel()
 
     def precondition(x):
@@ -372,9 +458,10 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt), d2L = 1 / D,
         per interval: the flux q = c E y has E^T q = r, so q is minus the running
         sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
-        A node whose every interval has D = 0 gets a zero step."""
-        _, sides = _interval_sides(unpack(x), params, Km, grid, dt)
-        D_lo, D_hi = (A + B for _, (A, B, _) in sides)
+        A node whose every interval has D = 0 gets a zero step.  _newton_cg
+        calls it at the x of the latest fun(x), so it reads the D of that
+        evaluation's sides and splits no path itself."""
+        D_lo, D_hi = (D for _, (_, _, _, D) in sides)
         # at a dt near the float range inv and q overflow, and _newton_cg stops
         with np.errstate(over="ignore", invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))

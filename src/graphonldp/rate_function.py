@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,9 @@ def ell_scaled(p, lam):
     return out if out.ndim else float(out)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def poisson_tail_log_prob(k, mean):
     """log P(X >= k) for X ~ Poisson(mean), by stable tail summation.
 
@@ -94,7 +98,10 @@ def poisson_tail_log_prob(k, mean):
     largest; it stops 60 nats below.  A non-integer k counts as its ceiling,
     the least integer the event X >= k contains.  ValueError unless mean is
     finite and >= 0 and k is finite; at mean = 0 the tail of k >= 1 is -inf.
-    NumericalError if a sum needs more than 10^6 terms (a mean near 10^12).
+    NumericalError if a sum needs more than 10^6 terms (a mean near 10^12),
+    or if the first term's log j! may leave the float range: that is decided
+    before ``math.lgamma`` is called, from j log j > the largest float (k
+    above about 2.556e305).
     """
     if not (math.isfinite(mean) and mean >= 0.0):
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
@@ -110,6 +117,10 @@ def poisson_tail_log_prob(k, mean):
         return -np.inf
     below = k <= mean
     j = k - 1 if below else k
+    # log j! <= j log j; taken in logs, as j may be an int beyond the float range
+    if j > 1 and math.log(j) + math.log(math.log(j)) > _LOG_FLOAT_MAX:
+        raise NumericalError(f"Poisson tail of k = 10^{math.log10(k):.3f}, mean={mean!r}: "
+                             f"the log-factorial of its first term leaves the float range")
     top = -mean + j * math.log(mean) - math.lgamma(j + 1)
     chunks, n = [np.array([top])], 1
     while chunks[-1][-1] > top - 60.0 and not (below and n > j):
@@ -264,36 +275,54 @@ def sis_A(sdot, s_local, lam, alpha):
     """Closed-form optimal downward-flux intensity.
 
     The nonnegative root of a^2 + a sdot - alpha lam (1-s) = 0, i.e.
-    0.5 (-sdot + sqrt(sdot^2 + 4 alpha lam (1-s))); evaluated in the
-    cancellation-free form 0.5 c / (sqrt(sdot^2 + c) + sdot), c = 4 alpha lam
-    (1-s), where sdot > 0.  Degenerate lam (1-s) = 0 gives max(0, -sdot).
+    0.5 (D - sdot) with D = sqrt(sdot^2 + 4 alpha lam (1-s)): the A of
+    :func:`_sis_split`, which takes the cancellation-free form where sdot > 0.
+    Degenerate lam (1-s) = 0 gives max(0, -sdot).  A susceptible value outside
+    [0, 1] by more than ``_DENSITY_TOL`` raises ValueError.
     """
-    sdot = np.asarray(sdot, dtype=float)
-    c = 4.0 * alpha * np.asarray(lam, dtype=float) * (1.0 - np.asarray(s_local, dtype=float))
-    c = np.maximum(c, 0.0)
-    disc = np.sqrt(sdot * sdot + c)
-    out = np.asarray(0.5 * (disc - sdot))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(0.5 * c, disc + sdot, out=out, where=sdot > 0)
-    return out if out.ndim else float(out)
+    A = _sis_split(sdot, s_local, lam, alpha)[0]
+    return A if A.ndim else float(A)
 
 
-def _sis_split(sdot, s_local, lam, alpha):
-    """The optimal flux split of L(sdot, s): (A, B, up), with A = ``sis_A``,
-    the recovery intensity up = alpha (1 - s) and A B = max(lam up, 0).  B is
-    max(lam up, 0) / A where sdot < 0 (there A >= -sdot > 0) and sdot + A
-    elsewhere, so neither form cancels; where sdot < 0 and lam up <= 0 (s
-    just outside [0, 1], or lam = 0), B = 0.  A susceptible value outside
-    [0, 1] by more than ``_DENSITY_TOL`` raises ValueError.  Vectorized."""
+def _split_state(s_local, lam, alpha):
+    """The velocity-free half of the flux split at a point: the recovery
+    intensity up = alpha (1 - s) and the flux product c = max(lam up, 0).  A
+    susceptible value outside [0, 1] by more than ``_DENSITY_TOL`` raises
+    ValueError.  Vectorized."""
     s_local = np.asarray(s_local, dtype=float)
     if not np.all((s_local >= -_DENSITY_TOL) & (s_local <= 1.0 + _DENSITY_TOL)):
         raise ValueError("susceptible density outside [0, 1]")
-    A = sis_A(sdot, s_local, lam, alpha)
     up = alpha * (1.0 - s_local)
-    B = np.asarray(sdot + A)
+    return up, np.maximum(lam * up, 0.0)
+
+
+def _flux_split(sdot, up, c):
+    """The optimal flux split at velocity sdot of a point with state (up, c)
+    from :func:`_split_state`: (A, B, up, D) with B - A = sdot, A B = c and
+    D = A + B = sqrt(sdot^2 + 4 c).  A = (D - sdot) / 2 and B = (D + sdot) / 2,
+    except that A = c / B where sdot > 0 and B = c / A where sdot < 0, so
+    neither form cancels; the quotients are taken as 4 c / (D + sdot) and
+    4 c / (D - sdot) before the halving, which keeps a subnormal sdot off
+    0 / 0.  Where c = 0, the flux against sdot is 0.  Vectorized."""
+    sdot = np.asarray(sdot, dtype=float)
+    c4 = 4.0 * c
+    D = np.sqrt(sdot * sdot + c4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.maximum(lam * up, 0.0), A, out=B, where=np.less(sdot, 0))
-    return A, B, up
+        A = 0.5 * np.where(sdot > 0, c4 / (D + sdot), D - sdot)
+        B = 0.5 * np.where(sdot < 0, c4 / (D - sdot), D + sdot)
+    return A, B, up, D
+
+
+def _sis_split(sdot, s_local, lam, alpha):
+    """The optimal flux split of L(sdot, s): (A, B, up, D), with infection flux
+    A, recovery flux B, the recovery intensity up = alpha (1 - s) and D = A + B,
+    so that B - A = sdot and A B = max(lam up, 0); where sdot < 0 and lam up
+    <= 0 (s just outside [0, 1], s = 1 or lam = 0), B = 0.  The state half of
+    :func:`_split_state` and the velocity half of :func:`_flux_split`, which
+    the discrete action calls once per interval side on state formed once per
+    path.  A susceptible value outside [0, 1] by more than ``_DENSITY_TOL``
+    raises ValueError.  Vectorized."""
+    return _flux_split(sdot, *_split_state(s_local, lam, alpha))
 
 
 def sis_lagrangian(sdot, s_local, lam, alpha):
@@ -306,7 +335,7 @@ def sis_lagrangian(sdot, s_local, lam, alpha):
     susceptible value outside [0, 1] by more than ``_DENSITY_TOL`` raises
     ValueError.
     """
-    A, B, up = _sis_split(sdot, s_local, lam, alpha)
+    A, B, up, _ = _sis_split(sdot, s_local, lam, alpha)
     return ell_scaled(A, lam) + ell_scaled(B, up)
 
 

@@ -274,16 +274,73 @@ class TestElResidual:
 class TestDiscreteAction:
     def test_one_flux_split_per_interval_side(self, monkeypatch):
         # the value cells and the gradient read the same split of each side
-        from graphonldp import rate_function
+        from graphonldp import action_path
 
-        calls, sis_A = [], rate_function.sis_A
-        monkeypatch.setattr(rate_function, "sis_A", lambda *args: calls.append(1) or sis_A(*args))
+        calls, split = [], action_path._flux_split
+        monkeypatch.setattr(action_path, "_flux_split", lambda *args: calls.append(1) or split(*args))
         grid = circle_grid(8)
         path = PathProblem(s0=np.full(8, 0.6), sT=bump_profile(grid), horizon=1.0, K=10).initial_path()
         a, _ = discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0, with_grad=True)
         assert len(calls) == 2
         assert discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0) == a
         assert len(calls) == 4
+
+    def test_value_is_the_trapezoid_sum_of_lagrangian_cells(self):
+        # discrete_action reads each cell off the flux split as L = v p - H;
+        # sis_lagrangian sums the two Poisson cells at the same split
+        from graphonldp.rate_function import sis_lagrangian
+
+        def trapezoid(path, kernel, grid, T):
+            dt = T / (len(path) - 1)
+            v = (path[1:] - path[:-1]) / dt
+            K = kernel_matrix(getattr(kernel, "kernel", kernel), grid)
+            lam = sis_lambda_field(path, grid, K, PARAMS.beta)
+            L = (sis_lagrangian(v, path[:-1], lam[:-1], PARAMS.alpha)
+                 + sis_lagrangian(v, path[1:], lam[1:], PARAMS.alpha))
+            return float(0.5 * dt * np.sum(L @ grid.kappa_weights))
+
+        rng = np.random.default_rng(5)
+        for grid, kernel in ((circle_grid(12), cosine_kernel(1.0, 0.5)), skewed_case(12)):
+            for _ in range(5):
+                path = rng.uniform(0.05, 0.95, (9, grid.M))
+                want = trapezoid(path, kernel, grid, 0.8)
+                for with_grad in (False, True):
+                    got = discrete_action(path, PARAMS, kernel, grid, 0.8, with_grad=with_grad)
+                    got = got[0] if with_grad else got
+                    assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("case, level, rows, finite", [
+        # v = 0 on every interval, with lam > 0 and with lam = 0
+        ("v = 0", 1.0, [0.5, 0.5, 0.5], True),
+        ("lam = 0, v = 0", 0.0, [0.5, 0.5, 0.5], True),
+        # lam = 0: a rise is a recovery flux alone, a fall needs infection
+        ("lam = 0, v > 0", 0.0, [0.3, 0.4, 0.5], True),
+        ("lam = 0, v < 0", 0.0, [0.5, 0.4, 0.3], False),
+        # s = 1 (up = 0): falling from it is infection alone, rising onto it
+        # needs recovery; B = up = 0 there, where log(B / up) is NaN
+        ("s = 1, v < 0", 1.0, [1.0, 0.9, 0.8], True),
+        ("s = 1, v > 0", 1.0, [0.8, 0.9, 1.0], False),
+        ("s = 1, v = 0", 1.0, [1.0, 1.0, 1.0], True),
+    ])
+    def test_degenerate_cells_keep_the_lagrangian_value(self, case, level, rows, finite):
+        # node 0 follows ``rows``; the others sit at 0.5, so lam > 0 at node 0
+        # unless the kernel level is 0
+        from graphonldp.rate_function import sis_lagrangian
+
+        grid, kernel = circle_grid(4), constant_kernel(level)
+        path = np.full((3, 4), 0.5)
+        path[:, 0] = rows
+        dt = 0.5
+        v = (path[1:] - path[:-1]) / dt
+        lam = sis_lambda_field(path, grid, kernel_matrix(kernel.kernel, grid), PARAMS.beta)
+        L = (sis_lagrangian(v, path[:-1], lam[:-1], PARAMS.alpha)
+             + sis_lagrangian(v, path[1:], lam[1:], PARAMS.alpha))
+        want = float(0.5 * dt * np.sum(L @ grid.kappa_weights))
+        got = discrete_action(path, PARAMS, kernel, grid, 1.0)
+        if finite:
+            assert np.isfinite(want) and abs(got - want) <= 1e-13 * abs(want)
+        else:
+            assert got == want == np.inf
 
     def test_one_lambda_source(self, monkeypatch):
         # every SIS consumer takes W = K[1 - s] and lam = beta s W from one
@@ -304,18 +361,25 @@ class TestDiscreteAction:
         newton = action_path._newton_cg
 
         def consumers(params):
-            # the preconditioner of one minimize_action step, as the solve builds it
+            # the objective and preconditioner of one minimize_action step, as
+            # the solve builds them; the preconditioner reads the sides of the
+            # objective's evaluation at its iterate
             pre = []
             monkeypatch.setattr(action_path, "_newton_cg",
-                                lambda fun, x0, lo, hi, p, *a: pre.append(p) or newton(fun, x0, lo, hi, p, *a))
+                                lambda fun, x0, lo, hi, p, *a: pre.append((fun, p)) or newton(fun, x0, lo, hi, p, *a))
             minimize_action(prob, params, kernel, grid, ActionOptions(max_iters=1))
+
+            def precondition(x=path[1:-1].ravel()):
+                fun, p = pre[0]
+                fun(x)
+                return p(x)(r)
             return {  # name: (call, kernel applications of its own, outside the shared one)
                 "discrete_action": (lambda: discrete_action(path, params, kernel, grid, 1.0), 0),
                 "discrete_action grad": (lambda: discrete_action(path, params, kernel, grid, 1.0,
                                                                  with_grad=True)[0], 0),
                 "el_operators": (lambda: el_operators(x, s, params, kernel, grid).dL_dsdot, 1),
                 "frechet_lambda": (lambda: frechet_lambda(s, x, params, kernel, grid), 1),
-                "precondition": (lambda: pre[0](path[1:-1].ravel())(r), 0),
+                "precondition": (precondition, 0),
                 "sis_action": (lambda: sis_action(path, params, kernel, grid, 1.0).value, 0),
                 "sis_drift": (lambda: sis_drift(s, grid, kernel, params.beta, params.alpha), 0),
             }
@@ -443,6 +507,44 @@ class TestMinimizeAction:
         assert len(calls) == 1 and np.array_equal(x, x0) and f == 0.375
         assert diag["iters"] == 0 and diag["grad_evals"] == 1 and not diag["converged"]
         assert "(non-finite Newton direction)" in diag["warning"]
+
+    def test_non_finite_curvature_stops_without_a_warning(self):
+        # f = 1e150 |x|^2 / 2: |g|^2 and r z stay finite, but p H p ~ 1e450
+        # overflows (a matmul RuntimeWarning, an error here) and stops the solve
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return 0.5e150 * float(x @ x), 1e150 * x
+
+        x0 = np.full(3, 0.5)
+        x, _, _, diag = _newton_cg(fun, x0, np.zeros(3), np.ones(3),
+                                   precondition=lambda x: lambda r: r, maxiter=5, gtol=1e-9)
+        assert len(calls) == 2 and np.array_equal(x, x0)
+        assert diag["iters"] == 0 and diag["cg_iters"] == 1 and not diag["converged"]
+        assert "(non-finite curvature)" in diag["warning"]
+
+    def test_preconditioner_reads_the_evaluated_sides(self, monkeypatch):
+        # over the default solve the Newton preconditioner is always called at
+        # the iterate the objective just evaluated, and splits no path itself:
+        # every interval-side state comes from a discrete_action call
+        from graphonldp import action_path, cli
+
+        counts = dict.fromkeys(("discrete_action", "_interval_sides"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(action_path, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(action_path, name, counted)
+        cp = cli.load_config(None)
+        spec, params, grid, _, equilibrium = cli._model(cp)
+        prob = PathProblem(s0=cli.parse_profile(cp.get("action", "s0"), grid, equilibrium),
+                           sT=cli.parse_profile(cp.get("action", "sT"), grid, equilibrium),
+                           horizon=cp.getfloat("grid", "T"), K=cp.getint("grid", "K"))
+        diag = minimize_action(prob, params, spec, grid).diagnostics
+        assert (diag["iters"], diag["cg_iters"], diag["grad_evals"]) == (3, 20, 24)
+        assert counts["discrete_action"] == diag["grad_evals"] + 1  # and the start's value
+        assert counts["_interval_sides"] == counts["discrete_action"]
 
     def test_descent_and_convergence(self):
         grid = circle_grid(16)

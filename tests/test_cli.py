@@ -575,6 +575,16 @@ class TestAction:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["iters"] == 0 and diag["grad_evals"] == 1 and diag["converged"] is False
 
+    def test_overflowing_curvature_stops_without_a_warning(self, tmp_path, capsys):
+        # at dt ~ 1e99 the CG curvature p H p overflows: numpy warned from the
+        # matmul (an error under this suite's filter) and the solve ran on to a
+        # failed line search
+        code, out = run(tmp_path, "action", "grid.T=1e100", "grid.M=8", "grid.K=10")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "(non-finite curvature)" in err and "Traceback" not in err
+        assert json.loads((out / "diagnostics.json").read_text())["converged"] is False
+
     @pytest.mark.parametrize("setting", ["action.max_iters=0", "action.max_iters=-5",
                                          "action.tol_grad=0", "action.tol_grad=nan",
                                          "action.tol_grad=-1e-6", "action.tol_grad=inf"])

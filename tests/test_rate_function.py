@@ -115,6 +115,19 @@ class TestPoissonTail:
             with pytest.raises(NumericalError, match="terms"):
                 poisson_tail_log_prob(k, 1e12)
 
+    @pytest.mark.parametrize("k", [10 ** 306, 2.6e305, 10 ** 400], ids=["int 1e306", "2.6e305", "int 1e400"])
+    def test_log_factorial_beyond_the_float_range_raises(self, k):
+        # math.lgamma(k + 1) once raised a bare OverflowError here
+        with pytest.raises(NumericalError, match="float range"):
+            poisson_tail_log_prob(k, 1.0)
+
+    def test_largest_levels_still_sum(self):
+        # just below the cut the tail is its first term: -mean - log k!
+        from math import lgamma
+
+        k = int(2.5e305)
+        assert poisson_tail_log_prob(k, 1.0) == pytest.approx(-1.0 - lgamma(k + 1), rel=1e-15)
+
     @pytest.mark.parametrize("mean", [np.nan, -1.0, np.inf])
     def test_bad_mean_rejected(self, mean):
         for k in (0, 3):
@@ -240,10 +253,27 @@ class TestSisLagrangian:
         lam = np.array([0.5, 1.0, 2.0])[None, None, :]
         drift = alpha * (1.0 - s) - lam
         L = sis_lagrangian(drift, s, lam, alpha)
-        A, B, up = _sis_split(drift, s, lam, alpha)
+        A, B, up, _ = _sis_split(drift, s, lam, alpha)
         assert np.array_equal(L, ell_scaled(A, lam) + ell_scaled(B, up))
         assert np.all(np.abs(L) <= 1e-13)
         assert drift[0, 1, 1] == -1.0 and L[0, 1, 1] == 0.0
+
+    def test_legendre_identity_on_the_derivative_oracle_draws(self):
+        # the discrete action reads each cell as L = v p - H: on the 1,000 draws
+        # of acceptance test A5, v dL/dv - L equals the Hamiltonian D - lam - up
+        # of the split, with dL/dv a central difference of the cells themselves
+        rng = np.random.default_rng(77)
+        n = 1000
+        sdot = rng.uniform(-2.0, 2.0, n)
+        s = rng.uniform(0.08, 0.92, n)
+        lam = rng.uniform(0.08, 3.0, n)
+        alpha = rng.uniform(0.2, 3.0, n)
+        h = 1e-6
+        dL = (sis_lagrangian(sdot + h, s, lam, alpha) - sis_lagrangian(sdot - h, s, lam, alpha)) / (2 * h)
+        _, _, up, D = _sis_split(sdot, s, lam, alpha)
+        H = D - lam - up
+        gap = np.abs(sdot * dL - sis_lagrangian(sdot, s, lam, alpha) - H) / (1.0 + np.abs(H))
+        assert np.max(gap) <= 1e-8
 
     def test_positive_off_drift(self):
         rng = np.random.default_rng(2)
