@@ -43,8 +43,9 @@ class SpatialGrid:
     """Quadrature nodes on the domain and the node measure kappa on them: one
     mass per node (quadrature weight times node density), each > 0, summing
     to 1; else ValueError.  The grid holds read-only float copies of both
-    (the caller's arrays stay as they were), so the kernel operator a grid
-    keeps for its last kernel (``_operator``) cannot go stale."""
+    (the caller's arrays stay as they were), so what a grid keeps, the
+    kernel operator of its last kernel (``_operator``) and the intensity rows
+    of its last stack shape (``_source_rows``), cannot go stale."""
 
     nodes: np.ndarray
     kappa_weights: np.ndarray
@@ -131,7 +132,7 @@ def _operator(kernel, grid: SpatialGrid):
     slot = grid.__dict__.get("_operator_slot")
     if slot is None or slot[0] is not kernel:
         slot = kernel, KernelOperator(kernel_matrix(getattr(kernel, "kernel", kernel), grid), grid)
-        grid.__dict__["_operator_slot"] = slot  # the frozen grid's one cached attribute
+        grid.__dict__["_operator_slot"] = slot  # a cached attribute of the frozen grid
     return slot[1]
 
 
@@ -180,23 +181,43 @@ def field_from_density(grid: SpatialGrid, K, density):
     return _operator(K, grid).apply(density)
 
 
+def _source_rows(grid: SpatialGrid, n, k):
+    """(theta, codes) of ``channel_intensities``' one ``rate_matrix`` call on
+    n (slice, node) rows per source state: the nodes tiled over k n rows and
+    codes[a n : (a + 1) n] = a, in the smallest signed integer type that holds
+    k.  Both read-only; the grid keeps those of the last (n, k), so a caller
+    that walks one shape builds them once."""
+    slot = grid.__dict__.get("_rows_slot")
+    if slot is None or slot[0] != (n, k):
+        theta = np.tile(grid.nodes, k * n // grid.M)
+        codes = np.repeat(np.arange(k, dtype=np.min_scalar_type(-k)), n)
+        for arr in (theta, codes):
+            arr.setflags(write=False)
+        slot = (n, k), theta, codes
+        grid.__dict__["_rows_slot"] = slot
+    return slot[1:]
+
+
 def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
     """Channel intensities lambda[..., a, b, i] = f_b(theta_i, a, w(theta_i)) nu(a, theta_i)
     of (k, M) densities ``nu`` or a (..., k, M) stack of them, with fields
     w = K[nu] for any ``kernel`` that ``field_from_density`` takes (one
     operator rule for all): one field application, and one ``rate_matrix``
-    call per source state on the rows of every slice.  The one product of
-    rates and densities: the mean-field drift is its divergence, and the
-    coupled rate functional compares fluxes against it."""
+    call on the rows of every slice, stacked once per source state (their
+    fields handed over column-major).  The one product of rates and
+    densities: the mean-field drift is its divergence, and the coupled rate
+    functional compares fluxes against it."""
     nu = np.asarray(nu, dtype=float)
     k, M = nu.shape[-2:]
-    w = field_from_density(grid, kernel, nu).swapaxes(-1, -2).reshape(-1, k)  # (slice, node) rows
-    theta = np.tile(grid.nodes, len(w) // M)
-    lam = np.empty(nu.shape[:-1] + nu.shape[-2:])
-    for a in range(k):
-        r = rates.rate_matrix(theta, np.full(len(w), a), w).reshape(nu.shape[:-2] + (M, k))
-        np.multiply(r.swapaxes(-1, -2), nu[..., a, None, :], out=lam[..., a, :, :])
-    return lam
+    n = nu.size // k  # (slice, node) rows per source state
+    theta, codes = _source_rows(grid, n, k)
+    w = np.empty((k, k, n // M, M))  # (state, source, slice, node): columns contiguous
+    w[:] = field_from_density(grid, kernel, nu).reshape(-1, k, M).transpose(1, 0, 2)[:, None]
+    r = rates.rate_matrix(theta, codes, w.reshape(k, -1).T)
+    del w  # before lam: the call above sets the peak
+    lam = np.empty((n // M, k, k, M))
+    np.multiply(r.reshape(k, n // M, M, k).transpose(1, 0, 3, 2), nu.reshape(-1, k, 1, M), out=lam)
+    return lam.reshape(nu.shape[:-1] + nu.shape[-2:])
 
 
 def _sis_field(s, grid: SpatialGrid, K, beta):
@@ -215,7 +236,7 @@ def sis_lambda_field(s, grid: SpatialGrid, K, beta):
 
 def _drift(rates, grid, K, nu):
     lam = channel_intensities(rates, grid, nu, K)
-    return lam.sum(axis=0) - lam.sum(axis=1), lam
+    return np.add.reduce(lam, 0) - np.add.reduce(lam, 1), lam
 
 
 def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
@@ -249,25 +270,36 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
     chans = [(a, b) for a in range(k) for b in range(k) if a != b]
     flux = {c: np.empty((steps + 1, M)) for c in chans}
 
-    nu = nu0.copy()
+    nu, stage = nu0.copy(), np.empty((k, M))
+
+    def at(h, slope):  # the stage point nu + h slope, in stage
+        return np.add(nu, np.multiply(h, slope, out=stage), out=stage)
+
     for n in range(steps):
         k1, lam = _drift(rates, grid, K, nu)
         for (a, b) in chans:
             flux[(a, b)][n] = lam[a, b]
-        k2, _ = _drift(rates, grid, K, nu + 0.5 * dt * k1)
-        k3, _ = _drift(rates, grid, K, nu + 0.5 * dt * k2)
-        k4, _ = _drift(rates, grid, K, nu + dt * k3)
-        nu = nu + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, _ = _drift(rates, grid, K, at(0.5 * dt, k1))
+        k3, _ = _drift(rates, grid, K, at(0.5 * dt, k2))
+        k4, _ = _drift(rates, grid, K, at(dt, k3))
+        # nu + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), its additions in that order
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        nu += k1
         # written so that NaN fails both checks
-        drift = np.max(np.abs(nu.sum(axis=0) - 1.0))
+        drift = np.abs(nu.sum(axis=0) - 1.0).max()
         if not drift <= _NORM_TOL:
             raise NormalizationError(
                 f"per-site normalization drifted to {drift:.3g} at t={dt * (n + 1):.6g}")
         # positivity is monitored, never clipped: a clear excursion below
         # zero means the step size violated the stability bound
-        if not np.min(nu) >= -1e-6:
+        if not nu.min() >= -1e-6:
             raise NormalizationError(
-                f"density went negative ({np.min(nu):.3g}) at t={dt * (n + 1):.6g}; "
+                f"density went negative ({nu.min():.3g}) at t={dt * (n + 1):.6g}; "
                 "reduce dt")
         values[n + 1] = nu
     _, lam = _drift(rates, grid, K, nu)

@@ -87,6 +87,7 @@ def ell_scaled(p, lam):
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def poisson_tail_log_prob(k, mean):
@@ -98,7 +99,9 @@ def poisson_tail_log_prob(k, mean):
     largest; it stops 60 nats below.  A non-integer k counts as its ceiling,
     the least integer the event X >= k contains.  ValueError unless mean is
     finite and >= 0 and k is finite; at mean = 0 the tail of k >= 1 is -inf.
-    NumericalError if a sum needs more than 10^6 terms (a mean near 10^12),
+    NumericalError if a sum needs more than 10^6 terms (a mean near 10^12);
+    if its term indices would leave int64 (a sum that reaches j above about
+    9.2e18, so with a mean about as large), decided before they are formed;
     or if the first term's log j! may leave the float range: that is decided
     before ``math.lgamma`` is called, from j log j > the largest float (k
     above about 2.556e305).
@@ -126,6 +129,9 @@ def poisson_tail_log_prob(k, mean):
     while chunks[-1][-1] > top - 60.0 and not (below and n > j):
         if n >= 1_000_000:
             raise NumericalError(f"Poisson tail of k={k}, mean={mean!r} needs over 10^6 terms")
+        if (j if below else j + n + 256) > _INT64_MAX:  # arange would hold ints with no log
+            raise NumericalError(f"Poisson tail of k={k}, mean={mean!r}: its term indices "
+                                 f"leave the int64 range")
         js = np.arange(j - n + 1, max(j - n - 255, 0), -1) if below else np.arange(j + n, j + n + 256)
         steps = math.log(mean) - np.log(js)  # log term(j) - log term(j-1)
         chunks.append(chunks[-1][-1] + np.cumsum(-steps if below else steps))
@@ -180,28 +186,45 @@ def _time_grid(times, T, n_t):
 #: How far a density may leave [0, 1]: the occupation reconstructed by
 #: ``rate_G``, and the susceptible value given to ``sis_lagrangian``.
 _DENSITY_TOL = 1e-6
-#: Time slices per stack in ``rate_G`` and ``sis_action``, so their working
-#: memory is independent of n_t: 4 MiB of intensities at k = 2, M = 1024.
+#: Most time slices per stack in ``rate_G`` and ``sis_action``, so their
+#: working memory is independent of n_t.
 _CHUNK = 128
+#: Most (slice, node) cells per stack: at M = 1024 a stack of 32 slices, with
+#: 1 MiB of intensities at k = 2; a grid of M <= 256 keeps ``_CHUNK`` slices.
+_STACK_CELLS = 32 * 1024
+
+
+def _stack_slices(M):
+    """Time slices per stack on a grid of M nodes: at most ``_CHUNK``, and at
+    most ``_STACK_CELLS`` cells, but at least one slice."""
+    return max(1, min(_CHUNK, _STACK_CELLS // M))
 
 
 def _occupation_stacks(flux_densities, nu0, labels, times):
-    """(n0, nu[n0 : n0 + _CHUNK]) for n0 = 0, _CHUNK, ...: the occupation
-    nu_t(a) = nu_0(a) + int_0^t sum_{b != a} (p_{b->a} - p_{a->b}) ds by the
-    cumulative trapezoid, its running total carried across stacks."""
+    """(n0, nu[n0 : n0 + size]) for n0 = 0, size, ..., size =
+    ``_stack_slices(M)``: the occupation nu_t(a) = nu_0(a) + int_0^t
+    sum_{b != a} (p_{b->a} - p_{a->b}) ds by the cumulative trapezoid, its
+    increments summed in slice order, the running total carried across
+    stacks."""
     nu0 = np.asarray(nu0, dtype=float)
-    total = np.zeros(nu0.shape)
-    for n0 in range(0, len(times), _CHUNK):
-        nu = np.empty((min(_CHUNK, len(times) - n0),) + nu0.shape)
-        for n in range(n0, n0 + len(nu)):
-            rate = np.zeros(nu0.shape)  # net inflow into each state at slice n
-            for (a, b), p in flux_densities.items():
-                rate[labels.index(b)] += p[n]
-                rate[labels.index(a)] -= p[n]
-            if n:
-                total += 0.5 * (times[n] - times[n - 1]) * (rate + prev)
-            np.add(total, nu0, out=nu[n - n0])
-            prev = rate
+    chans = [(labels.index(a), labels.index(b), p) for (a, b), p in flux_densities.items()]
+    size, total = _stack_slices(nu0.shape[-1]), np.zeros(nu0.shape)
+    for n0 in range(0, len(times), size):
+        n1 = min(n0 + size, len(times))
+        lo = max(n0 - 1, 0)  # the slice before the stack, for its first increment
+        rate = np.zeros((n1 - lo,) + nu0.shape)  # net inflow into each state per slice
+        for a, b, p in chans:
+            rate[:, b] += p[lo:n1]
+            rate[:, a] -= p[lo:n1]
+        nu = np.zeros((n1 - n0,) + nu0.shape)
+        inc = nu if n0 else nu[1:]  # the increments into slices max(n0, 1) .. n1 - 1
+        np.add(rate[1:], rate[:-1], out=inc)
+        inc *= 0.5 * np.diff(times[lo:n1])[:, None, None]
+        nu[0] += total
+        for n in range(1, len(nu)):  # in slice order; np.add.accumulate on axis 0 is ~8x slower
+            nu[n] += nu[n - 1]
+        total = nu[-1].copy()
+        nu += nu0
         yield n0, nu
 
 
@@ -214,18 +237,18 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
         sum_{a != b} iint ell(p_{a->b} / lambda_{a,b}) lambda_{a,b} dkappa dt,
         lambda_{a,b}(x, t) = f_b(x, a, w(x, t)) nu_t(a, x).
 
-    The occupation and intensities are formed ``_CHUNK`` time slices at a
-    time, one :func:`channel_intensities` stack and one :func:`ell_scaled`
-    call per channel each.  Returns a RateValue; the infinity marker fires
-    if the reconstructed occupation exits [0, 1] beyond ``_DENSITY_TOL``,
-    naming its largest excursion |nu - 1/2|, first in (slice, state, node)
-    order; else if some channel has positive flux against zero intensity,
-    naming the first such cell in (slice, channel, node) order.  ValueError
-    unless the fluxes are keyed by exactly the off-diagonal channels of
-    ``rates.states``; for a negative or NaN flux entry, a non-finite entry
-    of ``nu0``, fluxes that are not (n_t, M) with n_t >= 2 or ``nu0`` that is
-    not (k, M) with M = ``grid.M``, bad ``times`` (see :func:`_time_grid`) or
-    horizon T.
+    The occupation and intensities are formed in stacks of
+    ``_stack_slices(M)`` time slices, one :func:`channel_intensities` stack
+    and one :func:`ell_scaled` call per channel each.  Returns a RateValue;
+    the infinity marker fires if the reconstructed occupation exits [0, 1]
+    beyond ``_DENSITY_TOL``, naming its largest excursion |nu - 1/2|, first
+    in (slice, state, node) order; else if some channel has positive flux
+    against zero intensity, naming the first such cell in (slice, channel,
+    node) order.  ValueError unless the fluxes are keyed by exactly the
+    off-diagonal channels of ``rates.states``; for a negative or NaN flux
+    entry, a non-finite entry of ``nu0``, fluxes that are not (n_t, M) with
+    n_t >= 2 or ``nu0`` that is not (k, M) with M = ``grid.M``, bad ``times``
+    (see :func:`_time_grid`) or horizon T.
     """
     labels = rates.states.labels
     chans = [(a, b) for a in labels for b in labels if a != b]
@@ -254,7 +277,8 @@ def rate_G(flux_densities, nu0, grid, kernel, rates, T, times=None):
             continue  # the occupation marker outranks a channel marker: walk only it on
         sl = slice(n0, n0 + len(nu))
         # fields from the reconstructed occupation as it is; only the intensity is clamped
-        lam = np.maximum(channel_intensities(rates, grid, nu, K), 0.0)
+        lam = channel_intensities(rates, grid, nu, K)
+        np.maximum(lam, 0.0, out=lam)
         cells = np.stack([ell_scaled(p[sl], lam[:, labels.index(a), labels.index(b)])
                           for (a, b), p in flux_densities.items()])
         dead = np.isinf(cells).transpose(1, 0, 2)  # (slice, channel, node)
@@ -394,8 +418,8 @@ def sis_action(path, params, kernel, grid, T):
     """Space-time quadrature of the SIS Lagrangian along a density path.
 
     ``path`` is (n_t, M) susceptible values in [0, 1]; the time derivative
-    uses centered differences (one-sided at the endpoints), taken on
-    ``_CHUNK``-slice stacks with one halo row on either side, and the time
+    uses centered differences (one-sided at the endpoints), taken on stacks
+    of ``_stack_slices(M)`` slices with one halo row on either side, and the time
     integral is trapezoidal.  Degenerate points give the infinity marker at
     the first infinite cell; a non-finite path entry, a path that is not
     (n_t, grid.M), or a horizon T that is not finite and > 0 raises
@@ -412,9 +436,9 @@ def sis_action(path, params, kernel, grid, T):
     _check_horizon(T)
     dt = T / (n_t - 1)
     K = _operator(kernel, grid)
-    space, where = np.empty(n_t), None
-    for n0 in range(0, n_t, _CHUNK):
-        n1 = min(n0 + _CHUNK, n_t)
+    space, where, size = np.empty(n_t), None, _stack_slices(grid.M)
+    for n0 in range(0, n_t, size):
+        n1 = min(n0 + size, n_t)
         lo, hi = max(min(n0 - 1, n_t - 3), 0), min(max(n1 + 1, 3), n_t)  # >= 3 rows
         s = path[n0:n1]
         sdot = path_time_derivative(path[lo:hi], dt)[n0 - lo:n1 - lo]

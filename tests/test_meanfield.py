@@ -258,8 +258,42 @@ class TestChannelIntensities:
         for idx in np.ndindex(7, 5):
             assert np.array_equal(stack[idx], channel_intensities(rates, grid, nu[idx], kernel))
 
+    @pytest.mark.parametrize("rates", [sis_rates(SisParams(beta=2.0, alpha=1.0)),
+                                       ConstantRates(StateSpace(("a", "b", "c")), 0.7)],
+                             ids=["sis", "constant3"])
+    def test_one_call_equals_a_call_per_source_state(self, rates):
+        # the reference: one rate_matrix call per source state on the slice's rows
+        grid, kernel = circle_grid(64), small_world_kernel(0.9, 0.1, 0.5)
+        k = rates.states.size
+        nu = np.random.default_rng(3).dirichlet(np.ones(k), (4, grid.M)).transpose(0, 2, 1)
+        w = field_from_density(grid, kernel, nu).swapaxes(-1, -2)  # (slice, node, state)
+        want = np.empty((4, k, k, grid.M))
+        for n, a in np.ndindex(4, k):
+            r = rates.rate_matrix(grid.nodes, np.full(grid.M, a), w[n])
+            want[n, a] = r.T * nu[n, a]
+        assert np.array_equal(channel_intensities(rates, grid, nu, kernel), want)
+
 
 class TestEvolve:
+    def test_one_step_is_the_rk4_formula(self):
+        # the stages combined out of place, as written: evolve's in-place sums match to the bit
+        grid, spec, rates = sis_setup(M=16, level=1.5)
+        s0 = 0.6 + 0.2 * np.cos(grid.nodes)
+        nu0 = np.vstack([s0, 1 - s0])
+        dt = 0.05
+
+        def drift(nu):
+            lam = channel_intensities(rates, grid, nu, spec)
+            return lam.sum(axis=0) - lam.sum(axis=1)
+
+        k1 = drift(nu0)
+        k2 = drift(nu0 + 0.5 * dt * k1)
+        k3 = drift(nu0 + 0.5 * dt * k2)
+        k4 = drift(nu0 + dt * k3)
+        want = nu0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        dens, _ = evolve(grid, spec, rates, nu0, T=2 * dt, dt=dt)
+        assert np.array_equal(dens.values[1], want)
+
     def test_endemic_equilibrium_constant_kernel(self):
         # uniform init reduces to scalar ODE with fixed point alpha/(beta J0)
         grid, spec, rates = sis_setup(beta=2.0, alpha=1.0, level=1.0)

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from graphonldp.core_model import NumericalError, SisParams, sis_rates
-from graphonldp.graphon import constant_kernel, cosine_kernel
+from graphonldp.graphon import constant_kernel, cosine_kernel, small_world_kernel
 from graphonldp.meanfield import circle_grid, evolve, kernel_matrix
 from graphonldp.rate_function import (
     _CHUNK,
     _sis_split,
+    _stack_slices,
     channel_intensities,
     ell,
     ell_scaled,
@@ -120,6 +121,13 @@ class TestPoissonTail:
         # math.lgamma(k + 1) once raised a bare OverflowError here
         with pytest.raises(NumericalError, match="float range"):
             poisson_tail_log_prob(k, 1.0)
+
+    @pytest.mark.parametrize("k, mean", [(1e20, 1e20), (10 ** 20, 1e20), (2 ** 63 + 1, 2.0 ** 63)],
+                             ids=["1e20", "int 1e20", "2^63 + 1"])
+    def test_term_indices_beyond_int64_raise(self, k, mean):
+        # the terms near the mode once went through np.arange over Python ints: a bare TypeError
+        with pytest.raises(NumericalError, match="int64"):
+            poisson_tail_log_prob(k, mean)
 
     def test_largest_levels_still_sum(self):
         # just below the cut the tail is its first term: -mean - log k!
@@ -684,35 +692,76 @@ class TestRateG:
         assert np.allclose(nu[-1, 1], 0.7)
 
 
+def _working_memory(grid, kernel, params, n_t):
+    """tracemalloc peaks of sis_action and rate_G on an n_t-slice path, in bytes."""
+    import tracemalloc
+
+    rates = sis_rates(params)
+    t = np.linspace(0.0, 1.0, n_t)[:, None]
+    path = 0.55 + 0.15 * np.cos(grid.nodes) * np.sin(np.pi * t)
+    flux = {("S", "I"): np.full((n_t, grid.M), 0.1), ("I", "S"): np.full((n_t, grid.M), 0.1)}
+    nu0 = np.full((2, grid.M), 0.5)
+    out = []
+    for call in (lambda: sis_action(path, params, kernel, grid, 1.0),
+                 lambda: rate_G(flux, nu0, grid, kernel, rates, 1.0)):
+        tracemalloc.start()
+        try:
+            assert call().finite
+            out.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return np.array(out)
+
+
 def test_working_memory_independent_of_n_t():
     # both functionals walk _CHUNK-slice stacks: their peak working memory
     # at 16 stacks is that at 4, to within 1 MiB (one path at 16 is 4 MiB)
-    import tracemalloc
-
     grid = circle_grid(256)
     kernel = cosine_kernel(1.0, 0.5)  # circulant at M = 256: the FFT operator
     params = SisParams(beta=2.0, alpha=1.0)
-    rates = sis_rates(params)
-
-    def peaks(n_t):
-        t = np.linspace(0.0, 1.0, n_t)[:, None]
-        path = 0.55 + 0.15 * np.cos(grid.nodes) * np.sin(np.pi * t)
-        flux = {("S", "I"): np.full((n_t, grid.M), 0.1), ("I", "S"): np.full((n_t, grid.M), 0.1)}
-        nu0 = np.full((2, grid.M), 0.5)
-        out = []
-        for call in (lambda: sis_action(path, params, kernel, grid, 1.0),
-                     lambda: rate_G(flux, nu0, grid, kernel, rates, 1.0)):
-            tracemalloc.start()
-            try:
-                assert call().finite
-                out.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return np.array(out)
-
-    peaks(4)  # the grid's kernel operator, built outside the measurement
-    short, long = peaks(4 * _CHUNK + 1), peaks(16 * _CHUNK + 1)
+    _working_memory(grid, kernel, params, 4)  # the grid's kernel operator, built outside the measurement
+    short = _working_memory(grid, kernel, params, 4 * _CHUNK + 1)
+    long = _working_memory(grid, kernel, params, 16 * _CHUNK + 1)
     assert np.all(np.abs(long - short) < 2**20), (short, long)
+
+
+def test_working_memory_bounded_in_cells_at_the_bench_grid():
+    # at M = 1024 the stacks hold 32 slices, not _CHUNK: sis_action peaks at
+    # 2.9 MiB and rate_G at 6.3 MiB (11.1 and 23.4 MiB with 128-slice stacks)
+    grid = circle_grid(1024)
+    kernel = small_world_kernel(1.5, 0.1, 0.5)
+    params = SisParams(beta=4.0, alpha=1.0)
+    _working_memory(grid, kernel, params, 4)
+    sis, rate = _working_memory(grid, kernel, params, 2 * _CHUNK + 1)
+    assert sis < 4 * 2**20 and rate < 8 * 2**20, (sis, rate)
+
+
+@pytest.mark.parametrize("M, size", [(32, _CHUNK), (256, _CHUNK), (1024, 32), (2 ** 16, 1)])
+def test_stack_slices_bounded_in_cells(M, size):
+    assert _stack_slices(M) == size
+
+
+def test_cell_bounded_stacks_equal_one_stack(monkeypatch):
+    from graphonldp import rate_function
+
+    grid = circle_grid(1024)
+    kernel = small_world_kernel(1.5, 0.1, 0.5)
+    params = SisParams(beta=4.0, alpha=1.0)
+    rates = sis_rates(params)
+    n_t = 2 * 32 + 7  # two full 32-slice stacks and a partial one
+    t = np.linspace(0.0, 1.0, n_t)[:, None]
+    path = 0.55 + 0.15 * np.cos(grid.nodes) * np.sin(np.pi * t)
+    flux = {("S", "I"): 0.2 + 0.1 * np.cos(grid.nodes) * t, ("I", "S"): np.full((n_t, grid.M), 0.1)}
+    nu0 = np.full((2, grid.M), 0.5)
+
+    def values():
+        return [sis_action(path, params, kernel, grid, 1.0), rate_G(flux, nu0, grid, kernel, rates, 1.0)]
+
+    many = values()
+    monkeypatch.setattr(rate_function, "_STACK_CELLS", n_t * grid.M)
+    monkeypatch.setattr(rate_function, "_CHUNK", n_t)
+    for a, b in zip(many, values()):
+        assert a.finite and a.value > 0 and a.value == pytest.approx(b.value, rel=1e-13)
 
 
 class TestContracted:
