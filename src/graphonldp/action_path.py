@@ -28,15 +28,11 @@ Hamiltonian H = D - lam - up at the momentum p = dL/dsdot:
     L = sdot p - H,   p = log(B / up) = log(lam / A),
 
 the two forms of p agreeing wherever lam up > 0.  The discrete action reads
-each cell that way, with p = log(lam / A) where sdot < 0 (finite at s = 1,
-where B = up = 0) and log(B / up) elsewhere, and sdot p = 0 where sdot = 0.
-Per path, ``_interval_sides`` forms W, lam, up, c and the [0, 1] range check
-once on the (K + 1, M) slices and the forward velocity v; per interval side
-(low at s_n, high at s_{n+1}) it forms only the velocity half of the split,
-A, B and D.  Per side the objective then forms r = B / up and p once; r
-gives M = 1 - 1 / r and N = -alpha (1 - r), p the cells and the gradient's
-velocity route.  The Newton preconditioner reads the D of the evaluation
-made at its iterate.
+each cell that way.  ``_interval_sides`` forms W, lam, up, c and the [0, 1]
+range check once per path, and ``_side`` one interval side's p, D and
+r = B / up: p gives the cells and the gradient's velocity route, r gives
+M = 1 - 1 / r and N = -alpha (1 - r).  The Newton preconditioner reads the
+D of the evaluation made at its iterate.
 
 Nothing is floored: every field is the exact envelope derivative wherever
 B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
@@ -212,59 +208,30 @@ def el_residual(path, params, kernel, grid, horizon):
 # --- discrete action and its exact gradient ---------------------------------
 
 def _interval_sides(path, params, Km, grid, dt):
-    """The one per-point state that the discrete action and the Newton
-    preconditioner read: W = K[1 - s] on every slice of a (K + 1, M) path, the
-    forward velocity v_n = (s_{n+1} - s_n)/dt, and each interval side's (lam,
-    split), the low side at s_n and the high side at s_{n+1}.  The field, lam,
-    the split state (up, c) and its range check are formed once on the path
-    and sliced for the two sides; per side only the velocity half of the
-    split is formed."""
+    """The one per-path frame of the discrete action and the Newton
+    preconditioner: W = K[1 - s] on the (K + 1, M) path, the forward
+    velocity v_n = (s_{n+1} - s_n)/dt, and each interval side as (lam, up, p,
+    D, r), the low side at s_n, the high side at s_{n+1}.  W, lam, (up, c) and
+    the range check are formed once and sliced; :func:`_side` does the rest."""
     v = path[1:] - path[:-1]
     v /= dt
     W, lam = _sis_field(path, grid, Km, params.beta)
     up, c = _split_state(path, lam, params.alpha)
-    return W, v, [(lam[sl], _flux_split(v, up[sl], c[sl])) for sl in (np.s_[:-1], np.s_[1:])]
+    return W, v, [(lam[sl], up[sl], *_side(v, lam[sl], up[sl], c[sl]))
+                  for sl in (np.s_[:-1], np.s_[1:])]
 
 
-def _momentum(v, lam, split):
-    """r = B / up and the momentum p = dL/dsdot = log(lam / A) where v < 0 and
-    log r elsewhere of one interval side.  The two are equal wherever
-    lam up > 0; where s = 1 (B = up = 0) the first stays finite."""
-    A, B, up, _ = split
+def _side(v, lam, up, c):
+    """One interval side at velocity v and state (lam, up, c): the momentum
+    p = dL/dsdot, D of the flux split and r = B / up, in A's and B's buffers.
+    p = log(lam / A) where v < 0 and log r elsewhere: equal wherever
+    lam up > 0, and the first is finite at s = 1 (B = up = 0)."""
+    A, B, _, D = _flux_split(v, up, c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = B / up
-        return r, np.log(np.where(v < 0, lam / A, r))
-
-
-def _side_fields(v, sides, alpha, with_grad):
-    """P = p_lo + p_hi per interval and, with ``with_grad``, the Frechet fields
-    (M, N) of both sides summed on each interior slice: s_m is the low side
-    of interval m and the high side of interval m - 1."""
-    (lam_lo, lo), (lam_hi, hi) = sides
-    with np.errstate(invalid="ignore"):  # inf - inf next to a cell with B = 0
-        r, P = _momentum(v, lam_lo, lo)
-        if with_grad:
-            M, N = _frechet_fields(r, alpha)
-        r, p = _momentum(v, lam_hi, hi)
-        P += p
-        if not with_grad:
-            return P, None
-        M_hi, N_hi = _frechet_fields(r, alpha)
-        M[1:] += M_hi[:-1]
-        N[1:] += N_hi[:-1]
-    return P, (M[1:], N[1:])
-
-
-def _action_value(v, P, sides, dt, kw):
-    """The trapezoid sum of the cells L_lo + L_hi = v P - H_lo - H_hi, the
-    Legendre identity L = v p - H with H = D - lam - up on each side and
-    v P = 0 where v = 0; +inf if it is not finite."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        L = np.where(v == 0, 0.0, v * P)
-        for lam, (_, _, up, D) in sides:
-            L = L + lam + up - D
-        action = float(0.5 * dt * (L @ kw).sum())
-    return action if np.isfinite(action) else np.inf
+        r = np.divide(B, up, out=B)
+        p = np.divide(lam, A, out=A)
+        np.copyto(p, r, where=v >= 0)
+        return np.log(p, out=p), D, r
 
 
 def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _sides=None):
@@ -278,36 +245,44 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _si
     difference quadrature looks natural but its minimizers develop an
     O(1/dt) stationarity defect at the pinned end; see the tests.)
 
-    Each cell is read off its side's split by the Legendre identity
-    L = v p - H (``_action_value``); the momentum p of ``_momentum`` also
-    drives the gradient's velocity route.  With ``with_grad`` also returns
-    the exact gradient with respect to the interior slices, non-finite next
-    to a cell with B = 0.  K[1 - s] serves lam and both sides of G, and K^T
-    is applied once to the sum of both sides: two kernel applications in
-    all.  A list passed as ``_sides`` receives the interval sides of
-    ``_interval_sides``; it exists only for the Newton preconditioner of
-    :func:`minimize_action`, which reads D there instead of splitting the
-    path a second time.
+    Each cell is read off its side of :func:`_side` by the Legendre identity
+    L = v p - H, H = D - lam - up, with v p = 0 where v = 0; +inf if the sum
+    is not finite.  With ``with_grad`` also returns the exact gradient with
+    respect to the interior slices, non-finite next to a cell with B = 0:
+    K[1 - s] serves lam and both sides of G, and K^T is applied once to the
+    sum of both sides.  A list passed as ``_sides`` receives the interval
+    sides; it exists only for the Newton preconditioner of
+    :func:`minimize_action`, which reads D there.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
     dt = horizon / (n_t - 1)
     Km = _operator(kernel, grid)
     kw = grid.kappa_weights
-    # each interval side's split, once: the value cells and the gradient read it
     W, v, sides = _interval_sides(path, params, Km, grid, dt)
     if _sides is not None:
         _sides[:] = sides
-    P, MN = _side_fields(v, sides, params.alpha, with_grad)
-    action = _action_value(v, P, sides, dt, kw)
+    (_, _, p_lo, _, r_lo), (_, _, p_hi, _, r_hi) = sides
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf next to a cell with B = 0
+        P = p_lo + p_hi
+        L = np.where(v == 0, 0.0, v * P)
+        for lam, up, _, D, _ in sides:  # in place: one (K, M) buffer
+            L += lam
+            L += up
+            L -= D
+        action = float(0.5 * dt * (L @ kw).sum())
+    action = action if np.isfinite(action) else np.inf
     if not with_grad:
         return action
     if action == np.inf:
         return action, np.full((n_t - 2, M), np.nan)
 
-    Mf, Nf = MN
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
-        # slice route: s_m enters interval m-1 on the high side, interval m low
+        # slice route: s_m is the high side of interval m - 1 and the low side of interval m
+        Mf, Nf = _frechet_fields(r_lo[1:], params.alpha)
+        M_hi, N_hi = _frechet_fields(r_hi[:-1], params.alpha)
+        Mf += M_hi
+        Nf += N_hi
         grad = _G_field(Nf, Mf, path[1:-1], W[1:-1], params.beta, Km)
         grad *= 0.5 * dt * kw
         # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
@@ -461,7 +436,7 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         A node whose every interval has D = 0 gets a zero step.  _newton_cg
         calls it at the x of the latest fun(x), so it reads the D of that
         evaluation's sides and splits no path itself."""
-        D_lo, D_hi = (D for _, (_, _, _, D) in sides)
+        D_lo, D_hi = (D for _, _, _, D, _ in sides)
         # at a dt near the float range inv and q overflow, and _newton_cg stops
         with np.errstate(over="ignore", invalid="ignore"):
             inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))

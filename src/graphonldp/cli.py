@@ -9,10 +9,11 @@ given (config, seed).
 
 Exit codes: 0 success; 2 configuration error (a config section or key that
 DEFAULTS does not have, from --config or --set, a bad option or profile, a
-kernel off the circle outside ``sample``, or snapshots off the mean-field
-time grid); 3 numerical failure (an exhausted event budget, a non-finite
-rate, density normalization drift, an equilibrium relaxation or an action
-solve that did not converge).  No subcommand reads a network file;
+kernel off the circle outside ``sample``, a time step below the smallest
+normal float, or snapshots off the mean-field time grid); 3 numerical
+failure (an exhausted event budget, a non-finite rate, an overflowing
+velocity, density normalization drift, an equilibrium relaxation or an
+action solve that did not converge).  No subcommand reads a network file;
 ``graphon.read_network`` raises GraphonError on a malformed one.
 """
 
@@ -113,6 +114,17 @@ def _i(cp, sec, key, least=None):
     if least is not None and value < least:
         raise ConfigError(f"[{sec}] {key} must be at least {least}, got {value}")
     return value
+
+
+def _horizon(cp, key, least):
+    """grid.T and the number n >= ``least`` of grid.``key`` steps it is cut
+    into.  The step T / n must be a normal float: below that it loses
+    precision or underflows to 0."""
+    T, n = _f(cp, "grid", "T", positive=True), _i(cp, "grid", key, least=least)
+    if T / n < sys.float_info.min:
+        raise ConfigError(f"grid.T / grid.{key} = {T!r} / {n} is below the smallest normal "
+                          f"float {sys.float_info.min!r}: the time step would lose precision")
+    return T, n
 
 
 def _sizes(cp, sec, key):
@@ -384,8 +396,7 @@ def cmd_meanfield(cp, out):
     man = Manifest(out, "meanfield", cp)
     spec, _, grid, rates, equilibrium = _model(cp)
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
-                                     _f(cp, "grid", "T", positive=True),
-                                     _i(cp, "grid", "steps", least=1))
+                                     *_horizon(cp, "steps", 1))
     man.add("density.csv", _long_table("t,alpha,theta,value", dens.values,
                                        [dens.times, dens.labels, grid.nodes]))
     chans = sorted(flux.densities)
@@ -401,14 +412,13 @@ def compare_deviations(cp, N_sweep, seed):
     replicas' values, of the sup-over-(state, bin, snapshot) gap between
     binned empirical occupation masses and the limiting solution.  The
     limiting solution and its predicted bin masses are computed once."""
-    steps, n_snaps = _i(cp, "grid", "steps", least=1), _i(cp, "compare", "snapshots")
+    (T, steps), n_snaps = _horizon(cp, "steps", 1), _i(cp, "compare", "snapshots")
     if n_snaps < 2 or steps % (n_snaps - 1):
         raise ConfigError(
             f"compare.snapshots = {n_snaps} needs compare.snapshots - 1 to divide "
             f"grid.steps = {steps}, so that every snapshot is a mean-field grid time")
     spec, _, grid, rates, equilibrium = _model(cp)
     reps, threads = _replicas(cp)
-    T = _f(cp, "grid", "T", positive=True)
     init_infected = _init_infected(cp, grid, equilibrium)
     dens, _ = _meanfield_solution(grid, spec, rates, init_infected, T, steps)
     snaps = np.linspace(0.0, T, n_snaps)
@@ -442,9 +452,9 @@ def cmd_compare(cp, out):
 def cmd_rate(cp, out):
     man = Manifest(out, "rate", cp)
     spec, params, grid, rates, equilibrium = _model(cp)
-    T = _f(cp, "grid", "T", positive=True)
+    T, steps = _horizon(cp, "steps", 2)  # sis_action: 3 slices
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
-                                     T, _i(cp, "grid", "steps", least=2))  # sis_action: 3 slices
+                                     T, steps)
     g = rate_G(flux.densities, dens.values[0], grid, spec, rates, T, times=flux.times)
     act = sis_action(dens.state("S"), params, spec, grid, T)
     report = [
@@ -463,10 +473,10 @@ def cmd_action(cp, out):
     opts = ActionOptions(max_iters=_i(cp, "action", "max_iters", least=1),
                          tol_grad=_f(cp, "action", "tol_grad", positive=True))
     spec, params, grid, _, equilibrium = _model(cp)
+    T, K = _horizon(cp, "K", 3)
     problem = PathProblem(s0=parse_profile(cp.get("action", "s0"), grid, equilibrium),
                           sT=parse_profile(cp.get("action", "sT"), grid, equilibrium),
-                          horizon=_f(cp, "grid", "T", positive=True),
-                          K=_i(cp, "grid", "K", least=3))
+                          horizon=T, K=K)
     result = minimize_action(problem, params, spec, grid, opts)
 
     times = np.linspace(0.0, problem.horizon, problem.K + 1)

@@ -329,6 +329,9 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
     the drift ds: alpha - ds = s (alpha + beta K[1 - s]), so T(s) = s + s ds /
     (alpha - ds), with the denominator floored at alpha s, which keeps only
     the field's positive part; a negative field then steps to the clip at 1.
+    A zero numerator s ds is a zero step, also at s = 0 where the floored
+    denominator is 0 (an alpha so small that T(0) underflows), so every
+    returned profile is finite.
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
@@ -341,7 +344,9 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
     drift = np.inf
     for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)
-        s = np.clip(s + s * ds / np.maximum(alpha - ds, alpha * s), 0.0, 1.0)
+        step = s * ds
+        np.divide(step, np.maximum(alpha - ds, alpha * s), out=step, where=step != 0)
+        s = np.clip(s + step, 0.0, 1.0)
         drift = np.max(np.abs(ds))
         if drift < 1e-13:
             return s

@@ -327,10 +327,16 @@ def _flux_split(sdot, up, c):
     except that A = c / B where sdot > 0 and B = c / A where sdot < 0, so
     neither form cancels; the quotients are taken as 4 c / (D + sdot) and
     4 c / (D - sdot) before the halving, which keeps a subnormal sdot off
-    0 / 0.  Where c = 0, the flux against sdot is 0.  Vectorized."""
+    0 / 0.  Where c = 0, the flux against sdot is 0.  NumericalError where
+    sdot^2 + 4 c overflows (|sdot| above about 1.3e154).  Vectorized."""
     sdot = np.asarray(sdot, dtype=float)
     c4 = 4.0 * c
-    D = np.sqrt(sdot * sdot + c4)
+    try:
+        with np.errstate(over="raise"):
+            D = np.sqrt(sdot * sdot + c4)
+    except FloatingPointError:
+        raise NumericalError(f"sdot^2 + 4 c overflows at a velocity |sdot| up to "
+                             f"{np.max(np.abs(sdot)):.3g}") from None
     with np.errstate(divide="ignore", invalid="ignore"):
         A = 0.5 * np.where(sdot > 0, c4 / (D + sdot), D - sdot)
         B = 0.5 * np.where(sdot < 0, c4 / (D - sdot), D + sdot)
@@ -421,9 +427,9 @@ def sis_action(path, params, kernel, grid, T):
     uses centered differences (one-sided at the endpoints), taken on stacks
     of ``_stack_slices(M)`` slices with one halo row on either side, and the time
     integral is trapezoidal.  Degenerate points give the infinity marker at
-    the first infinite cell; a non-finite path entry, a path that is not
-    (n_t, grid.M), or a horizon T that is not finite and > 0 raises
-    ValueError.
+    the first infinite cell; a velocity whose square overflows raises
+    NumericalError; a non-finite path entry, a path that is not (n_t, grid.M),
+    or a horizon T that is not finite and > 0 raises ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != grid.M:

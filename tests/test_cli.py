@@ -414,7 +414,9 @@ class TestInputErrors:
           for v in ("nan", "inf")],
         ("sample", "run.seed=-1"), ("simulate", "run.seed=-1"), ("compare", "run.seed=-1"),
         ("simulate", "run.threads=0"),
-        ("ldp-check", "ldp_check.a=nan"), ("ldp-check", "ldp_check.a=inf")])
+        ("ldp-check", "ldp_check.a=nan"), ("ldp-check", "ldp_check.a=inf"),
+        *[(c, f"grid.T={v}") for c in ("meanfield", "rate", "compare", "action")
+          for v in ("5e-324", "1e-320")]])
     def test_out_of_range_number(self, tmp_path, capsys, command, setting):
         code, _ = run(tmp_path, command, setting, "graphon.N=40", "run.replicas=1",
                       "compare.N_sweep=40")
@@ -574,6 +576,18 @@ class TestAction:
         assert "(non-finite Newton direction)" in err and "Traceback" not in err
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["iters"] == 0 and diag["grad_evals"] == 1 and diag["converged"] is False
+
+    @pytest.mark.parametrize("command, sizes", [("rate", ("grid.M=8", "grid.steps=50")),
+                                                ("action", ("grid.M=8", "grid.K=10"))])
+    def test_velocity_overflow_is_named(self, tmp_path, capsys, command, sizes):
+        # at T = 1e-300 the velocity's square overflows in the flux split: rate
+        # wrote the infinity marker (null) and action blamed a zero intensity
+        code, out = run(tmp_path, command, "grid.T=1e-300", *sizes)
+        assert code in (0, 3)
+        err = capsys.readouterr().err
+        assert "zero intensity" not in err and "Traceback" not in err
+        if (out / "rate.json").exists():
+            assert "null" not in (out / "rate.json").read_text()
 
     def test_overflowing_curvature_stops_without_a_warning(self, tmp_path, capsys):
         # at dt ~ 1e99 the CG curvature p H p overflows: numpy warned from the

@@ -525,6 +525,12 @@ class TestEquilibrium:
                                 beta=4.0, alpha=1.0)
         assert 0.0 < s.min() < 1.0 and len(calls) <= 150
 
+    def test_tiny_alpha_gives_a_finite_profile(self):
+        # T(0) underflows to s = 0, where the step s ds / max(alpha - ds, alpha s)
+        # was 0 / 0: the profile came back all NaN
+        s = endemic_equilibrium(circle_grid(8), cosine_kernel(1.0, 0.5), 2.0, 5e-324)
+        assert np.all(np.isfinite(s)) and np.all((s >= 0.0) & (s <= 5e-324))
+
 
 class TestOperatorSlot:
     """The grid keeps the operator of its last kernel: one build per (kernel, grid)."""

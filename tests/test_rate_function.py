@@ -240,6 +240,18 @@ class TestSisA:
         assert a >= 0.0
         assert a * (sdot + a) == pytest.approx(target, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("sdot", [1e200, -1e200])
+    def test_overflowing_velocity_square_raises(self, sdot):
+        # sdot^2 overflowed to D = inf with a RuntimeWarning, and a flux of inf
+        # reached the Lagrangian as the infinity marker
+        from graphonldp.rate_function import _flux_split
+
+        v = np.array([0.5, sdot, 0.0])
+        with pytest.raises(NumericalError, match=r"velocity \|sdot\| up to 1e\+200"):
+            _flux_split(v, np.full(3, 0.5), np.full(3, 0.25))
+        with pytest.raises(NumericalError, match="overflows"):
+            sis_lagrangian(v, np.full(3, 0.5), np.ones(3), 1.0)
+
 
 class TestSisLagrangian:
     def test_zero_exactly_on_drift(self):
