@@ -34,6 +34,19 @@ r = B / up: p gives the cells and the gradient's velocity route, r gives
 M = 1 - 1 / r and N = -alpha (1 - r).  The Newton preconditioner reads the
 D of the evaluation made at its iterate.
 
+A solve keeps one ``_Workspace`` for all its objective calls, which write it
+with ``out=``, one array per quantity, all views of one allocation: W and
+lam, v, up and c, each side's A, B and D, the momentum sum, the cells, the
+Frechet fields and G's two kernel terms; beside it the solve keeps the
+unpacked iterate and the preconditioner's arrays, and _newton_cg its
+difference point and one scratch vector.  At K = 200, M = 64 each (K, M)
+array is 100 KiB, and glibc hands the heap top back to the system once more
+than 128 KiB is free there, so fresh temporaries would fault their pages in
+again on every call.  What
+``_newton_cg`` keeps across calls stays fresh: the gradient, which the
+Hessian product (g(x + h p) - g) / h differences against the next call's,
+the iterates and the returned path.
+
 Nothing is floored: every field is the exact envelope derivative wherever
 B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
 finite-difference oracle, and G and O through the gradient and stationarity.
@@ -53,11 +66,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_model import NumericalError
 from .meanfield import _operator, _sis_field
 from .rate_function import _flux_split, _sis_split, _split_state, path_time_derivative
 
 #: The box of the path solve: interior slices stay in [_EPS_S, 1 - _EPS_S].
 _EPS_S = 1e-8
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class EndpointError(ValueError):
@@ -129,25 +144,39 @@ def _pointwise(split, alpha):
         return (np.log(r), *_frechet_fields(r, alpha))
 
 
-def _frechet_fields(r, alpha):
+def _frechet_fields(r, alpha, out=None):
     """M = dL/dlam = 1 - 1 / r and N = dL/ds at fixed lam = -alpha (1 - r)
-    from r = B / up.  Vectorized."""
+    from r = B / up, written into ``out`` = (M, N) when given.  Vectorized."""
+    Mf, Nf = out if out is not None else (np.empty(np.shape(r)), np.empty(np.shape(r)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 - 1.0 / r, -alpha * (1.0 - r)
+        np.subtract(1.0, np.divide(1.0, r, out=Mf), out=Mf)
+        np.multiply(-alpha, np.subtract(1.0, r, out=Nf), out=Nf)
+    return Mf, Nf
 
 
 def _second_order(split):
-    """D and the sdot-derivatives dA/dsdot, d2A/dsdot2 and d2L/dsdot2 = 1 / D
-    at the optimal split (A, B, up, D).  Vectorized."""
+    """D and the sdot-derivatives dA/dsdot, d2A/dsdot2 = 2 (A / D) (B / D) / D
+    and d2L/dsdot2 = 1 / D at the optimal split (A, B, up, D); A, B <= D, so
+    no intermediate overflows where D^3 would.  Vectorized."""
     A, B, _, D = split
     with np.errstate(divide="ignore", invalid="ignore"):
-        return D, -A / D, 2.0 * A * B / D ** 3, 1.0 / D
+        return D, -A / D, 2.0 * (A / D) * (B / D) / D, 1.0 / D
 
 
-def _G_field(N, M, s, W, beta, Km):
+def _G_field(N, M, s, W, beta, Km, out=None):
     """Nonlocal G = N + beta M W - beta K^T[kappa M s] with W = K[1 - s], the
-    first variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M)."""
-    return N + beta * M * W - beta * Km.apply_T(M * s)
+    first variation of int L dkappa in s at fixed sdot; s is (M,) or (n, M).
+    A fresh array; ``out``, two arrays of G's shape, takes M s and
+    K^T[kappa M s] when given."""
+    G = np.multiply(beta, M)
+    G *= W
+    np.add(N, G, out=G)
+    Ms, KTMs = (None, None) if out is None else out
+    Ms = np.multiply(M, s, out=Ms)
+    KTMs = Km.apply_T(Ms) if KTMs is None else Km._product(Ms, True, KTMs)
+    KTMs *= beta
+    G -= KTMs
+    return G
 
 
 # --- slice-level operators --------------------------------------------------
@@ -193,10 +222,14 @@ def el_residual(path, params, kernel, grid, horizon):
     """Stationarity defect sdd * d2L/dsdot2 + O - G on interior time nodes.
 
     Returns (n_t, M) with NaN on the first and last rows, where the second
-    time difference is not defined.
+    time difference is not defined.  NumericalError where dt^2 is not a
+    normal float (dt below about 1.5e-154): sdd would divide by 0.
     """
     path = np.asarray(path, dtype=float)
     dt = horizon / (path.shape[0] - 1)
+    if not dt * dt >= _TINY:
+        raise NumericalError(f"el_residual: the time step dt = {dt:.3g} squares below the "
+                             f"smallest normal float, and the second time difference needs dt^2")
     sdot = path_time_derivative(path, dt)
     sdd = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / (dt * dt)
     ops = el_operators(sdot[1:-1], path[1:-1], params, kernel, grid)
@@ -207,26 +240,54 @@ def el_residual(path, params, kernel, grid, horizon):
 
 # --- discrete action and its exact gradient ---------------------------------
 
-def _interval_sides(path, params, Km, grid, dt):
+class _Workspace:
+    """The arrays a discrete_action call on an (n_t, M) path writes and no
+    caller keeps, one per quantity: W and lam (1 - s before it), the
+    velocity v, the split state (up, c), each interval side's (A, B, D), the
+    momentum sum P, the cells L, each side's Frechet fields (M, N), and G's
+    M s and K^T[kappa M s]; the two flux splits take turns with one quotient
+    array.  All are views of one allocation, about 2 MiB at the default
+    grid: above glibc's mmap threshold, so freeing the first one raises
+    that threshold and the trim threshold, and the workspaces of later
+    solves come from a heap that is no longer trimmed between them.
+    discrete_action alone makes a fresh one per call; minimize_action keeps
+    one for its whole solve, so that its objective calls do not grow the
+    heap again.  ``sides`` holds the interval sides of the latest call, for
+    the Newton preconditioner, which reads their D alone."""
+
+    def __init__(self, n_t, M):
+        K = n_t - 1
+        rows = [n_t] * 4 + [K] * 10 + [K - 1] * 6
+        (W, lam, up, c, v, quotient, A_lo, B_lo, D_lo, A_hi, B_hi, D_hi, P, L,
+         M_lo, N_lo, M_hi, N_hi, Ms, KTMs) = np.split(np.empty((sum(rows), M)), np.cumsum(rows)[:-1])
+        self.field, self.state, self.v, self.P, self.L = (W, lam), (up, c), v, P, L
+        self.split = [(A_lo, B_lo, D_lo, quotient), (A_hi, B_hi, D_hi, quotient)]
+        self.fields, self.G = [(M_lo, N_lo), (M_hi, N_hi)], (Ms, KTMs)
+        self.sides = None
+
+
+def _interval_sides(path, params, Km, grid, dt, work):
     """The one per-path frame of the discrete action and the Newton
     preconditioner: W = K[1 - s] on the (K + 1, M) path, the forward
     velocity v_n = (s_{n+1} - s_n)/dt, and each interval side as (lam, up, p,
     D, r), the low side at s_n, the high side at s_{n+1}.  W, lam, (up, c) and
-    the range check are formed once and sliced; :func:`_side` does the rest."""
-    v = path[1:] - path[:-1]
+    the range check are formed once and sliced; :func:`_side` does the rest.
+    Every array is a buffer of the :class:`_Workspace` ``work``."""
+    v = np.subtract(path[1:], path[:-1], out=work.v)
     v /= dt
-    W, lam = _sis_field(path, grid, Km, params.beta)
-    up, c = _split_state(path, lam, params.alpha)
-    return W, v, [(lam[sl], up[sl], *_side(v, lam[sl], up[sl], c[sl]))
-                  for sl in (np.s_[:-1], np.s_[1:])]
+    W, lam = _sis_field(path, grid, Km, params.beta, work.field)
+    up, c = _split_state(path, lam, params.alpha, work.state)
+    return W, v, [(lam[sl], up[sl], *_side(v, lam[sl], up[sl], c[sl], out))
+                  for sl, out in zip((np.s_[:-1], np.s_[1:]), work.split)]
 
 
-def _side(v, lam, up, c):
+def _side(v, lam, up, c, out):
     """One interval side at velocity v and state (lam, up, c): the momentum
-    p = dL/dsdot, D of the flux split and r = B / up, in A's and B's buffers.
-    p = log(lam / A) where v < 0 and log r elsewhere: equal wherever
-    lam up > 0, and the first is finite at s = 1 (B = up = 0)."""
-    A, B, _, D = _flux_split(v, up, c)
+    p = dL/dsdot, D of the flux split and r = B / up, in the split's buffers
+    ``out`` = (A, B, D, work).  p = log(lam / A) where v < 0 and log r
+    elsewhere: equal wherever lam up > 0, and the first is finite at s = 1
+    (B = up = 0)."""
+    A, B, _, D = _flux_split(v, up, c, out)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.divide(B, up, out=B)
         p = np.divide(lam, A, out=A)
@@ -234,7 +295,7 @@ def _side(v, lam, up, c):
         return np.log(p, out=p), D, r
 
 
-def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _sides=None):
+def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _work=None):
     """Interval-based trapezoid quadrature of the action and its gradient.
 
     H = sum_n (dt/2) int [ L(v_n, s_n) + L(v_n, s_{n+1}) ] dkappa with the
@@ -248,24 +309,26 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _si
     Each cell is read off its side of :func:`_side` by the Legendre identity
     L = v p - H, H = D - lam - up, with v p = 0 where v = 0; +inf if the sum
     is not finite.  With ``with_grad`` also returns the exact gradient with
-    respect to the interior slices, non-finite next to a cell with B = 0:
-    K[1 - s] serves lam and both sides of G, and K^T is applied once to the
-    sum of both sides.  A list passed as ``_sides`` receives the interval
-    sides; it exists only for the Newton preconditioner of
-    :func:`minimize_action`, which reads D there.
+    respect to the interior slices, a fresh array, non-finite next to a cell
+    with B = 0: K[1 - s] serves lam and both sides of G, and K^T is applied
+    once to the sum of both sides.  ``_work`` exists only for
+    :func:`minimize_action`: a :class:`_Workspace` of the path's shape whose
+    buffers the call writes, and whose ``sides`` receives the interval sides
+    for the Newton preconditioner, which reads D there.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
     dt = horizon / (n_t - 1)
     Km = _operator(kernel, grid)
     kw = grid.kappa_weights
-    W, v, sides = _interval_sides(path, params, Km, grid, dt)
-    if _sides is not None:
-        _sides[:] = sides
+    work = _Workspace(n_t, M) if _work is None else _work
+    W, v, sides = _interval_sides(path, params, Km, grid, dt, work)
+    work.sides = sides
     (_, _, p_lo, _, r_lo), (_, _, p_hi, _, r_hi) = sides
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf next to a cell with B = 0
-        P = p_lo + p_hi
-        L = np.where(v == 0, 0.0, v * P)
+        P = np.add(p_lo, p_hi, out=work.P)
+        L = np.multiply(v, P, out=work.L)
+        np.copyto(L, 0.0, where=v == 0)
         for lam, up, _, D, _ in sides:  # in place: one (K, M) buffer
             L += lam
             L += up
@@ -279,11 +342,11 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _si
 
     with np.errstate(invalid="ignore"):  # a cell with B = 0 makes the gradient NaN
         # slice route: s_m is the high side of interval m - 1 and the low side of interval m
-        Mf, Nf = _frechet_fields(r_lo[1:], params.alpha)
-        M_hi, N_hi = _frechet_fields(r_hi[:-1], params.alpha)
-        Mf += M_hi
-        Nf += N_hi
-        grad = _G_field(Nf, Mf, path[1:-1], W[1:-1], params.beta, Km)
+        lo, hi = work.fields
+        Mf, Nf = _frechet_fields(r_lo[1:], params.alpha, lo)
+        for F, F_hi in zip((Mf, Nf), _frechet_fields(r_hi[:-1], params.alpha, hi)):
+            F += F_hi
+        grad = _G_field(Nf, Mf, path[1:-1], W[1:-1], params.beta, Km, work.G)
         grad *= 0.5 * dt * kw
         # velocity route: dv_n/ds_{n+1} = 1/dt, dv_n/ds_n = -1/dt
         P *= 0.5 * kw                                       # (K, M), dt cancels
@@ -312,10 +375,14 @@ class ActionResult:
     diagnostics: dict
 
 
-def _room(x, d, lo, hi):
-    """The largest t >= 0 with lo <= x + t d <= hi."""
+def _room(x, d, lo, hi, out=None):
+    """The largest t >= 0 with lo <= x + t d <= hi; ``out``, an array of x's
+    shape, takes the distances to the faces when given."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.min(np.where(d > 0, hi - x, lo - x) / d, initial=np.inf, where=d != 0))
+        t = np.subtract(hi, x, out=out)
+        np.subtract(lo, x, out=t, where=~(d > 0))
+        t /= d
+        return float(np.min(t, initial=np.inf, where=d != 0))
 
 
 def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
@@ -329,7 +396,10 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     call.  A non-finite gradient,
     preconditioned gradient or curvature stops the solve.  Returns the last
     iterate, its f and g, and the solve's diagnostics entries
-    (``action_history``: f after each accepted step)."""
+    (``action_history``: f after each accepted step).  ``fun`` returns a
+    fresh g and keeps nothing of its x: the difference point x + h p is
+    formed in a buffer of the solve, and g(x + h p) - g in place."""
+    probe, tmp = np.empty(np.shape(x0)), np.empty(np.shape(x0))  # x + h p; each product's scratch
     x, (f, g) = x0, fun(x0)
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
     while not np.max(np.abs(g)) <= gtol and nit < maxiter:
@@ -345,10 +415,12 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
             break
         gnorm = np.linalg.norm(g)
         for j in range(_CG_MAX):
-            size = np.max(np.abs(p))
-            h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi)) if size > 0.0 else 0.0
+            size = np.max(np.abs(p, out=tmp))
+            h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi, tmp)) if size > 0.0 else 0.0
             if h > 0.0:
-                Hp, evals = (fun(x + h * p)[1] - g) / h, evals + 1
+                Hp, evals = fun(np.add(x, np.multiply(h, p, out=probe), out=probe))[1], evals + 1
+                Hp -= g
+                Hp /= h
                 with np.errstate(over="ignore", invalid="ignore"):  # p and Hp near the float range
                     curv = p @ Hp
             else:  # p is zero or leaves the box at once: no curvature to measure along it
@@ -360,19 +432,20 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
                 if j == 0:
                     d = z
                 break
-            d, r = d + (rz / curv) * p, r - (rz / curv) * Hp
+            d += np.multiply(rz / curv, p, out=tmp)
+            r -= np.multiply(rz / curv, Hp, out=tmp)
             if np.linalg.norm(r) <= min(0.5, np.sqrt(gnorm)) * gnorm:
                 break
             z = solve(r)
             rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
+            p = z + np.multiply(rz / rz_old, p, out=tmp)
         cg_iters += j + 1
         if d is None:
             message = "non-finite curvature"
             break
-        step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi)), g @ d
+        step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi, tmp)), g @ d
         while step > 1e-12:
-            trial = x + step * d
+            trial = x + np.multiply(step, d, out=tmp)
             (f_trial, g_trial), evals = fun(trial), evals + 1
             if f_trial < f + 1e-4 * step * slope:
                 break
@@ -390,6 +463,53 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     return x, f, g, diag
 
 
+def _objective(start, params, Km, grid, horizon, work):
+    """``fun`` and ``precondition`` of :func:`_newton_cg` for the discrete
+    action over the interior slices of paths with ``start``'s pinned ends.
+    Their buffers are rewritten by every call: the :class:`_Workspace`
+    ``work``, whose sides the preconditioner reads, the unpacked iterate and
+    the preconditioner's weights.  The gradient stays fresh, since
+    _newton_cg differences it against the next call's."""
+    n_t, M = start.shape
+    dt = horizon / (n_t - 1)
+    iterate, (inv, q, qi) = start.copy(), (np.empty((n_t - 1, M)) for _ in range(3))
+
+    def fun(x):
+        iterate[1:-1] = x.reshape(n_t - 2, M)
+        a, g = discrete_action(iterate, params, Km, grid, horizon, with_grad=True, _work=work)
+        return a, g.ravel()
+
+    def precondition(x):
+        """Solver of E^T diag(c) E y = r per circle node, with E the pinned-end
+        time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt), d2L = 1 / D,
+        per interval: the flux q = c E y has E^T q = r, so q is minus the running
+        sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
+        A node whose every interval has D = 0 gets a zero step.  _newton_cg
+        calls it at the x of the latest fun(x), so it reads the D of that
+        evaluation's sides and splits no path itself.  The weights c^-1, q
+        and q c^-1 are formed in buffers of the solve."""
+        D_lo, D_hi = (D for _, _, _, D, _ in work.sides)
+        # at a dt near the float range inv and q overflow, and _newton_cg stops
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(np.multiply(2.0 * dt, D_lo, out=inv), D_hi, out=inv)
+            np.divide(inv, np.multiply(grid.kappa_weights, np.add(D_lo, D_hi, out=q), out=q), out=inv)
+            np.nan_to_num(inv, copy=False)
+            total = inv.sum(axis=0)
+
+        def solve(r):
+            """A fresh z: _newton_cg keeps it as its CG direction."""
+            with np.errstate(over="ignore", invalid="ignore"):
+                q[0] = 0.0
+                q[1:] = r.reshape(n_t - 2, M)
+                np.negative(np.cumsum(q, axis=0, out=q), out=q)
+                np.subtract(q, np.divide(np.multiply(q, inv, out=qi).sum(axis=0), total,
+                                         out=np.zeros(M), where=total > 0), out=q)
+                return np.cumsum(np.multiply(q[:-1], inv[:-1], out=qi[:-1]), axis=0).ravel()
+        return solve
+
+    return fun, precondition
+
+
 def minimize_action(problem: PathProblem, params, kernel, grid,
                     opts: ActionOptions = None) -> ActionResult:
     """Locally minimize the discrete action between pinned endpoints.
@@ -403,7 +523,6 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
     opts = opts or ActionOptions()
     Km = _operator(kernel, grid)
     n_t, M = problem.K + 1, problem.M
-    dt = problem.horizon / problem.K
     lo, hi = _EPS_S, 1.0 - _EPS_S
 
     start = problem.initial_path() if opts.initial_path is None else np.array(opts.initial_path, dtype=float)
@@ -411,46 +530,18 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         raise ValueError(f"initial path has shape {start.shape}, expected {(n_t, M)}")
     start = np.clip(start, lo, hi)
     start[0], start[-1] = problem.s0, problem.sT
-    a0 = discrete_action(start, params, Km, grid, problem.horizon)
+    work = _Workspace(n_t, M)  # the solve's buffers: the start's value writes them first
+    a0 = discrete_action(start, params, Km, grid, problem.horizon, _work=work)
     if not np.isfinite(a0):
         raise EndpointError("initial path has infinite action: it needs a flux through "
                             "a zero intensity, e.g. s falling where lam = 0")
     tol = opts.tol_grad * max(1.0, abs(a0))
 
-    def unpack(x):
-        p = start.copy()
-        p[1:-1] = x.reshape(n_t - 2, M)
-        return p
-
-    sides = []  # the interval sides of the latest fun(x)
-
-    def fun(x):
-        a, g = discrete_action(unpack(x), params, Km, grid, problem.horizon, with_grad=True, _sides=sides)
-        return a, g.ravel()
-
-    def precondition(x):
-        """Solver of E^T diag(c) E y = r per circle node, with E the pinned-end
-        time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt), d2L = 1 / D,
-        per interval: the flux q = c E y has E^T q = r, so q is minus the running
-        sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
-        A node whose every interval has D = 0 gets a zero step.  _newton_cg
-        calls it at the x of the latest fun(x), so it reads the D of that
-        evaluation's sides and splits no path itself."""
-        D_lo, D_hi = (D for _, _, _, D, _ in sides)
-        # at a dt near the float range inv and q overflow, and _newton_cg stops
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv = np.nan_to_num(2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi)))
-            total = inv.sum(axis=0)
-
-        def solve(r):
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
-                q -= np.divide((q * inv).sum(axis=0), total, out=np.zeros(M), where=total > 0)
-                return np.cumsum(q * inv, axis=0)[:-1].ravel()
-        return solve
-
+    fun, precondition = _objective(start, params, Km, grid, problem.horizon, work)
     x, f, g, stats = _newton_cg(fun, start[1:-1].ravel(), lo, hi, precondition, opts.max_iters, tol)
-    path = unpack(x)
+    del work, fun, precondition  # the solve's buffers make room for el_residual's fields
+    path = start.copy()
+    path[1:-1] = x.reshape(n_t - 2, M)
     residual = el_residual(path, params, Km, grid, problem.horizon)
     diag = {
         "action": float(f),

@@ -195,10 +195,13 @@ def parse_profile(text, grid, equilibrium):
         except ValueError:
             raise ConfigError(f"bad bump profile {text!r} "
                               "(expected bump:center,width,depth)") from None
+        if not all(map(math.isfinite, (center, width, depth))):
+            raise ConfigError(f"bump profile {text!r} needs a finite center, width and depth")
         if width <= 0:
             raise ConfigError("bump width must be positive")
         d = circle_distance(th, center)
-        return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
+        with np.errstate(over="ignore"):  # a width far below the node spacing: exp(-inf) = 0
+            return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
     raise ConfigError(f"unknown profile {text!r}")
 
 

@@ -87,7 +87,8 @@ _CIRCULANT_TOL = 1e-13
 
 class KernelOperator:
     """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
-    d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis.  With uniform
+    d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis, both by
+    ``_product``, which also writes into a given array.  With uniform
     kappa-masses, M >= ``_FFT_MIN_M`` and K circulant to round-off (every
     kernel of x - y on the uniform circle grid) both are circular convolutions
     by real FFT, O(M log M), from the two spectra alone (K is dropped);
@@ -109,12 +110,21 @@ class KernelOperator:
         return np.fft.irfft(np.fft.rfft(x) * spectrum, n=self.kw.size)
 
     def apply(self, density):
-        x = density * self.kw
-        return self._convolve(x, self._col) if self.fft else x @ self.K.T
+        return self._product(density, False)
 
     def apply_T(self, v):
+        return self._product(v, True)
+
+    def _product(self, v, transposed, out=None):
+        """apply (K) or apply_T (K^T) of v, written into ``out`` when given."""
         x = v * self.kw
-        return self._convolve(x, self._row) if self.fft else x @ self.K
+        if not self.fft:
+            return np.matmul(x, self.K if transposed else self.K.T, out=out)
+        y = self._convolve(x, self._row if transposed else self._col)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
 
 def _operator(kernel, grid: SpatialGrid):
@@ -176,7 +186,9 @@ def field_from_density(grid: SpatialGrid, K, density):
     KernelOperator, made an operator by ``_operator``'s one rule; ``density``
     is (M,) or (k, M) and the result has the same shape: the kernel
     contraction of each row against the kappa-weighted density.  This is
-    the one forward application of K.
+    the one forward application of K into a fresh array; ``_sis_field``
+    writes K[1 - s] into a given one through the same
+    ``KernelOperator._product``.
     """
     return _operator(K, grid).apply(density)
 
@@ -220,13 +232,18 @@ def channel_intensities(rates, grid: SpatialGrid, nu, kernel):
     return lam.reshape(nu.shape[:-1] + nu.shape[-2:])
 
 
-def _sis_field(s, grid: SpatialGrid, K, beta):
+def _sis_field(s, grid: SpatialGrid, K, beta, out=None):
     """(W, lam): the field W = K[1 - s] and the SIS infection intensity
-    lam = beta s W of a slice s or a stack of slices.  The one place either
-    is formed: ``sis_lambda_field`` and the action layer read it."""
+    lam = beta s W of a slice s or a stack of slices, written into ``out`` =
+    (W, lam) when given; lam holds 1 - s first.  The one place either is
+    formed: ``sis_lambda_field`` and the action layer read it."""
     s = np.asarray(s, dtype=float)
-    W = field_from_density(grid, K, 1.0 - s)
-    return W, beta * s * W
+    W, lam = (None, None) if out is None else out
+    lam = np.subtract(1.0, s, out=lam)
+    W = field_from_density(grid, K, lam) if W is None else _operator(K, grid)._product(lam, False, W)
+    np.multiply(beta, s, out=lam)
+    lam *= W
+    return W, lam
 
 
 def sis_lambda_field(s, grid: SpatialGrid, K, beta):

@@ -308,38 +308,64 @@ def sis_A(sdot, s_local, lam, alpha):
     return A if A.ndim else float(A)
 
 
-def _split_state(s_local, lam, alpha):
+def _split_state(s_local, lam, alpha, out=None):
     """The velocity-free half of the flux split at a point: the recovery
-    intensity up = alpha (1 - s) and the flux product c = max(lam up, 0).  A
-    susceptible value outside [0, 1] by more than ``_DENSITY_TOL`` raises
-    ValueError.  Vectorized."""
+    intensity up = alpha (1 - s) and the flux product c = max(lam up, 0),
+    written into ``out`` = (up, c) when given.  A susceptible value outside
+    [0, 1] by more than ``_DENSITY_TOL`` (or NaN, which fails both sides of
+    the one min and max) raises ValueError; an empty array passes.
+    Vectorized."""
     s_local = np.asarray(s_local, dtype=float)
-    if not np.all((s_local >= -_DENSITY_TOL) & (s_local <= 1.0 + _DENSITY_TOL)):
+    if s_local.size and not (s_local.min() >= -_DENSITY_TOL and s_local.max() <= 1.0 + _DENSITY_TOL):
         raise ValueError("susceptible density outside [0, 1]")
-    up = alpha * (1.0 - s_local)
-    return up, np.maximum(lam * up, 0.0)
+    if out is None:
+        shape = np.broadcast_shapes(s_local.shape, np.shape(alpha))
+        out = np.empty(shape), np.empty(np.broadcast_shapes(shape, np.shape(lam)))
+    up, c = out
+    np.multiply(alpha, np.subtract(1.0, s_local, out=up), out=up)
+    np.multiply(lam, up, out=c)
+    return up, np.maximum(c, 0.0, out=c)
 
 
-def _flux_split(sdot, up, c):
+def _flux_split(sdot, up, c, out=None):
     """The optimal flux split at velocity sdot of a point with state (up, c)
     from :func:`_split_state`: (A, B, up, D) with B - A = sdot, A B = c and
-    D = A + B = sqrt(sdot^2 + 4 c).  A = (D - sdot) / 2 and B = (D + sdot) / 2,
-    except that A = c / B where sdot > 0 and B = c / A where sdot < 0, so
-    neither form cancels; the quotients are taken as 4 c / (D + sdot) and
-    4 c / (D - sdot) before the halving, which keeps a subnormal sdot off
-    0 / 0.  Where c = 0, the flux against sdot is 0.  NumericalError where
-    sdot^2 + 4 c overflows (|sdot| above about 1.3e154).  Vectorized."""
+    D = A + B = sqrt(sdot^2 + 4 c).
+
+    With a = |sdot| the two fluxes are big = (D + a) / 2 and small =
+    (4 c / (D + a)) / 2 = c / big: A = small where sdot > 0 and big
+    elsewhere, B = small where sdot < 0 and big elsewhere, so neither form
+    cancels, and the quotient taken before the halving keeps a subnormal
+    sdot off 0 / 0.  One add and one divide serve both fluxes, bit for bit
+    the two-branch form A = (sdot > 0 ? 4 c / (D + sdot) : D - sdot) / 2,
+    B = (sdot < 0 ? 4 c / (D - sdot) : D + sdot) / 2: negating a float is
+    exact, so D - sdot = D + a where sdot <= 0 (-0.0 included) and
+    D + sdot = D + a where sdot >= 0.  Where c = 0, the flux against sdot is
+    0.  ``out`` = (A, B, D, work), four arrays of the broadcast shape, takes
+    the results and the quotient in place of fresh arrays.  NumericalError
+    where sdot^2 + 4 c overflows (|sdot| above about 1.3e154).  Vectorized."""
     sdot = np.asarray(sdot, dtype=float)
-    c4 = 4.0 * c
+    if out is None:
+        shape = np.broadcast_shapes(sdot.shape, np.shape(up), np.shape(c))
+        out = [np.empty(shape) for _ in range(4)]
+    A, B, D, q = out
+    c4 = np.multiply(4.0, c, out=q)
     try:
         with np.errstate(over="raise"):
-            D = np.sqrt(sdot * sdot + c4)
+            np.multiply(sdot, sdot, out=D)
+            D += c4
     except FloatingPointError:
         raise NumericalError(f"sdot^2 + 4 c overflows at a velocity |sdot| up to "
                              f"{np.max(np.abs(sdot)):.3g}") from None
+    np.sqrt(D, out=D)
+    big = np.add(D, np.abs(sdot, out=B), out=B)
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = 0.5 * np.where(sdot > 0, c4 / (D + sdot), D - sdot)
-        B = 0.5 * np.where(sdot < 0, c4 / (D - sdot), D + sdot)
+        small = np.divide(c4, big, out=q)
+    small *= 0.5
+    big *= 0.5
+    np.copyto(A, big)
+    np.copyto(A, small, where=sdot > 0)
+    np.copyto(B, small, where=sdot < 0)
     return A, B, up, D
 
 

@@ -132,6 +132,19 @@ class TestElPartials:
         assert np.all(ops.degenerate)
         assert np.all(np.isnan(ops.dL_dsdot))
 
+    def test_d2A_forms_no_cube_of_D(self):
+        # 2 A B / D^3 overflowed in D^3 once D passed about 5.6e102 (at grid.T =
+        # 1e-140, K = 10), a RuntimeWarning; 2 (A / D) (B / D) / D has no such term
+        from graphonldp.action_path import _second_order
+        from graphonldp.rate_function import _sis_split
+
+        rng = np.random.default_rng(2)
+        s, sdot, lam = rng.uniform(0.1, 0.9, 50), rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 2.0, 50)
+        A, B, _, D = split = _sis_split(sdot, s, lam, 1.0)
+        assert np.allclose(_second_order(split)[2], 2.0 * A * B / D ** 3, rtol=1e-14, atol=0.0)
+        d2A = _second_order(_sis_split(np.array([1e140, -1e140, 0.0]), np.full(3, 0.5), np.ones(3), 1.0))[2]
+        assert np.all(np.isfinite(d2A)) and d2A[2] > 0.0
+
 
 class TestElFrechet:
     def setup_method(self):
@@ -270,6 +283,18 @@ class TestElResidual:
         res = el_residual(np.clip(path, 0.05, 0.95), PARAMS, kernel, grid, 1.0)
         assert np.nanmax(np.abs(res)) > 1.0
 
+    def test_time_step_with_a_subnormal_square_is_named(self):
+        # at dt = 1e-201 the second difference of a constant path was 0 / 0: a
+        # residual of NaN only, after numpy's "invalid value" warning
+        from graphonldp.core_model import NumericalError
+
+        grid = circle_grid(8)
+        path = np.full((11, grid.M), 0.4)
+        with pytest.raises(NumericalError, match=r"dt = 1e-201 squares below the smallest normal"):
+            el_residual(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1e-200)
+        res = el_residual(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1e-150)
+        assert np.all(np.isfinite(res[1:-1]))
+
 
 class TestDiscreteAction:
     def test_one_flux_split_per_interval_side(self, monkeypatch):
@@ -284,6 +309,37 @@ class TestDiscreteAction:
         assert len(calls) == 2
         assert discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0) == a
         assert len(calls) == 4
+
+    def test_solve_reuses_its_buffers_across_objective_calls(self, monkeypatch):
+        # every objective call of one solve writes the same workspace, so its heap
+        # does not grow again between calls; the gradients, which _newton_cg
+        # differences against each other, and the returned path stay fresh
+        from graphonldp import action_path
+
+        sides, grads = [], []
+
+        def recorded(*args, _fn=action_path._interval_sides):
+            out = _fn(*args)
+            sides.append(out)
+            return out
+
+        def graded(*args, _fn=action_path.discrete_action, **kwargs):
+            out = _fn(*args, **kwargs)
+            if isinstance(out, tuple):
+                grads.append(out[1])
+            return out
+        monkeypatch.setattr(action_path, "_interval_sides", recorded)
+        monkeypatch.setattr(action_path, "discrete_action", graded)
+        grid = circle_grid(8)
+        prob = PathProblem(s0=np.full(8, 0.6), sT=bump_profile(grid, base=0.6), horizon=1.0, K=10)
+        res = minimize_action(prob, PARAMS, cosine_kernel(1.0, 0.5), grid)
+        assert res.diagnostics["grad_evals"] >= 3 and len(sides) == res.diagnostics["grad_evals"] + 1
+        for (W0, v0, sides0), (W1, v1, sides1) in zip(sides, sides[1:]):
+            assert np.shares_memory(W0, W1) and np.shares_memory(v0, v1)
+            for side0, side1 in zip(sides0, sides1):  # (lam, up, p, D, r) of each side
+                assert all(np.shares_memory(a, b) for a, b in zip(side0, side1))
+        assert not any(np.shares_memory(g0, g1) for g0, g1 in zip(grads, grads[1:]))
+        assert not any(np.shares_memory(res.path, a) for W, v, pair in sides for a in (W, v, *pair[0]))
 
     def test_value_is_the_trapezoid_sum_of_lagrangian_cells(self):
         # discrete_action reads each cell off the flux split as L = v p - H;

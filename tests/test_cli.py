@@ -452,6 +452,38 @@ class TestInputErrors:
         near = cli.parse_profile(f"bump:{10 - 2 * np.pi!r},0.8,0.2", grid, base)
         assert np.max(np.abs(far - near)) <= 1e-12
 
+    @pytest.mark.parametrize("command, setting", [
+        ("meanfield", "model.init=bump:inf,0.8,0.2"), ("rate", "model.init=bump:1,nan,0.2"),
+        ("action", "action.s0=bump:1,0.8,inf"), ("action", "action.sT=bump:-inf,0.8,0.2")])
+    def test_non_finite_bump_parameter_rejected(self, tmp_path, capsys, command, setting):
+        # an infinite centre reached the circle distance's remainder, an invalid value
+        code, _ = run(tmp_path, command, "grid.M=8", "grid.steps=10", "grid.K=10", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "needs a finite center, width and depth" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, setting", [
+        ("meanfield", "model.init=bump:3.14159,1e-300,0.2"),
+        ("rate", "model.init=bump:3.14159,1e-300,0.2"),
+        ("action", "action.s0=bump:3.14159,1e-300,0.2"),
+        ("action", "action.sT=bump:3.14159,1e-300,0.2")])
+    def test_bump_far_narrower_than_the_grid_runs(self, tmp_path, capsys, command, setting):
+        # (d / width)^2 overflowed in the Gaussian: a RuntimeWarning, an error here
+        code, _ = run(tmp_path, command, "grid.M=8", "grid.steps=10", "grid.K=10", setting)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_width_bump_dips_only_at_its_centre(self):
+        grid = cli.circle_grid(16)
+        base = functools.partial(np.full, 16, 0.9)
+        wide = cli.parse_profile("bump:3.1,0.8,0.2", grid, base)
+        d = cli.circle_distance(grid.nodes, 3.1)
+        assert np.array_equal(wide, 0.9 - 0.2 * np.exp(-0.5 * (d / 0.8) ** 2))
+        for width in ("1e-300", "5e-324"):
+            assert np.array_equal(cli.parse_profile(f"bump:3.1,{width},0.2", grid, base), base())
+            dip = cli.parse_profile(f"bump:{float(grid.nodes[5])!r},{width},0.2", grid, base)
+            assert dip[5] == 0.9 - 0.2 and np.array_equal(np.delete(dip, 5), np.full(15, 0.9))
+
 
 class TestRate:
     def test_report_structure(self, tmp_path):
@@ -588,6 +620,23 @@ class TestAction:
         assert "zero intensity" not in err and "Traceback" not in err
         if (out / "rate.json").exists():
             assert "null" not in (out / "rate.json").read_text()
+
+    def test_time_step_with_a_subnormal_square_is_named(self, tmp_path, capsys):
+        # at dt = 1e-201 el_residual divided the constant path's second difference 0
+        # by dt^2 = 0: exit 0, converged, a residual of NaN only, after a warning
+        code, _ = run(tmp_path, "action", "action.sT=equilibrium", "grid.T=1e-200",
+                      "grid.M=8", "grid.K=10")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "dt = 1e-201" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("T", ["1e-140", "1e-150"])
+    def test_tiny_horizon_forms_no_cube_of_D(self, tmp_path, capsys, T):
+        # el_operators formed d2A/dsdot2 as 2 A B / D^3, and D^3 overflowed
+        code, _ = run(tmp_path, "action", "grid.M=8", "grid.K=10", f"grid.T={T}")
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_overflowing_curvature_stops_without_a_warning(self, tmp_path, capsys):
         # at dt ~ 1e99 the CG curvature p H p overflows: numpy warned from the

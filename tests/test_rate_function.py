@@ -252,6 +252,37 @@ class TestSisA:
         with pytest.raises(NumericalError, match="overflows"):
             sis_lagrangian(v, np.full(3, 0.5), np.ones(3), 1.0)
 
+    def test_one_quotient_split_is_the_two_branch_split_bit_for_bit(self):
+        # big = (D + |sdot|) / 2 and small = (4 c / (D + |sdot|)) / 2 serve both
+        # fluxes; the two-branch form takes D - sdot and D + sdot, one quotient each
+        from graphonldp.rate_function import _flux_split
+
+        sdot, c = np.meshgrid([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan],
+                              [0.0, 1e-300, 0.25])
+        c4 = 4.0 * c
+        D = np.sqrt(sdot * sdot + c4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            A = 0.5 * np.where(sdot > 0, c4 / (D + sdot), D - sdot)
+            B = 0.5 * np.where(sdot < 0, c4 / (D - sdot), D + sdot)
+        up = np.full(sdot.shape, 0.5)
+        for out in (None, [np.empty(sdot.shape) for _ in range(4)]):
+            got = _flux_split(sdot, up, c, out)
+            for want, have in zip((A, B, up, D), got):
+                assert np.array_equal(want, have, equal_nan=True)
+                assert np.array_equal(np.signbit(want), np.signbit(have))
+
+    def test_range_check_is_one_min_and_max(self):
+        from graphonldp.rate_function import _split_state
+
+        s = np.array([0.0, 1.0, -1e-7, 1.0 + 1e-7])
+        up, c = _split_state(s, np.ones(4), 2.0)
+        assert np.array_equal(up, 2.0 * (1.0 - s)) and np.array_equal(c, np.maximum(up, 0.0))
+        for bad in ([0.5, np.nan], [0.5, -2e-6], [1.0 + 2e-6, 0.5]):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                _split_state(np.array(bad), np.ones(2), 1.0)
+        up, c = _split_state(np.empty(0), np.empty(0), 1.0)
+        assert up.size == c.size == 0
+
 
 class TestSisLagrangian:
     def test_zero_exactly_on_drift(self):
