@@ -34,18 +34,21 @@ r = B / up: p gives the cells and the gradient's velocity route, r gives
 M = 1 - 1 / r and N = -alpha (1 - r).  The Newton preconditioner reads the
 D of the evaluation made at its iterate.
 
-A solve keeps one ``_Workspace`` for all its objective calls, which write it
-with ``out=``, one array per quantity, all views of one allocation: W and
-lam, v, up and c, each side's A, B and D, the momentum sum, the cells, the
-Frechet fields and G's two kernel terms; beside it the solve keeps the
-unpacked iterate and the preconditioner's arrays, and _newton_cg its
-difference point and one scratch vector.  At K = 200, M = 64 each (K, M)
-array is 100 KiB, and glibc hands the heap top back to the system once more
-than 128 KiB is free there, so fresh temporaries would fault their pages in
-again on every call.  What
+A solve's objective, ``_objective``, makes one ``_Workspace`` for all its
+calls, which write it with ``out=``, one array per quantity, all views of
+one allocation: W and lam, v, up and c, each side's A, B and D, the momentum
+sum, the cells, the Frechet fields and G's two kernel terms, the kernel
+products among them written by the operator's ``apply`` and ``apply_T``;
+beside it the objective keeps the unpacked iterate and the preconditioner's
+arrays, and _newton_cg its difference point and one scratch vector.  At
+K = 200, M = 64 each (K, M) array is 100 KiB, and glibc hands the heap top
+back to the system once more than 128 KiB is free there, so fresh
+temporaries would fault their pages in again on every call.  What
 ``_newton_cg`` keeps across calls stays fresh: the gradient, which the
 Hessian product (g(x + h p) - g) / h differences against the next call's,
-the iterates and the returned path.
+the iterates and the returned path.  The start is evaluated once, value and
+gradient together: a start of infinite action raises EndpointError, and the
+start's value sets the gradient tolerance.
 
 Nothing is floored: every field is the exact envelope derivative wherever
 B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
@@ -173,7 +176,7 @@ def _G_field(N, M, s, W, beta, Km, out=None):
     np.add(N, G, out=G)
     Ms, KTMs = (None, None) if out is None else out
     Ms = np.multiply(M, s, out=Ms)
-    KTMs = Km.apply_T(Ms) if KTMs is None else Km._product(Ms, True, KTMs)
+    KTMs = Km.apply_T(Ms, out=KTMs)
     KTMs *= beta
     G -= KTMs
     return G
@@ -250,8 +253,8 @@ class _Workspace:
     grid: above glibc's mmap threshold, so freeing the first one raises
     that threshold and the trim threshold, and the workspaces of later
     solves come from a heap that is no longer trimmed between them.
-    discrete_action alone makes a fresh one per call; minimize_action keeps
-    one for its whole solve, so that its objective calls do not grow the
+    discrete_action alone makes a fresh one per call; ``_objective`` makes
+    one per solve, which all its calls write, so that they do not grow the
     heap again.  ``sides`` holds the interval sides of the latest call, for
     the Newton preconditioner, which reads their D alone."""
 
@@ -311,10 +314,10 @@ def discrete_action(path, params, kernel, grid, horizon, with_grad=False, *, _wo
     is not finite.  With ``with_grad`` also returns the exact gradient with
     respect to the interior slices, a fresh array, non-finite next to a cell
     with B = 0: K[1 - s] serves lam and both sides of G, and K^T is applied
-    once to the sum of both sides.  ``_work`` exists only for
-    :func:`minimize_action`: a :class:`_Workspace` of the path's shape whose
-    buffers the call writes, and whose ``sides`` receives the interval sides
-    for the Newton preconditioner, which reads D there.
+    once to the sum of both sides.  ``_work`` exists only for the solve's
+    objective, :func:`_objective`: a :class:`_Workspace` of the path's shape
+    whose buffers the call writes, and whose ``sides`` receives the interval
+    sides for the Newton preconditioner, which reads D there.
     """
     path = np.asarray(path, dtype=float)
     n_t, M = path.shape
@@ -385,28 +388,30 @@ def _room(x, d, lo, hi, out=None):
         return float(np.min(t, initial=np.inf, where=d != 0))
 
 
-def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
-    """Truncated Newton for ``fun(x) -> (f, g)`` on the box [lo, hi].  CG on
-    H d = -g, preconditioned by ``precondition(x)``, with H v a forward
-    difference of g, stops at the forcing tolerance min(0.5, sqrt|g|) |g| or
-    on non-positive curvature, which includes a direction that leaves the box
-    at once (then the first step is the preconditioned gradient); Armijo
-    backtracking follows, and the accepted trial's gradient is kept.
-    ``precondition(x)`` is always called at the x of the latest ``fun(x)``
-    call.  A non-finite gradient,
+def _newton_cg(fun, x0, f0, g0, lo, hi, precondition, maxiter, gtol):
+    """Truncated Newton for ``fun(x) -> (f, g)`` on the box [lo, hi], from x0
+    and its (f0, g0) = fun(x0), which the caller has made and which counts as
+    the first gradient evaluation.  CG on H d = -g, preconditioned by
+    ``precondition()``, with H v a forward difference of g, stops at the
+    forcing tolerance min(0.5, sqrt|g|) |g| or on non-positive curvature,
+    which includes a direction that leaves the box at once (then the first
+    step is the preconditioned gradient); Armijo backtracking follows, and
+    the accepted trial's gradient is kept.  ``precondition()`` is called
+    right after the evaluation at the current iterate: the caller's at x0,
+    else the accepted trial's.  A non-finite gradient,
     preconditioned gradient or curvature stops the solve.  Returns the last
     iterate, its f and g, and the solve's diagnostics entries
     (``action_history``: f after each accepted step).  ``fun`` returns a
     fresh g and keeps nothing of its x: the difference point x + h p is
     formed in a buffer of the solve, and g(x + h p) - g in place."""
     probe, tmp = np.empty(np.shape(x0)), np.empty(np.shape(x0))  # x + h p; each product's scratch
-    x, (f, g) = x0, fun(x0)
+    x, f, g = x0, f0, g0
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
     while not np.max(np.abs(g)) <= gtol and nit < maxiter:
         if not np.all(np.isfinite(g)):
             message = "non-finite gradient"
             break
-        solve, d, r = precondition(x), np.zeros_like(x), -g
+        solve, d, r = precondition(), np.zeros_like(x), -g
         p = z = solve(r)
         with np.errstate(over="ignore", invalid="ignore"):
             rz = r @ z
@@ -463,15 +468,17 @@ def _newton_cg(fun, x0, lo, hi, precondition, maxiter, gtol):
     return x, f, g, diag
 
 
-def _objective(start, params, Km, grid, horizon, work):
+def _objective(start, params, Km, grid, horizon):
     """``fun`` and ``precondition`` of :func:`_newton_cg` for the discrete
     action over the interior slices of paths with ``start``'s pinned ends.
-    Their buffers are rewritten by every call: the :class:`_Workspace`
-    ``work``, whose sides the preconditioner reads, the unpacked iterate and
-    the preconditioner's weights.  The gradient stays fresh, since
-    _newton_cg differences it against the next call's."""
+    Their buffers are made here, once per solve, and rewritten by every
+    call: the solve's :class:`_Workspace`, whose sides the preconditioner
+    reads, the unpacked iterate and the preconditioner's weights.  The
+    gradient stays fresh, since _newton_cg differences it against the next
+    call's."""
     n_t, M = start.shape
     dt = horizon / (n_t - 1)
+    work = _Workspace(n_t, M)
     iterate, (inv, q, qi) = start.copy(), (np.empty((n_t - 1, M)) for _ in range(3))
 
     def fun(x):
@@ -479,14 +486,14 @@ def _objective(start, params, Km, grid, horizon, work):
         a, g = discrete_action(iterate, params, Km, grid, horizon, with_grad=True, _work=work)
         return a, g.ravel()
 
-    def precondition(x):
+    def precondition():
         """Solver of E^T diag(c) E y = r per circle node, with E the pinned-end
         time difference and c = kappa (d2L_lo + d2L_hi) / (2 dt), d2L = 1 / D,
         per interval: the flux q = c E y has E^T q = r, so q is minus the running
         sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
         A node whose every interval has D = 0 gets a zero step.  _newton_cg
-        calls it at the x of the latest fun(x), so it reads the D of that
-        evaluation's sides and splits no path itself.  The weights c^-1, q
+        calls it right after fun at its current iterate, so it reads the D of
+        that evaluation's sides and splits no path itself.  The weights c^-1, q
         and q c^-1 are formed in buffers of the solve."""
         D_lo, D_hi = (D for _, _, _, D, _ in work.sides)
         # at a dt near the float range inv and q overflow, and _newton_cg stops
@@ -530,16 +537,16 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
         raise ValueError(f"initial path has shape {start.shape}, expected {(n_t, M)}")
     start = np.clip(start, lo, hi)
     start[0], start[-1] = problem.s0, problem.sT
-    work = _Workspace(n_t, M)  # the solve's buffers: the start's value writes them first
-    a0 = discrete_action(start, params, Km, grid, problem.horizon, _work=work)
-    if not np.isfinite(a0):
+    fun, precondition = _objective(start, params, Km, grid, problem.horizon)
+    x0 = start[1:-1].ravel()
+    f0, g0 = fun(x0)  # the value is formed before the gradient, as in a value-only call
+    if not np.isfinite(f0):
         raise EndpointError("initial path has infinite action: it needs a flux through "
                             "a zero intensity, e.g. s falling where lam = 0")
-    tol = opts.tol_grad * max(1.0, abs(a0))
+    tol = opts.tol_grad * max(1.0, abs(f0))
 
-    fun, precondition = _objective(start, params, Km, grid, problem.horizon, work)
-    x, f, g, stats = _newton_cg(fun, start[1:-1].ravel(), lo, hi, precondition, opts.max_iters, tol)
-    del work, fun, precondition  # the solve's buffers make room for el_residual's fields
+    x, f, g, stats = _newton_cg(fun, x0, f0, g0, lo, hi, precondition, opts.max_iters, tol)
+    del fun, precondition  # the solve's buffers make room for el_residual's fields
     path = start.copy()
     path[1:-1] = x.reshape(n_t - 2, M)
     residual = el_residual(path, params, Km, grid, problem.horizon)

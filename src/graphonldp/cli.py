@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -325,6 +326,14 @@ def _replicas(cp):
     return _i(cp, "run", "replicas", least=1), _i(cp, "run", "threads", least=1)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on (the machine's count where
+    the system does not say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _one_replica(args):
     net, rates, init, T, rep_seed = args
     return simulate(net, rates, init, T, seed=rep_seed)
@@ -335,9 +344,11 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
 
     Each replica gets its own RNG stream derived from (seed, replica id),
     so results are identical regardless of ``threads``; threads only
-    parallelize across replicas.  The jobs go to the workers in one chunk
-    per worker, and pickling a chunk writes the network once, so each
-    worker unpickles one copy and builds its in-neighbour index once.
+    parallelize across replicas.  The pool has min(threads, reps, CPUs this
+    process may use) workers, so no setting starts more processes than the
+    machine can run at once.  The jobs go to the workers in one chunk per
+    worker, and pickling a chunk writes the network once, so each worker
+    unpickles one copy and builds its in-neighbour index once.
     """
     streams = np.random.SeedSequence(seed).spawn(reps)
     jobs = []
@@ -347,7 +358,7 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(threads, reps)
+        workers = min(threads, reps, _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_one_replica, jobs, chunksize=-(-reps // workers)))
     return [_one_replica(job) for job in jobs]

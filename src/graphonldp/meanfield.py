@@ -87,8 +87,9 @@ _CIRCULANT_TOL = 1e-13
 
 class KernelOperator:
     """K on its grid: ``apply(d) = (d * kappa) @ K.T``, the fields of densities
-    d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis, both by
-    ``_product``, which also writes into a given array.  With uniform
+    d, and ``apply_T(v) = (v * kappa) @ K``, along the last axis: the two
+    kernel products, each into a fresh array or a given ``out``, sharing
+    one body, ``_product``, that no other code calls.  With uniform
     kappa-masses, M >= ``_FFT_MIN_M`` and K circulant to round-off (every
     kernel of x - y on the uniform circle grid) both are circular convolutions
     by real FFT, O(M log M), from the two spectra alone (K is dropped);
@@ -109,11 +110,11 @@ class KernelOperator:
     def _convolve(self, x, spectrum):
         return np.fft.irfft(np.fft.rfft(x) * spectrum, n=self.kw.size)
 
-    def apply(self, density):
-        return self._product(density, False)
+    def apply(self, density, out=None):
+        return self._product(density, False, out)
 
-    def apply_T(self, v):
-        return self._product(v, True)
+    def apply_T(self, v, out=None):
+        return self._product(v, True, out)
 
     def _product(self, v, transposed, out=None):
         """apply (K) or apply_T (K^T) of v, written into ``out`` when given."""
@@ -179,18 +180,17 @@ class LimitFlux:
     densities: dict  # (from_label, to_label) -> (n_t, M) array
 
 
-def field_from_density(grid: SpatialGrid, K, density):
+def field_from_density(grid: SpatialGrid, K, density, out=None):
     """Quadrature of w_a(theta_i) = integral J(theta_i, zeta) nu(a, zeta) dmu.
 
     ``K`` is a GraphonSpec, a kernel callable, an (M, M) array or a
     KernelOperator, made an operator by ``_operator``'s one rule; ``density``
     is (M,) or (k, M) and the result has the same shape: the kernel
     contraction of each row against the kappa-weighted density.  This is
-    the one forward application of K into a fresh array; ``_sis_field``
-    writes K[1 - s] into a given one through the same
-    ``KernelOperator._product``.
+    the one forward application of K, into a fresh array or into ``out``
+    when given.
     """
-    return _operator(K, grid).apply(density)
+    return _operator(K, grid).apply(density, out)
 
 
 def _source_rows(grid: SpatialGrid, n, k):
@@ -240,7 +240,7 @@ def _sis_field(s, grid: SpatialGrid, K, beta, out=None):
     s = np.asarray(s, dtype=float)
     W, lam = (None, None) if out is None else out
     lam = np.subtract(1.0, s, out=lam)
-    W = field_from_density(grid, K, lam) if W is None else _operator(K, grid)._product(lam, False, W)
+    W = field_from_density(grid, K, lam, W)
     np.multiply(beta, s, out=lam)
     lam *= W
     return W, lam

@@ -26,6 +26,18 @@ def bump_profile(grid, center=np.pi, width=0.8, depth=0.2, base=0.5):
     return base - depth * np.exp(-0.5 * (d / width) ** 2)
 
 
+def default_problem():
+    """(problem, params, spec, grid) of the ``action`` subcommand at its defaults."""
+    from graphonldp import cli
+
+    cp = cli.load_config(None)
+    spec, params, grid, _, equilibrium = cli._model(cp)
+    prob = PathProblem(s0=cli.parse_profile(cp.get("action", "s0"), grid, equilibrium),
+                       sT=cli.parse_profile(cp.get("action", "sT"), grid, equilibrium),
+                       horizon=cp.getfloat("grid", "T"), K=cp.getint("grid", "K"))
+    return prob, params, spec, grid
+
+
 def skewed_case(M, seed=11):
     """A non-uniform grid with non-constant rho and the asymmetric kernel
     1 + 0.5 sin(x - y + 0.3), where the forward and transposed kernel
@@ -255,9 +267,9 @@ class TestElFrechet:
 
         calls, apply, apply_T = [], meanfield.KernelOperator.apply, meanfield.KernelOperator.apply_T
         monkeypatch.setattr(meanfield.KernelOperator, "apply",
-                            lambda op, d: calls.append("apply") or apply(op, d))
+                            lambda op, d, out=None: calls.append("apply") or apply(op, d, out))
         monkeypatch.setattr(meanfield.KernelOperator, "apply_T",
-                            lambda op, v: calls.append("apply_T") or apply_T(op, v))
+                            lambda op, v, out=None: calls.append("apply_T") or apply_T(op, v, out))
         s = 0.5 + 0.15 * np.cos(self.grid.nodes)
         sdot = 0.2 * np.sin(self.grid.nodes) - 0.05
         el_operators(sdot, s, PARAMS, self.kernel, self.grid)
@@ -310,6 +322,20 @@ class TestDiscreteAction:
         assert discrete_action(path, PARAMS, cosine_kernel(1.0, 0.5), grid, 1.0) == a
         assert len(calls) == 4
 
+    def test_kernel_products_go_through_the_operator(self, monkeypatch):
+        # one objective call at the default grid applies K once, to 1 - s, and
+        # K^T once, to kappa M s, both through the operator's public products
+        from graphonldp import meanfield
+
+        prob, params, spec, grid = default_problem()
+        calls, apply, apply_T = [], meanfield.KernelOperator.apply, meanfield.KernelOperator.apply_T
+        monkeypatch.setattr(meanfield.KernelOperator, "apply",
+                            lambda op, d, out=None: calls.append("apply") or apply(op, d, out))
+        monkeypatch.setattr(meanfield.KernelOperator, "apply_T",
+                            lambda op, v, out=None: calls.append("apply_T") or apply_T(op, v, out))
+        discrete_action(prob.initial_path(), params, spec, grid, prob.horizon, with_grad=True)
+        assert sorted(calls) == ["apply", "apply_T"]
+
     def test_solve_reuses_its_buffers_across_objective_calls(self, monkeypatch):
         # every objective call of one solve writes the same workspace, so its heap
         # does not grow again between calls; the gradients, which _newton_cg
@@ -333,7 +359,7 @@ class TestDiscreteAction:
         grid = circle_grid(8)
         prob = PathProblem(s0=np.full(8, 0.6), sT=bump_profile(grid, base=0.6), horizon=1.0, K=10)
         res = minimize_action(prob, PARAMS, cosine_kernel(1.0, 0.5), grid)
-        assert res.diagnostics["grad_evals"] >= 3 and len(sides) == res.diagnostics["grad_evals"] + 1
+        assert res.diagnostics["grad_evals"] >= 3 and len(sides) == res.diagnostics["grad_evals"]
         for (W0, v0, sides0), (W1, v1, sides1) in zip(sides, sides[1:]):
             assert np.shares_memory(W0, W1) and np.shares_memory(v0, v1)
             for side0, side1 in zip(sides0, sides1):  # (lam, up, p, D, r) of each side
@@ -422,13 +448,14 @@ class TestDiscreteAction:
             # objective's evaluation at its iterate
             pre = []
             monkeypatch.setattr(action_path, "_newton_cg",
-                                lambda fun, x0, lo, hi, p, *a: pre.append((fun, p)) or newton(fun, x0, lo, hi, p, *a))
+                                lambda fun, x0, f0, g0, lo, hi, p, *a: pre.append((fun, p))
+                                or newton(fun, x0, f0, g0, lo, hi, p, *a))
             minimize_action(prob, params, kernel, grid, ActionOptions(max_iters=1))
 
             def precondition(x=path[1:-1].ravel()):
                 fun, p = pre[0]
                 fun(x)
-                return p(x)(r)
+                return p()(r)
             return {  # name: (call, kernel applications of its own, outside the shared one)
                 "discrete_action": (lambda: discrete_action(path, params, kernel, grid, 1.0), 0),
                 "discrete_action grad": (lambda: discrete_action(path, params, kernel, grid, 1.0,
@@ -457,7 +484,8 @@ class TestDiscreteAction:
 
         outside = []
         monkeypatch.setattr(meanfield.KernelOperator, "apply",
-                            lambda op, d: (outside.append(1) if not inside else None) or apply(op, d))
+                            lambda op, d, out=None: (outside.append(1) if not inside else None)
+                            or apply(op, d, out))
         for mod in (meanfield, action_path, rate_function):
             if hasattr(mod, "_sis_field"):
                 monkeypatch.setattr(mod, "_sis_field", doubled)
@@ -540,9 +568,12 @@ class TestMinimizeAction:
         # and must not be divided by (0/0 is a RuntimeWarning, an error here)
         c = np.array([2.0, 0.5])
         x0 = np.array([1.0, 0.5])
-        x, _, _, diag = _newton_cg(lambda x: (0.5 * np.sum((x - c) ** 2), x - c), x0,
-                                   np.zeros(2), np.ones(2), precondition=lambda x: lambda r: r,
-                                   maxiter=5, gtol=1e-9)
+
+        def fun(x):
+            return 0.5 * np.sum((x - c) ** 2), x - c
+
+        x, _, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(2), np.ones(2),
+                                   precondition=lambda: lambda r: r, maxiter=5, gtol=1e-9)
         assert np.array_equal(x, x0)
         assert diag["iters"] == 0 and diag["cg_iters"] == 1
         assert "(line search failed)" in diag["warning"] and not diag["converged"]
@@ -557,8 +588,8 @@ class TestMinimizeAction:
             return 0.5 * float(x @ x), x.copy()
 
         x0 = np.full(3, 0.5)
-        x, f, _, diag = _newton_cg(fun, x0, np.zeros(3), np.ones(3),
-                                   precondition=lambda x: lambda r: np.full_like(r, np.nan),
+        x, f, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(3), np.ones(3),
+                                   precondition=lambda: lambda r: np.full_like(r, np.nan),
                                    maxiter=5, gtol=1e-9)
         assert len(calls) == 1 and np.array_equal(x, x0) and f == 0.375
         assert diag["iters"] == 0 and diag["grad_evals"] == 1 and not diag["converged"]
@@ -574,8 +605,8 @@ class TestMinimizeAction:
             return 0.5e150 * float(x @ x), 1e150 * x
 
         x0 = np.full(3, 0.5)
-        x, _, _, diag = _newton_cg(fun, x0, np.zeros(3), np.ones(3),
-                                   precondition=lambda x: lambda r: r, maxiter=5, gtol=1e-9)
+        x, _, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(3), np.ones(3),
+                                   precondition=lambda: lambda r: r, maxiter=5, gtol=1e-9)
         assert len(calls) == 2 and np.array_equal(x, x0)
         assert diag["iters"] == 0 and diag["cg_iters"] == 1 and not diag["converged"]
         assert "(non-finite curvature)" in diag["warning"]
@@ -584,7 +615,7 @@ class TestMinimizeAction:
         # over the default solve the Newton preconditioner is always called at
         # the iterate the objective just evaluated, and splits no path itself:
         # every interval-side state comes from a discrete_action call
-        from graphonldp import action_path, cli
+        from graphonldp import action_path
 
         counts = dict.fromkeys(("discrete_action", "_interval_sides"), 0)
         for name in counts:
@@ -592,14 +623,10 @@ class TestMinimizeAction:
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(action_path, name, counted)
-        cp = cli.load_config(None)
-        spec, params, grid, _, equilibrium = cli._model(cp)
-        prob = PathProblem(s0=cli.parse_profile(cp.get("action", "s0"), grid, equilibrium),
-                           sT=cli.parse_profile(cp.get("action", "sT"), grid, equilibrium),
-                           horizon=cp.getfloat("grid", "T"), K=cp.getint("grid", "K"))
+        prob, params, spec, grid = default_problem()
         diag = minimize_action(prob, params, spec, grid).diagnostics
         assert (diag["iters"], diag["cg_iters"], diag["grad_evals"]) == (3, 20, 24)
-        assert counts["discrete_action"] == diag["grad_evals"] + 1  # and the start's value
+        assert counts["discrete_action"] == diag["grad_evals"]  # the start's included
         assert counts["_interval_sides"] == counts["discrete_action"]
 
     def test_descent_and_convergence(self):

@@ -338,7 +338,10 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "grid.steps" in err and "compare.snapshots" in err
 
-    def test_pool_size_capped_by_replicas(self, monkeypatch):
+    @staticmethod
+    def serial_pool(monkeypatch):
+        """Replace the process pool by one that maps in this process and
+        records each pool's max_workers: no process is started."""
         import concurrent.futures
 
         sizes = []
@@ -357,12 +360,35 @@ class TestCompare:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_size_capped_by_replicas(self, monkeypatch):
+        sizes = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 16)
         cp = cli.load_config(None, ["graphon.N=30"])
         spec, _, grid, rates, _ = cli._model(cp)
         net = cli._network(cp, spec, 30, 1)
         trajs = cli._replica_trajectories(net, rates, np.full(grid.M, 0.3), 0.1,
                                           reps=2, threads=16, seed=1)
         assert len(trajs) == 2 and sizes == [2]
+
+    def test_pool_size_capped_by_cpus(self, monkeypatch):
+        # run.threads=10000 asked for 10,000 processes at once; the pool now
+        # has at most one worker per CPU, and the replicas are the serial run's
+        cp = cli.load_config(None, ["graphon.N=30"])
+        spec, _, grid, rates, _ = cli._model(cp)
+        net = cli._network(cp, spec, 30, 1)
+        args = (net, rates, np.full(grid.M, 0.3), 0.1)
+        serial = cli._replica_trajectories(*args, reps=5, threads=1, seed=1)
+        assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
+        sizes = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        pooled = cli._replica_trajectories(*args, reps=5, threads=10_000, seed=1)
+        assert sizes == [3] and len(pooled) == len(serial) == 5
+        fields = ("initial", "times", "nodes", "from_codes", "to_codes")
+        assert sum(t.n_events for t in serial) > 0
+        for a, b in zip(serial, pooled):
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
 
     def test_network_sent_once_per_worker(self, monkeypatch):
         # one chunk of jobs per worker, and a chunk pickles the network once:
@@ -435,8 +461,10 @@ class TestInputErrors:
         ("sample", "graphon.phi_exponent=0", "phi_exponent must lie in (0, 1]"),
         ("meanfield", "grid.M=8.5", "[grid] M: invalid literal for int()"),
         ("action", "action.sT=equilibrium:junk", "bad equilibrium profile 'equilibrium:junk'"),
+        ("meanfield", "model.init=bump:1,2", "bad bump profile 'bump:1,2'"),
     ], ids=["family", "cosine-profile", "bump-width", "bump-width-action", "profile",
-            "phi-exponent-high", "phi-exponent-zero", "non-integer-M", "equilibrium-suffix"])
+            "phi-exponent-high", "phi-exponent-zero", "non-integer-M", "equilibrium-suffix",
+            "bump-two-fields"])
     def test_bad_model_setting_named(self, tmp_path, capsys, command, setting, message):
         # the setting comes last, so that it overrides the small sizes
         code, _ = run(tmp_path, command, "graphon.N=40", "grid.M=8", "grid.steps=10", setting)
@@ -454,7 +482,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command, setting", [
         ("meanfield", "model.init=bump:inf,0.8,0.2"), ("rate", "model.init=bump:1,nan,0.2"),
-        ("action", "action.s0=bump:1,0.8,inf"), ("action", "action.sT=bump:-inf,0.8,0.2")])
+        ("action", "action.s0=bump:1,0.8,inf"), ("action", "action.sT=bump:-inf,0.8,0.2"),
+        ("rate", "model.init=bump:inf,0.8,0.2"), ("action", "action.sT=bump:inf,0.8,0.2")])
     def test_non_finite_bump_parameter_rejected(self, tmp_path, capsys, command, setting):
         # an infinite centre reached the circle distance's remainder, an invalid value
         code, _ = run(tmp_path, command, "grid.M=8", "grid.steps=10", "grid.K=10", setting)
