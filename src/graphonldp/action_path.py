@@ -137,14 +137,17 @@ class ElOperators:
 # --- pointwise analytic formulas ------------------------------------------
 
 def _pointwise(split, alpha):
-    """The gradient's envelope fields of L(sdot, s, lam) at the optimal split
-    (A, B, up, D) = ``_sis_split(sdot, s, lam, alpha)``: dL/dsdot = log r and the
-    Frechet fields of :func:`_frechet_fields`, all from r = B / up.
-    Vectorized."""
-    _, B, up, _ = split
+    """The pointwise fields of L(sdot, s, lam) at the optimal split
+    (A, B, up, D) = ``_sis_split(sdot, s, lam, alpha)``: dL/dsdot = log r and
+    the Frechet fields M, N of :func:`_frechet_fields`, all from r = B / up;
+    then dA/dsdot = -A / D, d2A/dsdot2 = 2 (A / D) (B / D) / D and
+    d2L/dsdot2 = 1 / D, where A, B <= D, so no intermediate overflows where
+    D^3 would.  Vectorized."""
+    A, B, up, D = split
     with np.errstate(divide="ignore", invalid="ignore"):
         r = B / up
-        return (np.log(r), *_frechet_fields(r, alpha))
+        return (np.log(r), *_frechet_fields(r, alpha),
+                -A / D, 2.0 * (A / D) * (B / D) / D, 1.0 / D)
 
 
 def _frechet_fields(r, alpha, out=None):
@@ -155,15 +158,6 @@ def _frechet_fields(r, alpha, out=None):
         np.subtract(1.0, np.divide(1.0, r, out=Mf), out=Mf)
         np.multiply(-alpha, np.subtract(1.0, r, out=Nf), out=Nf)
     return Mf, Nf
-
-
-def _second_order(split):
-    """D and the sdot-derivatives dA/dsdot, d2A/dsdot2 = 2 (A / D) (B / D) / D
-    and d2L/dsdot2 = 1 / D at the optimal split (A, B, up, D); A, B <= D, so
-    no intermediate overflows where D^3 would.  Vectorized."""
-    A, B, _, D = split
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return D, -A / D, 2.0 * (A / D) * (B / D) / D, 1.0 / D
 
 
 def _G_field(N, M, s, W, beta, Km, out=None):
@@ -196,9 +190,8 @@ def el_operators(sdot, s, params, kernel, grid) -> ElOperators:
     sdot = np.asarray(sdot, dtype=float)
     W, lam = _sis_field(s, grid, Km, params.beta)
     split = _sis_split(sdot, s, lam, params.alpha)
-    dL, Mf, Nf = _pointwise(split, params.alpha)
-    D, dA, d2A, d2L = _second_order(split)
-    B = split[1]
+    dL, Mf, Nf, dA, d2A, d2L = _pointwise(split, params.alpha)
+    _, B, _, D = split
     delta_lam = _frechet_lambda(s, sdot, W, params.beta, Km)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Frechet increment of A along the velocity

@@ -54,12 +54,6 @@ class StateSpace:
     def size(self):
         return len(self.labels)
 
-    def index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ModelError(f"unknown state label {label!r}") from None
-
     def codes(self, labels):
         """Translate a sequence of labels into integer codes; an unknown
         label raises ModelError."""

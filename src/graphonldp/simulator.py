@@ -131,9 +131,10 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     its first call and kept, so replicas on one network sort it once.
     A horizon that is not positive, NaN included, raises ModelError; an
     infinite one runs until absorption or the event budget.
-    Raises RateOverflowError if the rate family produces a non-finite value,
-    and NumericalError if the horizon is not reached within ``max_events``
-    logged events.
+    Raises RateOverflowError if the rate family produces a non-finite value;
+    the SIS loop raises NumericalError, before the first event, if its total
+    rate can reach a non-finite value.  Raises NumericalError if the horizon
+    is not reached within ``max_events`` logged events.
     """
     states = rates.states
     N = network.N
@@ -171,7 +172,9 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     """SIS event log by the rejection scheme of Cota & Ferreira (2017).
 
     ``config`` (int codes) is updated in place.  Returns the lists of event
-    times, nodes and target codes.
+    times, nodes and target codes.  Raises NumericalError, before the first
+    event, if the largest total rate the loop can reach, alpha N plus
+    beta / (N phi_N) times all +1 stubs, is not finite.
     """
     N = network.N
     cols, wts, indptr = network.cols, network.weights, network.indptr
@@ -189,6 +192,12 @@ def _sis_events(network, params, config, horizon, rng, max_events):
         where[j] = slot
 
     alpha, b = params.alpha, params.beta / (N * network.phi_N)
+    # an infinite total leaves t in place and makes every proposal an
+    # infection, and null proposals are not logged: the loop would not end
+    top = float(alpha) * N + float(b) * int(idx.n_stubs.sum())
+    if not np.isfinite(top):
+        raise NumericalError(f"SIS total rate alpha N + beta / (N phi_N) * (all +1 stubs) "
+                             f"= {top} is not finite")
     unif = _blocks(rng.random).__next__
     expo = _blocks(rng.standard_exponential).__next__
     times, nodes, tos = [], [], []

@@ -160,7 +160,7 @@ def _fd_N(sdot, s, lam, alpha, h=1e-7):
 def test_A5_derivative_oracles():
     """Every analytic derivative matches its finite-difference oracle."""
     t0 = time.time()
-    from graphonldp.action_path import _pointwise, _second_order
+    from graphonldp.action_path import _pointwise
     from graphonldp.rate_function import _sis_split
 
     rng = np.random.default_rng(77)
@@ -174,7 +174,7 @@ def test_A5_derivative_oracles():
         return float(np.max(np.abs(x - y) / (1.0 + np.abs(y))))
 
     split = _sis_split(sdot, s, lam, alpha)
-    (dL, Mf, Nf), (_, dA, d2A, d2L) = _pointwise(split, alpha), _second_order(split)
+    dL, Mf, Nf, dA, d2A, d2L = _pointwise(split, alpha)
     h = 1e-6
     checks = {
         "dA/dsdot": relmax(dA, (sis_A(sdot + h, s, lam, alpha)

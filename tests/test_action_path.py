@@ -147,14 +147,15 @@ class TestElPartials:
     def test_d2A_forms_no_cube_of_D(self):
         # 2 A B / D^3 overflowed in D^3 once D passed about 5.6e102 (at grid.T =
         # 1e-140, K = 10), a RuntimeWarning; 2 (A / D) (B / D) / D has no such term
-        from graphonldp.action_path import _second_order
+        from graphonldp.action_path import _pointwise
         from graphonldp.rate_function import _sis_split
 
         rng = np.random.default_rng(2)
         s, sdot, lam = rng.uniform(0.1, 0.9, 50), rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 2.0, 50)
         A, B, _, D = split = _sis_split(sdot, s, lam, 1.0)
-        assert np.allclose(_second_order(split)[2], 2.0 * A * B / D ** 3, rtol=1e-14, atol=0.0)
-        d2A = _second_order(_sis_split(np.array([1e140, -1e140, 0.0]), np.full(3, 0.5), np.ones(3), 1.0))[2]
+        assert np.allclose(_pointwise(split, 1.0)[4], 2.0 * A * B / D ** 3, rtol=1e-14, atol=0.0)
+        d2A = _pointwise(_sis_split(np.array([1e140, -1e140, 0.0]), np.full(3, 0.5), np.ones(3), 1.0),
+                         1.0)[4]
         assert np.all(np.isfinite(d2A)) and d2A[2] > 0.0
 
 

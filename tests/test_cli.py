@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from graphonldp import cli
 from graphonldp.action_path import el_residual
 from graphonldp.cli import main
+from graphonldp.graphon import read_network
 from graphonldp.simulator import bin_index, occupation_at
 
 
@@ -22,6 +24,39 @@ def run(tmp_path, command, *overrides, config=None, out=None):
     for ov in overrides:
         argv += ["--set", ov]
     return main(argv), out
+
+
+def check_artifacts(out):
+    """The checks every output directory passes; returns its parsed JSON files.
+
+    Every JSON file parses strictly (a bare NaN or Infinity raises), and
+    every artifact manifest.json lists has the sha256 recorded there.  An
+    action run's el_residual_max is the largest |residual| of
+    el_residual.csv, NaN ignored (null when every cell is NaN).
+    read_network gives back the triples network.txt lists, in the file's
+    order.
+    """
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    parsed = {f.name: json.loads(f.read_text(), parse_constant=reject)
+              for f in sorted(out.glob("*.json"))}
+    artifacts = parsed["manifest.json"]["artifacts"]
+    assert artifacts
+    for a in artifacts:
+        digest = hashlib.sha256((out / a["path"]).read_bytes()).hexdigest()
+        assert digest == a["sha256"], a["path"]
+    if (out / "el_residual.csv").exists():
+        res = np.loadtxt(out / "el_residual.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
+        largest = None if np.all(np.isnan(res)) else float(np.nanmax(np.abs(res)))
+        assert parsed["diagnostics.json"]["el_residual_max"] == largest
+    if (out / "network.txt").exists():
+        net = read_network(out / "network.txt")
+        triples = np.loadtxt(out / "network.txt", skiprows=1, dtype=np.int64, ndmin=2)
+        assert len(triples) > 0
+        assert net.N == int(parsed["manifest.json"]["config"]["graphon"]["n"])
+        assert np.array_equal(np.column_stack([net.rows, net.cols, net.weights]), triples)
+    return parsed
 
 
 class TestConfig:
@@ -98,6 +133,15 @@ class TestSample:
     def test_n_too_small(self, tmp_path):
         code, _ = run(tmp_path, "sample", "graphon.N=1")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["power-law", "small-world"])
+    def test_network_file_reads_back(self, tmp_path, family):
+        # the default kernel walks its rows at a constant envelope (its run is
+        # TestNumpyOnlyRuntime's), the power law at a moving one; small-world
+        # is the piecewise-constant kernel
+        code, out = run(tmp_path, "sample", "graphon.N=200", f"graphon.family={family}")
+        assert code == 0
+        check_artifacts(out)
 
     def test_power_law_rejected_for_epidemic_runs(self, tmp_path):
         # the unit-interval family can be sampled but not fed to the
@@ -544,13 +588,8 @@ class TestRate:
                                                                      where=("occupation", 0, 0)))
         code, out = run(tmp_path, "rate", "grid.M=8", "grid.T=0.5", "grid.steps=50")
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        files = sorted(out.glob("*.json"))
-        assert [f.name for f in files] == ["manifest.json", "rate.json"]
-        parsed = {f.name: json.loads(f.read_text(), parse_constant=reject) for f in files}
+        parsed = check_artifacts(out)
+        assert sorted(parsed) == ["manifest.json", "rate.json"]
         values = {r["name"]: r["value"] for r in parsed["rate.json"]}
         assert values["rate_G_meanfield_flux"] is None
         assert 0.0 <= values["sis_action_meanfield_path"] < 1e-4
@@ -620,11 +659,7 @@ class TestAction:
         assert code == 3
         err = capsys.readouterr().err
         assert "non-finite gradient" in err and "Traceback" not in err
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        diag = check_artifacts(out)["diagnostics.json"]
         assert diag["grad_norm"] is None and diag["el_residual_max"] is None
         assert diag["iters"] == 0 and diag["grad_evals"] == 1
 
@@ -720,6 +755,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ["model.beta=1e308", "model.alpha=1e308"])
+    def test_non_finite_total_rate_exits_3(self, tmp_path, setting):
+        # an infinite SIS total rate left t at 0 and the run never ended: a
+        # subprocess with a timeout fails where that would hang
+        proc = _python("import sys; from graphonldp.cli import main; sys.exit(main(sys.argv[1:]))",
+                       "simulate", "--set", setting, "--out", str(tmp_path / "out"), timeout=30)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure:") and "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestLdpCheck:
     def test_slopes_converge(self, tmp_path):
@@ -762,10 +807,10 @@ SMALL_RUNS = {
 }
 
 
-def _python(code, *args):
+def _python(code, *args, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestNumpyOnlyRuntime:
@@ -784,3 +829,4 @@ class TestNumpyOnlyRuntime:
         proc = _python("import sys; sys.modules['scipy'] = None; "
                        "from graphonldp.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
         assert proc.returncode == 0, proc.stderr
+        check_artifacts(tmp_path / "out")

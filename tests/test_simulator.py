@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -180,6 +185,32 @@ class TestSimulate:
         assert np.array_equal(again.times, full.times)
         with pytest.raises(NumericalError, match=f"event budget {full.n_events} exhausted"):
             simulate(net, make(), ["I"] * 30, 1.0, seed=5, max_events=full.n_events)
+
+    @pytest.mark.parametrize("setting", ["beta=1e308", "alpha=1e308"])
+    def test_non_finite_total_rate_raises_before_the_first_event(self, setting):
+        # the SIS total rate is inf: t stayed at 0, every proposal was an
+        # infection and null proposals are not logged, so the run never
+        # ended; a subprocess with a timeout fails where that would hang
+        probe = """if True:
+            import sys
+            from graphonldp.core_model import NumericalError, SisParams, sis_rates
+            from graphonldp.graphon import cosine_kernel, sample_network
+            from graphonldp.simulator import simulate
+            params = dict(beta=2.0, alpha=1.0)
+            key, value = sys.argv[1].split("=")
+            params[key] = float(value)
+            net = sample_network(cosine_kernel(1.0, 0.5), 60, 60 ** -0.7, seed=0)
+            init = [1 if j % 3 == 0 else 0 for j in range(60)]
+            try:
+                simulate(net, sis_rates(SisParams(**params)), init, 5.0, seed=1, max_events=100_000)
+            except NumericalError as e:
+                print(e)
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", probe, setting], capture_output=True,
+                              text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("SIS total rate") and "= inf is not finite" in proc.stdout
 
     def test_invalid_init_length(self):
         net = empty_network(5)
