@@ -381,14 +381,16 @@ def _room(x, d, lo, hi, out=None):
         return float(np.min(t, initial=np.inf, where=d != 0))
 
 
-def _newton_cg(fun, x0, f0, g0, lo, hi, precondition, maxiter, gtol):
+def _newton_cg(fun, x0, first, lo, hi, precondition, maxiter, gtol):
     """Truncated Newton for ``fun(x) -> (f, g)`` on the box [lo, hi], from x0
-    and its (f0, g0) = fun(x0), which the caller has made and which counts as
-    the first gradient evaluation.  CG on H d = -g, preconditioned by
-    ``precondition()``, with H v a forward difference of g, stops at the
-    forcing tolerance min(0.5, sqrt|g|) |g| or on non-positive curvature,
-    which includes a direction that leaves the box at once (then the first
-    step is the preconditioned gradient); Armijo backtracking follows, and
+    and ``first``, the list [f0, g0] of fun(x0), which the caller has made
+    and which counts as the first gradient evaluation; it is emptied, so
+    that nothing keeps g0 once the first step replaces it.  CG on
+    H d = -g, preconditioned by ``precondition()``, with H v a forward
+    difference of g, stops at the forcing tolerance min(0.5, sqrt|g|) |g|
+    or on non-positive curvature, which includes a direction that leaves
+    the box at once (then the first step is the preconditioned gradient);
+    Armijo backtracking follows, and
     the accepted trial's gradient is kept.  ``precondition()`` is called
     right after the evaluation at the current iterate: the caller's at x0,
     else the accepted trial's.  A non-finite gradient,
@@ -398,7 +400,8 @@ def _newton_cg(fun, x0, f0, g0, lo, hi, precondition, maxiter, gtol):
     fresh g and keeps nothing of its x: the difference point x + h p is
     formed in a buffer of the solve, and g(x + h p) - g in place."""
     probe, tmp = np.empty(np.shape(x0)), np.empty(np.shape(x0))  # x + h p; each product's scratch
-    x, f, g = x0, f0, g0
+    x, (f, g) = x0, first
+    first.clear()
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
     while not np.max(np.abs(g)) <= gtol and nit < maxiter:
         if not np.all(np.isfinite(g)):
@@ -532,13 +535,14 @@ def minimize_action(problem: PathProblem, params, kernel, grid,
     start[0], start[-1] = problem.s0, problem.sT
     fun, precondition = _objective(start, params, Km, grid, problem.horizon)
     x0 = start[1:-1].ravel()
-    f0, g0 = fun(x0)  # the value is formed before the gradient, as in a value-only call
+    first = list(fun(x0))  # [f0, g0]: the value is formed before the gradient, as in a value-only call
+    f0 = first[0]
     if not np.isfinite(f0):
         raise EndpointError("initial path has infinite action: it needs a flux through "
                             "a zero intensity, e.g. s falling where lam = 0")
     tol = opts.tol_grad * max(1.0, abs(f0))
 
-    x, f, g, stats = _newton_cg(fun, x0, f0, g0, lo, hi, precondition, opts.max_iters, tol)
+    x, f, g, stats = _newton_cg(fun, x0, first, lo, hi, precondition, opts.max_iters, tol)
     del fun, precondition  # the solve's buffers make room for el_residual's fields
     path = start.copy()
     path[1:-1] = x.reshape(n_t - 2, M)

@@ -28,7 +28,9 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -36,7 +38,9 @@ from .core_model import I, S, TWO_PI, ModelError, NumericalError, SisRates, _con
 
 
 class RateOverflowError(NumericalError):
-    """A non-finite rate was produced during simulation."""
+    """A non-finite rate, or total rate, was produced during simulation:
+    ``node`` is the node whose rate row is not finite, or at which the
+    running total of the rates leaves the float range."""
 
     def __init__(self, node, t):
         self.node, self.t = node, t
@@ -130,7 +134,10 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     random streams.  Both read the network's in-neighbour index, built on
     its first call and kept, so replicas on one network sort it once.
     A horizon that is not positive, NaN included, raises ModelError; an
-    infinite one runs until absorption or the event budget.
+    infinite one runs until absorption or the event budget.  The SIS loop
+    reads its uniform and exponential draws from two block streams on the
+    one generator (:func:`_blocks`) and logs only target codes: the source
+    codes are their complement, since an SIS event flips S <-> I.
     Raises RateOverflowError if the rate family produces a non-finite value;
     the SIS loop raises NumericalError, before the first event, if its total
     rate can reach a non-finite value.  Raises NumericalError if the horizon
@@ -145,14 +152,16 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     rng = np.random.default_rng(seed)
     if type(rates) is SisRates:
         times, nodes, tos = _sis_events(network, rates.params, config, horizon, rng, max_events)
-        frs = 1 - np.array(tos, dtype=np.int64)  # an SIS event flips S <-> I
+        to_codes = np.array(tos, dtype=np.int64)
+        from_codes = 1 - to_codes
     else:
         times, nodes, frs, tos = _generic_events(network, rates, config, horizon, rng, max_events)
+        from_codes, to_codes = np.array(frs, dtype=np.int64), np.array(tos, dtype=np.int64)
     return TrajectoryRecord(
         N=N, horizon=float(horizon), labels=states.labels,
         positions=network.positions, initial=initial_codes,
         times=np.array(times), nodes=np.array(nodes, dtype=np.int64),
-        from_codes=np.array(frs, dtype=np.int64), to_codes=np.array(tos, dtype=np.int64),
+        from_codes=from_codes, to_codes=to_codes,
     )
 
 
@@ -160,21 +169,31 @@ def _budget_error(max_events, t, horizon):
     return NumericalError(f"event budget {max_events} exhausted at t={t:.6g} < horizon {horizon:.6g}")
 
 
-def _blocks(draw, size=16, largest=4096):
-    """Endless stream of the floats ``draw(size)`` returns, in blocks that
-    double up to ``largest``, so that a short run draws little."""
-    while True:
-        yield from draw(size).tolist()
-        size = min(2 * size, largest)
+# a draw stream's block sizes: 16 doubling to 4096, then 4096 for ever
+_DOUBLING, _LARGEST = (16, 32, 64, 128, 256, 512, 1024, 2048), 4096
+
+
+def _blocks(draw):
+    """Endless stream of the floats ``draw`` returns, in blocks that double
+    up to 4096, so that a short run draws little.  A C-level iterator: a
+    block is drawn, and turned into Python floats, when the one before it
+    runs out, so two streams on one generator interleave their blocks in
+    the order the caller reads them."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, chain(_DOUBLING, repeat(_LARGEST)))))
 
 
 def _sis_events(network, params, config, horizon, rng, max_events):
     """SIS event log by the rejection scheme of Cota & Ferreira (2017).
 
-    ``config`` (int codes) is updated in place.  Returns the lists of event
-    times, nodes and target codes.  Raises NumericalError, before the first
-    event, if the largest total rate the loop can reach, alpha N plus
-    beta / (N phi_N) times all +1 stubs, is not finite.
+    ``config`` (int codes) is read for the signed acceptance, and only a
+    signed network keeps it current; the caller does not read it after.
+    Returns the lists of event times, nodes and target codes.  The uniform
+    and exponential draws come from two :func:`_blocks` streams on ``rng``.
+    The budget is checked after each logged event, so ``max_events`` logged
+    events raise at the last one's time.  Raises NumericalError, before the
+    first event, if ``max_events`` is not positive (at t = 0) or if the
+    largest total rate the loop can reach, alpha N plus beta / (N phi_N)
+    times all +1 stubs, is not finite.
     """
     N = network.N
     cols, wts, indptr = network.cols, network.weights, network.indptr
@@ -182,11 +201,12 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     # a memoryview reads a stub as a Python int
     idx = network._in_index
     stubs, k_max, signed = memoryview(idx.stubs), idx.k_max, idx.signed
-    D = int(idx.n_stubs[config == I].sum())
+    ill = config == I
+    D = int(idx.n_stubs[ill].sum())
     start, n_stubs = idx.start.tolist(), idx.n_stubs.tolist()
 
     # infected nodes in an add/remove list; where[j] is j's slot, -1 if susceptible
-    infected = np.flatnonzero(config == I).tolist()
+    infected = ill.nonzero()[0].tolist()
     where = [-1] * N
     for slot, j in enumerate(infected):
         where[j] = slot
@@ -194,17 +214,19 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     alpha, b = params.alpha, params.beta / (N * network.phi_N)
     # an infinite total leaves t in place and makes every proposal an
     # infection, and null proposals are not logged: the loop would not end
-    top = float(alpha) * N + float(b) * int(idx.n_stubs.sum())
-    if not np.isfinite(top):
+    top = float(alpha) * N + float(b) * len(stubs)
+    if not math.isfinite(top):
         raise NumericalError(f"SIS total rate alpha N + beta / (N phi_N) * (all +1 stubs) "
                              f"= {top} is not finite")
     unif = _blocks(rng.random).__next__
     expo = _blocks(rng.standard_exponential).__next__
     times, nodes, tos = [], [], []
+    log_t, log_j, log_to = times.append, nodes.append, tos.append
+    pop, push = infected.pop, infected.append
     t = 0.0
+    if 0 >= max_events:
+        raise _budget_error(max_events, t, horizon)
     while True:
-        if len(times) >= max_events:
-            raise _budget_error(max_events, t, horizon)
         n = len(infected)
         recovery = alpha * n
         total = recovery + b * D
@@ -215,7 +237,7 @@ def _sis_events(network, params, config, horizon, rng, max_events):
             break
         if unif() * total < recovery:
             j = infected[int(unif() * n)]
-            last = infected.pop()
+            last = pop()
             if last != j:
                 infected[where[j]] = last
                 where[last] = where[j]
@@ -237,19 +259,24 @@ def _sis_events(network, params, config, horizon, rng, max_events):
                 if not unif() * np.count_nonzero(w == 1) < w.sum():
                     continue
             where[j] = n
-            infected.append(j)
+            push(j)
             D += n_stubs[j]
             to = I
-        config[j] = to
-        times.append(t)
-        nodes.append(j)
-        tos.append(to)
+        if signed:
+            config[j] = to
+        log_t(t)
+        log_j(j)
+        log_to(to)
+        if len(times) >= max_events:
+            raise _budget_error(max_events, t, horizon)
     return times, nodes, tos
 
 
 def _generic_events(network, rates, config, horizon, rng, max_events):
     """Event log of any rate family by the categorical exponential-clock
-    scheme.  ``config`` (int codes) is updated in place."""
+    scheme.  ``config`` (int codes) is updated in place.  Raises
+    RateOverflowError when a rate row, or the total over all nodes, is not
+    finite."""
     k = rates.states.size
     N = network.N
     scale = 1.0 / (N * network.phi_N)
@@ -265,13 +292,19 @@ def _generic_events(network, rates, config, horizon, rng, max_events):
     R = rates.rate_matrix(network.positions, config, counts * scale)
     if not np.all(np.isfinite(R)):
         raise RateOverflowError(int(np.argmax(~np.isfinite(R).all(axis=1))), 0.0)
-    totals = R.sum(axis=1)
+    # finite rates can sum past the float range: an overflowing total raises
+    # RateOverflowError below, not a warning; np.add.accumulate forms the sums
+    # of np.cumsum, without its dispatch, as the array methods below do
+    with np.errstate(over="ignore"):
+        totals = R.sum(axis=1)
+        cum = np.add.accumulate(totals)
 
     times, nodes, frs, tos = [], [], [], []
     t = 0.0
     for _ in range(max_events):
-        cum = np.cumsum(totals)
         grand = float(cum[-1])
+        if not math.isfinite(grand):
+            raise RateOverflowError(int(np.argmax(~np.isfinite(cum))), t)
         if grand <= 0.0:
             break
         t = t + rng.exponential(1.0 / grand)
@@ -279,9 +312,9 @@ def _generic_events(network, rates, config, horizon, rng, max_events):
             break
         # categorical node draw, then channel within the node's rate row;
         # u < cum[-1] and side="right" land on an entry of positive rate
-        j = int(np.searchsorted(cum, rng.random() * grand, side="right"))
-        cum_row = np.cumsum(R[j])
-        b = int(np.searchsorted(cum_row, rng.random() * cum_row[-1], side="right"))
+        j = int(cum.searchsorted(rng.random() * grand, side="right"))
+        cum_row = R[j].cumsum()
+        b = int(cum_row.searchsorted(rng.random() * cum_row[-1], side="right"))
         a = int(config[j])
 
         times.append(t)
@@ -299,7 +332,9 @@ def _generic_events(network, rates, config, horizon, rng, max_events):
                                          config[recompute], counts[recompute] * scale)
         if not np.all(np.isfinite(R[recompute])):
             raise RateOverflowError(j, t)
-        totals[recompute] = R[recompute].sum(axis=1)
+        with np.errstate(over="ignore"):
+            totals[recompute] = R[recompute].sum(axis=1)
+            np.add.accumulate(totals, out=cum)
     else:
         raise _budget_error(max_events, t, horizon)
     return times, nodes, frs, tos

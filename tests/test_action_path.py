@@ -449,8 +449,8 @@ class TestDiscreteAction:
             # objective's evaluation at its iterate
             pre = []
             monkeypatch.setattr(action_path, "_newton_cg",
-                                lambda fun, x0, f0, g0, lo, hi, p, *a: pre.append((fun, p))
-                                or newton(fun, x0, f0, g0, lo, hi, p, *a))
+                                lambda fun, x0, first, lo, hi, p, *a: pre.append((fun, p))
+                                or newton(fun, x0, first, lo, hi, p, *a))
             minimize_action(prob, params, kernel, grid, ActionOptions(max_iters=1))
 
             def precondition(x=path[1:-1].ravel()):
@@ -573,7 +573,7 @@ class TestMinimizeAction:
         def fun(x):
             return 0.5 * np.sum((x - c) ** 2), x - c
 
-        x, _, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(2), np.ones(2),
+        x, _, _, diag = _newton_cg(fun, x0, [*fun(x0)], np.zeros(2), np.ones(2),
                                    precondition=lambda: lambda r: r, maxiter=5, gtol=1e-9)
         assert np.array_equal(x, x0)
         assert diag["iters"] == 0 and diag["cg_iters"] == 1
@@ -589,7 +589,7 @@ class TestMinimizeAction:
             return 0.5 * float(x @ x), x.copy()
 
         x0 = np.full(3, 0.5)
-        x, f, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(3), np.ones(3),
+        x, f, _, diag = _newton_cg(fun, x0, [*fun(x0)], np.zeros(3), np.ones(3),
                                    precondition=lambda: lambda r: np.full_like(r, np.nan),
                                    maxiter=5, gtol=1e-9)
         assert len(calls) == 1 and np.array_equal(x, x0) and f == 0.375
@@ -606,7 +606,7 @@ class TestMinimizeAction:
             return 0.5e150 * float(x @ x), 1e150 * x
 
         x0 = np.full(3, 0.5)
-        x, _, _, diag = _newton_cg(fun, x0, *fun(x0), np.zeros(3), np.ones(3),
+        x, _, _, diag = _newton_cg(fun, x0, [*fun(x0)], np.zeros(3), np.ones(3),
                                    precondition=lambda: lambda r: r, maxiter=5, gtol=1e-9)
         assert len(calls) == 2 and np.array_equal(x, x0)
         assert diag["iters"] == 0 and diag["cg_iters"] == 1 and not diag["converged"]

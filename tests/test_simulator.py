@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -72,6 +73,12 @@ def signed_directed_network(N=60, phi=0.1, seed=4):
     net = Network(N=N, positions=np.arange(N, dtype=float), rows=rows, cols=cols,
                   weights=weights, phi_N=phi, seed=0, family="constant")
     return net, J, rng
+
+
+def cosine_sis_case():
+    """A 500-node cosine network, a third of it infected, and the rates."""
+    net = sample_network(cosine_kernel(1.0, 0.5), 500, 0.1, seed=7)
+    return net, (np.arange(500) % 3 == 0).astype(np.int64), sis()
 
 
 class TestSimulate:
@@ -156,6 +163,18 @@ class TestSimulate:
         assert err.value.t > 0.0
         assert isinstance(err.value, NumericalError)
 
+    @pytest.mark.parametrize("beta, alpha, node", [(1e308, 1.0, 8), (2.0, 1e308, 3)],
+                             ids=["beta=1e308", "alpha=1e308"])
+    def test_overflowing_total_rate_raises(self, beta, alpha, node):
+        # every rate row is finite but their sum is not: the generic loop
+        # raises at t = 0, naming the node at which the running total leaves
+        # the float range, with no overflow warning (an error under pytest)
+        net = sample_network(cosine_kernel(1.0, 0.5), 60, 60 ** -0.7, seed=0)
+        init = [1 if j % 3 == 0 else 0 for j in range(60)]
+        with pytest.raises(RateOverflowError, match=f"node {node}, time 0$") as err:
+            simulate(net, generic_sis(beta, alpha), init, 5.0, seed=1)
+        assert err.value.node == node and err.value.t == 0.0
+
     def test_exhausted_event_budget_raises(self):
         # isolated infected nodes recover at rate 1: five events cannot
         # reach the horizon of 50 with twenty of them
@@ -211,6 +230,35 @@ class TestSimulate:
                               text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("SIS total rate") and "= inf is not finite" in proc.stdout
+
+    @pytest.mark.parametrize("case, events, digest", [
+        ("cosine", 4891, "3a52a0f7cc43a42ac99760ca18ae8a254202da0b3e27f1b014105a70cc8e0bbd"),
+        ("signed-directed", 81, "9a328f4bdccba3309432531682eb75bb281de6ec23fb7fa54ca0f87486d90952"),
+    ], ids=["cosine", "signed-directed"])
+    def test_sis_event_log_pinned(self, case, events, digest):
+        # sha256 of the float64 times and int64 nodes and target codes the
+        # SIS loop gave for these seeds.  The cosine run makes more than
+        # 16 + 32 + ... + 2048 = 4080 draws from each stream, so both reach
+        # their 4096-draw blocks; the signed run takes the signed acceptance.
+        if case == "cosine":
+            net, init, rates = cosine_sis_case()
+            traj = simulate(net, rates, init, 10.0, seed=11)
+        else:
+            net, _, rng = signed_directed_network()
+            init = (rng.random(net.N) < 0.5).astype(np.int64)
+            traj = simulate(net, sis(), init, 5.0, seed=12)
+        h = hashlib.sha256()
+        for arr, dtype in ((traj.times, np.float64), (traj.nodes, np.int64), (traj.to_codes, np.int64)):
+            assert arr.dtype == dtype
+            h.update(arr.tobytes())
+        assert traj.n_events == events and h.hexdigest() == digest
+
+    def test_sis_event_budget_pinned(self):
+        # the budget error of the cosine run above, cut at 1000 logged events
+        net, init, rates = cosine_sis_case()
+        with pytest.raises(NumericalError) as err:
+            simulate(net, rates, init, 10.0, seed=11, max_events=1000)
+        assert str(err.value) == "event budget 1000 exhausted at t=2.14021 < horizon 10"
 
     def test_invalid_init_length(self):
         net = empty_network(5)
