@@ -38,17 +38,19 @@ A solve's objective, ``_objective``, makes one ``_Workspace`` for all its
 calls, which write it with ``out=``, one array per quantity, all views of
 one allocation: W and lam, v, up and c, each side's A, B and D, the momentum
 sum, the cells, the Frechet fields and G's two kernel terms, the kernel
-products among them written by the operator's ``apply`` and ``apply_T``;
-beside it the objective keeps the unpacked iterate and the preconditioner's
-arrays, and _newton_cg its difference point and one scratch vector.  At
-K = 200, M = 64 each (K, M) array is 100 KiB, and glibc hands the heap top
-back to the system once more than 128 KiB is free there, so fresh
-temporaries would fault their pages in again on every call.  What
-``_newton_cg`` keeps across calls stays fresh: the gradient, which the
-Hessian product (g(x + h p) - g) / h differences against the next call's,
-the iterates and the returned path.  The start is evaluated once, value and
-gradient together: a start of infinite action raises EndpointError, and the
-start's value sets the gradient tolerance.
+products among them written by the operator's ``apply`` and ``apply_T``.
+At K = 200, M = 64 each (K, M) array is 100 KiB, and glibc hands the heap
+top back to the system once more than 128 KiB is free there, so fresh
+temporaries would fault their pages in again on every call.  The workspace
+is the only memory a solve reuses, because it is the only reuse that
+measures: with a fresh workspace per call the ``action_solve`` benchmark's
+wall time read 1.24x and its peak RSS 1.11x (10 of 10 pairs each, 2-core
+host), while removing the buffers _newton_cg and the preconditioner kept
+read 1.01x (4 of 10 pairs faster), no gain, so those are plain expressions.  What ``_newton_cg`` keeps across calls stays fresh: the
+gradient, which the Hessian product (g(x + h p) - g) / h differences
+against the next call's, the iterates and the returned path.  The start is
+evaluated once, value and gradient together: a start of infinite action
+raises EndpointError, and the start's value sets the gradient tolerance.
 
 Nothing is floored: every field is the exact envelope derivative wherever
 B > 0, and a cell with B = 0 is degenerate.  Tests check each field against a
@@ -371,13 +373,10 @@ class ActionResult:
     diagnostics: dict
 
 
-def _room(x, d, lo, hi, out=None):
-    """The largest t >= 0 with lo <= x + t d <= hi; ``out``, an array of x's
-    shape, takes the distances to the faces when given."""
+def _room(x, d, lo, hi):
+    """The largest t >= 0 with lo <= x + t d <= hi, from fresh arrays."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.subtract(hi, x, out=out)
-        np.subtract(lo, x, out=t, where=~(d > 0))
-        t /= d
+        t = np.where(d > 0, hi - x, lo - x) / d
         return float(np.min(t, initial=np.inf, where=d != 0))
 
 
@@ -397,9 +396,9 @@ def _newton_cg(fun, x0, first, lo, hi, precondition, maxiter, gtol):
     preconditioned gradient or curvature stops the solve.  Returns the last
     iterate, its f and g, and the solve's diagnostics entries
     (``action_history``: f after each accepted step).  ``fun`` returns a
-    fresh g and keeps nothing of its x: the difference point x + h p is
-    formed in a buffer of the solve, and g(x + h p) - g in place."""
-    probe, tmp = np.empty(np.shape(x0)), np.empty(np.shape(x0))  # x + h p; each product's scratch
+    fresh g and keeps nothing of its x, so g(x + h p) - g is formed in
+    place; every other vector here is a fresh array (the module docstring
+    says why only the objective's workspace is reused)."""
     x, (f, g) = x0, first
     first.clear()
     nit, cg_iters, evals, message, history = 0, 0, 1, "iteration limit reached", []
@@ -416,10 +415,10 @@ def _newton_cg(fun, x0, first, lo, hi, precondition, maxiter, gtol):
             break
         gnorm = np.linalg.norm(g)
         for j in range(_CG_MAX):
-            size = np.max(np.abs(p, out=tmp))
-            h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi, tmp)) if size > 0.0 else 0.0
+            size = np.max(np.abs(p))
+            h = min(_FD_STEP / size, 0.5 * _room(x, p, lo, hi)) if size > 0.0 else 0.0
             if h > 0.0:
-                Hp, evals = fun(np.add(x, np.multiply(h, p, out=probe), out=probe))[1], evals + 1
+                Hp, evals = fun(x + h * p)[1], evals + 1
                 Hp -= g
                 Hp /= h
                 with np.errstate(over="ignore", invalid="ignore"):  # p and Hp near the float range
@@ -433,20 +432,20 @@ def _newton_cg(fun, x0, first, lo, hi, precondition, maxiter, gtol):
                 if j == 0:
                     d = z
                 break
-            d += np.multiply(rz / curv, p, out=tmp)
-            r -= np.multiply(rz / curv, Hp, out=tmp)
+            d += rz / curv * p
+            r -= rz / curv * Hp
             if np.linalg.norm(r) <= min(0.5, np.sqrt(gnorm)) * gnorm:
                 break
             z = solve(r)
             rz, rz_old = r @ z, rz
-            p = z + np.multiply(rz / rz_old, p, out=tmp)
+            p = z + rz / rz_old * p
         cg_iters += j + 1
         if d is None:
             message = "non-finite curvature"
             break
-        step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi, tmp)), g @ d
+        step, slope = min(1.0, _TO_BOX * _room(x, d, lo, hi)), g @ d
         while step > 1e-12:
-            trial = x + np.multiply(step, d, out=tmp)
+            trial = x + step * d
             (f_trial, g_trial), evals = fun(trial), evals + 1
             if f_trial < f + 1e-4 * step * slope:
                 break
@@ -467,15 +466,15 @@ def _newton_cg(fun, x0, first, lo, hi, precondition, maxiter, gtol):
 def _objective(start, params, Km, grid, horizon):
     """``fun`` and ``precondition`` of :func:`_newton_cg` for the discrete
     action over the interior slices of paths with ``start``'s pinned ends.
-    Their buffers are made here, once per solve, and rewritten by every
-    call: the solve's :class:`_Workspace`, whose sides the preconditioner
-    reads, the unpacked iterate and the preconditioner's weights.  The
-    gradient stays fresh, since _newton_cg differences it against the next
-    call's."""
+    The solve's :class:`_Workspace`, whose sides the preconditioner reads,
+    and the unpacked iterate are made here, once per solve, and rewritten
+    by every call; the preconditioner's weights and each solve's vectors
+    are fresh arrays.  The gradient stays fresh, since _newton_cg
+    differences it against the next call's."""
     n_t, M = start.shape
     dt = horizon / (n_t - 1)
     work = _Workspace(n_t, M)
-    iterate, (inv, q, qi) = start.copy(), (np.empty((n_t - 1, M)) for _ in range(3))
+    iterate = start.copy()
 
     def fun(x):
         iterate[1:-1] = x.reshape(n_t - 2, M)
@@ -489,25 +488,18 @@ def _objective(start, params, Km, grid, horizon):
         sum of r plus a constant, which the pinned ends fix: sum_n q_n / c_n = 0.
         A node whose every interval has D = 0 gets a zero step.  _newton_cg
         calls it right after fun at its current iterate, so it reads the D of
-        that evaluation's sides and splits no path itself.  The weights c^-1, q
-        and q c^-1 are formed in buffers of the solve."""
+        that evaluation's sides and splits no path itself."""
         D_lo, D_hi = (D for _, _, _, D, _ in work.sides)
         # at a dt near the float range inv and q overflow, and _newton_cg stops
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(np.multiply(2.0 * dt, D_lo, out=inv), D_hi, out=inv)
-            np.divide(inv, np.multiply(grid.kappa_weights, np.add(D_lo, D_hi, out=q), out=q), out=inv)
-            np.nan_to_num(inv, copy=False)
-            total = inv.sum(axis=0)
+            inv = 2.0 * dt * D_lo * D_hi / (grid.kappa_weights * (D_lo + D_hi))
+            total = np.nan_to_num(inv, copy=False).sum(axis=0)
 
         def solve(r):
-            """A fresh z: _newton_cg keeps it as its CG direction."""
             with np.errstate(over="ignore", invalid="ignore"):
-                q[0] = 0.0
-                q[1:] = r.reshape(n_t - 2, M)
-                np.negative(np.cumsum(q, axis=0, out=q), out=q)
-                np.subtract(q, np.divide(np.multiply(q, inv, out=qi).sum(axis=0), total,
-                                         out=np.zeros(M), where=total > 0), out=q)
-                return np.cumsum(np.multiply(q[:-1], inv[:-1], out=qi[:-1]), axis=0).ravel()
+                q = -np.cumsum(np.vstack([np.zeros(M), r.reshape(n_t - 2, M)]), axis=0)
+                q -= np.divide((q * inv).sum(axis=0), total, out=np.zeros(M), where=total > 0)
+                return np.cumsum(q[:-1] * inv[:-1], axis=0).ravel()
         return solve
 
     return fun, precondition

@@ -11,10 +11,13 @@ Exit codes: 0 success; 2 configuration error (a config section or key that
 DEFAULTS does not have, from --config or --set, a bad option or profile, a
 kernel off the circle outside ``sample``, a time step below the smallest
 normal float, or snapshots off the mean-field time grid); 3 numerical
-failure (an exhausted event budget, a non-finite rate, an overflowing
-velocity, density normalization drift, an equilibrium relaxation or an
-action solve that did not converge).  No subcommand reads a network file;
-``graphon.read_network`` raises GraphonError on a malformed one.
+failure (an exhausted event budget or an SIS run that may take over 1,000
+proposals per event of it, a non-finite rate, an overflowing velocity,
+mean-field step or equilibrium map, density normalization drift, an
+equilibrium relaxation or an action solve that did not converge).  A
+subcommand takes the run's Manifest, which ``main`` opens.  No subcommand
+reads a network file; ``graphon.read_network`` raises GraphonError on a
+malformed one.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -90,16 +94,18 @@ def load_config(path, overrides=()):
     return cp
 
 
-def resolved_dict(cp):
-    return {s: dict(cp.items(s)) for s in cp.sections()}
+def _typed(get, sec, key):
+    """``get(sec, key)``, a ConfigParser.getfloat or getint: a value it
+    cannot read raises ConfigError naming the entry."""
+    try:
+        return get(sec, key)
+    except ValueError as e:
+        raise ConfigError(f"[{sec}] {key}: {e}") from None
 
 
 def _f(cp, sec, key, positive=False):
     """A finite float entry, above zero when ``positive``."""
-    try:
-        value = cp.getfloat(sec, key)
-    except ValueError as e:
-        raise ConfigError(f"[{sec}] {key}: {e}") from None
+    value = _typed(cp.getfloat, sec, key)
     if not np.isfinite(value) or (positive and value <= 0):
         need = "finite and positive" if positive else "finite"
         raise ConfigError(f"[{sec}] {key} must be {need}, got {value}")
@@ -108,10 +114,7 @@ def _f(cp, sec, key, positive=False):
 
 def _i(cp, sec, key, least=None):
     """An integer entry, at least ``least`` when given."""
-    try:
-        value = cp.getint(sec, key)
-    except ValueError as e:
-        raise ConfigError(f"[{sec}] {key}: {e}") from None
+    value = _typed(cp.getint, sec, key)
     if least is not None and value < least:
         raise ConfigError(f"[{sec}] {key} must be at least {least}, got {value}")
     return value
@@ -141,19 +144,14 @@ def _sizes(cp, sec, key):
 
 
 def graphon_spec(cp):
+    """The graphon.family kernel, called with the [graphon] entries named
+    after its constructor's parameters, in their order."""
     fam = cp.get("graphon", "family")
     if fam not in FAMILIES:
         raise ConfigError(f"unknown graphon family {fam!r}; choose from {sorted(FAMILIES)}")
-    g = lambda k: _f(cp, "graphon", k)
+    make = FAMILIES[fam]
     try:
-        if fam == "constant":
-            spec = FAMILIES[fam](g("level"))
-        elif fam == "inhomogeneous-circle":
-            spec = FAMILIES[fam](g("base"), g("amplitude"))
-        elif fam == "small-world":
-            spec = FAMILIES[fam](g("high"), g("low"), g("cutoff"))
-        else:
-            spec = FAMILIES[fam](g("beta_pl"))
+        spec = make(*(_f(cp, "graphon", k) for k in inspect.signature(make).parameters))
         spec.validate()
         return spec
     except GraphonError as e:
@@ -165,6 +163,12 @@ def model_params(cp):
                      alpha=_f(cp, "model", "alpha", positive=True))
 
 
+#: Profile name: (how many numbers follow its colon, what its error adds).
+_PROFILES = {"uniform": (1, ""), "cosine": (2, ""),
+             "equilibrium": (0, " (takes no parameters)"),
+             "bump": (3, " (expected bump:center,width,depth)")}
+
+
 def parse_profile(text, grid, equilibrium):
     """Profiles over the circle: equilibrium | uniform:c | cosine:b,a |
     bump:center,width,depth (a susceptible dip carved into equilibrium).
@@ -172,38 +176,31 @@ def parse_profile(text, grid, equilibrium):
     ``equilibrium()`` returns the susceptible endemic profile; only the
     ``equilibrium`` and ``bump`` profiles call it, and both are susceptible
     profiles."""
-    name, _, rest = text.partition(":")
-    th = grid.nodes
+    name, colon, rest = text.partition(":")
+    if name not in _PROFILES:
+        raise ConfigError(f"unknown profile {text!r}")
+    count, hint = _PROFILES[name]
+    try:
+        nums = [float(v) for v in rest.split(",")] if colon else []
+    except ValueError:
+        nums = None
+    if nums is None or len(nums) != count:
+        raise ConfigError(f"bad {name} profile {text!r}{hint}")
     if name == "uniform":
-        try:
-            c = float(rest)
-        except ValueError:
-            raise ConfigError(f"bad uniform profile {text!r}") from None
-        return np.full(grid.M, c)
+        return np.full(grid.M, nums[0])
     if name == "cosine":
-        try:
-            base, amp = (float(v) for v in rest.split(","))
-        except ValueError:
-            raise ConfigError(f"bad cosine profile {text!r}") from None
-        return base + amp * np.cos(th)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: every caller rejects it
+            return nums[0] + nums[1] * np.cos(grid.nodes)
     if name == "equilibrium":
-        if text != name:
-            raise ConfigError(f"bad equilibrium profile {text!r} (takes no parameters)")
         return equilibrium()
-    if name == "bump":
-        try:
-            center, width, depth = (float(v) for v in rest.split(","))
-        except ValueError:
-            raise ConfigError(f"bad bump profile {text!r} "
-                              "(expected bump:center,width,depth)") from None
-        if not all(map(math.isfinite, (center, width, depth))):
-            raise ConfigError(f"bump profile {text!r} needs a finite center, width and depth")
-        if width <= 0:
-            raise ConfigError("bump width must be positive")
-        d = circle_distance(th, center)
-        with np.errstate(over="ignore"):  # a width far below the node spacing: exp(-inf) = 0
-            return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
-    raise ConfigError(f"unknown profile {text!r}")
+    center, width, depth = nums
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError(f"bump profile {text!r} needs a finite center, width and depth")
+    if width <= 0:
+        raise ConfigError("bump width must be positive")
+    d = circle_distance(grid.nodes, center)
+    with np.errstate(over="ignore"):  # a width far below the node spacing: exp(-inf) = 0
+        return equilibrium() - depth * np.exp(-0.5 * (d / width) ** 2)
 
 
 def bernoulli_init(p_infected, positions, rng):
@@ -253,7 +250,7 @@ class Manifest:
         except OSError as e:
             raise ConfigError(f"output directory not writable: {e}") from None
         self.data = {"command": command, "version": __version__,
-                     "config": resolved_dict(cp), "artifacts": []}
+                     "config": {s: dict(cp.items(s)) for s in cp.sections()}, "artifacts": []}
 
     def add(self, name, text=None):
         """Record the artifact ``name`` in the output directory, first
@@ -312,8 +309,7 @@ def _network(cp, spec, N, seed):
     return sample_network(spec, N, density_from_degree_exponent(N, exponent), seed=seed)
 
 
-def cmd_sample(cp, out):
-    man = Manifest(out, "sample", cp)
+def cmd_sample(cp, man):
     net = _network(cp, graphon_spec(cp), _i(cp, "graphon", "N"),
                    _i(cp, "run", "seed", least=0))
     write_network(man.dir / "network.txt", net)
@@ -364,8 +360,7 @@ def _replica_trajectories(net, rates, init_infected, T, reps, threads, seed):
     return [_one_replica(job) for job in jobs]
 
 
-def cmd_simulate(cp, out):
-    man = Manifest(out, "simulate", cp)
+def cmd_simulate(cp, man):
     spec, _, grid, rates, equilibrium = _model(cp)
     seed = _i(cp, "run", "seed", least=0)
     net = _network(cp, spec, _i(cp, "graphon", "N"), seed)
@@ -406,8 +401,7 @@ def _meanfield_solution(grid, spec, rates, init_infected, T, steps):
     return evolve(grid, spec, rates, nu0, T, dt=T / steps)
 
 
-def cmd_meanfield(cp, out):
-    man = Manifest(out, "meanfield", cp)
+def cmd_meanfield(cp, man):
     spec, _, grid, rates, equilibrium = _model(cp)
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
                                      *_horizon(cp, "steps", 1))
@@ -452,8 +446,7 @@ def compare_deviations(cp, N_sweep, seed):
     return results
 
 
-def cmd_compare(cp, out):
-    man = Manifest(out, "compare", cp)
+def cmd_compare(cp, man):
     sweep = _sizes(cp, "compare", "N_sweep")
     seed = _i(cp, "run", "seed", least=0)
     rows = [{"N": N, "median_sup_deviation": med, "replicas": devs}
@@ -463,8 +456,7 @@ def cmd_compare(cp, out):
     return 0
 
 
-def cmd_rate(cp, out):
-    man = Manifest(out, "rate", cp)
+def cmd_rate(cp, man):
     spec, params, grid, rates, equilibrium = _model(cp)
     T, steps = _horizon(cp, "steps", 2)  # sis_action: 3 slices
     dens, flux = _meanfield_solution(grid, spec, rates, _init_infected(cp, grid, equilibrium),
@@ -482,8 +474,7 @@ def cmd_rate(cp, out):
     return 0
 
 
-def cmd_action(cp, out):
-    man = Manifest(out, "action", cp)
+def cmd_action(cp, man):
     opts = ActionOptions(max_iters=_i(cp, "action", "max_iters", least=1),
                          tol_grad=_f(cp, "action", "tol_grad", positive=True))
     spec, params, grid, _, equilibrium = _model(cp)
@@ -508,9 +499,8 @@ def cmd_action(cp, out):
     return 0
 
 
-def cmd_ldp_check(cp, out):
+def cmd_ldp_check(cp, man):
     """Exact Poisson-tail slope check for the uncoupled rate function."""
-    man = Manifest(out, "ldp-check", cp)
     a = _f(cp, "ldp_check", "a")
     if a <= 1.0:
         raise ConfigError("tail level a must exceed 1")
@@ -555,7 +545,7 @@ def main(argv=None):
 
     try:
         cp = load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cp, args.out)
+        return COMMANDS[args.command](cp, Manifest(args.out, args.command, cp))
     except (ConfigError, GraphonError, ModelError, EndpointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

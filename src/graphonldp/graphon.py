@@ -127,6 +127,8 @@ def cosine_kernel(base=1.0, amplitude=0.5):
     b, a = float(base), float(amplitude)
     if abs(a) > b:
         raise GraphonError("cosine kernel must stay nonnegative: |amplitude| <= base")
+    if b + abs(a) == np.inf:
+        raise GraphonError(f"cosine kernel values overflow: base + |amplitude| = {b!r} + {abs(a)!r}")
     return GraphonSpec(
         kernel=lambda x, y: b + a * np.cos(np.asarray(x) - np.asarray(y)),
         bound=b + abs(a), symmetric=True, family="inhomogeneous-circle",

@@ -292,33 +292,35 @@ def evolve(grid: SpatialGrid, kernel, rates, nu0, T, dt):
     def at(h, slope):  # the stage point nu + h slope, in stage
         return np.add(nu, np.multiply(h, slope, out=stage), out=stage)
 
-    for n in range(steps):
-        k1, lam = _drift(rates, grid, K, nu)
-        for (a, b) in chans:
-            flux[(a, b)][n] = lam[a, b]
-        k2, _ = _drift(rates, grid, K, at(0.5 * dt, k1))
-        k3, _ = _drift(rates, grid, K, at(0.5 * dt, k2))
-        k4, _ = _drift(rates, grid, K, at(dt, k3))
-        # nu + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), its additions in that order
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= dt / 6.0
-        nu += k1
-        # written so that NaN fails both checks
-        drift = np.abs(nu.sum(axis=0) - 1.0).max()
-        if not drift <= _NORM_TOL:
-            raise NormalizationError(
-                f"per-site normalization drifted to {drift:.3g} at t={dt * (n + 1):.6g}")
-        # positivity is monitored, never clipped: a clear excursion below
-        # zero means the step size violated the stability bound
-        if not nu.min() >= -1e-6:
-            raise NormalizationError(
-                f"density went negative ({nu.min():.3g}) at t={dt * (n + 1):.6g}; "
-                "reduce dt")
-        values[n + 1] = nu
+    # an overflowing step leaves nu non-finite, which fails the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            k1, lam = _drift(rates, grid, K, nu)
+            for (a, b) in chans:
+                flux[(a, b)][n] = lam[a, b]
+            k2, _ = _drift(rates, grid, K, at(0.5 * dt, k1))
+            k3, _ = _drift(rates, grid, K, at(0.5 * dt, k2))
+            k4, _ = _drift(rates, grid, K, at(dt, k3))
+            # nu + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), its additions in that order
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            nu += k1
+            # written so that NaN fails both checks
+            drift = np.abs(nu.sum(axis=0) - 1.0).max()
+            if not drift <= _NORM_TOL:
+                raise NormalizationError(
+                    f"per-site normalization drifted to {drift:.3g} at t={dt * (n + 1):.6g}")
+            # positivity is monitored, never clipped: a clear excursion below
+            # zero means the step size violated the stability bound
+            if not nu.min() >= -1e-6:
+                raise NormalizationError(
+                    f"density went negative ({nu.min():.3g}) at t={dt * (n + 1):.6g}; "
+                    "reduce dt")
+            values[n + 1] = nu
     _, lam = _drift(rates, grid, K, nu)
     for (a, b) in chans:
         flux[(a, b)][steps] = lam[a, b]
@@ -352,12 +354,18 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
 
     Returns the susceptible profile; for a constant kernel J0 with
     alpha < beta * J0 this is the endemic level alpha / (beta * J0),
-    otherwise the disease-free state s == 1.  Raises NumericalError at the
-    first non-finite drift, or if the drift is still at or above 1e-13
-    after ``max_iter`` steps.
+    otherwise the disease-free state s == 1.  Raises NumericalError before
+    the first step if alpha + beta K[1] overflows (where T(0) would be 0 and
+    every step a zero step), at the first non-finite drift, or if the drift
+    is still at or above 1e-13 after ``max_iter`` steps.
     """
     K = _operator(kernel, grid)
-    s = alpha / (alpha + beta * np.maximum(K.apply(np.ones(grid.M)), 0.0))
+    with np.errstate(over="ignore"):  # the map's largest denominator, at s = 0
+        top = alpha + beta * np.maximum(K.apply(np.ones(grid.M)), 0.0)
+    if np.isinf(top).any():
+        raise NumericalError(f"endemic equilibrium: alpha + beta K[1] overflows at "
+                             f"alpha = {alpha!r}, beta = {beta!r}")
+    s = alpha / top
     drift = np.inf
     for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)

@@ -140,8 +140,10 @@ def simulate(network, rates, init, horizon, seed=0, max_events=50_000_000) -> Tr
     codes are their complement, since an SIS event flips S <-> I.
     Raises RateOverflowError if the rate family produces a non-finite value;
     the SIS loop raises NumericalError, before the first event, if its total
-    rate can reach a non-finite value.  Raises NumericalError if the horizon
-    is not reached within ``max_events`` logged events.
+    rate can reach a non-finite value or, for a finite horizon, if horizon x
+    that rate exceeds ``_PROPOSALS_PER_EVENT`` proposals per event of
+    ``max_events``.  Raises NumericalError if the horizon is not reached
+    within ``max_events`` logged events.
     """
     states = rates.states
     N = network.N
@@ -169,6 +171,11 @@ def _budget_error(max_events, t, horizon):
     return NumericalError(f"event budget {max_events} exhausted at t={t:.6g} < horizon {horizon:.6g}")
 
 
+#: Largest number of SIS proposals a finite run may expect per logged event
+#: of its budget: horizon x the largest total rate above this times
+#: ``max_events`` raises before the first event.
+_PROPOSALS_PER_EVENT = 1000
+
 # a draw stream's block sizes: 16 doubling to 4096, then 4096 for ever
 _DOUBLING, _LARGEST = (16, 32, 64, 128, 256, 512, 1024, 2048), 4096
 
@@ -192,8 +199,11 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     The budget is checked after each logged event, so ``max_events`` logged
     events raise at the last one's time.  Raises NumericalError, before the
     first event, if ``max_events`` is not positive (at t = 0) or if the
-    largest total rate the loop can reach, alpha N plus beta / (N phi_N)
-    times all +1 stubs, is not finite.
+    largest total rate the loop can reach, top = alpha N plus beta / (N phi_N)
+    times all +1 stubs, is not finite; and, for a finite horizon, if
+    horizon x top, the most proposals the run can expect, exceeds
+    ``_PROPOSALS_PER_EVENT`` x ``max_events``: null proposals are not
+    logged, so the budget alone would not stop such a run.
     """
     N = network.N
     cols, wts, indptr = network.cols, network.weights, network.indptr
@@ -226,6 +236,10 @@ def _sis_events(network, params, config, horizon, rng, max_events):
     t = 0.0
     if 0 >= max_events:
         raise _budget_error(max_events, t, horizon)
+    if horizon < math.inf and horizon * top > _PROPOSALS_PER_EVENT * max_events:
+        raise NumericalError(f"SIS run to horizon {horizon:.6g} at a total rate of up to {top:.6g} "
+                             f"may take {horizon * top:.3g} proposals, more than "
+                             f"{_PROPOSALS_PER_EVENT} per event of the budget {max_events}")
     while True:
         n = len(infected)
         recovery = alpha * n

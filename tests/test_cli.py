@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from graphonldp import cli
 from graphonldp.action_path import el_residual
 from graphonldp.cli import main
-from graphonldp.graphon import read_network
+from graphonldp.graphon import FAMILIES, read_network
 from graphonldp.simulator import bin_index, occupation_at
 
 
@@ -34,7 +35,7 @@ def check_artifacts(out):
     action run's el_residual_max is the largest |residual| of
     el_residual.csv, NaN ignored (null when every cell is NaN).
     read_network gives back the triples network.txt lists, in the file's
-    order.
+    order, as many as the manifest's edge count.
     """
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -52,8 +53,9 @@ def check_artifacts(out):
         assert parsed["diagnostics.json"]["el_residual_max"] == largest
     if (out / "network.txt").exists():
         net = read_network(out / "network.txt")
-        triples = np.loadtxt(out / "network.txt", skiprows=1, dtype=np.int64, ndmin=2)
-        assert len(triples) > 0
+        lines = (out / "network.txt").read_text().splitlines()[1:]
+        triples = np.array([line.split() for line in lines], dtype=np.int64).reshape(-1, 3)
+        assert len(triples) == parsed["manifest.json"]["edges"]
         assert net.N == int(parsed["manifest.json"]["config"]["graphon"]["n"])
         assert np.array_equal(np.column_stack([net.rows, net.cols, net.weights]), triples)
     return parsed
@@ -535,6 +537,22 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "needs a finite center, width and depth" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("simulate", "model.init=cosine:1e308,1e308", "outside [0, 1]"),
+        ("compare", "model.init=cosine:1e308,-1e308", "outside [0, 1]"),
+        ("action", "action.s0=cosine:1e308,1e308", "initial endpoint must satisfy 0 < s < 1"),
+        ("action", "action.sT=cosine:inf,-inf", "final endpoint must satisfy 0 < s < 1")])
+    def test_overflowing_cosine_profile_rejected(self, tmp_path, capsys, command, setting,
+                                                 message):
+        # base + amplitude cos overflowed with a numpy warning (an error here)
+        # before the range check saw the infinite profile
+        code, _ = run(tmp_path, command, "graphon.N=40", "run.replicas=1", "grid.M=8",
+                      "grid.T=0.5", "grid.steps=10", "grid.K=10", "compare.N_sweep=40",
+                      "compare.snapshots=6", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     @pytest.mark.parametrize("command, setting", [
         ("meanfield", "model.init=bump:3.14159,1e-300,0.2"),
         ("rate", "model.init=bump:3.14159,1e-300,0.2"),
@@ -764,6 +782,50 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("numerical failure:") and "not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting", ["model.beta=1e300", "grid.T=1e300"])
+    def test_huge_finite_rate_or_horizon_exits_3(self, tmp_path, setting):
+        # horizon x the largest total rate asks for about 1e300 proposals,
+        # nearly all null, and the event budget counts logged events only:
+        # the run did not end; a subprocess with a timeout fails where it hangs
+        proc = _python("import sys; from graphonldp.cli import main; sys.exit(main(sys.argv[1:]))",
+                       "simulate", "--set", setting, "--out", str(tmp_path / "out"), timeout=10)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure:") and "proposals" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["meanfield", "rate", "compare"])
+    @pytest.mark.parametrize("setting", [f"{key}={value}" for key in
+                                         ("model.beta", "model.alpha", "graphon.base", "grid.T")
+                                         for value in ("1e300", "1e308")])
+    def test_overflowing_mean_field_step_exits_3(self, tmp_path, capsys, command, setting):
+        # the RK4 stages overflowed, with numpy warnings (errors here), before
+        # the normalization check stopped the run
+        code, _ = run(tmp_path, command, setting, "grid.M=8", "grid.steps=20",
+                      "compare.snapshots=5")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "normalization" in err
+
+
+class TestConfigRules:
+    def test_family_parameters_are_the_graphon_keys(self):
+        # graphon_spec reads each family's entries by its constructor's
+        # parameter names, so the two sets must be the same keys
+        params = {name for make in FAMILIES.values()
+                  for name in inspect.signature(make).parameters}
+        assert params == set(cli.DEFAULTS["graphon"]) - {"family", "N", "phi_exponent"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("uniform:0.3,0.1", "bad uniform profile 'uniform:0.3,0.1'"),
+        ("cosine:0.3", "bad cosine profile 'cosine:0.3'"),
+        ("equilibrium:1", "bad equilibrium profile 'equilibrium:1' (takes no parameters)"),
+        ("bump:1,2", "bad bump profile 'bump:1,2' (expected bump:center,width,depth)"),
+    ])
+    def test_wrong_count_of_profile_numbers(self, text, message):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_profile(text, cli.circle_grid(8), None)
+        assert str(err.value) == message
 
 
 class TestLdpCheck:

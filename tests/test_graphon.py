@@ -57,6 +57,13 @@ class TestSpecs:
         with pytest.raises(GraphonError):
             cosine_kernel(1.0, 1.5)
 
+    def test_cosine_rejects_an_overflowing_bound(self):
+        # base + amplitude cos overflowed in validate's spot grid, a numpy
+        # warning (an error here); the largest finite pair still validates
+        with pytest.raises(GraphonError, match="cosine kernel values overflow"):
+            cosine_kernel(1e308, 1e308)
+        assert cosine_kernel(8e307, 8e307).validate()
+
     def test_bound_violation_detected(self):
         spec = constant_kernel(1.0)
         bad = type(spec)(kernel=lambda x, y: 2.0 + 0 * (np.asarray(x) + np.asarray(y)),

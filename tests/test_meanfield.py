@@ -603,6 +603,19 @@ class TestNonFinite:
             endemic_equilibrium(grid, self.nan_kernel(grid), beta=2.0, alpha=1.0)
         assert len(calls) == 1
 
+    def test_equilibrium_overflow_raises_before_the_first_step(self, monkeypatch):
+        # alpha + beta K[1] = inf made T(0) = 0, and every step from s = 0 a
+        # zero step: the relaxation ran all max_iter steps before it raised
+        import graphonldp.meanfield as mf
+
+        grid = circle_grid(8)
+        calls = []
+        drift = mf.sis_drift
+        monkeypatch.setattr(mf, "sis_drift", lambda *a: calls.append(1) or drift(*a))
+        with pytest.raises(NumericalError, match=r"alpha \+ beta K\[1\] overflows"):
+            endemic_equilibrium(grid, cosine_kernel(1e308, 0.5), beta=2.0, alpha=1.0)
+        assert not calls
+
 
 class TestDensityField:
     def test_at_time_requires_grid_time(self):

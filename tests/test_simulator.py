@@ -18,6 +18,7 @@ from graphonldp.core_model import (
 )
 from graphonldp.graphon import Network, constant_kernel, cosine_kernel, sample_network
 from graphonldp.simulator import (
+    _PROPOSALS_PER_EVENT,
     RateOverflowError,
     TrajectoryRecord,
     bin_index,
@@ -230,6 +231,18 @@ class TestSimulate:
                               text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("SIS total rate") and "= inf is not finite" in proc.stdout
+
+    def test_proposal_bound_refuses_a_run_the_budget_cannot_stop(self):
+        # the empty all-infected network's largest total rate is alpha N = 20;
+        # null proposals are not logged, so a run whose horizon x top exceeds
+        # _PROPOSALS_PER_EVENT x max_events raises before its first event
+        net = empty_network(20)
+        limit = _PROPOSALS_PER_EVENT / 20
+        with pytest.raises(NumericalError, match="proposals, more than 1000 per event"):
+            simulate(net, sis(), ["I"] * 20, horizon=1.001 * limit, seed=0, max_events=1)
+        with pytest.raises(NumericalError, match="event budget 1 exhausted"):
+            simulate(net, sis(), ["I"] * 20, horizon=limit, seed=0, max_events=1)
+        assert simulate(net, sis(), ["I"] * 20, horizon=np.inf, seed=0, max_events=21).n_events == 20
 
     @pytest.mark.parametrize("case, events, digest", [
         ("cosine", 4891, "3a52a0f7cc43a42ac99760ca18ae8a254202da0b3e27f1b014105a70cc8e0bbd"),
