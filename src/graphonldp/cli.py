@@ -14,10 +14,12 @@ normal float, or snapshots off the mean-field time grid); 3 numerical
 failure (an exhausted event budget or an SIS run that may take over 1,000
 proposals per event of it, a non-finite rate, an overflowing velocity,
 mean-field step or equilibrium map, density normalization drift, an
-equilibrium relaxation or an action solve that did not converge).  A
-subcommand takes the run's Manifest, which ``main`` opens.  No subcommand
-reads a network file; ``graphon.read_network`` raises GraphonError on a
-malformed one.
+equilibrium relaxation that did not converge or whose measured contraction
+cannot reach its tolerance in the steps left, or an action solve that did
+not converge).  ``main`` is the one place that maps a failure to its exit
+code.  A subcommand takes the run's Manifest, which ``main`` opens.  No
+subcommand reads a network file; ``graphon.read_network`` raises
+GraphonError on a malformed one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import ModelError, NumericalError, SisParams, circle_distance, sis_rates
+from .core_model import TWO_PI, ModelError, NumericalError, SisParams, circle_distance, sis_rates
 from .graphon import (
     FAMILIES,
     GraphonError,
@@ -150,12 +152,9 @@ def graphon_spec(cp):
     if fam not in FAMILIES:
         raise ConfigError(f"unknown graphon family {fam!r}; choose from {sorted(FAMILIES)}")
     make = FAMILIES[fam]
-    try:
-        spec = make(*(_f(cp, "graphon", k) for k in inspect.signature(make).parameters))
-        spec.validate()
-        return spec
-    except GraphonError as e:
-        raise ConfigError(str(e)) from None
+    spec = make(*(_f(cp, "graphon", k) for k in inspect.signature(make).parameters))
+    spec.validate()
+    return spec
 
 
 def model_params(cp):
@@ -204,9 +203,8 @@ def parse_profile(text, grid, equilibrium):
 
 
 def bernoulli_init(p_infected, positions, rng):
-    """Independent per-node infected draws from a profile sampled at x_j."""
-    probs = np.interp(positions, np.linspace(0, 2 * np.pi, len(p_infected) + 1)[:-1],
-                      p_infected, period=2 * np.pi)
+    """Independent per-node infected draws from a profile on circle_grid's nodes, read at x_j."""
+    probs = np.interp(positions, circle_grid(len(p_infected)).nodes, p_infected, period=TWO_PI)
     return np.where(rng.random(len(positions)) < probs, 1, 0).astype(np.int64)
 
 
@@ -549,7 +547,7 @@ def main(argv=None):
     except (ConfigError, GraphonError, ModelError, EndpointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as e:
+    except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

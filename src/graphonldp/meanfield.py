@@ -23,6 +23,7 @@ so the states sum to 1 at every grid node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ from .core_model import TWO_PI, NumericalError
 
 #: Largest per-site drift of the state sum that ``evolve`` accepts.
 _NORM_TOL = 1e-8
+#: ``endemic_equilibrium``'s drift tolerance, and the number of steps over
+#: which it measures the drift's contraction per step.
+_EQ_TOL, _EQ_WINDOW = 1e-13, 1000
 
 
 class NormalizationError(NumericalError):
@@ -357,7 +361,12 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
     otherwise the disease-free state s == 1.  Raises NumericalError before
     the first step if alpha + beta K[1] overflows (where T(0) would be 0 and
     every step a zero step), at the first non-finite drift, or if the drift
-    is still at or above 1e-13 after ``max_iter`` steps.
+    is still at or above 1e-13 after ``max_iter`` steps.  It raises sooner
+    where the contraction it measures cannot get there: from step 1000 on,
+    once q = (drift_n / drift_{n-1000})^(1/1000) is at least 1 or needs more
+    than max_iter - n steps, log(1e-13 / drift_n) / log(q), to reach the
+    tolerance.  That is the case at R0 = 1, where the drift falls
+    algebraically, and at rates so large that 1e-13 is below float noise.
     """
     K = _operator(kernel, grid)
     with np.errstate(over="ignore"):  # the map's largest denominator, at s = 0
@@ -366,16 +375,25 @@ def endemic_equilibrium(grid: SpatialGrid, kernel, beta, alpha, max_iter=200000)
         raise NumericalError(f"endemic equilibrium: alpha + beta K[1] overflows at "
                              f"alpha = {alpha!r}, beta = {beta!r}")
     s = alpha / top
-    drift = np.inf
+    drift, past = np.inf, np.empty(_EQ_WINDOW)  # past[n % _EQ_WINDOW]: the drift of step n
     for n in range(max_iter):
         ds = sis_drift(s, grid, K, beta, alpha)
         step = s * ds
         np.divide(step, np.maximum(alpha - ds, alpha * s), out=step, where=step != 0)
         s = np.clip(s + step, 0.0, 1.0)
         drift = np.max(np.abs(ds))
-        if drift < 1e-13:
+        if drift < _EQ_TOL:
             return s
         if not np.isfinite(drift):
             raise NumericalError(f"endemic equilibrium drift is {drift} at step {n}")
+        if n >= _EQ_WINDOW:
+            q = (drift / past[n % _EQ_WINDOW]) ** (1.0 / _EQ_WINDOW)
+            if q >= 1.0 or math.log(_EQ_TOL / drift) / math.log(q) > max_iter - n:
+                raise NumericalError(
+                    f"endemic equilibrium cannot reach drift tol {_EQ_TOL:g} in {max_iter} "
+                    f"steps: drift {drift:.3g} at step {n}, measured contraction {q:.9g} per "
+                    f"step over the last {_EQ_WINDOW}; R0 may be 1, or the rates too large "
+                    "for the tolerance")
+        past[n % _EQ_WINDOW] = drift
     raise NumericalError(
-        f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol 1e-13")
+        f"endemic equilibrium not reached in {max_iter} steps: drift {drift:.3g} >= tol {_EQ_TOL:g}")

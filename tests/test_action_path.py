@@ -383,7 +383,9 @@ class TestDiscreteAction:
             return float(0.5 * dt * np.sum(L @ grid.kappa_weights))
 
         rng = np.random.default_rng(5)
-        for grid, kernel in ((circle_grid(12), cosine_kernel(1.0, 0.5)), skewed_case(12)):
+        # M = 256: the circulant kernel's products by FFT, into the workspace
+        for grid, kernel in ((circle_grid(12), cosine_kernel(1.0, 0.5)), skewed_case(12),
+                             (circle_grid(256), cosine_kernel(1.0, 0.5))):
             for _ in range(5):
                 path = rng.uniform(0.05, 0.95, (9, grid.M))
                 want = trapezoid(path, kernel, grid, 0.8)
@@ -520,12 +522,14 @@ class TestMinimizeAction:
     def test_gradient_matches_fd_on_random_paths(self):
         # a uniform grid with a symmetric kernel, then a non-uniform grid
         # with an asymmetric one, where the forward and transposed kernel
-        # applications differ
+        # applications differ, then M = 256, where a circulant kernel's
+        # products go by FFT into the workspace's buffers
         rng = np.random.default_rng(7)
-        cases = [(circle_grid(16), constant_kernel(1.0)), skewed_case(16)]
+        cases = [(circle_grid(16), constant_kernel(1.0)), skewed_case(16),
+                 (circle_grid(256), cosine_kernel(1.0, 0.5))]
         for grid, kernel in cases:
-            prob = PathProblem(s0=np.full(16, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
-            path = prob.initial_path() + 0.03 * rng.standard_normal((31, 16))
+            prob = PathProblem(s0=np.full(grid.M, 0.5), sT=bump_profile(grid), horizon=1.5, K=30)
+            path = prob.initial_path() + 0.03 * rng.standard_normal((31, grid.M))
             path[0], path[-1] = prob.s0, prob.sT
             a, g = discrete_action(path, PARAMS, kernel, grid, 1.5, with_grad=True)
             for _ in range(4):

@@ -70,6 +70,14 @@ class TestConfig:
         code, _ = run(tmp_path, "sample", "bogus")
         assert code == 2
 
+    def test_out_under_a_regular_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, _ = run(tmp_path, "ldp-check", out=tmp_path / "file" / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory not writable")
+        assert "Traceback" not in err
+
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[graphon]\nfamily = constant\nN = 40\nlevel = 0.5\n")

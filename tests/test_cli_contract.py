@@ -75,7 +75,7 @@ def run_case(out, command, overrides):
 
 
 # inputs that escaped before: as a traceback, a numpy warning or a run
-# that did not end
+# that did not end; the last two ran all 200,000 equilibrium steps to fail
 @example(case=("rate", ["grid.steps=1"]))
 @example(case=("action", ["grid.T=1e308"]))
 @example(case=("ldp-check", ["ldp_check.a=1e308"]))
@@ -86,6 +86,8 @@ def run_case(out, command, overrides):
 @example(case=("simulate", ["grid.T=1e300"]))
 @example(case=("action", ["graphon.base=1e308", "graphon.amplitude=1e308"]))
 @example(case=("simulate", ["model.init=cosine:1e308,1e308"]))
+@example(case=("action", ["model.alpha=1e300", "model.beta=1e300"]))
+@example(case=("action", ["model.alpha=1e10", "model.beta=1e10"]))
 @settings(derandomize=True, max_examples=600, database=None, deadline=None)
 @given(case=cases())
 def test_every_input_exits_0_2_or_3(case):

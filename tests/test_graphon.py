@@ -290,6 +290,11 @@ class TestSampling:
         with pytest.raises(GraphonError):
             sample_network(constant_kernel(1.0), 1, 0.5, seed=0)
 
+    @pytest.mark.parametrize("phi", [0.0, -0.5, np.nan])
+    def test_density_must_be_positive(self, phi):
+        with pytest.raises(GraphonError, match="phi_N must be positive"):
+            sample_network(constant_kernel(1.0), 10, phi, seed=0)
+
     def test_asymmetric_sampling_independent_directions(self):
         spec = directed_constant()
         N = 300
@@ -689,3 +694,5 @@ class TestMalformedNetworkFile:
                      "positions\n0.0\n1.0\n2.0\n3.0\nedges\n0 1 1\n"):
             with pytest.raises(GraphonError):
                 self.read(tmp_path, body)
+        with pytest.raises(GraphonError, match="missing 'edges' marker"):
+            self.read(tmp_path, "positions\n0.0\n1.0\n2.0\n0 1 1\n")

@@ -525,6 +525,34 @@ class TestEquilibrium:
                                 beta=4.0, alpha=1.0)
         assert 0.0 < s.min() < 1.0 and len(calls) <= 150
 
+    @pytest.mark.parametrize("M, rate", [(64, 1e300), (8, 1e10), (64, 1.0)])
+    def test_critical_or_huge_rates_stop_on_the_measured_contraction(self, monkeypatch, M, rate):
+        # alpha = beta on the cosine kernel is R0 = 1: at 1 the drift falls
+        # algebraically, at 1e300 and 1e10 it stalls in float noise far above
+        # 1e-13, and the relaxation ran all 200,000 steps before it raised
+        import graphonldp.meanfield as mf
+
+        calls = []
+        drift = mf.sis_drift
+        monkeypatch.setattr(mf, "sis_drift", lambda *a: calls.append(1) or drift(*a))
+        with pytest.raises(NumericalError, match=r"measured contraction 0\.99\d+ per step over "
+                                                 r"the last 1000; R0 may be 1, or the rates too large"):
+            endemic_equilibrium(circle_grid(M), cosine_kernel(1.0, 0.5), rate, rate)
+        assert 1000 < len(calls) <= 50000
+
+    @pytest.mark.parametrize("M, beta", [(64, 2.0), (64, 1.01), (64, 1.001), (64, 0.999),
+                                         (8, 3.0)])
+    def test_contraction_stop_leaves_converging_profiles_bit_identical(self, monkeypatch,
+                                                                       M, beta):
+        # 42 to 16,125 steps, near R0 = 1 on both sides: the same bits as the
+        # relaxation whose window never fills, which has no stop but max_iter
+        import graphonldp.meanfield as mf
+
+        grid, spec = circle_grid(M), cosine_kernel(1.0, 0.5)
+        s = endemic_equilibrium(grid, spec, beta, 1.0)
+        monkeypatch.setattr(mf, "_EQ_WINDOW", 200000)
+        assert endemic_equilibrium(grid, spec, beta, 1.0).tobytes() == s.tobytes()
+
     def test_tiny_alpha_gives_a_finite_profile(self):
         # T(0) underflows to s = 0, where the step s ds / max(alpha - ds, alpha s)
         # was 0 / 0: the profile came back all NaN

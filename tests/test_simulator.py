@@ -183,6 +183,9 @@ class TestSimulate:
         for rates in (sis(), generic_sis()):
             with pytest.raises(NumericalError, match="event budget 5 exhausted"):
                 simulate(net, rates, ["I"] * 20, horizon=50.0, seed=0, max_events=5)
+            # no budget at all raises at t = 0, before the first event
+            with pytest.raises(NumericalError, match="event budget 0 exhausted at t=0 < horizon 50"):
+                simulate(net, rates, ["I"] * 20, horizon=50.0, seed=0, max_events=0)
 
     @pytest.mark.parametrize("make", [sis, generic_sis])
     def test_nan_horizon_rejected_infinite_runs_to_absorption(self, make):
